@@ -43,7 +43,14 @@ from .extension import (
     extend,
     geometric_ladder,
 )
-from .gridop import Grid, assemble, build_grid, load_coefficients_csv, make_coefficients
+from .gridop import (
+    Grid,
+    _write_csv,
+    assemble,
+    build_grid,
+    load_coefficients_csv,
+    make_coefficients,
+)
 from .spectral import (
     apply_function,
     eigendecompose,
@@ -226,26 +233,13 @@ def _ladder_from_params(p: dict) -> np.ndarray:
     )
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17e}"
-
-
 # ---------------------------------------------------------------------------
 # task runners: return (invariants dict, artifact names)
 # ---------------------------------------------------------------------------
 
 def _run_spectrum(cfg, dec, rng, outdir):
     lam = dec.eigenvalues
-    _write_csv(outdir / "eigenvalues.csv", "k,lambda", list(enumerate(lam)))
+    _write_csv(outdir / "eigenvalues.csv", "k,lambda", [np.arange(len(lam)), lam])
     probe = rng.standard_normal(dec.n_dof)
     recon = dec.eigenvectors @ (lam * (dec.eigenvectors.T @ probe))
     resid = np.linalg.norm(recon - dec.source.matrix @ probe)
@@ -274,12 +268,11 @@ def _run_funcalc(cfg, dec, rng, outdir):
                    1e-9))
     u = unitary_propagate(dec, alpha, 1.0, f)
     checks.append(("unitarity", float(abs(np.linalg.norm(u) / np.linalg.norm(f) - 1.0)), 1e-10))
-    rows = [(name, val, tol, int(val <= tol)) for name, val, tol in checks]
-    with open(outdir / "funcalc.csv", "w", newline="\n") as fh:
-        fh.write("check,measured,tolerance,passed\n")
-        for name, val, tol, ok in rows:
-            fh.write(f"{name},{val:.17e},{tol:.17e},{ok}\n")
-    return {name: bool(ok) for name, _, _, ok in rows}, ["funcalc.csv"]
+    names, vals, tols = zip(*checks)
+    passed = [int(val <= tol) for val, tol in zip(vals, tols)]
+    _write_csv(outdir / "funcalc.csv", "check,measured,tolerance,passed",
+               [names, vals, tols, passed])
+    return {name: bool(ok) for name, ok in zip(names, passed)}, ["funcalc.csv"]
 
 
 def _run_norm_equiv(cfg, dec, rng, outdir):
@@ -324,7 +317,7 @@ def _run_recover(cfg, dec, rng, outdir):
     oracle = fractional_power(dec, ext.alpha, ext.base)
     rel = float(np.linalg.norm(rec - oracle) / max(np.linalg.norm(oracle), 1e-300))
     _write_csv(outdir / "recover.csv", "node,spectral,recovered,abs_diff",
-               [(i, oracle[i], rec[i], abs(rec[i] - oracle[i])) for i in range(len(rec))])
+               [np.arange(len(rec)), oracle, rec, np.abs(rec - oracle)])
     return {"recovery_within_tolerance": bool(rel <= 1e-3)}, ["recover.csv"]
 
 
@@ -344,11 +337,18 @@ def _run_energy(cfg, dec, rng, outdir):
 
 def _run_doubling(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
-    radii = [float(r) for r in cfg.task_params.get("radii", [0.5, 0.25, 0.125])]
+    if "radii" in cfg.task_params:
+        radii = [float(r) for r in cfg.task_params["radii"]]
+    else:
+        # every half ball of radius >= h holds the dof node nearest the center, at most
+        # h sqrt(dim)/2 off; keep the radii whose double fits the sampled half space
+        h = cfg.grid.spacing
+        fits = min(cfg.grid.half_length, float(ext.y_nodes[-1])) / 2.0
+        radii = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
     center = cfg.task_params.get("center", 0.0)
     rows = doubling_ratio(ext, radii, center=center)
-    _write_csv(outdir / "doubling.csv", "radius,ratio", rows)
     ratios = [r for _, r in rows]
+    _write_csv(outdir / "doubling.csv", "radius,ratio", [radii, ratios])
     return {"doubling_ratios_finite": bool(all(np.isfinite(r) and r > 0 for r in ratios))}, \
         ["doubling.csv"]
 
@@ -410,7 +410,7 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
         dt=float(p.get("dt", 1e-3)), grid=cfg.grid, s=int(p.get("s", 2)),
         c_est=float(p.get("c_est", 1.0)),
     )
-    _write_csv(outdir / "viscosity_pairs.csv", "eps,eps_prime,sup_diff", table.rows)
+    _write_csv(outdir / "viscosity_pairs.csv", "eps,eps_prime,sup_diff", zip(*table.rows))
     (outdir / "viscosity_fit.json").write_text(
         json.dumps({"k_est": table.k_est, "r_squared": table.r_squared}, indent=2) + "\n"
     )
@@ -441,15 +441,15 @@ def _run_kp_check(cfg, dec, rng, outdir):
     order = float(p.get("l", 2.0))
     n_pairs = int(p.get("n_pairs", 20))
     x = cfg.grid.dof_nodes()
-    rows = []
-    for trial in range(n_pairs):
+    ratios = []
+    for _ in range(n_pairs):
         c = rng.uniform(-cfg.grid.half_length / 2, cfg.grid.half_length / 2, size=(2, cfg.grid.dim))
         w = rng.uniform(0.5, 3.0, size=2)
         f = np.exp(-((x - c[0]) ** 2).sum(axis=1) / w[0] ** 2)
         g = np.exp(-((x - c[1]) ** 2).sum(axis=1) / w[1] ** 2)
-        rows.append((trial, kato_ponce_check(cfg.grid, order, f, g)))
-    _write_csv(outdir / "kp_ratios.csv", "trial,ratio", rows)
-    worst = max(r for _, r in rows)
+        ratios.append(kato_ponce_check(cfg.grid, order, f, g))
+    _write_csv(outdir / "kp_ratios.csv", "trial,ratio", [np.arange(n_pairs), ratios])
+    worst = max(ratios)
     return {"kp_ratio_finite": bool(np.isfinite(worst) and worst > 0)}, ["kp_ratios.csv"]
 
 

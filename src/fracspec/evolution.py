@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import parallel_map
-from .gridop import Grid, centered_gradient
-from .spectral import SpectralDecomposition, _clean_spectrum, bessel_apply
+from .gridop import Grid, _write_csv, centered_gradient
+from .spectral import SpectralDecomposition, _clean_spectrum, bessel_apply, sobolev_norm
 
 
 class PicardConvergenceError(RuntimeError):
@@ -190,7 +189,7 @@ def _state_norm(u, s, grid):
     u = np.asarray(u)
     if grid is None:
         return float(np.linalg.norm(u))
-    return float(np.linalg.norm(bessel_apply(grid, s, u)) * grid.spacing ** (grid.dim / 2.0))
+    return sobolev_norm(grid, s, u)
 
 
 def measure_scheme_constant(nl: Nonlinearity, s: float, probes,
@@ -241,20 +240,15 @@ class Trajectory:
     energy_flags: tuple = ()
 
     def export_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("time,node,re_u,im_u\n")
-            for k, t in enumerate(self.times):
-                for i in range(self.states.shape[1]):
-                    z = self.states[k, i]
-                    fh.write(f"{t:.17e},{i},{z.real:.17e},{z.imag:.17e}\n")
+        n_t, n_x = self.states.shape
+        _write_csv(path, "time,node,re_u,im_u", [np.repeat(self.times, n_x),
+                                                 np.tile(np.arange(n_x), n_t),
+                                                 self.states.real.ravel(),
+                                                 self.states.imag.ravel()])
 
     def export_monitors_csv(self, path) -> None:
-        keys = list(self.monitors)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("time," + ",".join(keys) + "\n")
-            for k, t in enumerate(self.times):
-                row = ",".join(f"{self.monitors[key][k]:.17e}" for key in keys)
-                fh.write(f"{t:.17e},{row}\n")
+        _write_csv(path, ",".join(["time", *self.monitors]),
+                   [self.times, *self.monitors.values()])
 
 
 def _time_grid(t_final: float, dt: float) -> np.ndarray:
@@ -270,9 +264,7 @@ def _monitor_norms(states, grid, s):
         return l2, l2.copy()
     weight = grid.spacing ** (grid.dim / 2.0)
     l2 = np.linalg.norm(states, axis=1) * weight
-    sob = np.array([
-        np.linalg.norm(bessel_apply(grid, s, u)) * weight for u in states
-    ])
+    sob = np.array([sobolev_norm(grid, s, u) for u in states])
     return l2, sob
 
 
@@ -340,9 +332,8 @@ def picard_solve(
             raise PicardConvergenceError(history)
 
     l2, sob = _monitor_norms(states, grid, s)
-    residual = _differential_residual_schrodinger(
-        dec, alpha, states, times, nonlinearity, grid
-    )
+    residual = _equation_residual(dec, 1j * lam_a, states, times,
+                                  1j * nonlinearity.evaluate(states.T, grid).T, grid)
     return Trajectory(
         times=times,
         states=states,
@@ -356,16 +347,19 @@ def picard_solve(
     )
 
 
-def _differential_residual_schrodinger(dec, alpha, states, times, nl, grid):
-    """|i du/dt + L^alpha u + P(u)|_2 by centered differencing, interior times."""
+def _equation_residual(dec, symbol, states, times, forcing, grid):
+    """h^{d/2} |du/dt - V diag(symbol) V^T u - forcing|_2 by centered differencing.
+
+    Evaluated at interior output times; the end values repeat their
+    neighbors. Picard passes symbol i lam^alpha and forcing i P(u), the
+    viscous scheme symbol -eps lam^2 + i lam^alpha and forcing Q(u).
+    """
     if len(times) < 3:
         return np.zeros(len(times))
     dt = times[1] - times[0]
-    lam_a = _clean_spectrum(dec.eigenvalues) ** alpha
-    lu = (states @ dec.eigenvectors * lam_a[None, :]) @ dec.eigenvectors.T
-    p = nl.evaluate(states.T, grid).T
+    lsym = (states @ dec.eigenvectors * symbol[None, :]) @ dec.eigenvectors.T
     du = (states[2:] - states[:-2]) / (2.0 * dt)
-    resid_interior = 1j * du + lu[1:-1] + p[1:-1]
+    resid_interior = du - lsym[1:-1] - forcing[1:-1]
     out = np.empty(len(times))
     weight = 1.0 if grid is None else grid.spacing ** (grid.dim / 2.0)
     out[1:-1] = np.linalg.norm(resid_interior, axis=1) * weight
@@ -441,8 +435,8 @@ def viscous_solve(
             flags.append(times[k])
 
     l2, sob = _monitor_norms(states, grid, s)
-    residual = _differential_residual_viscous(dec, alpha, eps, states, times,
-                                              nonlinearity, grid)
+    residual = _equation_residual(dec, symbol, states, times,
+                                  nonlinearity.evaluate(states.T, grid).T, grid)
     return Trajectory(
         times=times,
         states=states,
@@ -455,24 +449,6 @@ def viscous_solve(
         },
         energy_flags=tuple(flags),
     )
-
-
-def _differential_residual_viscous(dec, alpha, eps, states, times, nl, grid):
-    """|du/dt + eps L^2 u - i L^alpha u - Q(u)|_2 at interior output times."""
-    if len(times) < 3:
-        return np.zeros(len(times))
-    dt = times[1] - times[0]
-    lam = _clean_spectrum(dec.eigenvalues)
-    symbol = eps * lam**2 - 1j * lam**alpha
-    lsym = (states @ dec.eigenvectors * symbol[None, :]) @ dec.eigenvectors.T
-    q = nl.evaluate(states.T, grid).T
-    du = (states[2:] - states[:-2]) / (2.0 * dt)
-    resid_interior = du + lsym[1:-1] - q[1:-1]
-    out = np.empty(len(times))
-    weight = 1.0 if grid is None else grid.spacing ** (grid.dim / 2.0)
-    out[1:-1] = np.linalg.norm(resid_interior, axis=1) * weight
-    out[0], out[-1] = out[1], out[-2]
-    return out
 
 
 @dataclass(frozen=True)
@@ -500,11 +476,8 @@ def viscosity_convergence(
         raise ValueError("need at least two viscosity values")
     if any(b > a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be nonincreasing")
-    runs = parallel_map(
-        lambda e: viscous_solve(dec, alpha, e, u0, nonlinearity, t_final, dt,
-                                grid=grid, s=s, c_est=c_est),
-        epsilons,
-    )
+    runs = [viscous_solve(dec, alpha, e, u0, nonlinearity, t_final, dt,
+                          grid=grid, s=s, c_est=c_est) for e in epsilons]
     rows = []
     for i in range(len(epsilons)):
         for j in range(i + 1, len(epsilons)):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .gridop import Grid, centered_gradient
+from .gridop import Grid, _write_csv, centered_gradient
 from .spectral import (
     SpectralDecomposition,
     _clean_spectrum,
@@ -161,11 +161,9 @@ class ExtensionField:
         )
 
     def export_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x_index,y,U\n")
-            for k, y in enumerate(self.y_nodes):
-                for i in range(self.values.shape[0]):
-                    fh.write(f"{i},{y:.17e},{self.values[i, k]:.17e}\n")
+        n_x, n_y = self.values.shape
+        _write_csv(path, "x_index,y,U", [np.tile(np.arange(n_x), n_y),
+                                         np.repeat(self.y_nodes, n_x), self.values.T.ravel()])
 
 
 def trace_tolerance(alpha: float, y0: float, base_norm: float) -> float:

@@ -22,6 +22,9 @@ FIELD_KINDS = ("identity", "radial_bump", "tabulated")
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_NEGATIVITY_TOL = 1e-10
 
+# Rows converted to python scalars at a time by the CSV writer.
+_CSV_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -233,6 +236,22 @@ def load_coefficients_csv(grid: Grid, path: str | Path) -> CoefficientField:
     a = raw[order, dim:dim + dim * dim].reshape(grid.n_nodes, dim, dim)
     c = raw[order, -1]
     return make_coefficients(grid, "tabulated", {"a": a, "c": c})
+
+
+def _write_csv(path: str | Path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows under a header line.
+
+    Floats are written as %.17e, ints and strings bare; comma separator,
+    LF endings. The format is chosen once per column from its dtype.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("{:.17e}" if col.dtype.kind == "f" else "{}" for col in columns) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        # python scalars format faster than numpy ones; chunks bound the list memory
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            fh.writelines(map(row.format, *chunk))
 
 
 def _axis_index_pairs(grid: Grid, axis: int):

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._threads import parallel_map
-from .gridop import Grid
+from .gridop import Grid, _write_csv
 from .spectral import SpectralDecomposition, fractional_power
 
 # Empirical regression floor for the nonlocality ratio; the continuum
@@ -117,11 +116,11 @@ def nonlocality_probe(dec: SpectralDecomposition, alpha: float,
 
 
 def locality_contrast(dec: SpectralDecomposition, m: int,
-                      spec: VanishingSpec) -> float:
+                      spec: VanishingSpec) -> NonlocalityResult:
     """Mass of the m-fold operator product on theta shrunk by m stencil widths.
 
     The matrix power is applied as repeated matrix multiplication so the
-    finite stencil is exact: the returned mass is identically zero in
+    finite stencil is exact: ``mass_on_theta`` is identically zero in
     floating point.
     """
     if m not in (1, 2):
@@ -131,7 +130,11 @@ def locality_contrast(dec: SpectralDecomposition, m: int,
     for _ in range(m):
         g = dec.source.matrix @ g
     mask = _mask_in_box(grid, spec.shrunk_theta(m * grid.spacing))
-    return float(np.linalg.norm(g[mask]))
+    return NonlocalityResult(
+        alpha=float(m),
+        mass_on_theta=float(np.linalg.norm(g[mask])),
+        mass_total=float(np.linalg.norm(g)),
+    )
 
 
 def _probe_grid(dec: SpectralDecomposition) -> Grid:
@@ -151,23 +154,14 @@ def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
     alphas = [float(a) for a in alphas]
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("sweep alphas must lie in (0, 1]")
-
-    def row(alpha: float):
-        if alpha == 1.0:
-            grid = _probe_grid(dec)
-            f = bump_state(grid, spec)
-            g = dec.source.matrix @ f
-            mass = float(np.linalg.norm(g[_mask_in_box(grid, spec.shrunk_theta(grid.spacing))]))
-            total = float(np.linalg.norm(g))
-            return (alpha, mass, total, mass / total if total > 0 else 0.0)
-        res = nonlocality_probe(dec, alpha, spec)
-        return (alpha, res.mass_on_theta, res.mass_total, res.ratio)
-
-    return parallel_map(row, alphas)
+    rows = []
+    for alpha in alphas:
+        res = (locality_contrast(dec, 1, spec) if alpha == 1.0
+               else nonlocality_probe(dec, alpha, spec))
+        rows.append((alpha, res.mass_on_theta, res.mass_total, res.ratio))
+    return rows
 
 
 def sweep_to_csv(rows, path: str | Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("alpha,mass_theta,mass_total,ratio\n")
-        for alpha, mass, total, ratio in rows:
-            fh.write(f"{alpha:.17e},{mass:.17e},{total:.17e},{ratio:.17e}\n")
+    _write_csv(path, "alpha,mass_theta,mass_total,ratio",
+               np.asarray(rows, dtype=float).reshape(-1, 4).T)

@@ -242,6 +242,21 @@ def test_run_extend_energy_doubling_tasks(tmp_path):
         assert manifest["status"] == "ok"
 
 
+@pytest.mark.parametrize("dim, n, multiples", [(2, 18, [4, 2, 1]), (1, 9, [2, 1])])
+def test_doubling_default_radii_scale_with_spacing(tmp_path, dim, n, multiples):
+    # n = 18 puts no node at the center; at n = 9 the radius 4h = 8 would
+    # need the half space out to 16 > X
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(
+        tmp_path, output_dir=str(out), task="doubling",
+        overrides={"grid": {"dim": dim, "n": n, "half_length": 8.0, "boundary": "dirichlet"}},
+    ))
+    assert run(cfg) == 0
+    rows = np.loadtxt(out / "doubling.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.allclose(rows[:, 0], np.multiply(multiples, cfg.grid.spacing))
+    assert np.all(rows[:, 1] >= 1.0)
+
+
 def test_run_viscosity_convergence_task(tmp_path):
     out = tmp_path / "out"
     cfg = parse_config(write_config(

@@ -213,6 +213,34 @@ def test_picard_rejects_gradient_nonlinearity():
         picard_solve(dec, 0.5, smooth_state(g), q, 0.1, 0.01, grid=g)
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("eps", [None, 0.05])
+def test_equation_residual_matches_closed_form_for_exact_propagator(boundary, eps):
+    # with P = Q = 0 both schemes return the exact propagator V e^{sigma t} V^T u0,
+    # whose centered-difference residual has the per-mode closed form
+    # ((e^{sigma dt} - e^{-sigma dt}) / (2 dt) - sigma) e^{sigma t_k}
+    g = build_grid(1, 17, 8.0, boundary)
+    dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
+    u0 = np.random.default_rng(5).standard_normal(dec.n_dof)
+    alpha, dt = 0.5, 0.01
+    lam = np.clip(dec.eigenvalues, 0.0, None)
+    if eps is None:
+        traj = picard_solve(dec, alpha, u0, ZERO_P, t_final=0.1, dt=dt, grid=g)
+        sigma = 1j * lam**alpha
+    else:
+        traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.1, dt=dt, grid=g)
+        sigma = -eps * lam**2 + 1j * lam**alpha
+    step = traj.times[1] - traj.times[0]
+    defect = (np.exp(sigma * step) - np.exp(-sigma * step)) / (2.0 * step) - sigma
+    modes = dec.eigenvectors.T @ u0
+    resid = traj.monitors["equation_residual"]
+    for k in range(1, len(traj.times) - 1):
+        exact = dec.eigenvectors @ (defect * np.exp(sigma * traj.times[k]) * modes)
+        expected = np.linalg.norm(exact) * g.spacing ** 0.5
+        assert expected > 0
+        assert abs(resid[k] - expected) <= 1e-6 * expected
+
+
 # --- viscous scheme --------------------------------------------------------------
 
 def test_viscous_zero_q_zero_eps_is_unitary():
@@ -371,6 +399,10 @@ def test_trajectory_csv_exports(tmp_path):
     traj.export_monitors_csv(p2)
     lines = p1.read_text().splitlines()
     assert lines[0] == "time,node,re_u,im_u"
-    assert len(lines) == 1 + len(traj.times) * dec.n_dof
-    head = p2.read_text().splitlines()[0]
-    assert head.startswith("time,l2_norm,sobolev_norm_s")
+    assert lines[1:] == [f"{t:.17e},{i},{z.real:.17e},{z.imag:.17e}"
+                         for t, row in zip(traj.times, traj.states) for i, z in enumerate(row)]
+    monitors = p2.read_text().splitlines()
+    assert monitors[0] == "time," + ",".join(traj.monitors)
+    columns = [traj.times, *traj.monitors.values()]
+    assert monitors[1:] == [",".join(f"{col[k]:.17e}" for col in columns)
+                            for k in range(len(traj.times))]

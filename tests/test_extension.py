@@ -340,7 +340,8 @@ def test_extension_export_csv_and_metadata(tmp_path):
     ext.export_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x_index,y,U"
-    assert len(lines) == 1 + dec.n_dof * len(ys)
+    assert lines[1:] == [f"{i},{y:.17e},{ext.values[i, k]:.17e}"
+                         for k, y in enumerate(ys) for i in range(dec.n_dof)]
     import json
 
     meta = json.loads(ext.metadata_json())

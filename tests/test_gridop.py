@@ -3,6 +3,7 @@ import pytest
 
 from fracspec.gridop import (
     CoefficientField,
+    _write_csv,
     assemble,
     build_grid,
     check_hypotheses,
@@ -210,3 +211,32 @@ def test_load_coefficients_csv_2d_shape_check(tmp_path):
     f = load_coefficients_csv(g, path)
     assert f.a.shape == (9, 2, 2)
     assert np.all(f.a[:, 0, 1] == 0.1)
+
+
+def test_write_csv_format_round_trips_floats(tmp_path):
+    floats = np.array([0.1, -1.0 / 3.0, 1e-300, -2.5e-300, 4.9e-324, 1.7976931348623157e308,
+                       0.0, -0.0, np.nextafter(1.0, 2.0)])
+    ints = np.arange(len(floats), dtype=np.int64) * 1000
+    names = [f"check_{i}" for i in range(len(floats))]
+    path = tmp_path / "table.csv"
+    _write_csv(path, "name,index,value", [names, ints, floats])
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    lines = raw.decode().split("\n")[:-1]
+    assert lines[0] == "name,index,value"
+    assert len(lines) == 1 + len(floats)
+    for line, name, i, v in zip(lines[1:], names, ints, floats):
+        text_name, text_int, text_float = line.split(",")
+        assert text_name == name
+        assert text_int == str(i)
+        assert float(text_float) == v
+        assert np.signbit(float(text_float)) == np.signbit(v)
+        assert text_float == f"{v:.17e}"
+
+
+def test_write_csv_spans_chunks(tmp_path):
+    n = 2 * 4096 + 7
+    values = np.random.default_rng(1).standard_normal(n)
+    path = tmp_path / "long.csv"
+    _write_csv(path, "i,v", [np.arange(n), values])
+    assert path.read_text().splitlines()[1:] == [f"{i},{v:.17e}" for i, v in enumerate(values)]

@@ -88,7 +88,7 @@ def test_zero_state_gives_zero_masses():
 def test_locality_of_integer_powers_is_exact(m):
     for kind, params in [("identity", {}), ("radial_bump", {"s": 0.7, "w": 2.0})]:
         dec = make_dec(kind=kind, params=params)
-        assert locality_contrast(dec, m, STANDARD) == 0.0
+        assert locality_contrast(dec, m, STANDARD).mass_on_theta == 0.0
 
 
 def test_fractional_mass_on_shrunken_theta_still_positive():
