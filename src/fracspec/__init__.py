@@ -27,7 +27,6 @@ from .evolution import (
 )
 from .extension import (
     ExtensionField,
-    QuadratureRule,
     conormal_constant,
     conormal_recover,
     doubling_ratio,

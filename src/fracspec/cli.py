@@ -35,8 +35,6 @@ from .evolution import (
 from .extension import (
     DegenerateInputError,
     ExtrapolationError,
-    QuadratureConvergenceError,
-    QuadratureRule,
     conormal_recover,
     doubling_ratio,
     energy_report,
@@ -71,7 +69,6 @@ TASKS = (
 NUMERICAL_ERRORS = (
     PicardConvergenceError,
     BlowUpError,
-    QuadratureConvergenceError,
     ExtrapolationError,
     DegenerateInputError,
 )
@@ -293,10 +290,8 @@ def _run_norm_equiv(cfg, dec, rng, outdir):
 def _extension_for(cfg, dec, rng):
     alpha = cfg.alpha[0]
     ys = _ladder_from_params(cfg.task_params)
-    nq = int(cfg.task_params.get("quad_nodes", 0))
-    rule = QuadratureRule.for_spectrum(dec.eigenvalues, n_nodes=nq) if nq else None
     u0 = _build_state(cfg, dec, rng)
-    return extend(dec, alpha, u0, ys, rule)
+    return extend(dec, alpha, u0, ys)
 
 
 def _run_extend(cfg, dec, rng, outdir):
@@ -427,6 +422,8 @@ def _run_uc_probe(cfg, dec, rng, outdir):
         dim=cfg.grid.dim,
     )
     alphas = [float(a) for a in p.get("alphas", [0.25, 0.5, 0.75, 1.0])]
+    if not alphas:
+        raise ConfigError("uc_probe needs at least one entry in alphas")
     rows = dichotomy_sweep(dec, spec, alphas)
     sweep_to_csv(rows, outdir / "uc_sweep.csv")
     ok = all(
@@ -440,6 +437,8 @@ def _run_kp_check(cfg, dec, rng, outdir):
     p = cfg.task_params
     order = float(p.get("l", 2.0))
     n_pairs = int(p.get("n_pairs", 20))
+    if n_pairs < 1:
+        raise ConfigError(f"kp_check needs n_pairs >= 1, got {n_pairs}")
     x = cfg.grid.dof_nodes()
     ratios = []
     for _ in range(n_pairs):

@@ -21,7 +21,6 @@ from fracspec.evolution import (
 )
 from fracspec.extension import (
     ExtensionField,
-    QuadratureRule,
     conormal_constant,
     conormal_recover,
     constant_field_doubling_exponent,
@@ -187,11 +186,9 @@ def test_criterion_06_extension_recovery(ident64, bump64):
             oracle = fractional_power(dec, alpha, u)
 
             def rel_error(level):
-                # one resolution doubling = twice the time-quadrature nodes
-                # and half the trace-ladder base
-                rule = QuadratureRule.for_spectrum(dec.eigenvalues).refined(2**level)
+                # one resolution doubling = half the trace-ladder base
                 ys = geometric_ladder(4e-3 / 2**level, 1.2, 60)
-                rec = conormal_recover(extend(dec, alpha, u, ys, rule))
+                rec = conormal_recover(extend(dec, alpha, u, ys))
                 return np.linalg.norm(rec - oracle) / np.linalg.norm(oracle)
 
             e0 = rel_error(0)

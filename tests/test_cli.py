@@ -192,6 +192,26 @@ def test_run_invalid_alpha_for_extension_is_config_error(tmp_path):
     assert manifest["status"] == "config_error"
 
 
+@pytest.mark.parametrize("task,params,key,artifact", [
+    ("kp_check", {"n_pairs": 0}, "n_pairs", "kp_ratios.csv"),
+    ("uc_probe", {"alphas": []}, "alphas", "uc_sweep.csv"),
+])
+def test_run_empty_sweep_is_config_error(tmp_path, task, params, key, artifact):
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(
+        tmp_path, output_dir=str(out), task=task,
+        overrides={"grid": {"dim": 1, "n": 32, "half_length": 8.0,
+                            "boundary": "dirichlet"},
+                   "task_params": params},
+    ))
+    assert run(cfg) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert key in manifest["error"]
+    assert manifest["artifacts"] == []
+    assert not (out / artifact).exists()
+
+
 def test_main_validate_and_exit_codes(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["validate", str(path)]) == 0

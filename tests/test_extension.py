@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -7,10 +9,9 @@ from fracspec.extension import (
     DegenerateInputError,
     ExtensionField,
     ExtrapolationError,
-    QuadratureConvergenceError,
-    QuadratureRule,
     conormal_constant,
     conormal_recover,
+    conormal_slopes,
     constant_field_doubling_exponent,
     doubling_ratio,
     energy_report,
@@ -51,13 +52,68 @@ def test_conormal_constant_formula():
         assert conormal_constant(alpha) < 0
 
 
+def heat_kernel_integrals(lam, ys, alpha, extra_power=0.0, spectrum=None, n_nodes=400):
+    """I(lambda, y) = integral_0^inf e^{-t lam - y^2/4t} t^{-1-alpha-extra_power} dt.
+
+    Trapezoid in log t over [1e-8 / lam_max, 1e4 / lam_min] of ``spectrum``
+    (default ``lam``), where dt / t^{1+p} = t^{-p} d(log t); returns shape
+    (len(lam), len(ys)).
+    """
+    bounds = np.abs(lam if spectrum is None else spectrum)
+    u = np.linspace(np.log(1e-8 / max(bounds.max(), 1e-12)),
+                    np.log(1e4 / max(bounds.min(), 1e-12)), n_nodes)
+    w = np.full(n_nodes, u[1] - u[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    t = np.exp(u)
+    expo = -lam[:, None, None] * t - (ys[None, :, None] ** 2 / 4.0) / t
+    return np.einsum("lyt,t->ly", np.exp(expo) * t ** (-(alpha + extra_power)), w)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_closed_form_matches_heat_kernel_quadrature(alpha):
+    # M = C y^{2a} I_a and y^{1-2a} dM/dy = C (2a I_a - (y^2/2) I_{a+1}), C = 1/(4^a Gamma(a))
+    _, dec = laplacian_dec()
+    lam = np.clip(dec.eigenvalues, 0.0, None)
+    ys = geometric_ladder(1e-3, 1.3, 40)
+    c0 = 1.0 / (4.0**alpha * gamma_fn(alpha))
+    i_a = heat_kernel_integrals(lam, ys, alpha)
+    i_a1 = heat_kernel_integrals(lam, ys, alpha, extra_power=1.0)
+    m_quad = c0 * ys[None, :] ** (2.0 * alpha) * i_a
+    assert np.abs(extension_multipliers(lam, ys, alpha) - m_quad).max() <= 1e-12
+
+    slopes = conormal_slopes(lam, ys, alpha)
+    scale = np.abs(slopes).max()
+    # the two terms cancel to y^{-2a} relative roundoff as y -> 0, so each entry
+    # is held to 1e-12 of the terms' own size
+    slope_quad = c0 * (2.0 * alpha * i_a - (ys[None, :] ** 2 / 2.0) * i_a1)
+    assert np.all(np.abs(slopes - slope_quad) <= 1e-12 * (2.0 * alpha * c0 * i_a + scale))
+    # integrating d/dt (e^{-t lam - y^2/4t} t^{-a}) over t > 0 gives the same slope
+    # as -2 lam C I_{a-1}, which has no cancellation
+    slope_ibp = -2.0 * lam[:, None] * c0 * heat_kernel_integrals(lam, ys, alpha, extra_power=-1.0)
+    assert np.abs(slopes - slope_ibp).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_closed_form_finite_and_bounded_at_large_z(alpha):
+    lam = np.array([0.0, 1e-8, 1.0, 1e4, 1e6])
+    ys = geometric_ladder(1e-6, 10.0, 10)  # z up to 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = extension_multipliers(lam, ys, alpha)
+        slopes = conormal_slopes(lam, ys, alpha)
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(slopes))
+    assert m.min() >= 0.0 and m.max() <= 1.0
+    assert np.all(m[0] == 1.0) and np.all(slopes[0] == 0.0)
+    assert m[-1, -1] == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_multiplier_matches_independent_bessel_closed_form(alpha):
     _, dec = laplacian_dec()
     lam = dec.eigenvalues
     ys = geometric_ladder(1e-3, 1.3, 40)
-    rule = QuadratureRule.for_spectrum(lam)
-    m = extension_multipliers(lam, ys, alpha, rule)
+    m = extension_multipliers(lam, ys, alpha)
     z = np.sqrt(lam)[:, None] * ys[None, :]
     exact = (2.0 / gamma_fn(alpha)) * (z / 2.0) ** alpha * kv(alpha, z)
     assert np.abs(m - exact).max() <= 1e-12
@@ -70,7 +126,7 @@ def test_multiplier_alpha_half_is_poisson_kernel():
     _, dec = laplacian_dec()
     lam = dec.eigenvalues
     ys = geometric_ladder(1e-2, 1.5, 20)
-    m = extension_multipliers(lam, ys, 0.5, QuadratureRule.for_spectrum(lam))
+    m = extension_multipliers(lam, ys, 0.5)
     exact = np.exp(-np.sqrt(lam)[:, None] * ys[None, :])
     assert np.abs(m - exact).max() <= 1e-6
 
@@ -79,23 +135,21 @@ def test_multiplier_alpha_half_is_poisson_kernel():
 def test_zero_mode_multiplier_is_gamma_normalization(alpha, tol):
     # lambda = 0: the time integral reduces to the Gamma prefactor, M = 1
     _, dec = laplacian_dec(n=16, x=4.0, boundary="periodic")
-    lam = dec.eigenvalues
-    assert abs(lam[0]) < 1e-12
+    assert abs(dec.eigenvalues[0]) < 1e-12
     ys = np.array([1e-3, 1e-2, 0.1, 1.0])
-    m = extension_multipliers(
-        np.array([0.0]), ys, alpha, QuadratureRule.for_spectrum(lam)
-    )
+    i_a = heat_kernel_integrals(np.array([0.0]), ys, alpha, spectrum=dec.eigenvalues)
+    m = ys ** (2.0 * alpha) * i_a / (4.0**alpha * gamma_fn(alpha))
     assert np.abs(m - 1.0).max() <= tol
+    assert np.all(extension_multipliers(np.array([0.0]), ys, alpha) == 1.0)
 
 
 def test_multiplier_depends_only_on_lambda_y_squared():
-    rule = QuadratureRule(n_nodes=800, t_min=1e-12, t_max=1e12)
     lams = np.array([0.5, 2.0, 8.0])
     ys = np.array([0.03, 0.1, 0.4])
     for alpha in (0.3, 0.6):
-        base = extension_multipliers(lams, ys, alpha, rule, check=False)
-        scaled = extension_multipliers(lams * 4.0, ys / 2.0, alpha, rule, check=False)
-        assert np.abs(base - scaled).max() <= 1e-8
+        base = extension_multipliers(lams, ys, alpha)
+        scaled = extension_multipliers(lams * 4.0, ys / 2.0, alpha)
+        assert np.abs(base - scaled).max() <= 1e-14
 
 
 def test_extend_of_zero_is_zero():
@@ -134,17 +188,6 @@ def test_trace_convergence_monotone_with_envelope():
         assert errs[0] <= trace_tolerance(alpha, ext.y_nodes[0], np.linalg.norm(u))
 
 
-def test_quadrature_convergence_guard_flags_coarse_rules():
-    _, dec = bump_dec(n=32)
-    u = gaussian_state(dec.source.grid)
-    coarse = QuadratureRule.for_spectrum(dec.eigenvalues, n_nodes=80)
-    with pytest.raises(QuadratureConvergenceError) as err:
-        extend(dec, 0.5, u, quadrature=coarse)
-    assert len(err.value.pairs) > 0
-    lam0, y0, drift = err.value.pairs[0]
-    assert drift > 1e-6
-
-
 def test_recover_alpha_half_matches_sqrt_spectrum():
     # per-mode slope of e^{-y sqrt(lam)} recovers lam^{1/2}
     g, dec = laplacian_dec()
@@ -175,9 +218,8 @@ def test_recover_improves_with_resolution_refinement():
     oracle = fractional_power(dec, 0.75, u)
 
     def run(level):
-        rule = QuadratureRule.for_spectrum(dec.eigenvalues).refined(2**level)
         ys = geometric_ladder(4e-3 / 2**level, 1.2, 60)
-        rec = conormal_recover(extend(dec, 0.75, u, ys, rule))
+        rec = conormal_recover(extend(dec, 0.75, u, ys))
         return np.linalg.norm(rec - oracle) / np.linalg.norm(oracle)
 
     e0, e2 = run(0), run(2)
@@ -322,8 +364,7 @@ def test_weak_residual_detects_corruption():
     w = tests[0] * np.sqrt(energy(ext.values) / energy(tests[0]))
     corrupted = ExtensionField(
         base=ext.base, alpha=ext.alpha, y_nodes=ext.y_nodes,
-        values=ext.values + 1e-2 * w, grid=ext.grid,
-        quadrature=ext.quadrature, decomposition=ext.decomposition,
+        values=ext.values + 1e-2 * w, grid=ext.grid, decomposition=ext.decomposition,
     )
     noisy = weak_residual(corrupted, tests)
     assert noisy >= 10.0 * clean
@@ -346,5 +387,5 @@ def test_extension_export_csv_and_metadata(tmp_path):
 
     meta = json.loads(ext.metadata_json())
     assert meta["alpha"] == 0.5
-    assert meta["quadrature"]["n_nodes"] == 400
+    assert "quadrature" not in meta
     assert len(meta["y_nodes"]) == 12
