@@ -1,15 +1,16 @@
 """Dense spectral calculus for the assembled symmetric operators.
 
 Every function of the operator (fractional powers, heat semigroup, unitary
-and viscous propagators, Bessel potentials) is realized exactly at the
-discrete level by conjugating a scalar map with the eigendecomposition:
-g(L) f = V diag(g(Lambda)) V^T f.
+and viscous propagators) is realized exactly at the discrete level by
+conjugating a scalar map with the eigendecomposition:
+g(L) f = V diag(g(Lambda)) V^T f. Bessel potentials of the flat Laplacian
+need no eigensolve: the FFT (periodic) or DST-I (Dirichlet) diagonalizes it.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .gridop import DiscreteOperator, Grid, assemble, make_coefficients
@@ -201,20 +202,18 @@ def smoothing_norm_bound(eps: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def laplacian_symbol(grid: Grid) -> np.ndarray:
-    """Eigenvalues of the periodic discrete Laplacian via its Fourier symbol."""
+    """Eigenvalues (2 - 2cos theta_k)/h^2 of the flat -Laplacian_h, in transform order.
+
+    FFT (periodic): theta_k = 2 pi k/n, k = 0..n-1. DST-I (Dirichlet):
+    theta_k = pi k/(n-1), k = 1..n-2. In 2-D the axis symbols add.
+    """
     n, h = grid.points_per_axis, grid.spacing
-    m1 = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / h**2
+    theta = (2.0 * np.pi * np.arange(n) / n if grid.boundary == "periodic"
+             else np.pi * np.arange(1, n - 1) / (n - 1))
+    m1 = (2.0 - 2.0 * np.cos(theta)) / h**2
     if grid.dim == 1:
         return m1
     return m1[:, None] + m1[None, :]
-
-
-@functools.lru_cache(maxsize=32)
-def _laplacian_data(grid: Grid):
-    if grid.boundary == "periodic":
-        return ("symbol", laplacian_symbol(grid))
-    op = assemble(grid, make_coefficients(grid, "identity"))
-    return ("dense", eigendecompose(op))
 
 
 @dataclass(frozen=True)
@@ -229,24 +228,35 @@ class BesselPotential:
 
 
 def bessel_apply(grid: Grid, s: float, f: np.ndarray) -> np.ndarray:
-    """(1 + (-Laplacian_h))^{s/2} f; FFT symbol on periodic grids, dense else."""
+    """(1 + (-Laplacian_h))^{s/2} f through the FFT (periodic) or DST-I (Dirichlet).
+
+    ``f`` has the dof axis first; trailing axes form a batch.
+    """
     f = np.asarray(f)
-    kind, data = _laplacian_data(grid)
-    if kind == "symbol":
-        shape = (grid.points_per_axis,) * grid.dim
-        mult = (1.0 + data) ** (s / 2.0)
-        out = np.fft.ifftn(mult * np.fft.fftn(f.reshape(shape))).ravel()
-        return out.real if not np.iscomplexobj(f) else out
-    return apply_function(data, shifted_power(s / 2.0), f)
+    if f.shape[0] != grid.n_dof:
+        raise ValueError(f"state length {f.shape[0]} != dof count {grid.n_dof}")
+    symbol = laplacian_symbol(grid)
+    mult = ((1.0 + symbol) ** (s / 2.0)).reshape(symbol.shape + (1,) * (f.ndim - 1))
+    x = f.reshape(symbol.shape + f.shape[1:])
+    axes = tuple(range(grid.dim))
+    if grid.boundary == "periodic":
+        out = np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes)
+        out = out if np.iscomplexobj(f) else out.real
+    else:
+        coeffs = scipy.fft.dstn(x, type=1, axes=axes, norm="ortho")
+        out = scipy.fft.idstn(mult * coeffs, type=1, axes=axes, norm="ortho")
+    return out.reshape(f.shape)
 
 
-def l2_norm(grid: Grid, f: np.ndarray) -> float:
-    """Physical l2 norm with the h^{dim/2} cell weight."""
-    return float(np.linalg.norm(f) * grid.spacing ** (grid.dim / 2.0))
+def l2_norm(grid: Grid, f: np.ndarray):
+    """Physical l2 norm with the h^{dim/2} cell weight; one per column of a batch."""
+    f = np.asarray(f)
+    norm = float(np.linalg.norm(f)) if f.ndim == 1 else np.linalg.norm(f, axis=0)
+    return norm * grid.spacing ** (grid.dim / 2.0)
 
 
-def sobolev_norm(grid: Grid, s: float, f: np.ndarray) -> float:
-    """Discrete H^s norm |(1 - Laplacian_h)^{s/2} f|_2."""
+def sobolev_norm(grid: Grid, s: float, f: np.ndarray):
+    """Discrete H^s norm |(1 - Laplacian_h)^{s/2} f|_2; one per column of a batch."""
     return l2_norm(grid, bessel_apply(grid, s, f))
 
 
@@ -260,7 +270,7 @@ class NormEquivalenceReport:
     n_samples: int
     ratio_min: float
     ratio_max: float
-    refinement_drift: float
+    refinement_drift: float | None  # None (JSON null) when refinement is skipped
     lambda_min: float
     lambda_max: float
 
@@ -293,17 +303,13 @@ def _sample_bump(grid: Grid, center: np.ndarray, width: float) -> np.ndarray:
 
 def _equivalence_ratios(dec: SpectralDecomposition, grid: Grid, alpha: float,
                         bump_params, eig_indices) -> np.ndarray:
-    tests = [_sample_bump(grid, c, w) for c, w in bump_params]
-    tests += [dec.eigenvectors[:, k] for k in eig_indices if k < dec.n_dof]
-    ratios = []
-    for f in tests:
-        norm = l2_norm(grid, f)
-        if norm == 0.0:
-            raise ValueError("zero test function in norm-equivalence sample")
-        num = norm + l2_norm(grid, fractional_power(dec, alpha, f))
-        den = l2_norm(grid, bessel_apply(grid, 2.0 * alpha, f))
-        ratios.append(num / den)
-    return np.asarray(ratios)
+    tests = np.column_stack([_sample_bump(grid, c, w) for c, w in bump_params]
+                            + [dec.eigenvectors[:, k] for k in eig_indices if k < dec.n_dof])
+    norms = l2_norm(grid, tests)
+    if np.any(norms == 0.0):
+        raise ValueError("zero test function in norm-equivalence sample")
+    num = norms + l2_norm(grid, fractional_power(dec, alpha, tests))
+    return num / sobolev_norm(grid, 2.0 * alpha, tests)
 
 
 # fixed mode indices: their eigenvalues converge under grid refinement, so
@@ -334,7 +340,7 @@ def norm_equivalence(
     ratios = _equivalence_ratios(dec, grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
     lo, hi = float(ratios.min()), float(ratios.max())
 
-    drift = float("nan")
+    drift = None
     if refine and op.coefficients.kind != "tabulated":
         fine_grid = Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
         fine_field = make_coefficients(fine_grid, op.coefficients.kind, op.coefficients.params)

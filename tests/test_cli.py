@@ -105,6 +105,35 @@ def test_run_norm_equiv_report_schema(tmp_path):
                 "refinement_drift", "n_samples"} == set(rep)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("skip", ["refine_false", "tabulated"])
+def test_run_norm_equiv_skipped_refinement_writes_strict_json(tmp_path, skip):
+    grid_n = 17
+    coefficients = {"kind": "identity"}
+    task_params = {"n_bumps": 4}
+    if skip == "tabulated":
+        x = np.linspace(-8.0, 8.0, grid_n)
+        rows = np.column_stack([np.arange(grid_n), 1 + 0.5 * np.exp(-x**2), np.zeros(grid_n)])
+        table = tmp_path / "field.csv"
+        np.savetxt(table, rows, delimiter=",")
+        coefficients = {"kind": "tabulated", "table_path": str(table)}
+    else:
+        task_params["refine"] = False
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(
+        tmp_path, output_dir=str(out), task="norm_equiv",
+        overrides={"grid": {"dim": 1, "n": grid_n, "half_length": 8.0,
+                            "boundary": "dirichlet"},
+                   "coefficients": coefficients, "task_params": task_params},
+    ))
+    assert run(cfg) == 0
+    data = json.loads((out / "norm_equiv.json").read_text(), parse_constant=_reject_constant)
+    assert [rep["refinement_drift"] for rep in data["reports"]] == [None]
+
+
 def test_run_uc_probe_standard_sweep(tmp_path):
     out = tmp_path / "out"
     cfg = parse_config(write_config(

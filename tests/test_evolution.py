@@ -185,6 +185,9 @@ def test_picard_gauge_covariance():
     assert np.abs(t2.states - phase * t1.states).max() <= 1e-8
 
 
+# the diverging sweeps overflow before the non-finite check stops them;
+# ROADMAP item 4 plans to stop Picard once the residual grows
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_picard_nonconvergence_carries_history():
     dec = scalar_dec(1.0)
     u0 = np.array([3.0 + 0.0j])  # far above any contraction ball for T = 1

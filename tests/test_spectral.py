@@ -19,6 +19,7 @@ from fracspec.spectral import (
     shifted_power,
     smoothing_norm_bound,
     smoothing_norm_measured,
+    sobolev_norm,
     unitary_propagate,
     viscous_propagate,
 )
@@ -254,6 +255,8 @@ def test_bessel_order_two_is_one_plus_laplacian(boundary):
     rng = np.random.default_rng(13)
     f = rng.standard_normal(g.n_dof)
     assert np.allclose(bessel_apply(g, 2.0, f), f + lap @ f, rtol=0, atol=1e-10)
+    batch = rng.standard_normal((g.n_dof, 3)) + 1j * rng.standard_normal((g.n_dof, 3))
+    assert np.allclose(bessel_apply(g, 2.0, batch), batch + lap @ batch, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -263,6 +266,57 @@ def test_bessel_inverse_composition(boundary):
     f = rng.standard_normal(g.n_dof)
     out = bessel_apply(g, 2.0, bessel_apply(g, -2.0, f))
     assert np.linalg.norm(out - f) <= 1e-10 * np.linalg.norm(f)
+    g2 = build_grid(2, 9, 4.0, boundary)
+    batch = rng.standard_normal((g2.n_dof, 3)) + 1j * rng.standard_normal((g2.n_dof, 3))
+    out = bessel_apply(g2, 2.0, bessel_apply(g2, -2.0, batch))
+    assert np.linalg.norm(out - batch) <= 1e-10 * np.linalg.norm(batch)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 33), (2, 12)])
+@pytest.mark.parametrize("order", [1.5, -2.0, 4.0])
+def test_bessel_dirichlet_matches_dense_spectral_calculus(dim, n, order):
+    # oracle: (1 + lam)^{s/2} through the dense eigendecomposition of the
+    # assembled identity-coefficient operator
+    g = build_grid(dim, n, 4.0, "dirichlet")
+    dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
+    rng = np.random.default_rng(15)
+    real = rng.standard_normal(g.n_dof)
+    for f in (real, real + 1j * rng.standard_normal(g.n_dof)):
+        oracle = apply_function(dec, shifted_power(order / 2.0), f)
+        out = bessel_apply(g, order, f)
+        assert out.dtype == oracle.dtype
+        assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim, n", [(1, 33), (2, 12)])
+def test_laplacian_symbol_is_identity_operator_spectrum(boundary, dim, n):
+    g = build_grid(dim, n, 4.0, boundary)
+    lam = np.linalg.eigvalsh(assemble(g, make_coefficients(g, "identity")).matrix)
+    symbol = np.sort(laplacian_symbol(g).ravel())
+    assert np.abs(symbol - lam).max() <= 1e-12 * lam.max()
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim, n", [(1, 17), (2, 10)])
+def test_bessel_batch_equals_column_loop(boundary, dim, n):
+    g = build_grid(dim, n, 4.0, boundary)
+    rng = np.random.default_rng(16)
+    batch = rng.standard_normal((g.n_dof, 5)) + 1j * rng.standard_normal((g.n_dof, 5))
+    out = bessel_apply(g, 1.5, batch)
+    loop = np.column_stack([bessel_apply(g, 1.5, col) for col in batch.T])
+    assert out.shape == batch.shape
+    assert np.abs(out - loop).max() <= 1e-13 * np.abs(loop).max()
+    norms = sobolev_norm(g, 1.5, batch)
+    assert norms.shape == (5,)
+    assert np.allclose(norms, [sobolev_norm(g, 1.5, col) for col in batch.T], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_bessel_rejects_wrong_state_length(boundary):
+    g = build_grid(2, 8, 2.0, boundary)
+    with pytest.raises(ValueError, match="state length"):
+        bessel_apply(g, 1.0, np.ones(g.n_dof + 1))
 
 
 # --- norm equivalence -------------------------------------------------------
