@@ -40,6 +40,7 @@ from .gridop import (
     DiscreteOperator,
     Grid,
     HypothesisReport,
+    NumericalError,
     assemble,
     build_grid,
     check_hypotheses,

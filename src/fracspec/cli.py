@@ -7,7 +7,8 @@ config echo, library versions, wall time, and the pass/fail of the task's
 built-in invariants.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
-error (non-convergence, blow-up, degenerate input).
+error (non-convergence, blow-up, degenerate input, failed self-check),
+4 internal error.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import json
 import platform
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +25,6 @@ import scipy
 
 from . import __version__
 from .evolution import (
-    BlowUpError,
-    PicardConvergenceError,
     gradient_nonlinearity,
     kato_ponce_check,
     picard_solve,
@@ -32,17 +32,10 @@ from .evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from .extension import (
-    DegenerateInputError,
-    ExtrapolationError,
-    conormal_recover,
-    doubling_ratio,
-    energy_report,
-    extend,
-    geometric_ladder,
-)
+from .extension import conormal_recover, doubling_ratio, energy_report, extend, geometric_ladder
 from .gridop import (
     Grid,
+    NumericalError,
     _write_csv,
     assemble,
     build_grid,
@@ -50,6 +43,7 @@ from .gridop import (
     make_coefficients,
 )
 from .spectral import (
+    _sample_bump,
     apply_function,
     eigendecompose,
     fractional_power,
@@ -60,18 +54,8 @@ from .spectral import (
 )
 from .ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep, sweep_to_csv
 
-TASKS = (
-    "spectrum", "funcalc", "norm_equiv", "extend", "recover", "energy",
-    "doubling", "picard", "viscous", "viscosity_convergence", "uc_probe",
-    "kp_check",
-)
-
-NUMERICAL_ERRORS = (
-    PicardConvergenceError,
-    BlowUpError,
-    ExtrapolationError,
-    DegenerateInputError,
-)
+TASKS = {}  # task name -> (runner, parameter table); filled by @_task
+_REQUIRED = object()  # table default of a key that must be present
 
 
 class ConfigError(ValueError):
@@ -92,27 +76,112 @@ class RunConfig:
     echo: dict
 
 
-def _check_keys(mapping: dict, required: tuple, optional: tuple, context: str) -> None:
-    for key in mapping:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key {key!r} in {context}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"missing key {key!r} in {context}")
+def _kind_name(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_kind_name, kind))
+    if isinstance(kind, list):
+        return f"list of {_kind_name(kind[0])}"
+    return "dict" if isinstance(kind, dict) else kind.__name__
+
+
+def _conform(value, kind, context: str):
+    """``value`` as ``kind``; TypeError if it does not have that kind."""
+    if isinstance(kind, tuple):
+        for alternative in kind:
+            try:
+                return _conform(value, alternative, context)
+            except TypeError:
+                pass
+        raise TypeError
+    if isinstance(kind, (list, dict)) and not isinstance(value, type(kind)):
+        raise TypeError
+    if isinstance(kind, list):
+        return [_conform(item, kind[0], context) for item in value]
+    if isinstance(kind, dict):
+        return _params(value, kind, context)
+    if isinstance(value, bool) and kind is not bool:
+        raise TypeError
+    if kind is float and isinstance(value, (int, float)):
+        return float(value)
+    if not isinstance(value, kind):
+        raise TypeError
+    return value
 
 
 def _typed(mapping: dict, key: str, kind, context: str, default=None):
+    """``mapping[key]`` checked against ``kind``, or ``default`` when the key is absent.
+
+    A kind is a type (an int passes as a float, a bool as nothing else),
+    ``[kind]`` for a list whose entries all have that kind, a table (see
+    ``_params``) for a nested object, or a tuple of alternative kinds.
+    """
     if key not in mapping:
         return default
-    value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"key {key!r} in {context} must be {kind.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
+    try:
+        return _conform(mapping[key], kind, key)
+    except TypeError:
+        raise ConfigError(f"key {key!r} in {context} must be {_kind_name(kind)}, "
+                          f"got {type(mapping[key]).__name__}") from None
+
+
+def _params(mapping: dict, table: dict, context: str) -> dict:
+    """Every key of ``table`` (key -> (kind, default)) typed from ``mapping``.
+
+    Unknown keys and absent required keys are rejected by name; other absent
+    keys take their defaults.
+    """
+    for key in mapping:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {context}")
+    for key, (_, default) in table.items():
+        if default is _REQUIRED and key not in mapping:
+            raise ConfigError(f"missing key {key!r} in {context}")
+    return {key: _typed(mapping, key, kind, context, default)
+            for key, (kind, default) in table.items()}
+
+
+def _task(name: str, params: dict):
+    """Register a runner under ``name`` with its task_params table."""
+    def register(runner):
+        TASKS[name] = (runner, params)
+        return runner
+    return register
+
+
+_ROOT = {
+    "grid": ({"dim": (int, _REQUIRED), "n": (int, _REQUIRED),
+              "half_length": (float, _REQUIRED), "boundary": (str, _REQUIRED)}, _REQUIRED),
+    "coefficients": ({"kind": (str, _REQUIRED), "params": (dict, {}),
+                      "table_path": (str, None)}, _REQUIRED),
+    "alpha": ((float, [float]), 0.5),
+    "task": (str, _REQUIRED),
+    "task_params": (dict, {}),
+    "output_dir": (str, "fracspec_out"),
+    "seed": (int, 0),
+}
+# coefficient params by kind; make_coefficients holds their defaults
+_FIELD_PARAMS = {
+    "identity": {},
+    "radial_bump": {"s": (float, None), "w": (float, None), "c_amp": (float, None),
+                    "c_w": (float, None), "M": ((float, [float], [[float]]), None)},
+    "tabulated": {},
+}
+# u0 params by u0 kind
+_U0 = {
+    "gaussian": {"amp": (float, 1.0), "width": (float, 2.0), "center": ((float, [float]), 0.0)},
+    "eigenmode": {"index": (int, 0)},
+    "random_smooth": {"scale": (float, 1.0)},
+}
+
+
+def _u0(spec: dict, n_dof: int) -> dict:
+    kind = _typed(spec, "kind", str, "u0", default="gaussian")
+    if kind not in _U0:
+        raise ConfigError(f"unknown u0 kind {kind!r}; expected one of {tuple(_U0)}")
+    u0 = _params(spec, {"kind": (str, kind), **_U0[kind]}, f"u0 of kind {kind!r}")
+    if kind == "eigenmode" and not 0 <= u0["index"] < n_dof:
+        raise ConfigError(f"u0 'index' must lie in 0..{n_dof - 1}, got {u0['index']}")
+    return u0
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -126,55 +195,45 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON (line {err.lineno}): {err.msg}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    _check_keys(raw, ("grid", "coefficients", "task"),
-                ("alpha", "task_params", "output_dir", "seed"), "config root")
-
-    gdict = _typed(raw, "grid", dict, "config root")
-    _check_keys(gdict, ("dim", "n", "half_length", "boundary"), (), "grid")
+    root = _params(raw, _ROOT, "config root")
     try:
-        grid = build_grid(
-            _typed(gdict, "dim", int, "grid"),
-            _typed(gdict, "n", int, "grid"),
-            _typed(gdict, "half_length", float, "grid"),
-            _typed(gdict, "boundary", str, "grid"),
-        )
+        grid = build_grid(**root["grid"])
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
 
-    cdict = _typed(raw, "coefficients", dict, "config root")
-    _check_keys(cdict, ("kind",), ("params", "table_path"), "coefficients")
-    kind = _typed(cdict, "kind", str, "coefficients")
-    params = _typed(cdict, "params", dict, "coefficients", default={})
-    table_path = _typed(cdict, "table_path", str, "coefficients", default=None)
-    if kind == "tabulated" and table_path is None:
-        raise ConfigError("coefficients of kind 'tabulated' need 'table_path'")
+    coefficients = root["coefficients"]
+    kind, table_path = coefficients["kind"], coefficients["table_path"]
+    if kind not in _FIELD_PARAMS:
+        raise ConfigError(f"unknown coefficients kind {kind!r}; "
+                          f"expected one of {tuple(_FIELD_PARAMS)}")
+    given = coefficients["params"]
+    params = _params(given, _FIELD_PARAMS[kind], f"params of coefficients kind {kind!r}")
+    if (kind == "tabulated") != (table_path is not None):
+        raise ConfigError("coefficients need 'table_path' exactly when their kind is 'tabulated'")
+    if table_path is not None and not Path(table_path).is_file():
+        raise ConfigError(f"coefficients 'table_path' is not a file: {table_path}")
 
-    alpha_raw = raw.get("alpha", 0.5)
-    alphas = alpha_raw if isinstance(alpha_raw, list) else [alpha_raw]
-    for a in alphas:
-        if not isinstance(a, (int, float)) or isinstance(a, bool):
-            raise ConfigError("alpha must be a number or list of numbers")
-        if a < 0:
-            raise ConfigError("alpha must be >= 0")
-    alphas = [float(a) for a in alphas]
+    alphas = root["alpha"] if isinstance(root["alpha"], list) else [root["alpha"]]
+    if not alphas or min(alphas) < 0:
+        raise ConfigError("alpha must be >= 0, as a number or a nonempty list of numbers")
 
-    task = _typed(raw, "task", str, "config root")
+    task = root["task"]
     if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    task_params = _typed(raw, "task_params", dict, "config root", default={})
-    output_dir = Path(_typed(raw, "output_dir", str, "config root", default="fracspec_out"))
-    seed = _typed(raw, "seed", int, "config root", default=0)
+        raise ConfigError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    task_params = _params(root["task_params"], TASKS[task][1], "task_params")
+    if "u0" in task_params:
+        task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
 
     return RunConfig(
         grid=grid,
         coefficients_kind=kind,
-        coefficients_params=params,
+        coefficients_params={key: value for key, value in params.items() if key in given},
         table_path=table_path,
         alpha=alphas,
         task=task,
         task_params=task_params,
-        output_dir=output_dir,
-        seed=seed,
+        output_dir=Path(root["output_dir"]),
+        seed=root["seed"],
         echo=raw,
     )
 
@@ -190,50 +249,34 @@ def _field_for(cfg: RunConfig):
 
 
 def _build_state(cfg: RunConfig, dec, rng) -> np.ndarray:
-    spec = dict(cfg.task_params.get("u0", {"kind": "gaussian"}))
-    kind = spec.pop("kind", "gaussian")
-    x = cfg.grid.dof_nodes()
-    if kind == "gaussian":
-        amp = float(spec.pop("amp", 1.0))
-        width = float(spec.pop("width", 2.0))
-        center = np.asarray(spec.pop("center", [0.0] * cfg.grid.dim), dtype=float)
-        state = amp * np.exp(-((x - center) ** 2).sum(axis=1) / width**2)
-    elif kind == "eigenmode":
-        state = dec.eigenvectors[:, int(spec.pop("index", 0))].copy()
-    elif kind == "random_smooth":
-        # spectrally damped white noise: smooth, deterministic under the seed
-        scale = float(spec.pop("scale", 1.0))
-        raw = rng.standard_normal(dec.n_dof)
-        damping = np.exp(-dec.eigenvalues / max(dec.eigenvalues[-1] / 16.0, 1e-12))
-        state = scale * (dec.eigenvectors @ (damping * (dec.eigenvectors.T @ raw)))
-    else:
-        raise ConfigError(f"unknown u0 kind {kind!r}")
-    if spec:
-        raise ConfigError(f"unknown u0 parameter {sorted(spec)[0]!r}")
-    return state
+    u0 = cfg.task_params["u0"]
+    if u0["kind"] == "gaussian":
+        return u0["amp"] * _sample_bump(cfg.grid, u0["center"], u0["width"])
+    if u0["kind"] == "eigenmode":
+        return dec.eigenvectors[:, u0["index"]].copy()
+    # random_smooth: spectrally damped white noise, smooth and deterministic under the seed
+    raw = rng.standard_normal(dec.n_dof)
+    damping = np.exp(-dec.eigenvalues / max(dec.eigenvalues[-1] / 16.0, 1e-12))
+    return u0["scale"] * (dec.eigenvectors @ (damping * (dec.eigenvectors.T @ raw)))
 
 
-def _terms_from_config(raw_terms, n_vars: int):
-    terms = []
-    for item in raw_terms:
-        _check_keys(item, ("powers",), ("coeff_re", "coeff_im"), "nonlinearity term")
-        coeff = complex(item.get("coeff_re", 0.0), item.get("coeff_im", 0.0))
-        terms.append((coeff, tuple(item["powers"])))
-    if any(len(p) != n_vars for _, p in terms):
-        raise ConfigError(f"nonlinearity powers must have length {n_vars}")
-    return terms
+def _terms(cfg: RunConfig) -> list:
+    return [(complex(term["coeff_re"], term["coeff_im"]), term["powers"])
+            for term in cfg.task_params["nonlinearity"]]
 
 
-def _ladder_from_params(p: dict) -> np.ndarray:
-    return geometric_ladder(
-        float(p.get("y0", 1e-3)), float(p.get("y_ratio", 1.2)), int(p.get("y_count", 55))
-    )
+_LADDER = {"u0": (dict, {}), "y0": (float, 1e-3), "y_ratio": (float, 1.2), "y_count": (int, 55)}
+_TERM = {"powers": ([int], _REQUIRED), "coeff_re": (float, 0.0), "coeff_im": (float, 0.0)}
+_EVOLUTION = {"u0": (dict, {}), "nonlinearity": ([_TERM], []),
+              "t_final": (float, 0.1), "dt": (float, 1e-3)}
+_VISCOUS = {**_EVOLUTION, "s": (int, 2), "c_est": (float, 1.0)}
 
 
 # ---------------------------------------------------------------------------
 # task runners: return (invariants dict, artifact names)
 # ---------------------------------------------------------------------------
 
+@_task("spectrum", {})
 def _run_spectrum(cfg, dec, rng, outdir):
     lam = dec.eigenvalues
     _write_csv(outdir / "eigenvalues.csv", "k,lambda", [np.arange(len(lam)), lam])
@@ -248,6 +291,7 @@ def _run_spectrum(cfg, dec, rng, outdir):
     return inv, ["eigenvalues.csv"]
 
 
+@_task("funcalc", {})
 def _run_funcalc(cfg, dec, rng, outdir):
     alpha = cfg.alpha[0]
     f = rng.standard_normal(dec.n_dof)
@@ -272,28 +316,24 @@ def _run_funcalc(cfg, dec, rng, outdir):
     return {name: bool(ok) for name, ok in zip(names, passed)}, ["funcalc.csv"]
 
 
+@_task("norm_equiv", {"n_bumps": (int, 12), "refine": (bool, True)})
 def _run_norm_equiv(cfg, dec, rng, outdir):
-    reports = []
-    for alpha in cfg.alpha:
-        rep = norm_equivalence(
-            dec.source, alpha,
-            n_bumps=int(cfg.task_params.get("n_bumps", 12)),
-            seed=cfg.seed, dec=dec,
-            refine=bool(cfg.task_params.get("refine", True)),
-        )
-        reports.append(rep.to_json_dict())
+    p = cfg.task_params
+    reports = [norm_equivalence(dec.source, alpha, n_bumps=p["n_bumps"], seed=cfg.seed,
+                                dec=dec, refine=p["refine"]).to_json_dict()
+               for alpha in cfg.alpha]
     (outdir / "norm_equiv.json").write_text(json.dumps({"reports": reports}, indent=2) + "\n")
     ok = all(0.0 < r["ratio_min"] <= r["ratio_max"] < np.inf for r in reports)
     return {"ratio_bracket_finite": bool(ok)}, ["norm_equiv.json"]
 
 
 def _extension_for(cfg, dec, rng):
-    alpha = cfg.alpha[0]
-    ys = _ladder_from_params(cfg.task_params)
-    u0 = _build_state(cfg, dec, rng)
-    return extend(dec, alpha, u0, ys)
+    p = cfg.task_params
+    ys = geometric_ladder(p["y0"], p["y_ratio"], p["y_count"])
+    return extend(dec, cfg.alpha[0], _build_state(cfg, dec, rng), ys)
 
 
+@_task("extend", _LADDER)
 def _run_extend(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     ext.export_csv(outdir / "extension.csv")
@@ -306,6 +346,7 @@ def _run_extend(cfg, dec, rng, outdir):
     return inv, ["extension.csv", "extension_meta.json"]
 
 
+@_task("recover", _LADDER)
 def _run_recover(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     rec = conormal_recover(ext)
@@ -316,6 +357,7 @@ def _run_recover(cfg, dec, rng, outdir):
     return {"recovery_within_tolerance": bool(rel <= 1e-3)}, ["recover.csv"]
 
 
+@_task("energy", _LADDER)
 def _run_energy(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     rep = energy_report(ext)
@@ -330,57 +372,50 @@ def _run_energy(cfg, dec, rng, outdir):
     return {"energy_ratio_finite": bool(np.isfinite(rep.bound_ratio))}, ["energy.json"]
 
 
+@_task("doubling", {**_LADDER, "radii": ([float], None), "center": ((float, [float]), 0.0)})
 def _run_doubling(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
-    if "radii" in cfg.task_params:
-        radii = [float(r) for r in cfg.task_params["radii"]]
-    else:
+    radii = cfg.task_params["radii"]
+    if radii is None:
         # every half ball of radius >= h holds the dof node nearest the center, at most
         # h sqrt(dim)/2 off; keep the radii whose double fits the sampled half space
         h = cfg.grid.spacing
         fits = min(cfg.grid.half_length, float(ext.y_nodes[-1])) / 2.0
         radii = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
-    center = cfg.task_params.get("center", 0.0)
-    rows = doubling_ratio(ext, radii, center=center)
+    rows = doubling_ratio(ext, radii, center=cfg.task_params["center"])
     ratios = [r for _, r in rows]
     _write_csv(outdir / "doubling.csv", "radius,ratio", [radii, ratios])
     return {"doubling_ratios_finite": bool(all(np.isfinite(r) and r > 0 for r in ratios))}, \
         ["doubling.csv"]
 
 
+@_task("picard", {**_EVOLUTION, "tol": (float, 1e-10), "max_iter": (int, 60),
+                  "s": (float, 2.0), "c_est": (float, None)})
 def _run_picard(cfg, dec, rng, outdir):
     p = cfg.task_params
-    nl = polynomial_nonlinearity(_terms_from_config(p.get("nonlinearity", []), 2))
-    u0 = _build_state(cfg, dec, rng)
-    dt = float(p.get("dt", 1e-3))
     traj = picard_solve(
-        dec, cfg.alpha[0], u0, nl,
-        t_final=float(p.get("t_final", 0.1)), dt=dt,
-        tol=float(p.get("tol", 1e-10)), max_iter=int(p.get("max_iter", 60)),
-        grid=cfg.grid, s=float(p.get("s", 2.0)),
-        c_est=p.get("c_est"),
+        dec, cfg.alpha[0], _build_state(cfg, dec, rng), polynomial_nonlinearity(_terms(cfg)),
+        t_final=p["t_final"], dt=p["dt"], tol=p["tol"], max_iter=p["max_iter"],
+        grid=cfg.grid, s=p["s"], c_est=p["c_est"],
     )
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
     resid = traj.monitors["equation_residual"]
     inv = {
         "picard_converged": True,
-        "equation_residual_ok": bool(resid[1:-1].max() <= 10.0 * dt**2) if len(resid) > 2 else True,
+        "equation_residual_ok":
+            bool(resid[1:-1].max() <= 10.0 * p["dt"]**2) if len(resid) > 2 else True,
     }
     return inv, ["trajectory.csv", "monitors.csv"]
 
 
+@_task("viscous", {**_VISCOUS, "eps": (float, 0.05)})
 def _run_viscous(cfg, dec, rng, outdir):
     p = cfg.task_params
-    nl = gradient_nonlinearity(
-        _terms_from_config(p.get("nonlinearity", []), 2 + 2 * cfg.grid.dim),
-        dim=cfg.grid.dim, seed=cfg.seed,
-    )
-    u0 = _build_state(cfg, dec, rng)
+    nl = gradient_nonlinearity(_terms(cfg), dim=cfg.grid.dim, seed=cfg.seed)
     traj = viscous_solve(
-        dec, cfg.alpha[0], float(p.get("eps", 0.05)), u0, nl,
-        t_final=float(p.get("t_final", 0.1)), dt=float(p.get("dt", 1e-3)),
-        grid=cfg.grid, s=int(p.get("s", 2)), c_est=float(p.get("c_est", 1.0)),
+        dec, cfg.alpha[0], p["eps"], _build_state(cfg, dec, rng), nl,
+        t_final=p["t_final"], dt=p["dt"], grid=cfg.grid, s=p["s"], c_est=p["c_est"],
     )
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
@@ -391,19 +426,14 @@ def _run_viscous(cfg, dec, rng, outdir):
     return inv, ["trajectory.csv", "monitors.csv"]
 
 
+@_task("viscosity_convergence", {**_VISCOUS, "epsilons": ([float], [0.1, 0.05, 0.025, 0.0125])})
 def _run_viscosity_convergence(cfg, dec, rng, outdir):
     p = cfg.task_params
-    nl = gradient_nonlinearity(
-        _terms_from_config(p.get("nonlinearity", []), 2 + 2 * cfg.grid.dim),
-        dim=cfg.grid.dim, seed=cfg.seed,
-    )
-    u0 = _build_state(cfg, dec, rng)
+    nl = gradient_nonlinearity(_terms(cfg), dim=cfg.grid.dim, seed=cfg.seed)
     table = viscosity_convergence(
-        dec, cfg.alpha[0], u0, nl,
-        t_final=float(p.get("t_final", 0.1)),
-        epsilons=[float(e) for e in p.get("epsilons", [0.1, 0.05, 0.025, 0.0125])],
-        dt=float(p.get("dt", 1e-3)), grid=cfg.grid, s=int(p.get("s", 2)),
-        c_est=float(p.get("c_est", 1.0)),
+        dec, cfg.alpha[0], _build_state(cfg, dec, rng), nl,
+        t_final=p["t_final"], epsilons=p["epsilons"], dt=p["dt"], grid=cfg.grid, s=p["s"],
+        c_est=p["c_est"],
     )
     _write_csv(outdir / "viscosity_pairs.csv", "eps,eps_prime,sup_diff", zip(*table.rows))
     (outdir / "viscosity_fit.json").write_text(
@@ -414,17 +444,15 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
     return inv, ["viscosity_pairs.csv", "viscosity_fit.json"]
 
 
+@_task("uc_probe", {"theta": (([float], [[float]]), [-1.0, 0.0]),
+                    "f_support": (([float], [[float]]), [1.0, 2.0]),
+                    "alphas": ([float], [0.25, 0.5, 0.75, 1.0])})
 def _run_uc_probe(cfg, dec, rng, outdir):
     p = cfg.task_params
-    spec = VanishingSpec.create(
-        theta=p.get("theta", (-1.0, 0.0)),
-        f_support=p.get("f_support", (1.0, 2.0)),
-        dim=cfg.grid.dim,
-    )
-    alphas = [float(a) for a in p.get("alphas", [0.25, 0.5, 0.75, 1.0])]
-    if not alphas:
+    spec = VanishingSpec.create(theta=p["theta"], f_support=p["f_support"], dim=cfg.grid.dim)
+    if not p["alphas"]:
         raise ConfigError("uc_probe needs at least one entry in alphas")
-    rows = dichotomy_sweep(dec, spec, alphas)
+    rows = dichotomy_sweep(dec, spec, p["alphas"])
     sweep_to_csv(rows, outdir / "uc_sweep.csv")
     ok = all(
         (ratio == 0.0 if alpha == 1.0 else ratio > NONLOCALITY_FLOOR)
@@ -433,39 +461,20 @@ def _run_uc_probe(cfg, dec, rng, outdir):
     return {"dichotomy_holds": bool(ok)}, ["uc_sweep.csv"]
 
 
+@_task("kp_check", {"l": (float, 2.0), "n_pairs": (int, 20)})
 def _run_kp_check(cfg, dec, rng, outdir):
-    p = cfg.task_params
-    order = float(p.get("l", 2.0))
-    n_pairs = int(p.get("n_pairs", 20))
+    n_pairs = cfg.task_params["n_pairs"]
     if n_pairs < 1:
         raise ConfigError(f"kp_check needs n_pairs >= 1, got {n_pairs}")
-    x = cfg.grid.dof_nodes()
     ratios = []
     for _ in range(n_pairs):
         c = rng.uniform(-cfg.grid.half_length / 2, cfg.grid.half_length / 2, size=(2, cfg.grid.dim))
         w = rng.uniform(0.5, 3.0, size=2)
-        f = np.exp(-((x - c[0]) ** 2).sum(axis=1) / w[0] ** 2)
-        g = np.exp(-((x - c[1]) ** 2).sum(axis=1) / w[1] ** 2)
-        ratios.append(kato_ponce_check(cfg.grid, order, f, g))
+        f, g = (_sample_bump(cfg.grid, c[i], w[i]) for i in (0, 1))
+        ratios.append(kato_ponce_check(cfg.grid, cfg.task_params["l"], f, g))
     _write_csv(outdir / "kp_ratios.csv", "trial,ratio", [np.arange(n_pairs), ratios])
     worst = max(ratios)
     return {"kp_ratio_finite": bool(np.isfinite(worst) and worst > 0)}, ["kp_ratios.csv"]
-
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "funcalc": _run_funcalc,
-    "norm_equiv": _run_norm_equiv,
-    "extend": _run_extend,
-    "recover": _run_recover,
-    "energy": _run_energy,
-    "doubling": _run_doubling,
-    "picard": _run_picard,
-    "viscous": _run_viscous,
-    "viscosity_convergence": _run_viscosity_convergence,
-    "uc_probe": _run_uc_probe,
-    "kp_check": _run_kp_check,
-}
 
 
 def run(cfg: RunConfig) -> int:
@@ -489,23 +498,24 @@ def run(cfg: RunConfig) -> int:
     }
     code = 0
     try:
+        runner, _ = TASKS[cfg.task]
         field = _field_for(cfg)
         dec = eigendecompose(assemble(cfg.grid, field))
         rng = np.random.default_rng(cfg.seed)
-        invariants, artifacts = _RUNNERS[cfg.task](cfg, dec, rng, outdir)
+        invariants, artifacts = runner(cfg, dec, rng, outdir)
         manifest["invariants"] = invariants
         manifest["artifacts"] = artifacts
         if not all(invariants.values()):
             manifest["status"] = "invariant_failure"
             code = 1
-    except NUMERICAL_ERRORS as err:
-        manifest["status"] = "numerical_error"
+    except Exception as err:  # every failure writes the manifest, its status names the kind
         manifest["error"] = f"{type(err).__name__}: {err}"
-        code = 3
-    except (ConfigError, ValueError) as err:
-        manifest["status"] = "config_error"
-        manifest["error"] = f"{type(err).__name__}: {err}"
-        code = 2
+        code, manifest["status"] = (
+            (3, "numerical_error") if isinstance(err, NumericalError)
+            else (2, "config_error") if isinstance(err, ValueError)
+            else (4, "internal_error"))
+        if code == 4:
+            traceback.print_exc()  # not a failure the contract names: show where it came from
     manifest["wall_time_s"] = time.perf_counter() - started
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return code

@@ -19,23 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridop import Grid, _write_csv, centered_gradient
+from .gridop import Grid, NumericalError, _write_csv, centered_gradient
 from .spectral import SpectralDecomposition, _clean_spectrum, bessel_apply, sobolev_norm
 
 
-class PicardConvergenceError(RuntimeError):
-    """Fixed-point iteration failed; the residual history is attached."""
+class PicardConvergenceError(NumericalError):
+    """Fixed-point iteration failed; residual history and contraction ratios are attached."""
 
     def __init__(self, history):
-        self.residual_history = list(history)
+        h = self.residual_history = list(history)
+        self.contraction_ratios = [b / a if a else math.nan for a, b in zip(h, h[1:])]
         super().__init__(
-            f"Picard iteration did not converge after {len(self.residual_history)} sweeps; "
-            f"last residual {self.residual_history[-1]:.3e} (horizon likely exceeds "
+            f"Picard iteration did not converge after {len(h)} sweeps; "
+            f"last residual {h[-1]:.3e} (horizon likely exceeds "
             "the contraction window)"
         )
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericalError):
     """State norm escaped the a-priori envelope."""
 
     def __init__(self, t, norm, envelope):
@@ -316,7 +317,9 @@ def picard_solve(
             diff = float(_state_norm((new_states - states).T, s, grid).max())
             history.append(diff)
             states = new_states
-            if not np.isfinite(diff):
+            # stop before the growing iterates overflow
+            grew_twice = len(history) >= 3 and history[-3] < history[-2] < history[-1]
+            if grew_twice or not np.isfinite(diff):
                 raise PicardConvergenceError(history)
             if diff < tol:
                 iterations = sweep

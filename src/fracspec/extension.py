@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
-from .gridop import Grid, _write_csv, centered_gradient
+from .gridop import Grid, NumericalError, _write_csv, centered_gradient
 from .spectral import (
     SpectralDecomposition,
     _clean_spectrum,
@@ -31,11 +31,11 @@ RECOVERY_TOL = 1e-3
 TRACE_ENVELOPE_FACTOR = 10.0
 
 
-class ExtrapolationError(RuntimeError):
+class ExtrapolationError(NumericalError):
     """Successive limit estimates of the conormal derivative disagree."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(NumericalError):
     """Probe undefined on the given input (for example a vanishing field)."""
 
 
@@ -150,11 +150,11 @@ def _validate_extension(field: ExtensionField) -> None:
     base_norm = np.linalg.norm(field.base)
     sup = np.linalg.norm(field.values, axis=0).max() if field.values.size else 0.0
     if sup > base_norm * (1.0 + 1e-8):
-        raise ValueError(f"extension exceeds the trace mass: sup_y |U| = {sup:.6e} > |u| = {base_norm:.6e}")
+        raise NumericalError(f"extension exceeds the trace mass: sup_y |U| = {sup:.6e} > |u| = {base_norm:.6e}")
     y0 = float(field.y_nodes[0])
     trace_err = np.linalg.norm(field.values[:, 0] - field.base)
     if trace_err > trace_tolerance(field.alpha, y0, base_norm) + 1e-300:
-        raise ValueError(
+        raise NumericalError(
             f"trace not recovered: |U(., y0) - u| = {trace_err:.6e} at y0 = {y0:.3e}"
         )
 

@@ -26,6 +26,10 @@ EIGENVALUE_NEGATIVITY_TOL = 1e-10
 _CSV_CHUNK_ROWS = 4096
 
 
+class NumericalError(RuntimeError):
+    """A numerical method failed on valid input: non-convergence, blow-up, failed self-check."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid on [-X, X]^dim.

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from .gridop import DiscreteOperator, Grid, assemble, make_coefficients
+from .gridop import DiscreteOperator, Grid, NumericalError, assemble, make_coefficients
 
 DEFAULT_DOF_CAP = 4096
 
@@ -49,24 +49,24 @@ class SpectralDecomposition:
         lam, v = self.eigenvalues, self.eigenvectors
         scale = max(abs(lam[-1]), abs(lam[0]), 1e-300)
         if lam[0] < -NEGATIVITY_TOL * scale:
-            raise ValueError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}")
+            raise NumericalError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}")
         if self.n_dof <= 1024:
             gram = v.T @ v - np.eye(self.n_dof)
             if np.abs(gram).max() > ORTHONORMALITY_TOL:
-                raise ValueError("eigenvector matrix not orthonormal")
+                raise NumericalError("eigenvector matrix not orthonormal")
             if self.source is not None:
                 resid = (v * lam) @ v.T - self.source.matrix
                 if np.abs(resid).max() > RECONSTRUCTION_TOL * scale:
-                    raise ValueError("eigendecomposition does not reconstruct the matrix")
+                    raise NumericalError("eigendecomposition does not reconstruct the matrix")
             return
         rng = np.random.default_rng(0)
         z = rng.standard_normal(self.n_dof)
         if np.linalg.norm(v @ (v.T @ z) - z) > ORTHONORMALITY_TOL * np.linalg.norm(z) * self.n_dof:
-            raise ValueError("eigenvector matrix not orthonormal (probe check)")
+            raise NumericalError("eigenvector matrix not orthonormal (probe check)")
         if self.source is not None:
             resid = v @ (lam * (v.T @ z)) - self.source.matrix @ z
             if np.linalg.norm(resid) > RECONSTRUCTION_TOL * scale * np.linalg.norm(z):
-                raise ValueError("eigendecomposition does not reconstruct the matrix (probe check)")
+                raise NumericalError("eigendecomposition does not reconstruct the matrix (probe check)")
 
 
 def eigendecompose(op: DiscreteOperator, cap: int = DEFAULT_DOF_CAP) -> SpectralDecomposition:

@@ -1,9 +1,18 @@
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracspec.cli import ConfigError, main, parse_config, run
+from fracspec import cli
+from fracspec.cli import TASKS, ConfigError, _kind_name, main, parse_config, run
+from fracspec.extension import DegenerateInputError, extend
+from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
+from fracspec.spectral import SpectralDecomposition, SpectrumCapError, eigendecompose
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = {
     "grid": {"dim": 1, "n": 64, "half_length": 8.0, "boundary": "dirichlet"},
@@ -357,3 +366,206 @@ def test_tabulated_coefficients_via_table_path(tmp_path):
         },
     ))
     assert run(cfg) == 0
+
+
+# --- strict parameters, exit codes by error kind ---------------------------------
+
+SMALL_GRID = {"dim": 1, "n": 33, "half_length": 8.0, "boundary": "dirichlet"}
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_unknown_task_param_is_rejected_by_name(tmp_path, capsys, task):
+    path = write_config(tmp_path, task=task, overrides={"grid": SMALL_GRID,
+                                                        "task_params": {"tfinal": 5.0}})
+    with pytest.raises(ConfigError, match="unknown key 'tfinal' in task_params"):
+        parse_config(path)
+    assert main(["validate", str(path)]) == 2
+    assert "'tfinal'" in capsys.readouterr().err
+
+
+BUMP = {"kind": "radial_bump", "params": {"s": 0.7, "w": 2.0, "c_amp": 0.4}}
+INVALID = {
+    "refine_not_bool": ("norm_equiv", {"task_params": {"refine": "no"}}, "refine"),
+    "n_bumps_bool": ("norm_equiv", {"task_params": {"n_bumps": True}}, "n_bumps"),
+    "radii_not_list": ("doubling", {"task_params": {"radii": 5}}, "radii"),
+    "radii_entry_not_number": ("doubling", {"task_params": {"radii": [1.0, "2"]}}, "radii"),
+    "c_est_not_number": ("picard", {"task_params": {"c_est": "big"}}, "c_est"),
+    "coeff_re_not_number": ("picard", {"task_params": {"nonlinearity": [
+        {"coeff_re": "x", "powers": [2, 1]}]}}, "coeff_re"),
+    "term_without_powers": ("picard", {"task_params": {"nonlinearity": [{"coeff_re": 1.0}]}},
+                            "powers"),
+    "powers_not_int": ("viscous", {"task_params": {"nonlinearity": [
+        {"coeff_re": 1.0, "powers": [2.5, 0, 1, 0]}]}}, "powers"),
+    "n_pairs_not_int": ("kp_check", {"task_params": {"n_pairs": 2.0}}, "n_pairs"),
+    "s_not_int": ("viscous", {"task_params": {"s": 2.5}}, "'s'"),
+    "u0_index_out_of_range": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
+                                                               "index": 100}}}, "index"),
+    "u0_index_negative": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
+                                                           "index": -1}}}, "index"),
+    "u0_key_of_other_kind": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
+                                                              "width": 1.0}}}, "width"),
+    "u0_unknown_kind": ("extend", {"task_params": {"u0": {"kind": "sine"}}}, "u0 kind"),
+    "u0_center_not_numbers": ("extend", {"task_params": {"u0": {"center": "origin"}}},
+                              "center"),
+    "theta_not_pairs": ("uc_probe", {"task_params": {"theta": [[-1.0, "0"]]}}, "theta"),
+    "bump_param_misspelled": ("spectrum", {"coefficients": {"kind": "radial_bump",
+                                                            "params": {"ss": 0.7}}}, "ss"),
+    "bump_param_not_number": ("spectrum", {"coefficients": {"kind": "radial_bump",
+                                                            "params": {"w": "wide"}}}, "'w'"),
+    "identity_with_params": ("spectrum", {"coefficients": {"kind": "identity",
+                                                           "params": {"s": 1}}}, "'s'"),
+    "unknown_coefficients_kind": ("spectrum", {"coefficients": {"kind": "bump"}}, "kind"),
+    "table_path_not_tabulated": ("spectrum", {"coefficients": {"kind": "identity",
+                                                               "table_path": "a.csv"}},
+                                 "table_path"),
+    "missing_table_file": ("spectrum", {"coefficients": {"kind": "tabulated",
+                                                         "table_path": "missing.csv"}},
+                           "table_path"),
+    "empty_alpha_list": ("spectrum", {"alpha": []}, "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_config_exits_2_at_parse_time_naming_the_key(tmp_path, capsys, case):
+    task, overrides, key = INVALID[case]
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
+                        task=task, output_dir=str(out))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(path)
+    assert main(["validate", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()  # parse errors write no manifest and no artifacts
+
+
+def test_parse_types_and_defaults_of_task_params(tmp_path):
+    cfg = parse_config(write_config(tmp_path, task="picard", overrides={
+        "grid": SMALL_GRID, "task_params": {"dt": 1, "nonlinearity": [{"powers": [2, 1]}]}}))
+    p = cfg.task_params
+    assert p["dt"] == 1.0 and isinstance(p["dt"], float)
+    assert p["t_final"] == 0.1 and p["c_est"] is None and p["max_iter"] == 60
+    assert p["u0"] == {"kind": "gaussian", "amp": 1.0, "width": 2.0, "center": 0.0}
+    assert p["nonlinearity"] == [{"powers": [2, 1], "coeff_re": 0.0, "coeff_im": 0.0}]
+    # coefficient params keep only the given keys: make_coefficients holds the defaults
+    cfg = parse_config(write_config(tmp_path, overrides={"coefficients": {
+        "kind": "radial_bump", "params": {"s": 1, "M": [[2]]}}}))
+    assert cfg.coefficients_params == {"s": 1.0, "M": [[2.0]]}
+
+
+@pytest.mark.parametrize("dim, task, params", [
+    (1, "doubling", {"center": 0.5}),
+    (1, "doubling", {"center": [0.5]}),
+    (2, "doubling", {"center": [0.5, -0.5]}),
+    (2, "extend", {"u0": {"center": [0.5, -0.5]}}),
+    (1, "uc_probe", {"theta": [-1.0, 0.0], "f_support": [1.0, 2.0]}),
+    (2, "uc_probe", {"theta": [[-1.0, 0.0], [-1.0, 1.0]], "f_support": [[1.0, 2.0], [-1, 1]]}),
+])
+def test_parse_keeps_every_accepted_shape(tmp_path, dim, task, params):
+    grid = {**SMALL_GRID, "dim": dim, "n": 12 if dim == 2 else 33}
+    cfg = parse_config(write_config(tmp_path, task=task,
+                                    overrides={"grid": grid, "task_params": params}))
+    p = cfg.task_params
+    for key, value in params.items():
+        assert p[key]["center"] == value["center"] if key == "u0" else p[key] == value
+
+
+def test_run_2d_uc_probe_with_per_axis_boxes(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, task="uc_probe", output_dir=str(out), overrides={
+        "grid": {"dim": 2, "n": 14, "half_length": 4.0, "boundary": "dirichlet"},
+        "task_params": {"theta": [[-2.0, -0.5], [-2.0, 2.0]],
+                        "f_support": [[0.5, 2.0], [-2.0, 2.0]], "alphas": [0.5, 1.0]}}))
+    assert run(cfg) == 0
+    rows = np.loadtxt(out / "uc_sweep.csv", delimiter=",", skiprows=1)
+    assert rows[0, 3] > 1e-6 and rows[1, 3] == 0.0
+
+
+def test_unexpected_exception_writes_internal_error_manifest(tmp_path, monkeypatch, capsys):
+    def broken(cfg, dec, rng, outdir):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(TASKS, "spectrum", (broken, {}))
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out),
+                                    overrides={"grid": SMALL_GRID}))
+    assert run(cfg) == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "internal_error"
+    assert manifest["error"] == "TypeError: unsupported operand"
+    assert "in broken" in capsys.readouterr().err  # the traceback goes to stderr
+
+
+def _bump_dec(n=33):
+    grid = build_grid(1, n, 8.0, "dirichlet")
+    return eigendecompose(assemble(grid, make_coefficients(grid, BUMP["kind"], BUMP["params"])))
+
+
+def test_corrupted_decomposition_and_extension_raise_numerical_error():
+    dec = _bump_dec()
+    corrupted = SpectralDecomposition(2.0 * dec.eigenvalues, dec.eigenvectors, dec.source)
+    with pytest.raises(NumericalError, match="does not reconstruct"):
+        corrupted.validate()
+    # eigenvectors of norm 2 quadruple the extension: it exceeds the mass of its trace
+    scaled = SpectralDecomposition(dec.eigenvalues, 2.0 * dec.eigenvectors, dec.source)
+    with pytest.raises(NumericalError, match="exceeds the trace mass"):
+        extend(scaled, 0.5, dec.eigenvectors[:, 0], np.array([1e-3, 2e-3, 4e-3]))
+    assert issubclass(DegenerateInputError, NumericalError)
+    assert not issubclass(DegenerateInputError, ValueError)
+    assert issubclass(SpectrumCapError, ValueError)  # a dense-cap refusal is a config error
+
+
+def test_failed_self_check_exits_3(tmp_path, monkeypatch):
+    def corrupted(op):
+        dec = eigendecompose(op)
+        bad = SpectralDecomposition(2.0 * dec.eigenvalues, dec.eigenvectors, op)
+        bad.validate()
+        return bad
+
+    monkeypatch.setattr(cli, "eigendecompose", corrupted)
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out),
+                                    overrides={"grid": SMALL_GRID}))
+    assert run(cfg) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_error"
+    assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
+
+
+def test_every_shipped_config_parses():
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert parse_config(path).task in TASKS
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["extension_2d", "evolution_1d", "short_tasks"])
+def test_every_benchmark_config_parses(tmp_path, monkeypatch, workload):
+    workloads = _benchmark_workloads()
+    tasks = workloads.generate(workload, 0, 1, workloads.shipped_configs(ROOT))
+    workloads.write_inputs(tasks, tmp_path)
+    monkeypatch.chdir(tmp_path)  # configs name their table files relative to the run directory
+    for task in tasks:
+        assert parse_config(task.config_name).task == task.config["task"]
+
+
+def _readme_rows():
+    for task, (_, table) in TASKS.items():
+        for key, (kind, default) in table.items():
+            yield f"| `{task}` | `{key}` | {_kind_name(kind)} | `{json.dumps(default)}` |"
+
+
+def test_readme_task_parameter_table_mirrors_tasks():
+    readme = (ROOT / "README.md").read_text()
+    table = [line for line in readme.splitlines() if re.match(r"\| `[a-z_]+` \| `", line)]
+    assert table == list(_readme_rows())
+    assert {line.split("`")[1] for line in table} | {"spectrum", "funcalc"} == set(TASKS)
