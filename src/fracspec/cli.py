@@ -43,6 +43,7 @@ from .gridop import (
     make_coefficients,
 )
 from .spectral import (
+    DEFAULT_DOF_CAP,
     _sample_bump,
     apply_function,
     eigendecompose,
@@ -50,6 +51,7 @@ from .spectral import (
     identity_map,
     norm_equivalence,
     power,
+    refined_grid,
     unitary_propagate,
 )
 from .ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep, sweep_to_csv
@@ -174,6 +176,32 @@ _U0 = {
 }
 
 
+def _within_cap(grid: Grid, what: str, remedy: str) -> None:
+    if grid.n_dof > DEFAULT_DOF_CAP:
+        raise ConfigError(f"{what} has {grid.n_dof} degrees of freedom, over the dense-solve "
+                          f"cap {DEFAULT_DOF_CAP}; {remedy}")
+
+
+def _check_lengths(task: str, p: dict, dim: int) -> None:
+    """Reject list params whose length does not fit the grid dimension, naming the key."""
+    centers = [("'center'", p["center"])] if "center" in p else []
+    if "center" in p.get("u0", {}):
+        centers.append(("u0 'center'", p["u0"]["center"]))
+    for key, center in centers:
+        if isinstance(center, list) and len(center) != dim:
+            raise ConfigError(f"{key} must be one number or {dim} numbers, got {center}")
+    n_vars = 2 if task == "picard" else 2 + 2 * dim
+    for term in p.get("nonlinearity", []):
+        if len(term["powers"]) != n_vars:
+            raise ConfigError(f"nonlinearity 'powers' of {task} must have length {n_vars}, "
+                              f"got {term['powers']}")
+    for key in ("theta", "f_support"):
+        if key in p:
+            pairs = p[key] if p[key] and isinstance(p[key][0], list) else [p[key]]
+            if len(pairs) != dim or any(len(pair) != 2 for pair in pairs):
+                raise ConfigError(f"{key!r} must be {dim} [lo, hi] pair(s), got {p[key]}")
+
+
 def _u0(spec: dict, n_dof: int) -> dict:
     kind = _typed(spec, "kind", str, "u0", default="gaussian")
     if kind not in _U0:
@@ -187,8 +215,8 @@ def _u0(spec: dict, n_dof: int) -> dict:
 def parse_config(path: str | Path) -> RunConfig:
     """Load and strictly validate a JSON run configuration."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
@@ -200,6 +228,7 @@ def parse_config(path: str | Path) -> RunConfig:
         grid = build_grid(**root["grid"])
     except ValueError as err:
         raise ConfigError(f"grid: {err}") from err
+    _within_cap(grid, f"grid with 'n' = {grid.points_per_axis}", "reduce 'n'")
 
     coefficients = root["coefficients"]
     kind, table_path = coefficients["kind"], coefficients["table_path"]
@@ -223,6 +252,13 @@ def parse_config(path: str | Path) -> RunConfig:
     task_params = _params(root["task_params"], TASKS[task][1], "task_params")
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
+    _check_lengths(task, task_params, grid.dim)
+    if task == "norm_equiv" and task_params["refine"] and kind != "tabulated":
+        _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
+                    "reduce 'n' or set 'refine' to false")
+    output_dir = Path(root["output_dir"])
+    if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
+        raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
 
     return RunConfig(
         grid=grid,
@@ -232,7 +268,7 @@ def parse_config(path: str | Path) -> RunConfig:
         alpha=alphas,
         task=task,
         task_params=task_params,
-        output_dir=Path(root["output_dir"]),
+        output_dir=output_dir,
         seed=root["seed"],
         echo=raw,
     )

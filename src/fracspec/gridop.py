@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 VALID_BOUNDARIES = ("dirichlet", "periodic")
 FIELD_KINDS = ("identity", "radial_bump", "tabulated")
@@ -108,7 +107,6 @@ class DiscreteOperator:
     matrix: np.ndarray
     grid: Grid
     coefficients: CoefficientField
-    stencil: str = "flux_form"
 
     @property
     def n_dof(self) -> int:
@@ -258,56 +256,16 @@ def _write_csv(path: str | Path, header: str, columns) -> None:
             fh.writelines(map(row.format, *chunk))
 
 
-def _axis_index_pairs(grid: Grid, axis: int):
-    """(left, right) flat node indices of the faces along one axis.
+def _neighbour(grid: Grid, axis: int, step: int) -> np.ndarray:
+    """Flat node index of each node's neighbour ``step`` (+1 or -1) nodes along ``axis``.
 
-    For Dirichlet, boundary-adjacent faces are returned too; missing
-    neighbors outside the box carry a -1 marker.
+    Periodic grids wrap; on Dirichlet grids a neighbour outside the box is -1.
     """
     n = grid.points_per_axis
-    if grid.dim == 1:
-        if grid.boundary == "periodic":
-            left = np.arange(n)
-            right = (left + 1) % n
-        else:
-            left = np.arange(n - 1)
-            right = left + 1
-        return left, right
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    flat = (ii * n + jj).ravel()
-    if grid.boundary == "periodic":
-        if axis == 0:
-            nbr = ((ii + 1) % n * n + jj).ravel()
-        else:
-            nbr = (ii * n + (jj + 1) % n).ravel()
-        return flat, nbr
-    if axis == 0:
-        keep = (ii < n - 1).ravel()
-        nbr = ((ii + 1) * n + jj).ravel()
-    else:
-        keep = (jj < n - 1).ravel()
-        nbr = (ii * n + jj + 1).ravel()
-    return flat[keep], nbr[keep]
-
-
-def _centered_difference(grid: Grid, axis: int) -> sp.csr_matrix:
-    """Centered first-difference matrix on dof space (zero-extended Dirichlet)."""
-    n = grid.points_per_axis
-    h = grid.spacing
-    if grid.boundary == "periodic":
-        ide = sp.eye(n, format="csr")
-        up = sp.diags([np.ones(n - 1)], [1], shape=(n, n), format="lil")
-        up[n - 1, 0] = 1.0
-        d1 = (up.tocsr() - up.tocsr().T) / (2 * h)
-        if grid.dim == 1:
-            return d1.tocsr()
-        return (sp.kron(d1, ide) if axis == 0 else sp.kron(ide, d1)).tocsr()
-    m = n - 2
-    ide = sp.eye(m, format="csr")
-    d1 = sp.diags([np.ones(m - 1), -np.ones(m - 1)], [1, -1], shape=(m, m)) / (2 * h)
-    if grid.dim == 1:
-        return d1.tocsr()
-    return (sp.kron(d1, ide) if axis == 0 else sp.kron(ide, d1)).tocsr()
+    shifted = np.roll(np.arange(grid.n_nodes).reshape((n,) * grid.dim), -step, axis=axis)
+    if grid.boundary == "dirichlet":
+        np.moveaxis(shifted, axis, 0)[n - 1 if step > 0 else 0] = -1
+    return shifted.ravel()
 
 
 def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
@@ -316,48 +274,50 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     Per-axis second derivatives use face-averaged coefficients
     a_{i+1/2} = (a_i + a_{i+1}) / 2. The 2D mixed term -d_j(a_jk d_k u),
     j != k, is discretized through the symmetric bilinear form
-    D_0^T B D_1 + D_1^T B D_0 with centered differences D_j and the
-    nodal values B = diag(a_01); symmetry is exact by construction and
-    positivity is verified by test.
+    D_0^T B D_1 + D_1^T B D_0 with centered differences D_j (zero-extended
+    on Dirichlet grids) and the nodal values B = diag(a_01): dof k adds
+    s0 s1 b_k / (2h)^2 at (k + s0 e0, k + s1 e1) and at its mirror, for
+    s0, s1 = +-1. Every entry is scattered into the one dense array that is
+    returned; symmetry is exact by construction and positivity is verified
+    by test.
     """
     if coefficients.a.shape[0] != grid.n_nodes:
         raise ValueError(
             f"field has {coefficients.a.shape[0]} nodes, grid has {grid.n_nodes}"
         )
     h = grid.spacing
-    n_nodes = grid.n_nodes
     mask = grid.interior_mask()
-    dof_of_node = -np.ones(n_nodes, dtype=int)
-    dof_of_node[mask] = np.arange(grid.n_dof)
+    nodes = np.flatnonzero(mask)
+    dofs = np.arange(grid.n_dof)
+    # the trailing slot sends the -1 marker of _neighbour to dof -1 as well
+    dof_of_node = np.full(grid.n_nodes + 1, -1)
+    dof_of_node[nodes] = dofs
+    matrix = np.zeros((grid.n_dof, grid.n_dof))
 
-    rows, cols, vals = [], [], []
     diag = np.zeros(grid.n_dof)
     for axis in range(grid.dim):
-        left, right = _axis_index_pairs(grid, axis)
-        a_face = 0.5 * (
-            coefficients.a[left, axis, axis] + coefficients.a[right, axis, axis]
-        ) / h**2
-        dl, dr = dof_of_node[left], dof_of_node[right]
-        both = (dl >= 0) & (dr >= 0)
-        np.add.at(diag, dl[dl >= 0], a_face[dl >= 0])
-        np.add.at(diag, dr[dr >= 0], a_face[dr >= 0])
-        rows.append(dl[both])
-        cols.append(dr[both])
-        vals.append(-a_face[both])
-
-    r = np.concatenate(rows)
-    c_idx = np.concatenate(cols)
-    v = np.concatenate(vals)
-    off = sp.coo_matrix((v, (r, c_idx)), shape=(grid.n_dof, grid.n_dof)).toarray()
-    matrix = off + off.T + np.diag(diag + coefficients.c[mask])
+        a_axis = coefficients.a[:, axis, axis]
+        ahead = _neighbour(grid, axis, 1)
+        # face between each node and the next (unused where ahead is -1); a dof has both faces
+        face = 0.5 * (a_axis + a_axis[ahead]) / h**2
+        diag += face[nodes]
+        diag += face[_neighbour(grid, axis, -1)[nodes]]
+        nbr = dof_of_node[ahead[nodes]]
+        both = nbr >= 0
+        matrix[dofs[both], nbr[both]] = matrix[nbr[both], dofs[both]] = -face[nodes[both]]
+    matrix[dofs, dofs] = diag + coefficients.c[mask]
 
     if grid.dim == 2:
         b = coefficients.a[mask, 0, 1]
-        if np.any(b != 0):
-            d0 = _centered_difference(grid, 0)
-            d1 = _centered_difference(grid, 1)
-            k = (d0.T @ sp.diags(b) @ d1).toarray()
-            matrix = matrix + (k + k.T)
+        inv_2h = 1 / (2 * h)
+        for s0 in (-1, 1):
+            p = dof_of_node[_neighbour(grid, 0, s0)[nodes]]
+            for s1 in (-1, 1):
+                q = dof_of_node[_neighbour(grid, 1, s1)[nodes]]
+                both = (p >= 0) & (q >= 0)
+                val = s0 * s1 * (inv_2h * b[both] * inv_2h)
+                matrix[p[both], q[both]] += val
+                matrix[q[both], p[both]] += val
 
     return DiscreteOperator(matrix=matrix, grid=grid, coefficients=coefficients)
 

@@ -318,6 +318,11 @@ def _equivalence_ratios(dec: SpectralDecomposition, grid: Grid, alpha: float,
 EIGENVECTOR_SAMPLE_INDICES = (0, 1, 2, 4, 8, 16, 32)
 
 
+def refined_grid(grid: Grid) -> Grid:
+    """The doubled grid on which norm_equivalence re-measures the bracket."""
+    return Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
+
+
 def norm_equivalence(
     op: DiscreteOperator,
     alpha: float,
@@ -342,7 +347,7 @@ def norm_equivalence(
 
     drift = None
     if refine and op.coefficients.kind != "tabulated":
-        fine_grid = Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
+        fine_grid = refined_grid(grid)
         fine_field = make_coefficients(fine_grid, op.coefficients.kind, op.coefficients.params)
         fine_dec = eigendecompose(assemble(fine_grid, fine_field))
         fine = _equivalence_ratios(fine_dec, fine_grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)

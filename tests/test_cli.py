@@ -441,6 +441,75 @@ def test_invalid_config_exits_2_at_parse_time_naming_the_key(tmp_path, capsys, c
     assert not out.exists()  # parse errors write no manifest and no artifacts
 
 
+GRID_2D = {"dim": 2, "n": 12, "half_length": 4.0, "boundary": "dirichlet"}
+TERM = {"coeff_re": 1.0}
+# case -> (task, config overrides, what the message names); each is caught by parse_config
+CAUGHT_BEFORE_ASSEMBLY = {
+    "grid_over_dof_cap": ("spectrum", {"grid": {**GRID_2D, "n": 70}}, "'n'"),
+    "periodic_grid_over_dof_cap": ("spectrum", {"grid": {**SMALL_GRID, "n": 4097,
+                                                         "boundary": "periodic"}}, "'n'"),
+    "refined_grid_over_dof_cap": ("norm_equiv", {"grid": {**GRID_2D, "n": 34}}, "'refine'"),
+    "output_dir_is_a_file": ("spectrum", {}, "output_dir"),
+    "output_dir_below_a_file": ("spectrum", {}, "output_dir"),
+    "config_path_is_a_directory": ("spectrum", {}, "not a file"),
+    "u0_center_too_long": ("extend", {"grid": GRID_2D, "task_params": {
+        "u0": {"center": [0.0, 0.0, 0.0]}}}, "center"),
+    "doubling_center_too_long": ("doubling", {"task_params": {"center": [0.0, 0.0]}},
+                                 "center"),
+    "picard_powers_length": ("picard", {"task_params": {"nonlinearity": [
+        {**TERM, "powers": [2, 1, 0]}]}}, "powers"),
+    "viscous_powers_length": ("viscous", {"task_params": {"nonlinearity": [
+        {**TERM, "powers": [2, 1]}]}}, "powers"),
+    "viscosity_convergence_powers_length": ("viscosity_convergence", {
+        "grid": GRID_2D, "task_params": {"nonlinearity": [{**TERM, "powers": [2, 0, 1, 0]}]}},
+        "powers"),
+    "uc_probe_default_pair_in_2d": ("uc_probe", {"grid": GRID_2D, "task_params": {
+        "f_support": [[1.0, 2.0], [-1.0, 1.0]]}}, "theta"),
+    "uc_probe_pair_of_three": ("uc_probe", {"task_params": {"f_support": [1.0, 1.5, 2.0]}},
+                               "f_support"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAUGHT_BEFORE_ASSEMBLY))
+def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected config reached the solver")
+
+    monkeypatch.setattr(cli, "assemble", refuse)
+    monkeypatch.setattr(cli, "eigendecompose", refuse)
+    task, overrides, key = CAUGHT_BEFORE_ASSEMBLY[case]
+    out = tmp_path / "out"
+    if case.startswith("output_dir"):
+        out.write_text("taken\n")
+    path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
+                        task=task, output_dir=str(out / "run" if "below" in case else out))
+    if case == "config_path_is_a_directory":
+        path = tmp_path / "configs"
+        path.mkdir()
+    written = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(path)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == written
+
+
+@pytest.mark.parametrize("task, overrides", [
+    ("spectrum", {"grid": {**GRID_2D, "n": 66}}),  # 4096 dofs, the cap itself
+    ("spectrum", {"grid": {**SMALL_GRID, "n": 4096, "boundary": "periodic"}}),
+    ("norm_equiv", {"grid": {**GRID_2D, "n": 33}}),  # the doubled grid has 64^2 dofs
+    ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
+    ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
+                    "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
+])
+def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
+    monkeypatch.chdir(tmp_path)
+    Path("table.csv").write_text("")  # parsing checks only that the table file exists
+    assert parse_config(write_config(tmp_path, overrides, task=task)).grid.n_dof <= 4096
+
+
 def test_parse_types_and_defaults_of_task_params(tmp_path):
     cfg = parse_config(write_config(tmp_path, task="picard", overrides={
         "grid": SMALL_GRID, "task_params": {"dt": 1, "nonlinearity": [{"powers": [2, 1]}]}}))

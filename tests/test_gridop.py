@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracspec.gridop import (
     CoefficientField,
@@ -109,6 +112,123 @@ def test_constant_c_is_identity_shift():
     m0 = assemble(g, f0).matrix
     m1 = assemble(g, f1).matrix
     assert np.array_equal(m1, m0 + np.eye(g.n_dof))
+
+
+# --- the scipy.sparse assembly that the one-array scatter replaced: the oracle ------
+
+def _sparse_axis_index_pairs(grid, axis):
+    """(left, right) flat node indices of the faces along one axis."""
+    n = grid.points_per_axis
+    if grid.dim == 1:
+        left = np.arange(n) if grid.boundary == "periodic" else np.arange(n - 1)
+        return left, (left + 1) % n
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    flat = (ii * n + jj).ravel()
+    if grid.boundary == "periodic":
+        nbr = ((ii + 1) % n * n + jj) if axis == 0 else (ii * n + (jj + 1) % n)
+        return flat, nbr.ravel()
+    keep = ((ii if axis == 0 else jj) < n - 1).ravel()
+    nbr = ((ii + 1) * n + jj) if axis == 0 else (ii * n + jj + 1)
+    return flat[keep], nbr.ravel()[keep]
+
+
+def _sparse_centered_difference(grid, axis):
+    n, h = grid.points_per_axis, grid.spacing
+    if grid.boundary == "periodic":
+        m = n
+        up = sp.diags([np.ones(n - 1)], [1], shape=(n, n), format="lil")
+        up[n - 1, 0] = 1.0
+        d1 = (up.tocsr() - up.tocsr().T) / (2 * h)
+    else:
+        m = n - 2
+        d1 = sp.diags([np.ones(m - 1), -np.ones(m - 1)], [1, -1], shape=(m, m)) / (2 * h)
+    if grid.dim == 1:
+        return d1.tocsr()
+    ide = sp.eye(m, format="csr")
+    return (sp.kron(d1, ide) if axis == 0 else sp.kron(ide, d1)).tocsr()
+
+
+def sparse_assembly(grid, coefficients):
+    """The flux-form matrix through scipy.sparse and dense sums, as assembled before."""
+    h = grid.spacing
+    mask = grid.interior_mask()
+    dof_of_node = -np.ones(grid.n_nodes, dtype=int)
+    dof_of_node[mask] = np.arange(grid.n_dof)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(grid.n_dof)
+    for axis in range(grid.dim):
+        left, right = _sparse_axis_index_pairs(grid, axis)
+        a_face = 0.5 * (
+            coefficients.a[left, axis, axis] + coefficients.a[right, axis, axis]
+        ) / h**2
+        dl, dr = dof_of_node[left], dof_of_node[right]
+        both = (dl >= 0) & (dr >= 0)
+        np.add.at(diag, dl[dl >= 0], a_face[dl >= 0])
+        np.add.at(diag, dr[dr >= 0], a_face[dr >= 0])
+        rows.append(dl[both])
+        cols.append(dr[both])
+        vals.append(-a_face[both])
+    off = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(grid.n_dof, grid.n_dof)).toarray()
+    matrix = off + off.T + np.diag(diag + coefficients.c[mask])
+    if grid.dim == 2:
+        b = coefficients.a[mask, 0, 1]
+        if np.any(b != 0):
+            d0 = _sparse_centered_difference(grid, 0)
+            d1 = _sparse_centered_difference(grid, 1)
+            k = (d0.T @ sp.diags(b) @ d1).toarray()
+            matrix = matrix + (k + k.T)
+    return matrix
+
+
+def _oracle_field(grid, kind):
+    """Coefficient fields of the oracle cases; "*_diagonal" kinds have a_01 = 0."""
+    dim = grid.dim
+    if kind == "identity":
+        return make_coefficients(grid, "identity")
+    if kind.startswith("radial_bump"):
+        m = np.eye(dim) if kind.endswith("diagonal") or dim == 1 else [[1.0, 0.6], [0.6, 0.8]]
+        return make_coefficients(grid, "radial_bump",
+                                 {"s": 0.7, "w": 1.5, "M": m, "c_amp": 0.4})
+    rng = np.random.default_rng(grid.points_per_axis)
+    a = np.zeros((grid.n_nodes, dim, dim))
+    a[:, range(dim), range(dim)] = rng.uniform(1.0, 2.0, (grid.n_nodes, dim))
+    if dim == 2 and not kind.endswith("diagonal"):
+        a[:, 0, 1] = a[:, 1, 0] = rng.uniform(-0.5, 0.5, grid.n_nodes)
+    return make_coefficients(grid, "tabulated", {"a": a, "c": rng.uniform(0.0, 1.0, grid.n_nodes)})
+
+
+ORACLE_KINDS = ["identity", "radial_bump", "radial_bump_diagonal", "random", "random_diagonal"]
+ORACLE_GRIDS = [(dim, n) for dim in (1, 2) for n in (3, 4, 7, 16, 33)] + [(1, 66)]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim,n", ORACLE_GRIDS)
+def test_assemble_is_byte_identical_to_sparse_assembly(dim, n, boundary, kind):
+    g = build_grid(dim, n, 3.0, boundary)
+    f = _oracle_field(g, kind)
+    assert assemble(g, f).matrix.tobytes() == sparse_assembly(g, f).tobytes()
+
+
+def test_assemble_is_byte_identical_to_sparse_assembly_at_the_dof_cap():
+    g = build_grid(2, 66, 8.0, "dirichlet")  # 4096 dofs
+    f = _oracle_field(g, "radial_bump")
+    assert assemble(g, f).matrix.tobytes() == sparse_assembly(g, f).tobytes()
+
+
+def test_assemble_allocates_one_dense_array():
+    g = build_grid(2, 66, 8.0, "dirichlet")
+    f = _oracle_field(g, "radial_bump")
+    tracemalloc.start()
+    try:
+        op = assemble(g, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 8 * g.n_dof**2  # bytes of the one (n_dof, n_dof) float64 array
+    assert op.matrix.nbytes == dense
+    assert peak <= 1.1 * dense
 
 
 def test_assemble_rejects_node_count_mismatch():
