@@ -48,7 +48,6 @@ from .gridop import (
     make_coefficients,
 )
 from .spectral import (
-    BesselPotential,
     NormEquivalenceReport,
     SpectralDecomposition,
     apply_function,

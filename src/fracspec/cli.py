@@ -48,9 +48,7 @@ from .spectral import (
     apply_function,
     eigendecompose,
     fractional_power,
-    identity_map,
     norm_equivalence,
-    power,
     refined_grid,
     unitary_propagate,
 )
@@ -202,6 +200,23 @@ def _check_lengths(task: str, p: dict, dim: int) -> None:
                 raise ConfigError(f"{key!r} must be {dim} [lo, hi] pair(s), got {p[key]}")
 
 
+def _check_values(task: str, p: dict, n_dof: int) -> None:
+    """Reject values that would otherwise fail, or pass unnoticed, only after the eigensolve."""
+    radii = p.get("radii")
+    if radii is not None and not (radii and min(radii) > 0):
+        raise ConfigError(f"'radii' must be a nonempty list of positive radii, got {radii}")
+    if task in ("viscous", "viscosity_convergence") and (p["s"] < 0 or p["s"] % 2):
+        raise ConfigError(f"'s' of {task} must be an even integer >= 0, got {p['s']}")
+    # the states a task holds at once: every time step of every run, or every y node
+    keys, held = "'y_count'", p.get("y_count", 0)
+    if "dt" in p and p["t_final"] > 0 and p["dt"] > 0:
+        keys = "'t_final' / 'dt'"
+        held = (p["t_final"] / p["dt"] + 1.0) * len(p.get("epsilons", [0]))
+    if held * n_dof > DEFAULT_DOF_CAP**2:
+        raise ConfigError(f"{keys} give {held:.4g} states of {n_dof} dofs held at once, "
+                          f"over the memory guard of {DEFAULT_DOF_CAP}^2 entries")
+
+
 def _u0(spec: dict, n_dof: int) -> dict:
     kind = _typed(spec, "kind", str, "u0", default="gaussian")
     if kind not in _U0:
@@ -209,6 +224,8 @@ def _u0(spec: dict, n_dof: int) -> dict:
     u0 = _params(spec, {"kind": (str, kind), **_U0[kind]}, f"u0 of kind {kind!r}")
     if kind == "eigenmode" and not 0 <= u0["index"] < n_dof:
         raise ConfigError(f"u0 'index' must lie in 0..{n_dof - 1}, got {u0['index']}")
+    if kind == "gaussian" and not u0["width"] > 0:
+        raise ConfigError(f"u0 'width' must be > 0, got {u0['width']}")
     return u0
 
 
@@ -253,6 +270,7 @@ def parse_config(path: str | Path) -> RunConfig:
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     _check_lengths(task, task_params, grid.dim)
+    _check_values(task, task_params, grid.n_dof)
     if task == "norm_equiv" and task_params["refine"] and kind != "tabulated":
         _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
                     "reduce 'n' or set 'refine' to false")
@@ -293,7 +311,7 @@ def _build_state(cfg: RunConfig, dec, rng) -> np.ndarray:
     # random_smooth: spectrally damped white noise, smooth and deterministic under the seed
     raw = rng.standard_normal(dec.n_dof)
     damping = np.exp(-dec.eigenvalues / max(dec.eigenvalues[-1] / 16.0, 1e-12))
-    return u0["scale"] * (dec.eigenvectors @ (damping * (dec.eigenvectors.T @ raw)))
+    return u0["scale"] * apply_function(dec, damping, raw)
 
 
 def _terms(cfg: RunConfig) -> list:
@@ -317,8 +335,7 @@ def _run_spectrum(cfg, dec, rng, outdir):
     lam = dec.eigenvalues
     _write_csv(outdir / "eigenvalues.csv", "k,lambda", [np.arange(len(lam)), lam])
     probe = rng.standard_normal(dec.n_dof)
-    recon = dec.eigenvectors @ (lam * (dec.eigenvectors.T @ probe))
-    resid = np.linalg.norm(recon - dec.source.matrix @ probe)
+    resid = np.linalg.norm(apply_function(dec, lam, probe) - dec.source.matrix @ probe)
     scale = max(abs(lam[-1]), 1e-300)
     inv = {
         "eigenvalues_nonnegative": bool(lam[0] >= -1e-10 * scale),
@@ -332,9 +349,9 @@ def _run_funcalc(cfg, dec, rng, outdir):
     alpha = cfg.alpha[0]
     f = rng.standard_normal(dec.n_dof)
     checks = []
-    ident = apply_function(dec, identity_map(), f)
+    ident = apply_function(dec, np.ones(dec.n_dof), f)
     checks.append(("identity", float(np.linalg.norm(ident - f) / np.linalg.norm(f)), 1e-12))
-    lf = apply_function(dec, power(1.0), f)
+    lf = fractional_power(dec, 1.0, f)
     checks.append(("power_one_vs_matrix",
                    float(np.linalg.norm(lf - dec.source.matrix @ f)
                          / max(np.linalg.norm(lf), 1e-300)), 1e-10))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
-from .spectral import SpectralDecomposition, _clean_spectrum, bessel_apply, sobolev_norm
+from .spectral import SpectralDecomposition, bessel_apply, sobolev_norm
 
 
 class PicardConvergenceError(NumericalError):
@@ -296,7 +296,7 @@ def picard_solve(
                 f"T* = {t_star:.4g}; the iteration may not contract",
                 stacklevel=2,
             )
-    lam_a = _clean_spectrum(dec.eigenvalues) ** alpha
+    lam_a = dec.spectrum**alpha
     u0 = np.asarray(u0, dtype=complex)
     u0_modes = dec.eigenvectors.T @ u0
     forward = np.exp(1j * times[:, None] * lam_a[None, :])   # e^{+i t_k lam^a}
@@ -393,7 +393,7 @@ def viscous_solve(
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
                       "the a-priori envelope is not guaranteed", stacklevel=2)
     times = _time_grid(t_final, dt)
-    lam = _clean_spectrum(dec.eigenvalues)
+    lam = dec.spectrum
     symbol = -eps * lam**2 + 1j * lam**alpha
     step_mult = np.exp(dt * symbol)
     half_s = lam ** (s / 2.0)

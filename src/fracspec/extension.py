@@ -20,12 +20,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, kve
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
-from .spectral import (
-    SpectralDecomposition,
-    _clean_spectrum,
-    fractional_power,
-    l2_norm,
-)
+from .spectral import SpectralDecomposition, apply_function, fractional_power, l2_norm
 
 RECOVERY_TOL = 1e-3
 TRACE_ENVELOPE_FACTOR = 10.0
@@ -131,14 +126,12 @@ def extend(
     ys = geometric_ladder() if y_nodes is None else np.asarray(y_nodes, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) <= 0):
         raise ValueError("y ladder must be positive and strictly increasing")
-    mult = extension_multipliers(_clean_spectrum(dec.eigenvalues), ys, alpha)
-    coeffs = dec.eigenvectors.T @ np.asarray(u, dtype=float)
-    values = dec.eigenvectors @ (mult * coeffs[:, None])
+    u = np.asarray(u, dtype=float)
     field = ExtensionField(
-        base=np.asarray(u, dtype=float),
+        base=u,
         alpha=alpha,
         y_nodes=ys,
-        values=values,
+        values=apply_function(dec, extension_multipliers(dec.spectrum, ys, alpha), u),
         grid=dec.source.grid,
         decomposition=dec,
     )
@@ -186,7 +179,7 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
         raise ValueError("the three smallest y nodes must be in geometric progression")
     alpha = ext.alpha
     dec = ext.decomposition
-    slopes = conormal_slopes(_clean_spectrum(dec.eigenvalues), ys, alpha)
+    slopes = conormal_slopes(dec.spectrum, ys, alpha)
 
     limit, e01, e12 = _richardson_limit(
         slopes[:, 0], slopes[:, 1], slopes[:, 2], rho01, 2.0 - 2.0 * alpha, 2.0
@@ -199,8 +192,7 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
                 f"limit estimates disagree by {disagree:.3e} against scale {scale:.3e}; "
                 "shrink the ladder base y0"
             )
-    coeffs = dec.eigenvectors.T @ ext.base
-    return conormal_constant(alpha) * (dec.eigenvectors @ (limit * coeffs))
+    return conormal_constant(alpha) * apply_function(dec, limit, ext.base)
 
 
 # ---------------------------------------------------------------------------

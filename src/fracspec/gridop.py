@@ -17,10 +17,6 @@ import numpy as np
 VALID_BOUNDARIES = ("dirichlet", "periodic")
 FIELD_KINDS = ("identity", "radial_bump", "tabulated")
 
-# Roundoff-scale slack used by validity checks on assembled matrices.
-SYMMETRY_TOL = 1e-12
-EIGENVALUE_NEGATIVITY_TOL = 1e-10
-
 # Rows converted to python scalars at a time by the CSV writer.
 _CSV_CHUNK_ROWS = 4096
 

@@ -1,9 +1,11 @@
 """Dense spectral calculus for the assembled symmetric operators.
 
-Every function of the operator (fractional powers, heat semigroup, unitary
-and viscous propagators) is realized exactly at the discrete level by
-conjugating a scalar map with the eigendecomposition:
-g(L) f = V diag(g(Lambda)) V^T f. Bessel potentials of the flat Laplacian
+Every function of the operator (fractional powers, unitary and viscous
+propagators, the extension multipliers, the conormal limit) is realized
+exactly at the discrete level by one conjugation with the
+eigendecomposition, ``apply_function``: g(L) f = V diag(g(Lambda)) V^T f,
+where the caller evaluates the per-mode multipliers g(Lambda) on
+``SpectralDecomposition.spectrum``. Bessel potentials of the flat Laplacian
 need no eigensolve: the FFT (periodic) or DST-I (Dirichlet) diagonalizes it.
 """
 
@@ -39,6 +41,12 @@ class SpectralDecomposition:
     def n_dof(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues, with those that are zero up to eigensolver roundoff
+        (tiny negatives included) snapped to exact zero."""
+        return _clean_spectrum(self.eigenvalues)
+
     def validate(self) -> None:
         """Check orthonormality, reconstruction, and spectrum nonnegativity.
 
@@ -69,6 +77,12 @@ class SpectralDecomposition:
                 raise NumericalError("eigendecomposition does not reconstruct the matrix (probe check)")
 
 
+def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
+    scale = np.abs(lam).max() if lam.size else 0.0
+    tol = 10.0 * lam.size * np.finfo(float).eps * scale
+    return np.where(lam <= tol, 0.0, lam)
+
+
 def eigendecompose(op: DiscreteOperator, cap: int = DEFAULT_DOF_CAP) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense)."""
     n = op.matrix.shape[0]
@@ -82,99 +96,38 @@ def eigendecompose(op: DiscreteOperator, cap: int = DEFAULT_DOF_CAP) -> Spectral
     return dec
 
 
-# ---------------------------------------------------------------------------
-# scalar-map catalog
-# ---------------------------------------------------------------------------
+def apply_function(dec: SpectralDecomposition, mult, f: np.ndarray) -> np.ndarray:
+    """V diag(mult) V^T f for per-mode multipliers ``mult`` (first axis: the mode).
 
-@dataclass(frozen=True)
-class ScalarMap:
-    """Named scalar function applied to the spectrum.
-
-    Spectra are clamped at zero before evaluation: tiny negative
-    eigenvalues are eigensolver roundoff on a nonnegative operator.
+    ``f`` is a state or an ``(n_dof, k)`` batch. ``mult`` and ``f`` broadcast
+    over their trailing axes: an ``(n_dof, n_y)`` multiplier maps one state to
+    ``n_y`` columns, and an ``(n_dof,)`` multiplier acts on every column.
     """
-
-    name: str
-    fn: callable
-
-    def __call__(self, lam: np.ndarray) -> np.ndarray:
-        return self.fn(np.maximum(np.asarray(lam, dtype=float), 0.0))
-
-
-def identity_map() -> ScalarMap:
-    return ScalarMap("identity", lambda lam: lam * 0 + 1.0)
-
-
-def power(alpha: float) -> ScalarMap:
-    if alpha < 0:
-        # inverse powers are only reachable through the (lambda + 1) shift
-        raise ValueError(f"power requires alpha >= 0, got {alpha}; use shifted_power")
-    return ScalarMap(f"power({alpha})", lambda lam: lam**alpha)
-
-
-def heat(t: float) -> ScalarMap:
-    return ScalarMap(f"heat({t})", lambda lam: np.exp(-t * lam))
-
-
-def unitary_frac(t: float, alpha: float) -> ScalarMap:
-    return ScalarMap(f"unitary_frac({t},{alpha})", lambda lam: np.exp(1j * t * lam**alpha))
-
-
-def viscous(eps: float, t: float, alpha: float) -> ScalarMap:
-    return ScalarMap(
-        f"viscous({eps},{t},{alpha})",
-        lambda lam: np.exp(-eps * t * lam**2 + 1j * t * lam**alpha),
-    )
-
-
-def shifted_power(alpha: float) -> ScalarMap:
-    """(lambda + 1)^alpha; well defined for every real alpha."""
-    return ScalarMap(f"shifted_power({alpha})", lambda lam: (lam + 1.0) ** alpha)
-
-
-def bounded_custom(fn, name: str = "custom") -> ScalarMap:
-    return ScalarMap(name, fn)
-
-
-def product_map(f: ScalarMap, g: ScalarMap) -> ScalarMap:
-    return ScalarMap(f"({f.name})*({g.name})", lambda lam: f.fn(lam) * g.fn(lam))
-
-
-def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
-    """Snap eigenvalues that are zero up to eigensolver roundoff to exact zero."""
-    scale = np.abs(lam).max() if lam.size else 0.0
-    tol = 10.0 * lam.size * np.finfo(float).eps * scale
-    return np.where(lam <= tol, 0.0, lam)
-
-
-def apply_function(dec: SpectralDecomposition, scalar_map: ScalarMap, f: np.ndarray) -> np.ndarray:
-    """V diag(map(Lambda)) V^T f."""
     f = np.asarray(f)
     if f.shape[0] != dec.n_dof:
         raise ValueError(f"state length {f.shape[0]} != dof count {dec.n_dof}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = scalar_map(_clean_spectrum(dec.eigenvalues))
-    bad = ~np.isfinite(vals)
+    mult = np.asarray(mult)
+    bad = ~np.isfinite(mult)
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"scalar map {scalar_map.name} is singular on the spectrum "
-            f"(eigenvalue {dec.eigenvalues[k]:.6e} at index {k})"
-        )
+        raise ValueError("multiplier is singular on the spectrum "
+                         f"(eigenvalue {dec.eigenvalues[k]:.6e} at index {k})")
     coeffs = dec.eigenvectors.T @ f
-    if f.ndim == 1:
-        return dec.eigenvectors @ (vals * coeffs)
-    return dec.eigenvectors @ (vals[:, None] * coeffs)
+    ndim = max(mult.ndim, coeffs.ndim)
+    mult, coeffs = (a.reshape(a.shape + (1,) * (ndim - a.ndim)) for a in (mult, coeffs))
+    return dec.eigenvectors @ (mult * coeffs)
 
 
 def fractional_power(dec: SpectralDecomposition, alpha: float, f: np.ndarray) -> np.ndarray:
     """L^alpha f for alpha >= 0."""
-    return apply_function(dec, power(alpha), f)
+    if alpha < 0:
+        raise ValueError(f"fractional_power requires alpha >= 0, got {alpha}")
+    return apply_function(dec, dec.spectrum**alpha, f)
 
 
 def unitary_propagate(dec: SpectralDecomposition, alpha: float, t: float, f: np.ndarray) -> np.ndarray:
     """e^{i t L^alpha} f; preserves the l2 norm and the group law exactly."""
-    return apply_function(dec, unitary_frac(t, alpha), f)
+    return apply_function(dec, np.exp(1j * t * dec.spectrum**alpha), f)
 
 
 def viscous_propagate(
@@ -183,12 +136,13 @@ def viscous_propagate(
     """e^{t(-eps L^2 + i L^alpha)} f, the dissipative propagator."""
     if eps < 0 or t < 0:
         raise ValueError("viscous_propagate requires eps >= 0 and t >= 0")
-    return apply_function(dec, viscous(eps, t, alpha), f)
+    lam = dec.spectrum
+    return apply_function(dec, np.exp(-eps * t * lam**2 + 1j * t * lam**alpha), f)
 
 
 def smoothing_norm_measured(dec: SpectralDecomposition, eps: float, t: float) -> float:
     """Operator norm of L e^{-eps t L^2 + i t L^alpha}: max of lam e^{-eps t lam^2}."""
-    lam = np.maximum(dec.eigenvalues, 0.0)
+    lam = dec.spectrum
     return float((lam * np.exp(-eps * t * lam**2)).max())
 
 
@@ -214,17 +168,6 @@ def laplacian_symbol(grid: Grid) -> np.ndarray:
     if grid.dim == 1:
         return m1
     return m1[:, None] + m1[None, :]
-
-
-@dataclass(frozen=True)
-class BesselPotential:
-    """(1 - discrete Laplacian)^{order/2} on a fixed grid."""
-
-    grid: Grid
-    order: float
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return bessel_apply(self.grid, self.order, f)
 
 
 def bessel_apply(grid: Grid, s: float, f: np.ndarray) -> np.ndarray:

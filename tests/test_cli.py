@@ -443,6 +443,7 @@ def test_invalid_config_exits_2_at_parse_time_naming_the_key(tmp_path, capsys, c
 
 GRID_2D = {"dim": 2, "n": 12, "half_length": 4.0, "boundary": "dirichlet"}
 TERM = {"coeff_re": 1.0}
+GRID_64 = {**SMALL_GRID, "n": 64}
 # case -> (task, config overrides, what the message names); each is caught by parse_config
 CAUGHT_BEFORE_ASSEMBLY = {
     "grid_over_dof_cap": ("spectrum", {"grid": {**GRID_2D, "n": 70}}, "'n'"),
@@ -467,6 +468,21 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "f_support": [[1.0, 2.0], [-1.0, 1.0]]}}, "theta"),
     "uc_probe_pair_of_three": ("uc_probe", {"task_params": {"f_support": [1.0, 1.5, 2.0]}},
                                "f_support"),
+    "doubling_radii_empty": ("doubling", {"grid": GRID_64, "task_params": {"radii": []}},
+                             "radii"),
+    "doubling_radius_negative": ("doubling", {"grid": GRID_64, "task_params": {
+        "radii": [-1.0]}}, "radii"),
+    "u0_width_zero": ("extend", {"grid": GRID_64, "task_params": {"u0": {"width": 0.0}}},
+                      "width"),
+    "viscous_s_odd": ("viscous", {"grid": GRID_64, "task_params": {"s": 3}}, "'s'"),
+    "viscosity_convergence_s_negative": ("viscosity_convergence", {
+        "grid": {**GRID_64, "boundary": "periodic"}, "task_params": {"s": -2}}, "'s'"),
+    "picard_states_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
+        "t_final": 100.0, "dt": 1e-5}}, "'dt'"),
+    "viscosity_convergence_runs_over_memory_guard": ("viscosity_convergence", {
+        "grid": GRID_64, "task_params": {"t_final": 70.0}}, "'dt'"),  # 4 runs of 70001 states
+    "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
+        "y_count": 2000000}}, "'y_count'"),
 }
 
 
@@ -503,6 +519,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
+    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {"y_count": 4096}}),  # guard edge
+    ("picard", {"grid": GRID_64, "task_params": {"t_final": 70.0}}),  # one run of 70001 states
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)

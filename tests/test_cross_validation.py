@@ -16,7 +16,6 @@ from fracspec.spectral import (
     apply_function,
     eigendecompose,
     fractional_power,
-    heat,
     laplacian_symbol,
     unitary_propagate,
 )
@@ -35,7 +34,7 @@ def test_heat_semigroup_against_pade_exponential():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(dec.n_dof)
     for t in (0.05, 0.5, 2.0):
-        ours = apply_function(dec, heat(t), f)
+        ours = apply_function(dec, np.exp(-t * dec.spectrum), f)
         pade = scipy.linalg.expm(-t * op.matrix) @ f
         assert np.linalg.norm(ours - pade) <= 1e-10 * np.linalg.norm(f)
 
