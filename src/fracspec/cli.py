@@ -12,6 +12,7 @@ error (non-convergence, blow-up, degenerate input, failed self-check),
 """
 
 import argparse
+import importlib.metadata
 import json
 import platform
 import sys
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .evolution import (
+    PICARD_WORKING_SET,
     gradient_nonlinearity,
     kato_ponce_check,
     picard_solve,
@@ -200,20 +201,57 @@ def _check_lengths(task: str, p: dict, dim: int) -> None:
                 raise ConfigError(f"{key!r} must be {dim} [lo, hi] pair(s), got {p[key]}")
 
 
-def _check_values(task: str, p: dict, n_dof: int) -> None:
+def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
     """Reject values that would otherwise fail, or pass unnoticed, only after the eigensolve."""
-    radii = p.get("radii")
-    if radii is not None and not (radii and min(radii) > 0):
-        raise ConfigError(f"'radii' must be a nonempty list of positive radii, got {radii}")
-    if task in ("viscous", "viscosity_convergence") and (p["s"] < 0 or p["s"] % 2):
-        raise ConfigError(f"'s' of {task} must be an even integer >= 0, got {p['s']}")
-    # the states a task holds at once: every time step of every run, or every y node
+    def need(ok, key: str, rule: str) -> None:
+        if not ok:
+            value = alpha if key == "alpha" else p[key]
+            raise ConfigError(f"{key!r} of {task} must be {rule}, got {value}")
+
+    if p.get("radii") is not None:
+        need(p["radii"] and min(p["radii"]) > 0, "radii", "a nonempty list of positive radii")
+    if "y0" in p:  # the extension tasks
+        need(0.0 < alpha < 1.0, "alpha", "in (0, 1)")
+        need(p["y0"] > 0, "y0", "> 0")
+        need(p["y_ratio"] > 1, "y_ratio", "> 1")
+        need(p["y_count"] >= 3, "y_count", ">= 3")
+    if "dt" in p:  # the evolution tasks
+        need(p["t_final"] > 0, "t_final", "> 0")
+        need(p["dt"] > 0, "dt", "> 0")
+        terms_ok = all(min(t["powers"]) >= 0
+                       and (sum(t["powers"]) >= 2 or t["coeff_re"] == t["coeff_im"] == 0)
+                       for t in p["nonlinearity"])
+        need(terms_ok, "nonlinearity", "terms with 'powers' >= 0 and a total degree >= 2")
+    if task in ("viscous", "viscosity_convergence"):
+        need(p["s"] >= 0 and p["s"] % 2 == 0, "s", "an even integer >= 0")
+    if task == "viscous":
+        need(p["eps"] >= 0, "eps", ">= 0")
+    if task == "viscosity_convergence":
+        eps = p["epsilons"]
+        need(len(eps) >= 2 and all(a >= b for a, b in zip(eps, eps[1:])), "epsilons",
+             "two or more nonincreasing values")
+    if task == "picard" and p["c_est"] is not None:
+        need(p["c_est"] > 0, "c_est", "> 0")
+    if task == "kp_check":
+        need(p["l"] > 0, "l", "> 0")
+        need(p["n_pairs"] >= 1, "n_pairs", ">= 1")
+    if task == "uc_probe":
+        need(p["alphas"] and all(0 < a <= 1 for a in p["alphas"]), "alphas",
+             "a nonempty list in (0, 1]")
+        try:
+            VanishingSpec.create(p["theta"], p["f_support"], grid.dim).check_inside(grid)
+        except ValueError as err:
+            raise ConfigError(f"'theta' / 'f_support' of uc_probe: {err}") from None
+    # the state entries held at once: every time step of every run, or every y
+    # node; a Picard sweep holds PICARD_WORKING_SET arrays of its states' size
     keys, held = "'y_count'", p.get("y_count", 0)
-    if "dt" in p and p["t_final"] > 0 and p["dt"] > 0:
+    if "dt" in p:
         keys = "'t_final' / 'dt'"
         held = (p["t_final"] / p["dt"] + 1.0) * len(p.get("epsilons", [0]))
-    if held * n_dof > DEFAULT_DOF_CAP**2:
-        raise ConfigError(f"{keys} give {held:.4g} states of {n_dof} dofs held at once, "
+        if task == "picard":
+            held *= PICARD_WORKING_SET
+    if held * grid.n_dof > DEFAULT_DOF_CAP**2:
+        raise ConfigError(f"{keys} give {held:.4g} arrays of {grid.n_dof} dofs held at once, "
                           f"over the memory guard of {DEFAULT_DOF_CAP}^2 entries")
 
 
@@ -270,7 +308,7 @@ def parse_config(path: str | Path) -> RunConfig:
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     _check_lengths(task, task_params, grid.dim)
-    _check_values(task, task_params, grid.n_dof)
+    _check_values(task, task_params, grid, alphas[0])
     if task == "norm_equiv" and task_params["refine"] and kind != "tabulated":
         _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
                     "reduce 'n' or set 'refine' to false")
@@ -503,8 +541,6 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
 def _run_uc_probe(cfg, dec, rng, outdir):
     p = cfg.task_params
     spec = VanishingSpec.create(theta=p["theta"], f_support=p["f_support"], dim=cfg.grid.dim)
-    if not p["alphas"]:
-        raise ConfigError("uc_probe needs at least one entry in alphas")
     rows = dichotomy_sweep(dec, spec, p["alphas"])
     sweep_to_csv(rows, outdir / "uc_sweep.csv")
     ok = all(
@@ -517,8 +553,6 @@ def _run_uc_probe(cfg, dec, rng, outdir):
 @_task("kp_check", {"l": (float, 2.0), "n_pairs": (int, 20)})
 def _run_kp_check(cfg, dec, rng, outdir):
     n_pairs = cfg.task_params["n_pairs"]
-    if n_pairs < 1:
-        raise ConfigError(f"kp_check needs n_pairs >= 1, got {n_pairs}")
     ratios = []
     for _ in range(n_pairs):
         c = rng.uniform(-cfg.grid.half_length / 2, cfg.grid.half_length / 2, size=(2, cfg.grid.dim))
@@ -540,7 +574,7 @@ def run(cfg: RunConfig) -> int:
         "versions": {
             "fracspec": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "python": platform.python_version(),
         },
         "seed": cfg.seed,

@@ -264,6 +264,14 @@ def _monitor_norms(states, grid, s):
     return np.linalg.norm(states, axis=1) * weight, _state_norm(states.T, s, grid)
 
 
+# picard_solve's peak memory over the bytes of its states array, measured with
+# tracemalloc (1-D, 64 dofs, a cubic term): 12.1 at 2000 steps, 12.6 at 500.
+# A sweep holds forward, free, states, the modal nonlinearity, w, cs, integral
+# and new_states, each the size of states, plus the Sobolev-norm temporaries
+# of the sweep difference.
+PICARD_WORKING_SET = 13.0
+
+
 def picard_solve(
     dec: SpectralDecomposition,
     alpha: float,

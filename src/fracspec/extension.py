@@ -13,11 +13,11 @@ with M = 1 at z = 0 (Caffarelli-Silvestre; Stinga-Torrea), which depends on
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, kve
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
 from .spectral import SpectralDecomposition, apply_function, fractional_power, l2_norm
@@ -38,7 +38,7 @@ def conormal_constant(alpha: float) -> float:
     """4^a Gamma(a) / (2a Gamma(-a)); equals -1 at a = 1/2."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    return float(4.0**alpha * gamma_fn(alpha) / (2.0 * alpha * gamma_fn(-alpha)))
+    return float(4.0**alpha * math.gamma(alpha) / (2.0 * alpha * math.gamma(-alpha)))
 
 
 def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> np.ndarray:
@@ -52,8 +52,11 @@ def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
     """z^power K_nu(z) for z > 0 and 0 at z = 0.
 
     K_nu(z) is evaluated as kve(nu, z) e^{-z}, so large z underflows to 0
-    instead of overflowing.
+    instead of overflowing. scipy.special is imported here, so that only the
+    extension tasks load it.
     """
+    from scipy.special import kve
+
     safe = np.where(z > 0.0, z, 1.0)
     return np.where(z > 0.0, safe**power * kve(nu, safe) * np.exp(-safe), 0.0)
 
@@ -61,7 +64,7 @@ def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
 def extension_multipliers(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
     """Per-mode damping M(lambda, y) = 2^{1-a}/Gamma(a) z^a K_a(z), in [0, 1], M = 1 at z = 0."""
     z = np.sqrt(lam)[:, None] * np.asarray(ys, dtype=float)[None, :]
-    m = 2.0 ** (1.0 - alpha) / gamma_fn(alpha) * _z_power_bessel_k(alpha, alpha, z)
+    m = 2.0 ** (1.0 - alpha) / math.gamma(alpha) * _z_power_bessel_k(alpha, alpha, z)
     # z^a K_a(z) rounds a few ulps above its supremum 2^{a-1} Gamma(a) at tiny z
     return np.where(z > 0.0, np.minimum(m, 1.0), 1.0)
 
@@ -74,7 +77,7 @@ def conormal_slopes(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray
     root = np.sqrt(lam)[:, None]
     ys = np.asarray(ys, dtype=float)[None, :]
     z = root * ys
-    return (-2.0 ** (1.0 - alpha) / gamma_fn(alpha) * root * ys ** (1.0 - 2.0 * alpha)
+    return (-2.0 ** (1.0 - alpha) / math.gamma(alpha) * root * ys ** (1.0 - 2.0 * alpha)
             * _z_power_bessel_k(alpha, 1.0 - alpha, z))
 
 

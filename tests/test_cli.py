@@ -1,6 +1,11 @@
+import dataclasses
+import importlib.metadata
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +224,14 @@ def test_run_viscous_blowup_exit_code(tmp_path):
 
 
 def test_run_invalid_alpha_for_extension_is_config_error(tmp_path):
+    # parsing rejects this alpha; a RunConfig built around the parser still gets exit 2
     out = tmp_path / "out"
     cfg = parse_config(write_config(
-        tmp_path, output_dir=str(out), task="extend", alpha=1.5,
+        tmp_path, output_dir=str(out), task="extend",
         overrides={"grid": {"dim": 1, "n": 17, "half_length": 8.0,
                             "boundary": "dirichlet"}},
     ))
-    assert run(cfg) == 2
+    assert run(dataclasses.replace(cfg, alpha=[1.5])) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "config_error"
 
@@ -234,20 +240,17 @@ def test_run_invalid_alpha_for_extension_is_config_error(tmp_path):
     ("kp_check", {"n_pairs": 0}, "n_pairs", "kp_ratios.csv"),
     ("uc_probe", {"alphas": []}, "alphas", "uc_sweep.csv"),
 ])
-def test_run_empty_sweep_is_config_error(tmp_path, task, params, key, artifact):
+def test_run_empty_sweep_is_config_error(tmp_path, capsys, task, params, key, artifact):
     out = tmp_path / "out"
-    cfg = parse_config(write_config(
+    path = write_config(
         tmp_path, output_dir=str(out), task=task,
         overrides={"grid": {"dim": 1, "n": 32, "half_length": 8.0,
                             "boundary": "dirichlet"},
                    "task_params": params},
-    ))
-    assert run(cfg) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "config_error"
-    assert key in manifest["error"]
-    assert manifest["artifacts"] == []
-    assert not (out / artifact).exists()
+    )
+    assert main(["run", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # found at parse time: no manifest, no artifact
 
 
 def test_main_validate_and_exit_codes(tmp_path, capsys):
@@ -483,6 +486,24 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "grid": GRID_64, "task_params": {"t_final": 70.0}}, "'dt'"),  # 4 runs of 70001 states
     "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
         "y_count": 2000000}}, "'y_count'"),
+    "picard_working_set_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
+        "t_final": 70.0}}, "'dt'"),  # 70001 states, 13 times over
+    "recover_alpha_over_one": ("recover", {"grid": GRID_64, "alpha": 1.5}, "'alpha'"),
+    "extend_y_ratio_below_one": ("extend", {"grid": GRID_64, "task_params": {
+        "y_ratio": 0.9}}, "'y_ratio'"),
+    "viscosity_convergence_epsilons_increase": ("viscosity_convergence", {
+        "grid": GRID_64, "task_params": {"epsilons": [0.01, 0.1]}}, "'epsilons'"),
+    "viscous_dt_negative": ("viscous", {"grid": GRID_64, "task_params": {"dt": -0.001}},
+                            "'dt'"),
+    "viscous_eps_negative": ("viscous", {"grid": GRID_64, "task_params": {"eps": -0.1}},
+                             "'eps'"),
+    "picard_term_of_degree_one": ("picard", {"grid": GRID_64, "task_params": {
+        "nonlinearity": [{**TERM, "powers": [1, 0]}]}}, "'nonlinearity'"),
+    "kp_check_l_zero": ("kp_check", {"grid": GRID_64, "task_params": {"l": 0.0}}, "'l'"),
+    "uc_probe_theta_overlaps_support": ("uc_probe", {"grid": GRID_64, "task_params": {
+        "theta": [0.5, 1.5]}}, "theta"),
+    "uc_probe_support_outside_box": ("uc_probe", {"grid": GRID_64, "task_params": {
+        "f_support": [7.0, 9.0]}}, "f_support"),
 }
 
 
@@ -520,7 +541,7 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
     ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {"y_count": 4096}}),  # guard edge
-    ("picard", {"grid": GRID_64, "task_params": {"t_final": 70.0}}),  # one run of 70001 states
+    ("picard", {"grid": GRID_64, "task_params": {"t_final": 20.0}}),  # 13 x 20001 states
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)
@@ -619,6 +640,37 @@ def test_failed_self_check_exits_3(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "numerical_error"
     assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
+
+
+# runs ``fracspec run`` on argv[1], with NUMPY_EIGH_MAX_DOF set to argv[2] unless
+# that is "default", then prints the exit code and the scipy modules loaded
+_RUN_AND_LIST_SCIPY = """
+import json, sys
+from fracspec import cli, spectral
+if sys.argv[2] != "default":
+    spectral.NUMPY_EIGH_MAX_DOF = int(sys.argv[2])
+code = cli.main(["run", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy."))]))
+"""
+
+
+@pytest.mark.parametrize("max_dof", ["default", "16"])
+def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, max_dof):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, output_dir=str(out))  # 1-D Dirichlet n = 64: 62 dofs
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(path), max_dof],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0  # eigendecompose validated the decomposition on either path
+    if max_dof == "default":
+        assert not {"scipy.linalg", "scipy.fft", "scipy.special", "scipy.sparse"} & set(loaded)
+    else:
+        assert "scipy.linalg" in loaded
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
 
 
 def test_every_shipped_config_parses():

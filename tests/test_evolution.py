@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracspec.evolution import (
+    PICARD_WORKING_SET,
     BlowUpError,
     PicardConvergenceError,
     check_energy_hypothesis,
@@ -208,6 +210,20 @@ def test_picard_equation_residual_within_dt_squared():
     dt = 1e-3
     traj = picard_solve(dec, alpha, u0, CUBIC, t_final=0.05, dt=dt, tol=1e-13)
     assert traj.monitors["equation_residual"][1:-1].max() <= 10.0 * dt**2
+
+
+def test_picard_working_set_matches_tracemalloc_peak():
+    # the parse-time memory guard charges a Picard run PICARD_WORKING_SET state arrays
+    g, dec = grid_dec(n=66)
+    u0 = 0.2 * np.exp(-g.dof_nodes().ravel() ** 2 / 2.0)
+    tracemalloc.start()
+    try:
+        traj = picard_solve(dec, 0.5, u0, CUBIC, t_final=2.0, dt=1e-3, grid=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.picard_residual_history) > 1
+    assert PICARD_WORKING_SET - 1.0 < peak / traj.states.nbytes <= PICARD_WORKING_SET
 
 
 def test_picard_rejects_gradient_nonlinearity():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
-from scipy.special import kv
+from scipy.special import kv, kve
 
 from fracspec.extension import (
     DegenerateInputError,
@@ -120,6 +120,22 @@ def test_multiplier_matches_independent_bessel_closed_form(alpha):
     # multipliers live in (0, 1] and decay in y for positive modes
     assert m.max() <= 1.0 + 1e-12
     assert np.all(np.diff(m, axis=1) <= 1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.35, 0.6, 0.95])
+def test_gamma_prefactors_match_scipy_gamma_oracle(alpha):
+    # math.gamma and scipy's gamma differ by a few ulps
+    lam = laplacian_dec()[1].spectrum
+    ys = geometric_ladder(1e-3, 1.3, 40)
+    root = np.sqrt(lam)[:, None]
+    z = root * ys[None, :]
+    prefactor = 2.0 ** (1.0 - alpha) / gamma_fn(alpha)
+    multipliers = np.minimum(prefactor * z**alpha * kve(alpha, z) * np.exp(-z), 1.0)
+    slopes = (-prefactor * root * ys ** (1.0 - 2.0 * alpha)
+              * z**alpha * kve(1.0 - alpha, z) * np.exp(-z))
+    np.testing.assert_allclose(extension_multipliers(lam, ys, alpha), multipliers,
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(conormal_slopes(lam, ys, alpha), slopes, rtol=1e-14, atol=0)
 
 
 def test_multiplier_alpha_half_is_poisson_kernel():

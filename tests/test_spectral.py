@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
+from fracspec import spectral
 from fracspec.gridop import CoefficientField, assemble, build_grid, make_coefficients
 from fracspec.spectral import (
+    SpectralDecomposition,
     SpectrumCapError,
     apply_function,
     bessel_apply,
@@ -61,6 +65,24 @@ def test_reconstruction_residual_random_bump():
     dec = eigendecompose(op)
     resid = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T - op.matrix
     assert np.abs(resid).max() <= 1e-8 * np.abs(dec.eigenvalues).max()
+
+
+def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
+    # the 1-D Dirichlet modes are even or odd, so their largest entries tie in
+    # pairs: a largest-entry-positive rule leaves syevd and evr apart on 31 columns
+    _, op = bump_operator(n=130)
+    raw = scipy.linalg.eigh(op.matrix)[1]
+    assert np.any((np.linalg.eigh(op.matrix)[1] * raw).sum(axis=0) < 0)
+    numpy_dec = eigendecompose(op)
+    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
+    scipy_dec = eigendecompose(op)
+    assert np.abs(numpy_dec.eigenvectors - scipy_dec.eigenvectors).max() <= 1e-10
+    # a flip by -1 is exact, so f(L) keeps its bytes
+    f = np.random.default_rng(3).standard_normal(op.n_dof)
+    unflipped = SpectralDecomposition(scipy_dec.eigenvalues, raw, op)
+    mult = scipy_dec.spectrum ** 0.3
+    assert (apply_function(scipy_dec, mult, f).tobytes()
+            == apply_function(unflipped, mult, f).tobytes())
 
 
 def test_cap_exceeded_message():
@@ -258,6 +280,20 @@ def test_fractional_power_self_adjoint():
 
 
 # --- Bessel potentials ------------------------------------------------------
+
+@pytest.mark.parametrize("shape, axes", [((254,), (0,)), ((256, 7), (0,)), ((64, 64, 3), (0, 1))])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dst1_matches_scipy_dstn_oracle(shape, axes, dtype):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        x += 1j * rng.standard_normal(shape)
+    y = spectral._dst1(x, axes)
+    oracle = scipy.fft.dstn(x, type=1, axes=axes, norm="ortho")
+    assert y.dtype == oracle.dtype
+    assert np.abs(y - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    assert np.abs(spectral._dst1(y, axes) - x).max() <= 1e-14 * np.abs(x).max()
+
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_bessel_zero_order_is_identity(boundary):
