@@ -14,6 +14,7 @@ error (non-convergence, blow-up, degenerate input, failed self-check),
 import argparse
 import importlib.metadata
 import json
+import math
 import platform
 import sys
 import time
@@ -26,6 +27,9 @@ import numpy as np
 from . import __version__
 from .evolution import (
     PICARD_WORKING_SET,
+    VISCOUS_WORKING_SET,
+    Nonlinearity,
+    _time_grid,
     gradient_nonlinearity,
     kato_ponce_check,
     picard_solve,
@@ -35,6 +39,7 @@ from .evolution import (
 )
 from .extension import conormal_recover, doubling_ratio, energy_report, extend, geometric_ladder
 from .gridop import (
+    CoefficientField,
     Grid,
     NumericalError,
     _write_csv,
@@ -66,15 +71,17 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     grid: Grid
-    coefficients_kind: str
-    coefficients_params: dict
-    table_path: str | None
+    field: CoefficientField
     alpha: list
     task: str
     task_params: dict
     output_dir: Path
     seed: int
     echo: dict
+    # built at parse time by the library constructors that own their rules
+    ladder: np.ndarray | None = None
+    nonlinearity: Nonlinearity | None = None
+    spec: VanishingSpec | None = None
 
 
 def _kind_name(kind) -> str:
@@ -181,24 +188,16 @@ def _within_cap(grid: Grid, what: str, remedy: str) -> None:
                           f"cap {DEFAULT_DOF_CAP}; {remedy}")
 
 
-def _check_lengths(task: str, p: dict, dim: int) -> None:
-    """Reject list params whose length does not fit the grid dimension, naming the key."""
-    centers = [("'center'", p["center"])] if "center" in p else []
-    if "center" in p.get("u0", {}):
-        centers.append(("u0 'center'", p["u0"]["center"]))
-    for key, center in centers:
-        if isinstance(center, list) and len(center) != dim:
-            raise ConfigError(f"{key} must be one number or {dim} numbers, got {center}")
-    n_vars = 2 if task == "picard" else 2 + 2 * dim
-    for term in p.get("nonlinearity", []):
-        if len(term["powers"]) != n_vars:
-            raise ConfigError(f"nonlinearity 'powers' of {task} must have length {n_vars}, "
-                              f"got {term['powers']}")
-    for key in ("theta", "f_support"):
-        if key in p:
-            pairs = p[key] if p[key] and isinstance(p[key][0], list) else [p[key]]
-            if len(pairs) != dim or any(len(pair) != 2 for pair in pairs):
-                raise ConfigError(f"{key!r} must be {dim} [lo, hi] pair(s), got {p[key]}")
+def _built(keys: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError it raises becomes a ConfigError led by ``keys``.
+
+    ``build`` is the library constructor that owns the rules of the values it
+    reads, so parsing states none of them again.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{keys}: {err}") from None
 
 
 def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
@@ -208,20 +207,12 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
             value = alpha if key == "alpha" else p[key]
             raise ConfigError(f"{key!r} of {task} must be {rule}, got {value}")
 
-    if p.get("radii") is not None:
-        need(p["radii"] and min(p["radii"]) > 0, "radii", "a nonempty list of positive radii")
+    centers = {"'center'": p.get("center"), "u0 'center'": p.get("u0", {}).get("center")}
+    for key, center in centers.items():
+        if isinstance(center, list) and len(center) != grid.dim:
+            raise ConfigError(f"{key} must be one number or {grid.dim} numbers, got {center}")
     if "y0" in p:  # the extension tasks
         need(0.0 < alpha < 1.0, "alpha", "in (0, 1)")
-        need(p["y0"] > 0, "y0", "> 0")
-        need(p["y_ratio"] > 1, "y_ratio", "> 1")
-        need(p["y_count"] >= 3, "y_count", ">= 3")
-    if "dt" in p:  # the evolution tasks
-        need(p["t_final"] > 0, "t_final", "> 0")
-        need(p["dt"] > 0, "dt", "> 0")
-        terms_ok = all(min(t["powers"]) >= 0
-                       and (sum(t["powers"]) >= 2 or t["coeff_re"] == t["coeff_im"] == 0)
-                       for t in p["nonlinearity"])
-        need(terms_ok, "nonlinearity", "terms with 'powers' >= 0 and a total degree >= 2")
     if task in ("viscous", "viscosity_convergence"):
         need(p["s"] >= 0 and p["s"] % 2 == 0, "s", "an even integer >= 0")
     if task == "viscous":
@@ -230,29 +221,87 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
         eps = p["epsilons"]
         need(len(eps) >= 2 and all(a >= b for a, b in zip(eps, eps[1:])), "epsilons",
              "two or more nonincreasing values")
-    if task == "picard" and p["c_est"] is not None:
-        need(p["c_est"] > 0, "c_est", "> 0")
+    if task == "picard":
+        need(p["max_iter"] >= 1, "max_iter", ">= 1")
+        if p["c_est"] is not None:
+            need(p["c_est"] > 0, "c_est", "> 0")
+    if task == "norm_equiv":
+        need(p["n_bumps"] >= 0, "n_bumps", ">= 0")
     if task == "kp_check":
         need(p["l"] > 0, "l", "> 0")
         need(p["n_pairs"] >= 1, "n_pairs", ">= 1")
     if task == "uc_probe":
         need(p["alphas"] and all(0 < a <= 1 for a in p["alphas"]), "alphas",
              "a nonempty list in (0, 1]")
-        try:
-            VanishingSpec.create(p["theta"], p["f_support"], grid.dim).check_inside(grid)
-        except ValueError as err:
-            raise ConfigError(f"'theta' / 'f_support' of uc_probe: {err}") from None
-    # the state entries held at once: every time step of every run, or every y
-    # node; a Picard sweep holds PICARD_WORKING_SET arrays of its states' size
+    # the state-sized arrays held at once: every y node, or every time step times
+    # the solver's measured working set, to which each further viscosity run adds
+    # its states. Checked before _time_grid allocates the steps; a zero dt never ends
     keys, held = "'y_count'", p.get("y_count", 0)
     if "dt" in p:
         keys = "'t_final' / 'dt'"
-        held = (p["t_final"] / p["dt"] + 1.0) * len(p.get("epsilons", [0]))
-        if task == "picard":
-            held *= PICARD_WORKING_SET
+        held = ((p["t_final"] / p["dt"] if p["dt"] else math.inf) + 1.0) * (
+            PICARD_WORKING_SET if task == "picard"
+            else VISCOUS_WORKING_SET + len(p.get("epsilons", [0])) - 1)
     if held * grid.n_dof > DEFAULT_DOF_CAP**2:
         raise ConfigError(f"{keys} give {held:.4g} arrays of {grid.n_dof} dofs held at once, "
                           f"over the memory guard of {DEFAULT_DOF_CAP}^2 entries")
+
+
+def _task_inputs(task: str, p: dict, grid: Grid, seed: int) -> dict:
+    """The ladder, nonlinearity or vanishing set of the task, as RunConfig fields.
+
+    Each is made by the library constructor that checks it. The default
+    ``doubling`` radii are filled in, since they depend on the ladder.
+    """
+    inputs = {}
+    if "y0" in p:  # the extension tasks
+        inputs["ladder"] = _built(f"'y0' / 'y_ratio' / 'y_count' of {task}", geometric_ladder,
+                                  p["y0"], p["y_ratio"], p["y_count"])
+    if task == "doubling":
+        # every half ball of radius >= h holds the dof node nearest the center, at most
+        # h sqrt(dim)/2 off; a radius fits when its double fits the sampled half space
+        h, fits = grid.spacing, min(grid.half_length, float(inputs["ladder"][-1])) / 2.0
+        if p["radii"] is None:
+            p["radii"] = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
+        if not (p["radii"] and 0 < min(p["radii"]) and max(p["radii"]) <= fits):
+            raise ConfigError(f"'radii' of doubling must be a nonempty list in (0, {fits:.6g}], "
+                              f"half of min(half_length, y_max), got {p['radii']}")
+    if "dt" in p:  # the evolution tasks
+        _built(f"'t_final' / 'dt' of {task}", _time_grid, p["t_final"], p["dt"])
+        terms = [(complex(term["coeff_re"], term["coeff_im"]), term["powers"])
+                 for term in p["nonlinearity"]]
+        keys = f"'nonlinearity' of {task}"
+        inputs["nonlinearity"] = (
+            _built(keys, polynomial_nonlinearity, terms) if task == "picard"
+            else _built(keys, gradient_nonlinearity, terms, dim=grid.dim, seed=seed))
+    if task == "uc_probe":
+        keys = "'theta' / 'f_support' of uc_probe"
+        spec = inputs["spec"] = _built(keys, VanishingSpec.create, p["theta"], p["f_support"],
+                                       grid.dim)
+        _built(keys, spec.check_inside, grid)
+        if 1.0 in p["alphas"]:  # dichotomy_sweep shrinks theta by the stencil width
+            _built("'theta' of uc_probe with alpha 1", spec.shrunk_theta, grid.spacing)
+    return inputs
+
+
+def _field(grid: Grid, coefficients: dict) -> CoefficientField:
+    """The coefficient field, made or loaded and checked by gridop."""
+    kind, table_path = coefficients["kind"], coefficients["table_path"]
+    if kind not in _FIELD_PARAMS:
+        raise ConfigError(f"unknown coefficients kind {kind!r}; "
+                          f"expected one of {tuple(_FIELD_PARAMS)}")
+    given = coefficients["params"]
+    params = _params(given, _FIELD_PARAMS[kind], f"params of coefficients kind {kind!r}")
+    if (kind == "tabulated") != (table_path is not None):
+        raise ConfigError("coefficients need 'table_path' exactly when their kind is 'tabulated'")
+    if table_path is not None:
+        if not Path(table_path).is_file():
+            raise ConfigError(f"coefficients 'table_path' is not a file: {table_path}")
+        return _built(f"coefficients 'table_path' {table_path}", load_coefficients_csv,
+                      grid, table_path)
+    # only the given params: make_coefficients holds the defaults
+    return _built(f"coefficients 'params' of kind {kind!r}", make_coefficients, grid, kind,
+                  {key: value for key, value in params.items() if key in given})
 
 
 def _u0(spec: dict, n_dof: int) -> dict:
@@ -279,23 +328,9 @@ def parse_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     root = _params(raw, _ROOT, "config root")
-    try:
-        grid = build_grid(**root["grid"])
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
+    grid = _built("grid", build_grid, **root["grid"])
     _within_cap(grid, f"grid with 'n' = {grid.points_per_axis}", "reduce 'n'")
-
-    coefficients = root["coefficients"]
-    kind, table_path = coefficients["kind"], coefficients["table_path"]
-    if kind not in _FIELD_PARAMS:
-        raise ConfigError(f"unknown coefficients kind {kind!r}; "
-                          f"expected one of {tuple(_FIELD_PARAMS)}")
-    given = coefficients["params"]
-    params = _params(given, _FIELD_PARAMS[kind], f"params of coefficients kind {kind!r}")
-    if (kind == "tabulated") != (table_path is not None):
-        raise ConfigError("coefficients need 'table_path' exactly when their kind is 'tabulated'")
-    if table_path is not None and not Path(table_path).is_file():
-        raise ConfigError(f"coefficients 'table_path' is not a file: {table_path}")
+    field = _field(grid, root["coefficients"])
 
     alphas = root["alpha"] if isinstance(root["alpha"], list) else [root["alpha"]]
     if not alphas or min(alphas) < 0:
@@ -307,9 +342,9 @@ def parse_config(path: str | Path) -> RunConfig:
     task_params = _params(root["task_params"], TASKS[task][1], "task_params")
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
-    _check_lengths(task, task_params, grid.dim)
     _check_values(task, task_params, grid, alphas[0])
-    if task == "norm_equiv" and task_params["refine"] and kind != "tabulated":
+    inputs = _task_inputs(task, task_params, grid, root["seed"])
+    if task == "norm_equiv" and task_params["refine"] and field.kind != "tabulated":
         _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
                     "reduce 'n' or set 'refine' to false")
     output_dir = Path(root["output_dir"])
@@ -318,27 +353,20 @@ def parse_config(path: str | Path) -> RunConfig:
 
     return RunConfig(
         grid=grid,
-        coefficients_kind=kind,
-        coefficients_params={key: value for key, value in params.items() if key in given},
-        table_path=table_path,
+        field=field,
         alpha=alphas,
         task=task,
         task_params=task_params,
         output_dir=output_dir,
         seed=root["seed"],
         echo=raw,
+        **inputs,
     )
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
-
-def _field_for(cfg: RunConfig):
-    if cfg.coefficients_kind == "tabulated":
-        return load_coefficients_csv(cfg.grid, cfg.table_path)
-    return make_coefficients(cfg.grid, cfg.coefficients_kind, cfg.coefficients_params)
-
 
 def _build_state(cfg: RunConfig, dec, rng) -> np.ndarray:
     u0 = cfg.task_params["u0"]
@@ -350,11 +378,6 @@ def _build_state(cfg: RunConfig, dec, rng) -> np.ndarray:
     raw = rng.standard_normal(dec.n_dof)
     damping = np.exp(-dec.eigenvalues / max(dec.eigenvalues[-1] / 16.0, 1e-12))
     return u0["scale"] * apply_function(dec, damping, raw)
-
-
-def _terms(cfg: RunConfig) -> list:
-    return [(complex(term["coeff_re"], term["coeff_im"]), term["powers"])
-            for term in cfg.task_params["nonlinearity"]]
 
 
 _LADDER = {"u0": (dict, {}), "y0": (float, 1e-3), "y_ratio": (float, 1.2), "y_count": (int, 55)}
@@ -410,18 +433,15 @@ def _run_funcalc(cfg, dec, rng, outdir):
 @_task("norm_equiv", {"n_bumps": (int, 12), "refine": (bool, True)})
 def _run_norm_equiv(cfg, dec, rng, outdir):
     p = cfg.task_params
-    reports = [norm_equivalence(dec.source, alpha, n_bumps=p["n_bumps"], seed=cfg.seed,
-                                dec=dec, refine=p["refine"]).to_json_dict()
-               for alpha in cfg.alpha]
+    reports = [r.to_json_dict() for r in norm_equivalence(
+        dec.source, cfg.alpha, n_bumps=p["n_bumps"], seed=cfg.seed, dec=dec, refine=p["refine"])]
     (outdir / "norm_equiv.json").write_text(json.dumps({"reports": reports}, indent=2) + "\n")
     ok = all(0.0 < r["ratio_min"] <= r["ratio_max"] < np.inf for r in reports)
     return {"ratio_bracket_finite": bool(ok)}, ["norm_equiv.json"]
 
 
 def _extension_for(cfg, dec, rng):
-    p = cfg.task_params
-    ys = geometric_ladder(p["y0"], p["y_ratio"], p["y_count"])
-    return extend(dec, cfg.alpha[0], _build_state(cfg, dec, rng), ys)
+    return extend(dec, cfg.alpha[0], _build_state(cfg, dec, rng), cfg.ladder)
 
 
 @_task("extend", _LADDER)
@@ -466,13 +486,7 @@ def _run_energy(cfg, dec, rng, outdir):
 @_task("doubling", {**_LADDER, "radii": ([float], None), "center": ((float, [float]), 0.0)})
 def _run_doubling(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
-    radii = cfg.task_params["radii"]
-    if radii is None:
-        # every half ball of radius >= h holds the dof node nearest the center, at most
-        # h sqrt(dim)/2 off; keep the radii whose double fits the sampled half space
-        h = cfg.grid.spacing
-        fits = min(cfg.grid.half_length, float(ext.y_nodes[-1])) / 2.0
-        radii = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
+    radii = cfg.task_params["radii"]  # parse_config fills in the default
     rows = doubling_ratio(ext, radii, center=cfg.task_params["center"])
     ratios = [r for _, r in rows]
     _write_csv(outdir / "doubling.csv", "radius,ratio", [radii, ratios])
@@ -485,7 +499,7 @@ def _run_doubling(cfg, dec, rng, outdir):
 def _run_picard(cfg, dec, rng, outdir):
     p = cfg.task_params
     traj = picard_solve(
-        dec, cfg.alpha[0], _build_state(cfg, dec, rng), polynomial_nonlinearity(_terms(cfg)),
+        dec, cfg.alpha[0], _build_state(cfg, dec, rng), cfg.nonlinearity,
         t_final=p["t_final"], dt=p["dt"], tol=p["tol"], max_iter=p["max_iter"],
         grid=cfg.grid, s=p["s"], c_est=p["c_est"],
     )
@@ -503,9 +517,8 @@ def _run_picard(cfg, dec, rng, outdir):
 @_task("viscous", {**_VISCOUS, "eps": (float, 0.05)})
 def _run_viscous(cfg, dec, rng, outdir):
     p = cfg.task_params
-    nl = gradient_nonlinearity(_terms(cfg), dim=cfg.grid.dim, seed=cfg.seed)
     traj = viscous_solve(
-        dec, cfg.alpha[0], p["eps"], _build_state(cfg, dec, rng), nl,
+        dec, cfg.alpha[0], p["eps"], _build_state(cfg, dec, rng), cfg.nonlinearity,
         t_final=p["t_final"], dt=p["dt"], grid=cfg.grid, s=p["s"], c_est=p["c_est"],
     )
     traj.export_csv(outdir / "trajectory.csv")
@@ -520,9 +533,8 @@ def _run_viscous(cfg, dec, rng, outdir):
 @_task("viscosity_convergence", {**_VISCOUS, "epsilons": ([float], [0.1, 0.05, 0.025, 0.0125])})
 def _run_viscosity_convergence(cfg, dec, rng, outdir):
     p = cfg.task_params
-    nl = gradient_nonlinearity(_terms(cfg), dim=cfg.grid.dim, seed=cfg.seed)
     table = viscosity_convergence(
-        dec, cfg.alpha[0], _build_state(cfg, dec, rng), nl,
+        dec, cfg.alpha[0], _build_state(cfg, dec, rng), cfg.nonlinearity,
         t_final=p["t_final"], epsilons=p["epsilons"], dt=p["dt"], grid=cfg.grid, s=p["s"],
         c_est=p["c_est"],
     )
@@ -539,9 +551,7 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
                     "f_support": (([float], [[float]]), [1.0, 2.0]),
                     "alphas": ([float], [0.25, 0.5, 0.75, 1.0])})
 def _run_uc_probe(cfg, dec, rng, outdir):
-    p = cfg.task_params
-    spec = VanishingSpec.create(theta=p["theta"], f_support=p["f_support"], dim=cfg.grid.dim)
-    rows = dichotomy_sweep(dec, spec, p["alphas"])
+    rows = dichotomy_sweep(dec, cfg.spec, cfg.task_params["alphas"])
     sweep_to_csv(rows, outdir / "uc_sweep.csv")
     ok = all(
         (ratio == 0.0 if alpha == 1.0 else ratio > NONLOCALITY_FLOOR)
@@ -586,8 +596,7 @@ def run(cfg: RunConfig) -> int:
     code = 0
     try:
         runner, _ = TASKS[cfg.task]
-        field = _field_for(cfg)
-        dec = eigendecompose(assemble(cfg.grid, field))
+        dec = eigendecompose(assemble(cfg.grid, cfg.field))
         rng = np.random.default_rng(cfg.seed)
         invariants, artifacts = runner(cfg, dec, rng, outdir)
         manifest["invariants"] = invariants
@@ -597,12 +606,10 @@ def run(cfg: RunConfig) -> int:
             code = 1
     except Exception as err:  # every failure writes the manifest, its status names the kind
         manifest["error"] = f"{type(err).__name__}: {err}"
-        code, manifest["status"] = (
-            (3, "numerical_error") if isinstance(err, NumericalError)
-            else (2, "config_error") if isinstance(err, ValueError)
-            else (4, "internal_error"))
+        code, manifest["status"] = ((3, "numerical_error") if isinstance(err, NumericalError)
+                                    else (4, "internal_error"))
         if code == 4:
-            traceback.print_exc()  # not a failure the contract names: show where it came from
+            traceback.print_exc()  # parsing caught every config error, so this is a fault
     manifest["wall_time_s"] = time.perf_counter() - started
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return code

@@ -294,6 +294,8 @@ def picard_solve(
     """
     if nonlinearity.kind != "polynomial":
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     times = _time_grid(t_final, dt)
     if c_est is not None:
         t_star = estimate_t_star(u0, s, nonlinearity.n1 or 2, nonlinearity.n2 or 2,
@@ -369,6 +371,12 @@ def _equation_residual(dec, symbol, states, times, forcing, grid):
     out[1:-1] = np.linalg.norm(resid_interior, axis=1) * weight
     out[0], out[-1] = out[1], out[-2]
     return out
+
+
+# viscous_solve's peak memory over the bytes of its states array, measured with
+# tracemalloc (1-D, 64 dofs, a gradient-cubic term): 7.04 at 2000 steps, 7.49 at
+# 500, set by the monitor norms, nonlinearity and equation residual after the steps.
+VISCOUS_WORKING_SET = 8.0
 
 
 def viscous_solve(

@@ -42,10 +42,14 @@ def conormal_constant(alpha: float) -> float:
 
 
 def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> np.ndarray:
-    """Geometric y ladder y0 * ratio^k."""
+    """Geometric y ladder y0 * ratio^k, k = 0..count-1."""
     if y0 <= 0 or ratio <= 1 or count < 3:
         raise ValueError("ladder requires y0 > 0, ratio > 1, count >= 3")
-    return y0 * ratio ** np.arange(count)
+    with np.errstate(over="ignore"):
+        ys = y0 * ratio ** np.arange(count)
+    if not np.isfinite(ys[-1]):
+        raise ValueError(f"ladder top node y0 * ratio^{count - 1} overflows")
+    return ys
 
 
 def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:

@@ -151,7 +151,9 @@ def min_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _validate_field(a: np.ndarray, c: np.ndarray, grid: Grid) -> float:
-    """Check symmetry / ellipticity / nonnegativity; return the ellipticity bound."""
+    """Check finiteness / symmetry / ellipticity / nonnegativity; return the ellipticity bound."""
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise ValueError("coefficients are not finite")
     asym = np.abs(a - np.transpose(a, (0, 2, 1))).max(axis=(1, 2))
     if asym.max() > 0:
         node = int(np.argmax(asym))
@@ -200,6 +202,8 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
             raise ValueError("M must be symmetric")
         c_amp = float(params.get("c_amp", 0.0))
         c_w = float(params.get("c_w", w))
+        if not (w > 0 and c_w > 0):
+            raise ValueError(f"widths w and c_w must be > 0, got {w} and {c_w}")
         r2 = (grid.nodes() ** 2).sum(axis=1)
         bump = np.exp(-r2 / w**2)
         a = np.eye(dim) + s * bump[:, None, None] * m

@@ -92,7 +92,7 @@ def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.where(lam <= tol, 0.0, lam)
 
 
-def eigendecompose(op: DiscreteOperator, cap: int = DEFAULT_DOF_CAP) -> SpectralDecomposition:
+def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense), validated.
 
     Up to ``NUMPY_EIGH_MAX_DOF`` dofs this is ``np.linalg.eigh``; above it,
@@ -102,9 +102,9 @@ def eigendecompose(op: DiscreteOperator, cap: int = DEFAULT_DOF_CAP) -> Spectral
     eigenvalues, where the basis itself does.
     """
     n = op.matrix.shape[0]
-    if n > cap:
+    if n > DEFAULT_DOF_CAP:
         raise SpectrumCapError(
-            f"{n} degrees of freedom exceed the dense-solve cap {cap}; reduce N"
+            f"{n} degrees of freedom exceed the dense-solve cap {DEFAULT_DOF_CAP}; reduce N"
         )
     if n <= NUMPY_EIGH_MAX_DOF:
         lam, v = np.linalg.eigh(op.matrix)
@@ -310,42 +310,40 @@ def refined_grid(grid: Grid) -> Grid:
 
 def norm_equivalence(
     op: DiscreteOperator,
-    alpha: float,
+    alphas,
     n_bumps: int = 12,
     seed: int = 0,
     dec: SpectralDecomposition | None = None,
     refine: bool = True,
-) -> NormEquivalenceReport:
-    """Measured equivalence bracket, with drift against the doubled grid.
+) -> list[NormEquivalenceReport]:
+    """Measured equivalence brackets, one report per alpha, with drift against the doubled grid.
 
     The equivalence constants are not quantified in the continuum theory;
-    the report carries the observed bracket and its relative change when
-    the same coefficient family is re-assembled at doubled resolution.
+    each report carries the observed bracket and its relative change when
+    the same coefficient family is re-assembled at doubled resolution. Every
+    alpha samples the same test functions, and the doubled grid is
+    decomposed once for all of them.
     """
     grid = op.grid
     if dec is None:
         dec = eigendecompose(op)
     rng = np.random.default_rng(seed)
     bumps = _gaussian_bump_params(rng, grid.half_length, grid.dim, n_bumps)
-    ratios = _equivalence_ratios(dec, grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
-    lo, hi = float(ratios.min()), float(ratios.max())
-
-    drift = None
+    fine_dec = None
     if refine and op.coefficients.kind != "tabulated":
         fine_grid = refined_grid(grid)
         fine_field = make_coefficients(fine_grid, op.coefficients.kind, op.coefficients.params)
         fine_dec = eigendecompose(assemble(fine_grid, fine_field))
-        fine = _equivalence_ratios(fine_dec, fine_grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
-        drift = max(
-            abs(float(fine.min()) - lo) / lo,
-            abs(float(fine.max()) - hi) / hi,
-        )
-    return NormEquivalenceReport(
-        alpha=alpha,
-        n_samples=len(ratios),
-        ratio_min=lo,
-        ratio_max=hi,
-        refinement_drift=drift,
-        lambda_min=float(dec.eigenvalues[0]),
-        lambda_max=float(dec.eigenvalues[-1]),
-    )
+
+    reports = []
+    for alpha in alphas:
+        ratios = _equivalence_ratios(dec, grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
+        lo, hi = float(ratios.min()), float(ratios.max())
+        drift = None
+        if fine_dec is not None:
+            fine = _equivalence_ratios(fine_dec, fine_dec.source.grid, alpha, bumps,
+                                       EIGENVECTOR_SAMPLE_INDICES)
+            drift = max(abs(float(fine.min()) - lo) / lo, abs(float(fine.max()) - hi) / hi)
+        reports.append(NormEquivalenceReport(alpha, len(ratios), lo, hi, drift,
+                                             *map(float, dec.eigenvalues[[0, -1]])))
+    return reports

@@ -166,10 +166,9 @@ def test_criterion_05_norm_equivalence():
     # variable coefficients: bracket drift under N = 64 -> 128 refinement
     _, op64 = make_operator(64, "radial_bump", BUMP_PARAMS)
     drifts = {}
-    for alpha in alphas:
-        rep = norm_equivalence(op64, alpha, n_bumps=12, seed=0)
+    for rep in norm_equivalence(op64, alphas, n_bumps=12, seed=0):
         assert rep.refinement_drift <= 0.10
-        drifts[alpha] = rep.refinement_drift
+        drifts[rep.alpha] = rep.refinement_drift
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     report(5, "norm equivalence",

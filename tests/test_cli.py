@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.metadata
 import importlib.util
 import json
@@ -221,19 +220,6 @@ def test_run_viscous_blowup_exit_code(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "numerical_error"
     assert "BlowUpError" in manifest["error"]
-
-
-def test_run_invalid_alpha_for_extension_is_config_error(tmp_path):
-    # parsing rejects this alpha; a RunConfig built around the parser still gets exit 2
-    out = tmp_path / "out"
-    cfg = parse_config(write_config(
-        tmp_path, output_dir=str(out), task="extend",
-        overrides={"grid": {"dim": 1, "n": 17, "half_length": 8.0,
-                            "boundary": "dirichlet"}},
-    ))
-    assert run(dataclasses.replace(cfg, alpha=[1.5])) == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "config_error"
 
 
 @pytest.mark.parametrize("task,params,key,artifact", [
@@ -504,6 +490,30 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "theta": [0.5, 1.5]}}, "theta"),
     "uc_probe_support_outside_box": ("uc_probe", {"grid": GRID_64, "task_params": {
         "f_support": [7.0, 9.0]}}, "f_support"),
+    "bump_m_not_symmetric": ("spectrum", {"grid": GRID_2D, "coefficients": {
+        "kind": "radial_bump", "params": {"M": [[1.0, 2.0], [3.0, 1.0]]}}}, "'params'"),
+    "bump_m_2x2_on_1d_grid": ("spectrum", {"coefficients": {
+        "kind": "radial_bump", "params": {"M": [[1.0, 0.0], [0.0, 1.0]]}}}, "'params'"),
+    "bump_not_elliptic": ("spectrum", {"grid": GRID_64, "coefficients": {
+        "kind": "radial_bump", "params": {"s": -2.0}}}, "'params'"),
+    "bump_c_amp_negative": ("spectrum", {"grid": GRID_64, "coefficients": {
+        "kind": "radial_bump", "params": {"c_amp": -1.0}}}, "'params'"),
+    "bump_width_zero": ("spectrum", {"coefficients": {
+        "kind": "radial_bump", "params": {"w": 0.0}}}, "'params'"),  # 0/0 at the origin
+    "table_of_wrong_shape": ("spectrum", {"coefficients": {
+        "kind": "tabulated", "table_path": "table.csv"}}, "'table_path'"),  # 2 rows, not 33
+    "doubling_radius_over_half_space": ("doubling", {"grid": GRID_64, "task_params": {
+        "radii": [5.0]}}, "'radii'"),  # the doubled radius 10 exceeds X = 8
+    "uc_probe_theta_emptied_by_stencil": ("uc_probe", {"grid": {**SMALL_GRID, "n": 9}},
+                                          "'theta'"),  # [-1, 0] shrunk by h = 2
+    "extend_ladder_overflows": ("extend", {"grid": GRID_64, "task_params": {
+        "y_count": 4096}}, "'y_count'"),  # 1e-3 * 1.2^4095 is inf
+    "picard_max_iter_zero": ("picard", {"grid": GRID_64, "task_params": {"max_iter": 0}},
+                             "'max_iter'"),
+    "norm_equiv_n_bumps_negative": ("norm_equiv", {"grid": GRID_64, "task_params": {
+        "n_bumps": -3}}, "'n_bumps'"),
+    "viscous_working_set_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {
+        "t_final": 100.0}}, "'dt'"),  # 100001 states, 8 times over
 }
 
 
@@ -514,10 +524,12 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
 
     monkeypatch.setattr(cli, "assemble", refuse)
     monkeypatch.setattr(cli, "eigendecompose", refuse)
+    monkeypatch.chdir(tmp_path)  # a table_path is relative to the run directory
     task, overrides, key = CAUGHT_BEFORE_ASSEMBLY[case]
     out = tmp_path / "out"
     if case.startswith("output_dir"):
         out.write_text("taken\n")
+    Path("table.csv").write_text("0,1.0,0.0\n1,1.0,0.0\n")
     path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
                         task=task, output_dir=str(out / "run" if "below" in case else out))
     if case == "config_path_is_a_directory":
@@ -540,12 +552,16 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
-    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {"y_count": 4096}}),  # guard edge
+    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # guard edge
+        "y_ratio": 1.1, "y_count": 4096}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 20.0}}),  # 13 x 20001 states
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)
-    Path("table.csv").write_text("")  # parsing checks only that the table file exists
+    # an identity table on the 2-D n = 34 grid: parsing loads and checks it
+    ij = np.indices((34, 34)).reshape(2, -1).T
+    rows = np.column_stack([ij, np.tile([1.0, 0.0, 0.0, 1.0, 0.0], (len(ij), 1))])
+    np.savetxt("table.csv", rows, delimiter=",")
     assert parse_config(write_config(tmp_path, overrides, task=task)).grid.n_dof <= 4096
 
 
@@ -560,7 +576,7 @@ def test_parse_types_and_defaults_of_task_params(tmp_path):
     # coefficient params keep only the given keys: make_coefficients holds the defaults
     cfg = parse_config(write_config(tmp_path, overrides={"coefficients": {
         "kind": "radial_bump", "params": {"s": 1, "M": [[2]]}}}))
-    assert cfg.coefficients_params == {"s": 1.0, "M": [[2.0]]}
+    assert cfg.field.params == {"s": 1.0, "M": [[2.0]]}
 
 
 @pytest.mark.parametrize("dim, task, params", [
@@ -572,7 +588,8 @@ def test_parse_types_and_defaults_of_task_params(tmp_path):
     (2, "uc_probe", {"theta": [[-1.0, 0.0], [-1.0, 1.0]], "f_support": [[1.0, 2.0], [-1, 1]]}),
 ])
 def test_parse_keeps_every_accepted_shape(tmp_path, dim, task, params):
-    grid = {**SMALL_GRID, "dim": dim, "n": 12 if dim == 2 else 33}
+    # fine enough that the alpha = 1 stencil margin leaves the default theta nonempty
+    grid = {**SMALL_GRID, "dim": dim, "n": 40 if dim == 2 else 65}
     cfg = parse_config(write_config(tmp_path, task=task,
                                     overrides={"grid": grid, "task_params": params}))
     p = cfg.task_params
@@ -592,18 +609,20 @@ def test_run_2d_uc_probe_with_per_axis_boxes(tmp_path):
 
 
 def test_unexpected_exception_writes_internal_error_manifest(tmp_path, monkeypatch, capsys):
-    def broken(cfg, dec, rng, outdir):
-        raise TypeError("unsupported operand")
+    # parsing catches every config error, so a ValueError in a run is a fault as well
+    for error in (TypeError("unsupported operand"), ValueError("bad value")):
+        def broken(cfg, dec, rng, outdir):
+            raise error
 
-    monkeypatch.setitem(TASKS, "spectrum", (broken, {}))
-    out = tmp_path / "out"
-    cfg = parse_config(write_config(tmp_path, output_dir=str(out),
-                                    overrides={"grid": SMALL_GRID}))
-    assert run(cfg) == 4
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "internal_error"
-    assert manifest["error"] == "TypeError: unsupported operand"
-    assert "in broken" in capsys.readouterr().err  # the traceback goes to stderr
+        monkeypatch.setitem(TASKS, "spectrum", (broken, {}))
+        out = tmp_path / type(error).__name__
+        cfg = parse_config(write_config(tmp_path, output_dir=str(out),
+                                        overrides={"grid": SMALL_GRID}))
+        assert run(cfg) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "internal_error"
+        assert manifest["error"] == f"{type(error).__name__}: {error}"
+        assert "in broken" in capsys.readouterr().err  # the traceback goes to stderr
 
 
 def _bump_dec(n=33):
@@ -622,7 +641,7 @@ def test_corrupted_decomposition_and_extension_raise_numerical_error():
         extend(scaled, 0.5, dec.eigenvectors[:, 0], np.array([1e-3, 2e-3, 4e-3]))
     assert issubclass(DegenerateInputError, NumericalError)
     assert not issubclass(DegenerateInputError, ValueError)
-    assert issubclass(SpectrumCapError, ValueError)  # a dense-cap refusal is a config error
+    assert issubclass(SpectrumCapError, ValueError)
 
 
 def test_failed_self_check_exits_3(tmp_path, monkeypatch):

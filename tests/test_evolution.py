@@ -6,6 +6,7 @@ import pytest
 
 from fracspec.evolution import (
     PICARD_WORKING_SET,
+    VISCOUS_WORKING_SET,
     BlowUpError,
     PicardConvergenceError,
     check_energy_hypothesis,
@@ -212,18 +213,46 @@ def test_picard_equation_residual_within_dt_squared():
     assert traj.monitors["equation_residual"][1:-1].max() <= 10.0 * dt**2
 
 
+def _traced_peak(solve):
+    """``solve()`` and its peak traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        result = solve()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_picard_working_set_matches_tracemalloc_peak():
     # the parse-time memory guard charges a Picard run PICARD_WORKING_SET state arrays
     g, dec = grid_dec(n=66)
     u0 = 0.2 * np.exp(-g.dof_nodes().ravel() ** 2 / 2.0)
-    tracemalloc.start()
-    try:
-        traj = picard_solve(dec, 0.5, u0, CUBIC, t_final=2.0, dt=1e-3, grid=g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = _traced_peak(lambda: picard_solve(dec, 0.5, u0, CUBIC, t_final=2.0, dt=1e-3,
+                                                   grid=g))
     assert len(traj.picard_residual_history) > 1
     assert PICARD_WORKING_SET - 1.0 < peak / traj.states.nbytes <= PICARD_WORKING_SET
+
+
+def test_picard_rejects_max_iter_below_one():
+    g, dec = grid_dec(n=17)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, max_iter=0, grid=g)
+
+
+def test_viscous_working_set_matches_tracemalloc_peak():
+    # the parse-time memory guard charges a viscous run VISCOUS_WORKING_SET state
+    # arrays, and viscosity_convergence one more per further viscosity
+    g, dec = grid_dec(n=66)
+    u0 = 0.2 * np.exp(-g.dof_nodes().ravel() ** 2 / 2.0)
+    q = gradient_nonlinearity([(1.0, (2, 1, 0, 0))], dim=1)
+    traj, peak = _traced_peak(lambda: viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.5,
+                                                    dt=1e-3, grid=g))
+    assert VISCOUS_WORKING_SET - 1.0 < peak / traj.states.nbytes <= VISCOUS_WORKING_SET
+    epsilons = [0.1, 0.05]
+    _, peak = _traced_peak(lambda: viscosity_convergence(
+        dec, 0.5, u0, q, t_final=0.5, epsilons=epsilons, dt=1e-3, grid=g))
+    charged = VISCOUS_WORKING_SET + len(epsilons) - 1
+    assert charged - 1.0 < peak / traj.states.nbytes <= charged
 
 
 def test_picard_rejects_gradient_nonlinearity():

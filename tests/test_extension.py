@@ -183,6 +183,13 @@ def test_extend_rejects_bad_alpha_and_ladder():
         extend(dec, 0.5, u, np.array([0.1, 0.05, 0.2]))
 
 
+def test_geometric_ladder_rejects_an_overflowing_top_node():
+    with pytest.raises(ValueError, match="overflows"):
+        geometric_ladder(1e-3, 1.2, 4096)  # 1e-3 * 1.2^4095 is about 1e321
+    ys = geometric_ladder(1e-3, 1.1, 4096)
+    assert np.isfinite(ys[-1]) and ys[-1] == pytest.approx(1e-3 * 1.1**4095)
+
+
 def test_extension_contracts_in_y_and_respects_trace_mass():
     g, dec = bump_dec()
     u = gaussian_state(g)

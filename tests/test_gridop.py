@@ -79,6 +79,17 @@ def test_radial_bump_ellipticity_violation_names_origin():
         make_coefficients(g, "radial_bump", {"s": -2.0, "w": 1.0})
 
 
+@pytest.mark.parametrize("kind, params, match", [
+    ("radial_bump", {"w": 0.0}, "widths"),  # 0/0 at the origin, or a silent identity
+    ("radial_bump", {"c_w": -1.0}, "widths"),
+    ("tabulated", {"a": np.full((5, 1, 1), np.nan), "c": np.zeros(5)}, "not finite"),
+])
+def test_degenerate_fields_rejected(kind, params, match):
+    g = build_grid(1, 5, 2.0, "dirichlet")
+    with pytest.raises(ValueError, match=match):
+        make_coefficients(g, kind, params)
+
+
 def test_negative_c_rejected_with_node():
     g = build_grid(1, 5, 2.0, "dirichlet")
     a = np.ones((5, 1, 1))

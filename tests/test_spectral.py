@@ -85,10 +85,11 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
             == apply_function(unflipped, mult, f).tobytes())
 
 
-def test_cap_exceeded_message():
+def test_cap_exceeded_message(monkeypatch):
     _, op = bump_operator(n=33)
-    with pytest.raises(SpectrumCapError, match="reduce N"):
-        eigendecompose(op, cap=10)
+    monkeypatch.setattr(spectral, "DEFAULT_DOF_CAP", 10)
+    with pytest.raises(SpectrumCapError, match="cap 10; reduce N"):
+        eigendecompose(op)
 
 
 def test_apply_identity_and_power_one():
@@ -378,7 +379,7 @@ def test_bessel_rejects_wrong_state_length(boundary):
 
 def test_norm_equivalence_alpha_zero_ratio_is_two():
     g, op = bump_operator(n=17)
-    rep = norm_equivalence(op, 0.0, n_bumps=4, refine=False)
+    [rep] = norm_equivalence(op, [0.0], n_bumps=4, refine=False)
     assert rep.ratio_min == pytest.approx(2.0, rel=1e-12)
     assert rep.ratio_max == pytest.approx(2.0, rel=1e-12)
 
@@ -403,7 +404,7 @@ def test_norm_equivalence_periodic_constant_bracket(alpha):
 
 def test_norm_equivalence_report_fields_and_drift():
     _, op = bump_operator(n=33, s=0.5, w=2.0)
-    rep = norm_equivalence(op, 0.5, n_bumps=6, seed=3)
+    [rep] = norm_equivalence(op, [0.5], n_bumps=6, seed=3)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
     assert rep.refinement_drift <= 0.1
     d = rep.to_json_dict()

@@ -81,7 +81,7 @@ def test_2d_bessel_periodic_fft_matches_dense():
 def test_2d_norm_equivalence_bracket():
     g = build_grid(2, 12, 4.0, "dirichlet")
     op = assemble(g, make_coefficients(g, "radial_bump", {"s": 0.5, "w": 1.5}))
-    rep = norm_equivalence(op, 0.5, n_bumps=4, seed=0, refine=False)
+    [rep] = norm_equivalence(op, [0.5], n_bumps=4, seed=0, refine=False)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
 
 
