@@ -247,7 +247,7 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
                           f"over the memory guard of {DEFAULT_DOF_CAP}^2 entries")
 
 
-def _task_inputs(task: str, p: dict, grid: Grid, seed: int) -> dict:
+def _task_inputs(task: str, p: dict, grid: Grid) -> dict:
     """The ladder, nonlinearity or vanishing set of the task, as RunConfig fields.
 
     Each is made by the library constructor that checks it. The default
@@ -273,7 +273,7 @@ def _task_inputs(task: str, p: dict, grid: Grid, seed: int) -> dict:
         keys = f"'nonlinearity' of {task}"
         inputs["nonlinearity"] = (
             _built(keys, polynomial_nonlinearity, terms) if task == "picard"
-            else _built(keys, gradient_nonlinearity, terms, dim=grid.dim, seed=seed))
+            else _built(keys, gradient_nonlinearity, terms, dim=grid.dim))
     if task == "uc_probe":
         keys = "'theta' / 'f_support' of uc_probe"
         spec = inputs["spec"] = _built(keys, VanishingSpec.create, p["theta"], p["f_support"],
@@ -339,11 +339,13 @@ def parse_config(path: str | Path) -> RunConfig:
     task = root["task"]
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}; expected one of {tuple(TASKS)}")
+    if len(alphas) > 1 and task != "norm_equiv":  # only norm_equiv reads every alpha
+        raise ConfigError(f"'alpha' of {task} must be one number, got {alphas}")
     task_params = _params(root["task_params"], TASKS[task][1], "task_params")
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     _check_values(task, task_params, grid, alphas[0])
-    inputs = _task_inputs(task, task_params, grid, root["seed"])
+    inputs = _task_inputs(task, task_params, grid)
     if task == "norm_equiv" and task_params["refine"] and field.kind != "tabulated":
         _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
                     "reduce 'n' or set 'refine' to false")
@@ -434,7 +436,7 @@ def _run_funcalc(cfg, dec, rng, outdir):
 def _run_norm_equiv(cfg, dec, rng, outdir):
     p = cfg.task_params
     reports = [r.to_json_dict() for r in norm_equivalence(
-        dec.source, cfg.alpha, n_bumps=p["n_bumps"], seed=cfg.seed, dec=dec, refine=p["refine"])]
+        dec, cfg.alpha, n_bumps=p["n_bumps"], seed=cfg.seed, refine=p["refine"])]
     (outdir / "norm_equiv.json").write_text(json.dumps({"reports": reports}, indent=2) + "\n")
     ok = all(0.0 < r["ratio_min"] <= r["ratio_max"] < np.inf for r in reports)
     return {"ratio_bracket_finite": bool(ok)}, ["norm_equiv.json"]
@@ -501,7 +503,7 @@ def _run_picard(cfg, dec, rng, outdir):
     traj = picard_solve(
         dec, cfg.alpha[0], _build_state(cfg, dec, rng), cfg.nonlinearity,
         t_final=p["t_final"], dt=p["dt"], tol=p["tol"], max_iter=p["max_iter"],
-        grid=cfg.grid, s=p["s"], c_est=p["c_est"],
+        s=p["s"], c_est=p["c_est"],
     )
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
@@ -519,7 +521,7 @@ def _run_viscous(cfg, dec, rng, outdir):
     p = cfg.task_params
     traj = viscous_solve(
         dec, cfg.alpha[0], p["eps"], _build_state(cfg, dec, rng), cfg.nonlinearity,
-        t_final=p["t_final"], dt=p["dt"], grid=cfg.grid, s=p["s"], c_est=p["c_est"],
+        t_final=p["t_final"], dt=p["dt"], s=p["s"], c_est=p["c_est"],
     )
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
@@ -535,8 +537,7 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
     p = cfg.task_params
     table = viscosity_convergence(
         dec, cfg.alpha[0], _build_state(cfg, dec, rng), cfg.nonlinearity,
-        t_final=p["t_final"], epsilons=p["epsilons"], dt=p["dt"], grid=cfg.grid, s=p["s"],
-        c_est=p["c_est"],
+        t_final=p["t_final"], epsilons=p["epsilons"], dt=p["dt"], s=p["s"], c_est=p["c_est"],
     )
     _write_csv(outdir / "viscosity_pairs.csv", "eps,eps_prime,sup_diff", zip(*table.rows))
     (outdir / "viscosity_fit.json").write_text(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
-from .spectral import SpectralDecomposition, bessel_apply, sobolev_norm
+from .spectral import SpectralDecomposition, bessel_apply, l2_norm, sobolev_norm
 
 
 class PicardConvergenceError(NumericalError):
@@ -57,7 +57,7 @@ class Nonlinearity:
     'gradient': (z, conj z, dz_1..dz_n, d conj z_1..d conj z_n).
     Term degrees span [n1, n2] with n1 >= 2 unless the polynomial is zero.
     For gradient kind, ``energy_hypothesis`` records whether every
-    d/d(dz_j) derivative is real at sampled states.
+    d/d(dz_j) derivative is real at every conjugate-consistent state.
     """
 
     kind: str
@@ -70,9 +70,6 @@ class Nonlinearity:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def n_vars(self) -> int:
-        return 2 if self.kind == "polynomial" else 2 + 2 * self.dim
 
     def evaluate(self, states: np.ndarray, grid: Grid | None = None) -> np.ndarray:
         """Pointwise collocation evaluation; states have the dof axis first."""
@@ -127,10 +124,10 @@ def polynomial_nonlinearity(raw_terms) -> Nonlinearity:
     return Nonlinearity(kind="polynomial", terms=terms, n1=n1, n2=n2)
 
 
-def gradient_nonlinearity(raw_terms, dim: int = 1, seed: int = 0) -> Nonlinearity:
-    """Q(z, conj z, grad z, grad conj z) with the energy hypothesis sampled."""
+def gradient_nonlinearity(raw_terms, dim: int = 1) -> Nonlinearity:
+    """Q(z, conj z, grad z, grad conj z) with the energy hypothesis checked."""
     terms, n1, n2 = _normalize_terms(raw_terms, 2 + 2 * dim)
-    ok = check_energy_hypothesis(terms, dim, seed=seed) if terms else True
+    ok = check_energy_hypothesis(terms, dim)
     return Nonlinearity(kind="gradient", terms=terms, n1=n1, n2=n2, dim=dim,
                         energy_hypothesis=ok)
 
@@ -147,21 +144,23 @@ def differentiate_terms(terms, var_index):
     return tuple(out)
 
 
-def check_energy_hypothesis(terms, dim: int, seed: int = 0, n_samples: int = 64,
-                            tol: float = 1e-10) -> bool:
-    """Whether dQ/d(dz_j) is real at conjugate-consistent random states."""
-    rng = np.random.default_rng(seed)
+def check_energy_hypothesis(terms, dim: int, tol: float = 1e-10) -> bool:
+    """Whether dQ/d(dz_j) is real at every conjugate-consistent state.
+
+    With the variables (z, conj z, g, conj g), g = grad z, a polynomial is
+    real for all z and g exactly when, after equal monomials are merged, the
+    coefficient of z^a conj(z)^b g^c conj(g)^d is the conjugate of that of
+    z^b conj(z)^a g^d conj(g)^c.
+    """
     for j in range(dim):
-        dterms = differentiate_terms(terms, 2 + j)
-        if not dterms:
-            continue
-        z = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-        grads = [rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-                 for _ in range(dim)]
-        variables = [z, np.conj(z)] + grads + [np.conj(g) for g in grads]
-        vals = _evaluate_terms(dterms, variables)
-        if np.abs(vals.imag).max() > tol * max(1.0, np.abs(vals).max()):
-            return False
+        merged = {}
+        for coeff, powers in differentiate_terms(terms, 2 + j):
+            merged[powers] = merged.get(powers, 0j) + coeff
+        scale = max([1.0, *map(abs, merged.values())])
+        for (a, b, *g), coeff in merged.items():
+            mirror = (b, a, *g[dim:], *g[:dim])
+            if abs(coeff - merged.get(mirror, 0j).conjugate()) > tol * scale:
+                return False
     return True
 
 
@@ -178,38 +177,27 @@ def t_star_from_radius(radius: float, n1: int, n2: int, c_est: float) -> float:
     return 1.0 / (8.0 * c_est * (radius ** (n1 - 1) + radius ** (n2 - 1)))
 
 
-def estimate_t_star(u0, s: float, n1: int, n2: int, c_est: float,
-                    grid: Grid | None = None) -> float:
-    """Contraction horizon for the given data; +inf for zero data."""
-    norm = _state_norm(u0, s, grid)
+def estimate_t_star(u0, s: float, n1: int, n2: int, c_est: float, grid: Grid) -> float:
+    """Contraction horizon for the given data on ``grid``; +inf for zero data."""
+    norm = sobolev_norm(grid, s, u0)
     return t_star_from_radius(8.0 * c_est * norm, n1, n2, c_est)
 
 
-def _state_norm(u, s, grid):
-    """Discrete H^s norm when a grid is given, plain l2 otherwise; one per column."""
-    u = np.asarray(u)
-    if grid is not None:
-        return sobolev_norm(grid, s, u)
-    return float(np.linalg.norm(u)) if u.ndim == 1 else np.linalg.norm(u, axis=0)
-
-
-def measure_scheme_constant(nl: Nonlinearity, s: float, probes,
-                            grid: Grid | None = None) -> float:
+def measure_scheme_constant(nl: Nonlinearity, s: float, probes, grid: Grid) -> float:
     """max over probes of |P(f)|_s / (|f|_s^{N1} + |f|_s^{N2})."""
     if nl.is_zero:
         return 0.0
     worst = 0.0
     for f in probes:
-        nf = _state_norm(f, s, grid)
+        nf = sobolev_norm(grid, s, f)
         if nf == 0:
             continue
-        np_ = _state_norm(nl.evaluate(np.asarray(f, dtype=complex), grid), s, grid)
+        np_ = sobolev_norm(grid, s, nl.evaluate(np.asarray(f, dtype=complex), grid))
         worst = max(worst, np_ / (nf**nl.n1 + nf**nl.n2))
     return worst
 
 
-def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs,
-                               grid: Grid | None = None) -> float:
+def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs, grid: Grid) -> float:
     """max of |P(f)-P(g)|_s over the product-estimate denominator."""
     if nl.is_zero:
         return 0.0
@@ -217,13 +205,13 @@ def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs,
     for f, g in probe_pairs:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        dn = _state_norm(f - g, s, grid)
+        dn = sobolev_norm(grid, s, f - g)
         if dn == 0:
             continue
-        nf, ng = _state_norm(f, s, grid), _state_norm(g, s, grid)
+        nf, ng = sobolev_norm(grid, s, f), sobolev_norm(grid, s, g)
         denom = (nf ** (nl.n1 - 1) + nf ** (nl.n2 - 1)
                  + ng ** (nl.n1 - 1) + ng ** (nl.n2 - 1)) * dn
-        diff = _state_norm(nl.evaluate(f, grid) - nl.evaluate(g, grid), s, grid)
+        diff = sobolev_norm(grid, s, nl.evaluate(f, grid) - nl.evaluate(g, grid))
         worst = max(worst, diff / denom)
     return worst
 
@@ -259,11 +247,6 @@ def _time_grid(t_final: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
-def _monitor_norms(states, grid, s):
-    weight = 1.0 if grid is None else grid.spacing ** (grid.dim / 2.0)
-    return np.linalg.norm(states, axis=1) * weight, _state_norm(states.T, s, grid)
-
-
 # picard_solve's peak memory over the bytes of its states array, measured with
 # tracemalloc (1-D, 64 dofs, a cubic term): 12.1 at 2000 steps, 12.6 at 500.
 # A sweep holds forward, free, states, the modal nonlinearity, w, cs, integral
@@ -281,7 +264,6 @@ def picard_solve(
     dt: float,
     tol: float = 1e-10,
     max_iter: int = 60,
-    grid: Grid | None = None,
     s: float = 2.0,
     c_est: float | None = None,
 ) -> Trajectory:
@@ -290,12 +272,14 @@ def picard_solve(
     Each sweep evaluates u(t_k) = e^{i t_k L^alpha} u0
     + i * integral_0^{t_k} e^{i (t_k - t') L^alpha} P(u)(t') dt' with the
     composite trapezoid on the dt grid; the propagators are exact, so dt
-    is the only time-discretization error source.
+    is the only time-discretization error source. Norms are taken on the
+    grid of ``dec.source``.
     """
     if nonlinearity.kind != "polynomial":
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    grid = dec.source.grid
     times = _time_grid(t_final, dt)
     if c_est is not None:
         t_star = estimate_t_star(u0, s, nonlinearity.n1 or 2, nonlinearity.n2 or 2,
@@ -324,7 +308,7 @@ def picard_solve(
             cs = np.cumsum(w, axis=0)
             integral = dt * (cs - 0.5 * (w[0][None, :] + w))
             new_states = free + 1j * (forward * integral) @ dec.eigenvectors.T
-            diff = float(_state_norm((new_states - states).T, s, grid).max())
+            diff = float(sobolev_norm(grid, s, (new_states - states).T).max())
             history.append(diff)
             states = new_states
             # stop before the growing iterates overflow
@@ -337,15 +321,14 @@ def picard_solve(
         if iterations is None:
             raise PicardConvergenceError(history)
 
-    l2, sob = _monitor_norms(states, grid, s)
     residual = _equation_residual(dec, 1j * lam_a, states, times,
-                                  1j * nonlinearity.evaluate(states.T, grid).T, grid)
+                                  1j * nonlinearity.evaluate(states.T, grid).T)
     return Trajectory(
         times=times,
         states=states,
         monitors={
-            "l2_norm": l2,
-            "sobolev_norm_s": sob,
+            "l2_norm": l2_norm(grid, states.T),
+            "sobolev_norm_s": sobolev_norm(grid, s, states.T),
             "picard_iterations": np.full(len(times), float(iterations)),
             "equation_residual": residual,
         },
@@ -353,7 +336,7 @@ def picard_solve(
     )
 
 
-def _equation_residual(dec, symbol, states, times, forcing, grid):
+def _equation_residual(dec, symbol, states, times, forcing):
     """h^{d/2} |du/dt - V diag(symbol) V^T u - forcing|_2 by centered differencing.
 
     Evaluated at interior output times; the end values repeat their
@@ -367,8 +350,7 @@ def _equation_residual(dec, symbol, states, times, forcing, grid):
     du = (states[2:] - states[:-2]) / (2.0 * dt)
     resid_interior = du - lsym[1:-1] - forcing[1:-1]
     out = np.empty(len(times))
-    weight = 1.0 if grid is None else grid.spacing ** (grid.dim / 2.0)
-    out[1:-1] = np.linalg.norm(resid_interior, axis=1) * weight
+    out[1:-1] = l2_norm(dec.source.grid, resid_interior.T)
     out[0], out[-1] = out[1], out[-2]
     return out
 
@@ -377,6 +359,10 @@ def _equation_residual(dec, symbol, states, times, forcing, grid):
 # tracemalloc (1-D, 64 dofs, a gradient-cubic term): 7.04 at 2000 steps, 7.49 at
 # 500, set by the monitor norms, nonlinearity and equation residual after the steps.
 VISCOUS_WORKING_SET = 8.0
+
+# viscous_solve's energy-flag and blow-up multiples (see its docstring)
+GROWTH_FACTOR = 10.0
+BLOWUP_FACTOR = 10.0
 
 
 def viscous_solve(
@@ -387,18 +373,15 @@ def viscous_solve(
     nonlinearity: Nonlinearity,
     t_final: float,
     dt: float,
-    grid: Grid | None = None,
     s: int = 2,
     c_est: float = 1.0,
-    blowup_factor: float = 10.0,
-    growth_factor: float = 10.0,
 ) -> Trajectory:
     """Step the dissipative Duhamel equation with the exact linear propagator.
 
     Monitors the energy quantity |L^{s/2} u| and flags steps whose growth
     rate exceeds the measured bound c (|u|_s^2 + |u|_s^{N2}) by more than
-    ``growth_factor``; raises when |u(t)|_s escapes the a-priori envelope
-    8 c |u0|_s by more than ``blowup_factor``.
+    ``GROWTH_FACTOR``; raises when |u(t)|_s, on the grid of ``dec.source``,
+    escapes the a-priori envelope 8 c |u0|_s by more than ``BLOWUP_FACTOR``.
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
@@ -408,6 +391,7 @@ def viscous_solve(
             and nonlinearity.energy_hypothesis is False):
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
                       "the a-priori envelope is not guaranteed", stacklevel=2)
+    grid = dec.source.grid
     times = _time_grid(t_final, dt)
     lam = dec.spectrum
     symbol = -eps * lam**2 + 1j * lam**alpha
@@ -415,7 +399,7 @@ def viscous_solve(
     half_s = lam ** (s / 2.0)
 
     u0 = np.asarray(u0, dtype=complex)
-    envelope = 8.0 * c_est * _state_norm(u0, s, grid)
+    envelope = 8.0 * c_est * sobolev_norm(grid, s, u0)
     v = dec.eigenvectors.T @ u0  # modal state
     states = np.empty((len(times), dec.n_dof), dtype=complex)
     states[0] = u0
@@ -437,24 +421,23 @@ def viscous_solve(
         states[k] = dec.eigenvectors @ v
         energy[k] = np.linalg.norm(half_s * v)
 
-        norm_s = _state_norm(states[k], s, grid)
-        if envelope > 0 and norm_s > blowup_factor * envelope:
-            raise BlowUpError(times[k], norm_s, blowup_factor * envelope)
+        norm_s = sobolev_norm(grid, s, states[k])
+        if envelope > 0 and norm_s > BLOWUP_FACTOR * envelope:
+            raise BlowUpError(times[k], norm_s, BLOWUP_FACTOR * envelope)
         growth = (energy[k] - energy[k - 1]) / dt
         n2 = nonlinearity.n2 if nonlinearity.n2 else 2
         bound = c_est * (norm_s**2 + norm_s**n2)
-        if growth > growth_factor * max(bound, 1e-300):
+        if growth > GROWTH_FACTOR * max(bound, 1e-300):
             flags.append(times[k])
 
-    l2, sob = _monitor_norms(states, grid, s)
     residual = _equation_residual(dec, symbol, states, times,
-                                  nonlinearity.evaluate(states.T, grid).T, grid)
+                                  nonlinearity.evaluate(states.T, grid).T)
     return Trajectory(
         times=times,
         states=states,
         monitors={
-            "l2_norm": l2,
-            "sobolev_norm_s": sob,
+            "l2_norm": l2_norm(grid, states.T),
+            "sobolev_norm_s": sobolev_norm(grid, s, states.T),
             "energy_half_s": energy,
             "viscosity_epsilon": np.full(len(times), eps),
             "equation_residual": residual,
@@ -478,7 +461,6 @@ def viscosity_convergence(
     t_final: float,
     epsilons,
     dt: float,
-    grid: Grid | None = None,
     s: int = 2,
     c_est: float = 1.0,
 ) -> ViscosityConvergenceTable:
@@ -488,13 +470,13 @@ def viscosity_convergence(
         raise ValueError("need at least two viscosity values")
     if any(b > a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be nonincreasing")
-    runs = [viscous_solve(dec, alpha, e, u0, nonlinearity, t_final, dt,
-                          grid=grid, s=s, c_est=c_est) for e in epsilons]
+    runs = [viscous_solve(dec, alpha, e, u0, nonlinearity, t_final, dt, s=s, c_est=c_est)
+            for e in epsilons]
     rows = []
     for i in range(len(epsilons)):
         for j in range(i + 1, len(epsilons)):
             diff = runs[i].states - runs[j].states
-            sup = _state_norm(diff.T, 2.0, grid).max()
+            sup = sobolev_norm(dec.source.grid, 2.0, diff.T).max()
             rows.append((float(epsilons[i]), float(epsilons[j]), float(sup)))
     x = np.array([a - b for a, b, _ in rows])
     y = np.array([v for _, _, v in rows])

@@ -128,8 +128,6 @@ def extend(
     """Evaluate the extension of u on the y ladder, mode by mode."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if dec.source is None:
-        raise ValueError("decomposition must carry its source operator")
     ys = geometric_ladder() if y_nodes is None else np.asarray(y_nodes, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) <= 0):
         raise ValueError("y ladder must be positive and strictly increasing")
@@ -257,7 +255,7 @@ def doubling_ratio(
     iff its center (x_i, y_k) lies inside the half ball.
     """
     grid = ext.grid
-    x = ext.grid.dof_nodes() if grid.boundary == "dirichlet" else grid.nodes()
+    x = grid.dof_nodes()
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dist2 = ((x - center) ** 2).sum(axis=1)
     wy = _weighted_y_cells(ext.y_nodes, ext.alpha)
@@ -291,7 +289,7 @@ def constant_field_doubling_exponent(dim: int, alpha: float) -> float:
 def make_weak_test_bumps(grid: Grid, y_nodes: np.ndarray, count: int = 3, seed: int = 0):
     """Tensor bumps vanishing on the whole boundary of the sampled box."""
     rng = np.random.default_rng(seed)
-    x = grid.dof_nodes() if grid.boundary == "dirichlet" else grid.nodes()
+    x = grid.dof_nodes()
     ys = np.asarray(y_nodes, dtype=float)
     y_lo, y_hi = ys[0], ys[-1]
     out = []
@@ -314,7 +312,7 @@ def weak_residual(ext: ExtensionField, test_functions) -> float:
     stencil; the y part uses centered differences and the weighted trapezoid,
     so the residual measures ladder resolution and decreases under refinement.
     """
-    if ext.decomposition is None or ext.decomposition.source is None:
+    if ext.decomposition is None:
         raise ValueError("weak residual needs an extension built by extend()")
     grid = ext.grid
     matrix = ext.decomposition.source.matrix

@@ -36,11 +36,11 @@ class SpectrumCapError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of a DiscreteOperator, eigenvalues nondecreasing."""
+    """Eigenpairs of the operator ``source``, eigenvalues nondecreasing; states live on its grid."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns
-    source: DiscreteOperator | None = None
+    source: DiscreteOperator
 
     @property
     def n_dof(self) -> int:
@@ -67,18 +67,16 @@ class SpectralDecomposition:
             gram = v.T @ v - np.eye(self.n_dof)
             if np.abs(gram).max() > ORTHONORMALITY_TOL:
                 raise NumericalError("eigenvector matrix not orthonormal")
-            if self.source is not None:
-                resid = (v * lam) @ v.T - self.source.matrix
-                if np.abs(resid).max() > RECONSTRUCTION_TOL * scale:
-                    raise NumericalError("eigendecomposition does not reconstruct the matrix")
+            resid = (v * lam) @ v.T - self.source.matrix
+            if np.abs(resid).max() > RECONSTRUCTION_TOL * scale:
+                raise NumericalError("eigendecomposition does not reconstruct the matrix")
             return
         z = _probe(self.n_dof)
         if np.linalg.norm(v @ (v.T @ z) - z) > ORTHONORMALITY_TOL * np.linalg.norm(z) * self.n_dof:
             raise NumericalError("eigenvector matrix not orthonormal (probe check)")
-        if self.source is not None:
-            resid = v @ (lam * (v.T @ z)) - self.source.matrix @ z
-            if np.linalg.norm(resid) > RECONSTRUCTION_TOL * scale * np.linalg.norm(z):
-                raise NumericalError("eigendecomposition does not reconstruct the matrix (probe check)")
+        resid = v @ (lam * (v.T @ z)) - self.source.matrix @ z
+        if np.linalg.norm(resid) > RECONSTRUCTION_TOL * scale * np.linalg.norm(z):
+            raise NumericalError("eigendecomposition does not reconstruct the matrix (probe check)")
 
 
 def _probe(n: int) -> np.ndarray:
@@ -286,8 +284,9 @@ def _sample_bump(grid: Grid, center: np.ndarray, width: float) -> np.ndarray:
     return np.exp(-((x - center) ** 2).sum(axis=1) / width**2)
 
 
-def _equivalence_ratios(dec: SpectralDecomposition, grid: Grid, alpha: float,
-                        bump_params, eig_indices) -> np.ndarray:
+def _equivalence_ratios(dec: SpectralDecomposition, alpha: float, bump_params,
+                        eig_indices) -> np.ndarray:
+    grid = dec.source.grid
     tests = np.column_stack([_sample_bump(grid, c, w) for c, w in bump_params]
                             + [dec.eigenvectors[:, k] for k in eig_indices if k < dec.n_dof])
     norms = l2_norm(grid, tests)
@@ -309,11 +308,10 @@ def refined_grid(grid: Grid) -> Grid:
 
 
 def norm_equivalence(
-    op: DiscreteOperator,
+    dec: SpectralDecomposition,
     alphas,
     n_bumps: int = 12,
     seed: int = 0,
-    dec: SpectralDecomposition | None = None,
     refine: bool = True,
 ) -> list[NormEquivalenceReport]:
     """Measured equivalence brackets, one report per alpha, with drift against the doubled grid.
@@ -324,9 +322,7 @@ def norm_equivalence(
     alpha samples the same test functions, and the doubled grid is
     decomposed once for all of them.
     """
-    grid = op.grid
-    if dec is None:
-        dec = eigendecompose(op)
+    op, grid = dec.source, dec.source.grid
     rng = np.random.default_rng(seed)
     bumps = _gaussian_bump_params(rng, grid.half_length, grid.dim, n_bumps)
     fine_dec = None
@@ -337,12 +333,11 @@ def norm_equivalence(
 
     reports = []
     for alpha in alphas:
-        ratios = _equivalence_ratios(dec, grid, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
+        ratios = _equivalence_ratios(dec, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
         lo, hi = float(ratios.min()), float(ratios.max())
         drift = None
         if fine_dec is not None:
-            fine = _equivalence_ratios(fine_dec, fine_dec.source.grid, alpha, bumps,
-                                       EIGENVECTOR_SAMPLE_INDICES)
+            fine = _equivalence_ratios(fine_dec, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
             drift = max(abs(float(fine.min()) - lo) / lo, abs(float(fine.max()) - hi) / hi)
         reports.append(NormEquivalenceReport(alpha, len(ratios), lo, hi, drift,
                                              *map(float, dec.eigenvalues[[0, -1]])))

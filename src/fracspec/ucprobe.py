@@ -104,7 +104,7 @@ def nonlocality_probe(dec: SpectralDecomposition, alpha: float,
     """Mass of L^alpha f on the vanishing set of f, for alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    grid = _probe_grid(dec)
+    grid = dec.source.grid
     f = bump_state(grid, spec)
     g = fractional_power(dec, alpha, f)
     mask = _mask_in_box(grid, spec.theta)
@@ -125,7 +125,7 @@ def locality_contrast(dec: SpectralDecomposition, m: int,
     """
     if m not in (1, 2):
         raise ValueError(f"integer power m must be 1 or 2, got {m}")
-    grid = _probe_grid(dec)
+    grid = dec.source.grid
     g = bump_state(grid, spec)
     for _ in range(m):
         g = dec.source.matrix @ g
@@ -135,12 +135,6 @@ def locality_contrast(dec: SpectralDecomposition, m: int,
         mass_on_theta=float(np.linalg.norm(g[mask])),
         mass_total=float(np.linalg.norm(g)),
     )
-
-
-def _probe_grid(dec: SpectralDecomposition) -> Grid:
-    if dec.source is None:
-        raise ValueError("probe needs a decomposition with a source operator")
-    return dec.source.grid
 
 
 def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,

@@ -31,7 +31,6 @@ from fracspec.extension import (
 )
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import (
-    SpectralDecomposition,
     bessel_apply,
     eigendecompose,
     fractional_power,
@@ -166,7 +165,7 @@ def test_criterion_05_norm_equivalence():
     # variable coefficients: bracket drift under N = 64 -> 128 refinement
     _, op64 = make_operator(64, "radial_bump", BUMP_PARAMS)
     drifts = {}
-    for rep in norm_equivalence(op64, alphas, n_bumps=12, seed=0):
+    for rep in norm_equivalence(eigendecompose(op64), alphas, n_bumps=12, seed=0):
         assert rep.refinement_drift <= 0.10
         drifts[rep.alpha] = rep.refinement_drift
     elapsed = time.perf_counter() - started
@@ -224,9 +223,12 @@ def test_criterion_07_extension_regularity():
 def test_criterion_08_picard_scheme():
     cubic = polynomial_nonlinearity([(1.0, (2, 1))])
 
-    # scalar oracle: i u' + lam^a u + |u|^2 u = 0
+    # scalar oracle: i u' + lam^a u + |u|^2 u = 0, on the one-dof operator L = [lam]
+    # (1-D Dirichlet n = 3 on [-1, 1], so h = 1, with a = lam/2 and c = 0)
     lam, alpha, dt = 2.0, 0.5, 1e-4
-    dec1 = SpectralDecomposition(eigenvalues=np.array([lam]), eigenvectors=np.eye(1))
+    g1 = build_grid(1, 3, 1.0, "dirichlet")
+    dec1 = eigendecompose(assemble(g1, make_coefficients(
+        g1, "tabulated", {"a": np.full(3, lam / 2.0), "c": np.zeros(3)})))
     u0 = np.array([0.8 + 0.0j])
     traj = picard_solve(dec1, alpha, u0, cubic, t_final=0.1, dt=dt, tol=1e-13)
     omega = lam**alpha + abs(u0[0]) ** 2
@@ -245,7 +247,7 @@ def test_criterion_08_picard_scheme():
     u0g = gaussian(g, 2.0, 0.25)
     t_star = estimate_t_star(u0g, 2, 3, 3, c_est, grid=g)
     traj_g = picard_solve(dec, alpha, u0g, cubic, t_final=t_star, dt=t_star / 100,
-                          tol=1e-12, grid=g, c_est=c_est)
+                          tol=1e-12, c_est=c_est)
     hist = np.asarray(traj_g.picard_residual_history)
     live = (hist[1:] / hist[:-1])[hist[:-1] > 1e-11]
     assert np.all(live <= 0.5)
@@ -263,7 +265,7 @@ def test_criterion_09_viscosity_scheme():
     rng = np.random.default_rng(5)
     u0 = rng.standard_normal(dec.n_dof)
     eps, alpha = 0.05, 0.5
-    traj = viscous_solve(dec, alpha, eps, u0, zero, t_final=0.4, dt=0.01, grid=g)
+    traj = viscous_solve(dec, alpha, eps, u0, zero, t_final=0.4, dt=0.01)
     coeff0 = dec.eigenvectors.T @ u0.astype(complex)
     worst = 0.0
     for k in (10, 25, 40):
@@ -282,11 +284,10 @@ def test_criterion_09_viscosity_scheme():
     u0s = gaussian(g, 2.0, 0.1)
     table = viscosity_convergence(dec, alpha, u0s, q, t_final=0.2,
                                   epsilons=[0.1, 0.05, 0.025, 0.0125],
-                                  dt=0.005, grid=g, s=2, c_est=1.0)
+                                  dt=0.005, s=2, c_est=1.0)
     assert table.r_squared >= 0.9
     # small data stays inside the a-priori envelope (no flag up to 10x)
-    run = viscous_solve(dec, alpha, 0.05, u0s, q, t_final=0.5, dt=0.005,
-                        grid=g, s=2, c_est=1.0, blowup_factor=10.0)
+    run = viscous_solve(dec, alpha, 0.05, u0s, q, t_final=0.5, dt=0.005, s=2, c_est=1.0)
     assert run.energy_flags == ()
     report(9, "viscosity scheme",
            f"per-mode decay error {worst:.2e}, rate fit R^2 = {table.r_squared:.4f}, "

@@ -514,6 +514,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "n_bumps": -3}}, "'n_bumps'"),
     "viscous_working_set_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {
         "t_final": 100.0}}, "'dt'"),  # 100001 states, 8 times over
+    "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
+    "picard_alpha_list_of_two": ("picard", {"grid": GRID_64, "alpha": [0.5, 0.6]}, "'alpha'"),
 }
 
 

@@ -72,8 +72,8 @@ def test_picard_and_viscous_schemes_agree_at_zero_viscosity():
     alpha, t_final, dt = 0.5, 0.05, 5e-4
     cubic_p = polynomial_nonlinearity([(1.0, (2, 1))])
     cubic_q = gradient_nonlinearity([(1j, (2, 1, 0, 0))], dim=1)
-    a = picard_solve(dec, alpha, u0, cubic_p, t_final, dt, tol=1e-13, grid=g)
-    b = viscous_solve(dec, alpha, 0.0, u0, cubic_q, t_final, dt, grid=g)
+    a = picard_solve(dec, alpha, u0, cubic_p, t_final, dt, tol=1e-13)
+    b = viscous_solve(dec, alpha, 0.0, u0, cubic_q, t_final, dt)
     gap = np.abs(a.states[-1] - b.states[-1]).max()
     assert gap <= 100.0 * dt**2
 

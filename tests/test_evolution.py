@@ -9,6 +9,7 @@ from fracspec.evolution import (
     VISCOUS_WORKING_SET,
     BlowUpError,
     PicardConvergenceError,
+    _evaluate_terms,
     check_energy_hypothesis,
     differentiate_terms,
     estimate_t_star,
@@ -24,9 +25,9 @@ from fracspec.evolution import (
 )
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import (
-    SpectralDecomposition,
     eigendecompose,
     laplacian_symbol,
+    sobolev_norm,
     unitary_propagate,
 )
 
@@ -35,7 +36,10 @@ ZERO_P = polynomial_nonlinearity([])
 
 
 def scalar_dec(lam=2.0):
-    return SpectralDecomposition(eigenvalues=np.array([lam]), eigenvectors=np.eye(1))
+    """The one-dof operator L = [lam]: 1-D Dirichlet n = 3 on [-1, 1] (h = 1), a = lam/2, c = 0."""
+    g = build_grid(1, 3, 1.0, "dirichlet")
+    field = make_coefficients(g, "tabulated", {"a": np.full(3, lam / 2.0), "c": np.zeros(3)})
+    return eigendecompose(assemble(g, field))
 
 
 def grid_dec(n=33, x=8.0, kind="identity", params=None):
@@ -98,6 +102,85 @@ def test_energy_hypothesis_matches_symbolic_differentiation():
         assert check_energy_hypothesis(tuple(term), 1) == expected
 
 
+def sampled_energy_hypothesis(terms, dim, n_samples=64, tol=1e-10):
+    """Oracle: whether every dQ/d(dz_j) is real at seeded random conjugate-consistent states."""
+    rng = np.random.default_rng(0)
+    for j in range(dim):
+        dterms = differentiate_terms(terms, 2 + j)
+        if not dterms:
+            continue
+        z, *grads = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+                     for _ in range(1 + dim))
+        vals = _evaluate_terms(dterms, [z, np.conj(z)] + grads + [np.conj(g) for g in grads])
+        if np.abs(vals.imag).max() > tol * max(1.0, np.abs(vals).max()):
+            return False
+    return True
+
+
+def _random_terms(rng, dim):
+    """A random term set; half of them have real derivatives by construction.
+
+    Those are R(z, conj z, conj g) + sum_j g_j T_j(z, conj z) with every T_j
+    real: each T_j term comes with its mirror, whose coefficient is conjugated.
+    """
+    n_vars = 2 + 2 * dim
+    if rng.random() < 0.5:
+        return tuple((complex(*rng.standard_normal(2)), tuple(rng.integers(0, 3, n_vars)))
+                     for _ in range(rng.integers(1, 5)))
+    terms = []
+    for _ in range(rng.integers(0, 3)):  # R: no power of any g_j
+        powers = np.zeros(n_vars, dtype=int)
+        powers[[0, 1, *range(2 + dim, n_vars)]] = rng.integers(0, 3, 2 + dim)
+        terms.append((complex(*rng.standard_normal(2)), tuple(powers)))
+    for j in range(dim):
+        for _ in range(rng.integers(0, 3)):
+            a, b = rng.integers(0, 3, 2)
+            coeff = complex(*rng.standard_normal(2))
+            for (pa, pb), c in (((a, b), coeff), ((b, a), coeff.conjugate())):
+                powers = np.zeros(n_vars, dtype=int)
+                powers[[0, 1, 2 + j]] = pa, pb, 1
+                terms.append((c, tuple(powers)))
+    return tuple(terms)
+
+
+CHECKED_TERM_SETS = [
+    ([(1.0, (1, 0, 1, 0)), (1.0, (0, 1, 1, 0))], 1, True),
+    ([(1.0, (1, 0, 1, 0))], 1, False),
+    ([(0.5, (2, 0, 1, 0)), (1.0, (1, 1, 1, 0)), (0.5, (0, 2, 1, 0))], 1, True),
+    ([(1j, (2, 1, 0, 0))], 1, True),  # no gradient: nothing to differentiate
+    ([(1.0, (1, 0, 1, 0)), (-1.0, (1, 0, 1, 0)), (1.0, (1, 1, 1, 0))], 1, True),  # merged
+    ([(1.0, (1, 0, 0, 1, 0, 0)), (1.0, (0, 1, 0, 1, 0, 0))], 2, True),
+    ([(1.0, (1, 0, 0, 1, 0, 0))], 2, False),
+    ([(1.0, (0, 0, 1, 1, 0, 0)), (1.0, (0, 0, 0, 0, 1, 1))], 2, False),
+    ([(1.0, (1, 0, 1, 0, 0, 0)), (1.0, (0, 1, 1, 0, 0, 0)), (1.0, (1, 0, 0, 1, 0, 0)),
+      (1.0, (0, 1, 0, 1, 0, 0))], 2, True),  # (z + conj z)(dz_x + dz_y)
+]
+
+
+# d/d(dz_x) = |z|^32 + i conj(dz_x): the real part dwarfs the nonreal one at
+# every sampled state, so only the coefficients show that it is not real
+DWARFED = {1: ((1.0, (16, 16, 1, 0)), (1j, (0, 0, 1, 1))),
+           2: ((1.0, (16, 16, 1, 0, 0, 0)), (1j, (0, 0, 1, 0, 1, 0)))}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_hypothesis_closed_form_matches_sampled_oracle(dim):
+    for terms, term_dim, expected in CHECKED_TERM_SETS:
+        if term_dim == dim:
+            assert check_energy_hypothesis(terms, dim) is expected
+            assert sampled_energy_hypothesis(terms, dim) is expected
+    rng = np.random.default_rng(dim)
+    outcomes = []
+    for _ in range(300):
+        terms = _random_terms(rng, dim)
+        outcomes.append(check_energy_hypothesis(terms, dim))
+        assert outcomes[-1] is sampled_energy_hypothesis(terms, dim), terms
+    assert 30 < sum(outcomes) < 270  # both outcomes are well represented
+    # the closed form is exact where sampling is not
+    assert sampled_energy_hypothesis(DWARFED[dim], dim) is True
+    assert check_energy_hypothesis(DWARFED[dim], dim) is False
+
+
 # --- contraction horizon -------------------------------------------------------
 
 def test_t_star_formula():
@@ -112,7 +195,8 @@ def test_t_star_shrinks_with_data_size():
 
 
 def test_estimate_t_star_zero_data_is_infinite():
-    assert estimate_t_star(np.zeros(4), 2, 3, 3, 1.0) == math.inf
+    g, _ = grid_dec()
+    assert estimate_t_star(np.zeros(g.n_dof), 2, 3, 3, 1.0, grid=g) == math.inf
 
 
 def test_estimate_t_star_uses_sobolev_norm():
@@ -123,9 +207,10 @@ def test_estimate_t_star_uses_sobolev_norm():
 
 
 def test_measured_scheme_constant_scalar_cubic():
-    # |P(f)| / (|f|^3 + |f|^3) = 1/2 for every scalar probe
+    # one dof with h = 1 has |f|_2 = 3|f|, so |P(f)|_2 / (2 |f|_2^3) = 3 / (2 * 27) = 1/18
+    grid = scalar_dec().source.grid
     probes = [np.array([z]) for z in (0.5, 1.0 + 0.3j, 2.0j)]
-    assert measure_scheme_constant(CUBIC, 2, probes) == pytest.approx(0.5)
+    assert measure_scheme_constant(CUBIC, 2, probes, grid=grid) == pytest.approx(1.0 / 18.0)
 
 
 def test_measured_constants_on_grid():
@@ -144,7 +229,7 @@ def test_measured_constants_on_grid():
 def test_picard_linear_flow_matches_unitary_snapshots():
     g, dec = grid_dec()
     u0 = smooth_state(g)
-    traj = picard_solve(dec, 0.5, u0, ZERO_P, t_final=0.5, dt=0.05, grid=g)
+    traj = picard_solve(dec, 0.5, u0, ZERO_P, t_final=0.5, dt=0.05)
     for k, t in enumerate(traj.times):
         exact = unitary_propagate(dec, 0.5, t, u0.astype(complex))
         assert np.linalg.norm(traj.states[k] - exact) <= 1e-9 * np.linalg.norm(u0)
@@ -169,7 +254,7 @@ def test_picard_residual_contraction_under_t_star():
     dec = scalar_dec(lam)
     u0 = np.array([0.6 + 0.2j])
     c_est = 0.5
-    t_star = estimate_t_star(u0, s, 3, 3, c_est)
+    t_star = estimate_t_star(u0, s, 3, 3, c_est, grid=dec.source.grid)
     traj = picard_solve(dec, alpha, u0, CUBIC, t_final=t_star, dt=t_star / 200,
                         tol=1e-12, c_est=c_est)
     hist = np.asarray(traj.picard_residual_history)
@@ -183,9 +268,22 @@ def test_picard_gauge_covariance():
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g).astype(complex) * 0.3
     phase = np.exp(1j * 0.7)
-    t1 = picard_solve(dec, 0.5, u0, CUBIC, t_final=0.05, dt=0.005, grid=g)
-    t2 = picard_solve(dec, 0.5, phase * u0, CUBIC, t_final=0.05, dt=0.005, grid=g)
+    t1 = picard_solve(dec, 0.5, u0, CUBIC, t_final=0.05, dt=0.005)
+    t2 = picard_solve(dec, 0.5, phase * u0, CUBIC, t_final=0.05, dt=0.005)
     assert np.abs(t2.states - phase * t1.states).max() <= 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["picard", "viscous"])
+def test_sobolev_monitor_is_the_sobolev_norm_on_the_operator_grid(scheme):
+    # one dof with h = 1: the Bessel symbol is 1 + 2, so |u|_2 = 3|u| and |u|_l2 = |u|
+    dec = scalar_dec(2.0)
+    u0 = np.array([0.8 + 0.0j])
+    traj = (picard_solve(dec, 0.5, u0, CUBIC, t_final=0.05, dt=1e-3) if scheme == "picard"
+            else viscous_solve(dec, 0.5, 0.05, u0, CUBIC, t_final=0.05, dt=1e-3))
+    monitor = traj.monitors["sobolev_norm_s"]
+    assert np.array_equal(monitor, sobolev_norm(dec.source.grid, 2, traj.states.T))
+    np.testing.assert_allclose(monitor, 3.0 * np.abs(traj.states[:, 0]), rtol=1e-14)
+    np.testing.assert_allclose(traj.monitors["l2_norm"], np.abs(traj.states[:, 0]), rtol=1e-14)
 
 
 def test_picard_nonconvergence_carries_history():
@@ -227,8 +325,7 @@ def test_picard_working_set_matches_tracemalloc_peak():
     # the parse-time memory guard charges a Picard run PICARD_WORKING_SET state arrays
     g, dec = grid_dec(n=66)
     u0 = 0.2 * np.exp(-g.dof_nodes().ravel() ** 2 / 2.0)
-    traj, peak = _traced_peak(lambda: picard_solve(dec, 0.5, u0, CUBIC, t_final=2.0, dt=1e-3,
-                                                   grid=g))
+    traj, peak = _traced_peak(lambda: picard_solve(dec, 0.5, u0, CUBIC, t_final=2.0, dt=1e-3))
     assert len(traj.picard_residual_history) > 1
     assert PICARD_WORKING_SET - 1.0 < peak / traj.states.nbytes <= PICARD_WORKING_SET
 
@@ -236,7 +333,7 @@ def test_picard_working_set_matches_tracemalloc_peak():
 def test_picard_rejects_max_iter_below_one():
     g, dec = grid_dec(n=17)
     with pytest.raises(ValueError, match="max_iter"):
-        picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, max_iter=0, grid=g)
+        picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, max_iter=0)
 
 
 def test_viscous_working_set_matches_tracemalloc_peak():
@@ -246,11 +343,11 @@ def test_viscous_working_set_matches_tracemalloc_peak():
     u0 = 0.2 * np.exp(-g.dof_nodes().ravel() ** 2 / 2.0)
     q = gradient_nonlinearity([(1.0, (2, 1, 0, 0))], dim=1)
     traj, peak = _traced_peak(lambda: viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.5,
-                                                    dt=1e-3, grid=g))
+                                                    dt=1e-3))
     assert VISCOUS_WORKING_SET - 1.0 < peak / traj.states.nbytes <= VISCOUS_WORKING_SET
     epsilons = [0.1, 0.05]
     _, peak = _traced_peak(lambda: viscosity_convergence(
-        dec, 0.5, u0, q, t_final=0.5, epsilons=epsilons, dt=1e-3, grid=g))
+        dec, 0.5, u0, q, t_final=0.5, epsilons=epsilons, dt=1e-3))
     charged = VISCOUS_WORKING_SET + len(epsilons) - 1
     assert charged - 1.0 < peak / traj.states.nbytes <= charged
 
@@ -259,7 +356,7 @@ def test_picard_rejects_gradient_nonlinearity():
     g, dec = grid_dec(n=17)
     q = gradient_nonlinearity([(1.0, (1, 0, 1, 0))], dim=1)
     with pytest.raises(ValueError, match="polynomial"):
-        picard_solve(dec, 0.5, smooth_state(g), q, 0.1, 0.01, grid=g)
+        picard_solve(dec, 0.5, smooth_state(g), q, 0.1, 0.01)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -274,10 +371,10 @@ def test_equation_residual_matches_closed_form_for_exact_propagator(boundary, ep
     alpha, dt = 0.5, 0.01
     lam = np.clip(dec.eigenvalues, 0.0, None)
     if eps is None:
-        traj = picard_solve(dec, alpha, u0, ZERO_P, t_final=0.1, dt=dt, grid=g)
+        traj = picard_solve(dec, alpha, u0, ZERO_P, t_final=0.1, dt=dt)
         sigma = 1j * lam**alpha
     else:
-        traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.1, dt=dt, grid=g)
+        traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.1, dt=dt)
         sigma = -eps * lam**2 + 1j * lam**alpha
     step = traj.times[1] - traj.times[0]
     defect = (np.exp(sigma * step) - np.exp(-sigma * step)) / (2.0 * step) - sigma
@@ -295,7 +392,7 @@ def test_equation_residual_matches_closed_form_for_exact_propagator(boundary, ep
 def test_viscous_zero_q_zero_eps_is_unitary():
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g)
-    traj = viscous_solve(dec, 0.5, 0.0, u0, ZERO_P, t_final=0.3, dt=0.01, grid=g)
+    traj = viscous_solve(dec, 0.5, 0.0, u0, ZERO_P, t_final=0.3, dt=0.01)
     l2 = traj.monitors["l2_norm"]
     assert np.abs(l2 / l2[0] - 1.0).max() <= 1e-10
 
@@ -305,7 +402,7 @@ def test_viscous_zero_q_matches_per_mode_decay():
     rng = np.random.default_rng(2)
     u0 = rng.standard_normal(dec.n_dof)
     eps, alpha = 0.05, 0.5
-    traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.4, dt=0.01, grid=g)
+    traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.4, dt=0.01)
     lam = dec.eigenvalues
     coeff0 = dec.eigenvectors.T @ u0.astype(complex)
     for k in (10, 25, 40):
@@ -318,7 +415,7 @@ def test_viscous_zero_q_matches_per_mode_decay():
 def test_viscous_l2_nonincreasing_with_dissipation():
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g)
-    traj = viscous_solve(dec, 0.5, 0.1, u0, ZERO_P, t_final=0.5, dt=0.01, grid=g)
+    traj = viscous_solve(dec, 0.5, 0.1, u0, ZERO_P, t_final=0.5, dt=0.01)
     l2 = traj.monitors["l2_norm"]
     assert np.all(np.diff(l2) <= 1e-12)
 
@@ -326,7 +423,7 @@ def test_viscous_l2_nonincreasing_with_dissipation():
 def test_viscous_requires_even_monitor_index():
     g, dec = grid_dec(n=17)
     with pytest.raises(ValueError, match="even"):
-        viscous_solve(dec, 0.5, 0.1, smooth_state(g), ZERO_P, 0.1, 0.01, grid=g, s=3)
+        viscous_solve(dec, 0.5, 0.1, smooth_state(g), ZERO_P, 0.1, 0.01, s=3)
 
 
 def test_viscous_blowup_flag():
@@ -334,8 +431,7 @@ def test_viscous_blowup_flag():
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g)
     with pytest.raises(BlowUpError):
-        viscous_solve(dec, 0.5, 0.01, u0, ZERO_P, 0.1, 0.01, grid=g,
-                      c_est=1e-6, blowup_factor=1.0)
+        viscous_solve(dec, 0.5, 0.01, u0, ZERO_P, 0.1, 0.01, c_est=1e-6)
 
 
 def test_viscous_small_data_keeps_energy_envelope():
@@ -345,8 +441,7 @@ def test_viscous_small_data_keeps_energy_envelope():
         [(0.5, (2, 0, 1, 0)), (1.0, (1, 1, 1, 0)), (0.5, (0, 2, 1, 0))], dim=1
     )
     assert q.energy_hypothesis is True
-    traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.5, dt=0.005, grid=g,
-                         c_est=1.0)
+    traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.5, dt=0.005, c_est=1.0)
     assert traj.energy_flags == ()
     envelope = 8.0 * 1.0 * traj.monitors["sobolev_norm_s"][0]
     assert traj.monitors["sobolev_norm_s"].max() <= 10.0 * envelope
@@ -359,7 +454,7 @@ def test_viscosity_convergence_zero_q_linear_rate():
     u0 = smooth_state(g)
     table = viscosity_convergence(dec, 0.5, u0, ZERO_P, t_final=0.2,
                                   epsilons=[0.1, 0.05, 0.025, 0.0125],
-                                  dt=0.01, grid=g)
+                                  dt=0.01)
     assert table.r_squared >= 0.9
     assert table.k_est > 0
     # per-mode difference bound: |e^{-e lam^2 t} - e^{-e' lam^2 t}| <= (e-e') lam^2 t
@@ -371,7 +466,7 @@ def test_viscosity_convergence_zero_q_linear_rate():
 def test_viscosity_convergence_identical_epsilons():
     g, dec = grid_dec(n=9)
     u0 = smooth_state(g)
-    table = viscosity_convergence(dec, 0.5, u0, ZERO_P, 0.1, [0.1, 0.1], 0.01, grid=g)
+    table = viscosity_convergence(dec, 0.5, u0, ZERO_P, 0.1, [0.1, 0.1], 0.01)
     assert table.rows[0][2] == 0.0
     assert table.k_est == 0.0 and table.r_squared == 1.0
 
@@ -380,7 +475,7 @@ def test_viscosity_convergence_rejects_increasing():
     g, dec = grid_dec(n=9)
     with pytest.raises(ValueError, match="nonincreasing"):
         viscosity_convergence(dec, 0.5, smooth_state(g), ZERO_P, 0.1,
-                              [0.01, 0.1], 0.01, grid=g)
+                              [0.01, 0.1], 0.01)
 
 
 def test_viscosity_convergence_cubic_gradient_q():
@@ -391,7 +486,7 @@ def test_viscosity_convergence_cubic_gradient_q():
     )
     table = viscosity_convergence(dec, 0.5, u0, q, t_final=0.2,
                                   epsilons=[0.1, 0.05, 0.025, 0.0125],
-                                  dt=0.005, grid=g)
+                                  dt=0.005)
     assert table.r_squared >= 0.9
 
 
@@ -441,7 +536,7 @@ def test_kato_ponce_random_smooth_sweep_bounded():
 
 def test_trajectory_csv_exports(tmp_path):
     g, dec = grid_dec(n=9)
-    traj = picard_solve(dec, 0.5, smooth_state(g), ZERO_P, 0.1, 0.05, grid=g)
+    traj = picard_solve(dec, 0.5, smooth_state(g), ZERO_P, 0.1, 0.05)
     p1 = tmp_path / "traj.csv"
     p2 = tmp_path / "monitors.csv"
     traj.export_csv(p1)

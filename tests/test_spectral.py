@@ -85,6 +85,12 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
             == apply_function(unflipped, mult, f).tobytes())
 
 
+def test_decomposition_requires_its_source_operator():
+    # the source's grid is the one grid of every norm taken with the decomposition
+    with pytest.raises(TypeError, match="source"):
+        SpectralDecomposition(eigenvalues=np.array([2.0]), eigenvectors=np.eye(1))
+
+
 def test_cap_exceeded_message(monkeypatch):
     _, op = bump_operator(n=33)
     monkeypatch.setattr(spectral, "DEFAULT_DOF_CAP", 10)
@@ -220,9 +226,10 @@ def test_viscous_is_contraction():
 
 
 def test_viscous_scalar_oracle():
-    from fracspec.spectral import SpectralDecomposition
-
-    one = SpectralDecomposition(eigenvalues=np.array([2.0]), eigenvectors=np.eye(1))
+    # the one-dof operator L = [2]: 1-D Dirichlet n = 3 on [-1, 1] (h = 1), a = 1, c = 0
+    g = build_grid(1, 3, 1.0, "dirichlet")
+    one = eigendecompose(assemble(g, make_coefficients(
+        g, "tabulated", {"a": np.ones(3), "c": np.zeros(3)})))
     f = np.array([1.0 + 0.0j])
     out = viscous_propagate(one, 0.5, 0.1, 1.0, f)
     assert out[0] == pytest.approx(np.exp(-0.4 + 1j * 2.0**0.5), abs=1e-14)
@@ -379,7 +386,7 @@ def test_bessel_rejects_wrong_state_length(boundary):
 
 def test_norm_equivalence_alpha_zero_ratio_is_two():
     g, op = bump_operator(n=17)
-    [rep] = norm_equivalence(op, [0.0], n_bumps=4, refine=False)
+    [rep] = norm_equivalence(eigendecompose(op), [0.0], n_bumps=4, refine=False)
     assert rep.ratio_min == pytest.approx(2.0, rel=1e-12)
     assert rep.ratio_max == pytest.approx(2.0, rel=1e-12)
 
@@ -404,7 +411,7 @@ def test_norm_equivalence_periodic_constant_bracket(alpha):
 
 def test_norm_equivalence_report_fields_and_drift():
     _, op = bump_operator(n=33, s=0.5, w=2.0)
-    [rep] = norm_equivalence(op, [0.5], n_bumps=6, seed=3)
+    [rep] = norm_equivalence(eigendecompose(op), [0.5], n_bumps=6, seed=3)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
     assert rep.refinement_drift <= 0.1
     d = rep.to_json_dict()
@@ -413,9 +420,9 @@ def test_norm_equivalence_report_fields_and_drift():
 
 
 def test_norm_equivalence_rejects_zero_function():
-    g, op = bump_operator(n=17)
+    _, op = bump_operator(n=17)
     dec = eigendecompose(op)
     from fracspec.spectral import _equivalence_ratios
 
     with pytest.raises(ValueError, match="zero test function"):
-        _equivalence_ratios(dec, g, 0.5, [(np.array([100.0]), 0.01)], ())
+        _equivalence_ratios(dec, 0.5, [(np.array([100.0]), 0.01)], ())

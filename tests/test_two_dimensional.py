@@ -81,7 +81,7 @@ def test_2d_bessel_periodic_fft_matches_dense():
 def test_2d_norm_equivalence_bracket():
     g = build_grid(2, 12, 4.0, "dirichlet")
     op = assemble(g, make_coefficients(g, "radial_bump", {"s": 0.5, "w": 1.5}))
-    [rep] = norm_equivalence(op, [0.5], n_bumps=4, seed=0, refine=False)
+    [rep] = norm_equivalence(eigendecompose(op), [0.5], n_bumps=4, seed=0, refine=False)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
 
 
@@ -127,8 +127,7 @@ def test_2d_gradient_nonlinearity_and_viscous_run():
     dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
     x = g.dof_nodes()
     u0 = 0.05 * np.exp(-(x**2).sum(axis=1))
-    traj = viscous_solve(dec, 0.5, 0.05, u0, passing, t_final=0.1, dt=0.005,
-                         grid=g, s=2)
+    traj = viscous_solve(dec, 0.5, 0.05, u0, passing, t_final=0.1, dt=0.005, s=2)
     assert traj.energy_flags == ()
     assert np.isfinite(traj.monitors["equation_residual"]).all()
 
