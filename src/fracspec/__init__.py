@@ -33,7 +33,6 @@ from .extension import (
     energy_report,
     extend,
     geometric_ladder,
-    weak_residual,
 )
 from .gridop import (
     CoefficientField,

@@ -9,7 +9,8 @@ closed-form multiplier
     M(lambda, y) = 2^{1-a} / Gamma(a) * z^a K_a(z),    z = sqrt(lambda) y,
 
 with M = 1 at z = 0 (Caffarelli-Silvestre; Stinga-Torrea), which depends on
-(lambda, y) only through lambda * y^2.
+(lambda, y) only through lambda * y^2. K_a is evaluated in numpy by Temme's
+method (N. M. Temme, J. Comput. Phys. 19 (1975) 324), so no scipy is loaded.
 """
 
 import json
@@ -24,6 +25,16 @@ from .spectral import SpectralDecomposition, apply_function, fractional_power, l
 
 RECOVERY_TOL = 1e-3
 TRACE_ENVELOPE_FACTOR = 10.0
+# K_nu: relative size of the last term kept, and the most terms taken (CF2 takes
+# 80 at x = 2, its slowest point; by 170 its factorial coefficient would overflow)
+K_EPS = 1e-16
+K_MAX_TERMS = 150
+# Taylor coefficients of 1/Gamma(1+x) at x^21, x^19, ..., x^1 (Abramowitz-Stegun 6.1.34);
+# the one at x^23 adds less than 1e-20 for |x| <= 1/2
+_RGAMMA_ODD_TAYLOR = (5.1003702874544760e-13, 7.7822634399050713e-12, -1.1812745704870201e-09,
+                      6.1160951044814158e-09, 1.1330272319816959e-06, -2.0134854780788239e-05,
+                      -2.1524167411495097e-04, 7.2189432466630995e-03, -4.2197734555544337e-02,
+                      -4.2002635034095236e-02, 5.7721566490153286e-01)
 
 
 class ExtrapolationError(NumericalError):
@@ -52,17 +63,87 @@ def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> n
     return ys
 
 
-def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
-    """z^power K_nu(z) for z > 0 and 0 at z = 0.
+def _until_converged(term, state: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Step ``state, done = term(i, *state)`` per entry until done; return the last two arrays."""
+    out = (np.empty_like(state[-2]), np.empty_like(state[-1]))
+    live = np.arange(state[0].size)
+    for i in range(1, K_MAX_TERMS + 1):
+        state, done = term(i, *state)
+        out[0][live[done]], out[1][live[done]] = state[-2][done], state[-1][done]
+        live, state = live[~done], tuple(s[~done] for s in state)
+        if not live.size:
+            return out
+    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms ({live.size} entries left)")
 
-    K_nu(z) is evaluated as kve(nu, z) e^{-z}, so large z underflows to 0
-    instead of overflowing. scipy.special is imported here, so that only the
-    extension tasks load it.
+
+def _scaled_k_pair_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^x K_mu(x) and e^x K_{mu+1}(x) for 0 < x < 2 by Temme's series."""
+    half = 0.5 * x
+    e = -mu * np.log(half)
+    rg_plus, rg_minus = 1.0 / math.gamma(1.0 + mu), 1.0 / math.gamma(1.0 - mu)
+    # (rg_minus - rg_plus) / (2 mu) from its series: the difference loses eps/|mu| at mu -> 0
+    gam1 = -np.polyval(_RGAMMA_ODD_TAYLOR, mu * mu)
+    sinc = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    sinh_over_mu = np.sinh(e) / mu if mu else -np.log(half)
+    f = sinc * (gam1 * np.cosh(e) + 0.5 * (rg_plus + rg_minus) * sinh_over_mu)
+
+    def term(i, quarter_x2, f, p, q, c, k0, k1):
+        f = (i * f + p + q) / (i * i - mu * mu)
+        c = c * quarter_x2 / i
+        p, q = p / (i - mu), q / (i + mu)
+        t0, t1 = c * f, c * (p - i * f)
+        k0, k1 = k0 + t0, k1 + t1
+        done = (np.abs(t0) <= K_EPS * np.abs(k0)) & (np.abs(t1) <= K_EPS * np.abs(k1))
+        return (quarter_x2, f, p, q, c, k0, k1), done
+
+    p, q = 0.5 * np.exp(e) / rg_plus, 0.5 * np.exp(-e) / rg_minus
+    k0, k1 = _until_converged(term, (half * half, f, p, q, np.ones_like(x), f, p))
+    return np.exp(x) * k0, np.exp(x) * k1 / half
+
+
+def _scaled_k_pair_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^x K_mu(x) and e^x K_{mu+1}(x) for x >= 2 by Steed's continued fraction CF2."""
+    a1 = 0.25 - mu * mu
+    j = np.arange(1, K_MAX_TERMS + 1)
+    cs = a1 * np.cumprod((a1 + j * (j + 1)) / (j + 1))
+
+    def term(i, b, d, dh, q1, q2, q, h, s):
+        a = -a1 - i * (i + 1)
+        q1, q2 = q2, (q1 - b * q2) / a
+        q = q + cs[i - 1] * q2
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        dh = (b * d - 1.0) * dh
+        h, s = h + dh, s + q * dh
+        return (b, d, dh, q1, q2, q, h, s), np.abs(q * dh) <= K_EPS * np.abs(s)
+
+    d = 0.5 / (1.0 + x)
+    h, s = _until_converged(term, (2.0 * (1.0 + x), d, d, np.zeros_like(x), np.ones_like(x),
+                                   np.full_like(x, a1), d, 1.0 + a1 * d))
+    k0 = np.sqrt(0.5 * math.pi / x) / s
+    return k0, k0 * (mu + x + 0.5 - a1 * h) / x
+
+
+def _scaled_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
+    """e^x K_nu(x) for 0 <= nu <= 1 and x > 0 (Temme, J. Comput. Phys. 19 (1975) 324).
+
+    With mu = nu - round(nu), so |mu| <= 1/2, Temme's series (x < 2) or Steed's continued
+    fraction (x >= 2) gives K_mu and K_{mu+1}; for nu > 1/2, one step up, K_nu = K_{mu+1}.
     """
-    from scipy.special import kve
+    mu = nu - round(nu)
+    out, small = np.empty_like(x), x < 2.0
+    out[small] = _scaled_k_pair_series(mu, x[small])[int(mu < nu)]
+    out[~small] = _scaled_k_pair_cf2(mu, x[~small])[int(mu < nu)]
+    return out
 
+
+def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
+    """z^power K_nu(z) for z > 0 and 0 at z = 0, with 0 <= nu <= 1.
+
+    K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by Temme's method: large z underflows to 0.
+    """
     safe = np.where(z > 0.0, z, 1.0)
-    return np.where(z > 0.0, safe**power * kve(nu, safe) * np.exp(-safe), 0.0)
+    return np.where(z > 0.0, safe**power * _scaled_bessel_k(nu, safe) * np.exp(-safe), 0.0)
 
 
 def extension_multipliers(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
@@ -201,7 +282,7 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# measured regularity / doubling / weak-form quantities
+# measured energy and doubling quantities
 # ---------------------------------------------------------------------------
 
 def _y_cell_boundaries(ys: np.ndarray) -> np.ndarray:
@@ -279,65 +360,3 @@ def doubling_ratio(
             )
         out.append((float(r), float(np.sqrt(m_2r / m_r))))
     return out
-
-
-def constant_field_doubling_exponent(dim: int, alpha: float) -> float:
-    """Exact ratio 2^{(n+2-2a)/2} for a constant synthetic field."""
-    return 2.0 ** ((dim + 2.0 - 2.0 * alpha) / 2.0)
-
-
-def make_weak_test_bumps(grid: Grid, y_nodes: np.ndarray, count: int = 3, seed: int = 0):
-    """Tensor bumps vanishing on the whole boundary of the sampled box."""
-    rng = np.random.default_rng(seed)
-    x = grid.dof_nodes()
-    ys = np.asarray(y_nodes, dtype=float)
-    y_lo, y_hi = ys[0], ys[-1]
-    out = []
-    for _ in range(count):
-        cx = rng.uniform(-grid.half_length / 3, grid.half_length / 3, size=grid.dim)
-        wx = rng.uniform(grid.half_length / 4, grid.half_length / 2)
-        profile_x = np.exp(-((x - cx) ** 2).sum(axis=1) / wx**2)
-        edge = np.cos(np.pi * x / (2 * grid.half_length)).prod(axis=1)
-        ym = np.sqrt(y_lo * y_hi)
-        profile_y = np.exp(-np.log(ys / ym) ** 2) * (ys - y_lo) * (y_hi - ys) / y_hi**2
-        out.append((profile_x * edge)[:, None] * profile_y[None, :])
-    return out
-
-
-def weak_residual(ext: ExtensionField, test_functions) -> float:
-    """Max normalized weak-form residual over test functions.
-
-    The x part of the form (a grad U . grad xi + c U xi) is evaluated through
-    the assembled operator's own quadratic form, which is exact for the flux
-    stencil; the y part uses centered differences and the weighted trapezoid,
-    so the residual measures ladder resolution and decreases under refinement.
-    """
-    if ext.decomposition is None:
-        raise ValueError("weak residual needs an extension built by extend()")
-    grid = ext.grid
-    matrix = ext.decomposition.source.matrix
-    hn = grid.spacing**grid.dim
-    ys = ext.y_nodes
-    wy = _weighted_y_cells(ys, ext.alpha)
-    dy_u = np.gradient(ext.values, ys, axis=1)
-    lu = matrix @ ext.values
-
-    u_energy = float(
-        (wy * ((dy_u**2).sum(axis=0) + (ext.values * lu).sum(axis=0))).sum() * hn
-    )
-    if u_energy == 0.0:
-        return 0.0
-
-    worst = 0.0
-    for xi in test_functions:
-        xi = np.asarray(xi, dtype=float)
-        dy_xi = np.gradient(xi, ys, axis=1)
-        per_y = (dy_u * dy_xi).sum(axis=0) + (xi * lu).sum(axis=0)
-        value = float((wy * per_y).sum() * hn)
-        xi_energy = float(
-            (wy * ((dy_xi**2).sum(axis=0) + (xi * (matrix @ xi)).sum(axis=0))).sum() * hn
-        )
-        if xi_energy <= 0:
-            continue
-        worst = max(worst, abs(value) / np.sqrt(u_energy * xi_energy))
-    return worst

@@ -322,13 +322,6 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     return DiscreteOperator(matrix=matrix, grid=grid, coefficients=coefficients)
 
 
-def gershgorin_lower_bound(matrix: np.ndarray) -> float:
-    """Smallest Gershgorin disc lower endpoint of a symmetric matrix."""
-    d = np.diag(matrix)
-    radii = np.abs(matrix).sum(axis=1) - np.abs(d)
-    return float((d - radii).min())
-
-
 def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
     """Centered first differences of dof fields along each axis.
 

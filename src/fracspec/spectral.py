@@ -159,17 +159,6 @@ def viscous_propagate(
     return apply_function(dec, np.exp(-eps * t * lam**2 + 1j * t * lam**alpha), f)
 
 
-def smoothing_norm_measured(dec: SpectralDecomposition, eps: float, t: float) -> float:
-    """Operator norm of L e^{-eps t L^2 + i t L^alpha}: max of lam e^{-eps t lam^2}."""
-    lam = dec.spectrum
-    return float((lam * np.exp(-eps * t * lam**2)).max())
-
-
-def smoothing_norm_bound(eps: float, t: float) -> float:
-    """Scalar bound (2 e eps t)^{-1/2}, attained at lam = (2 eps t)^{-1/2}."""
-    return float((2.0 * np.e * eps * t) ** -0.5)
-
-
 # ---------------------------------------------------------------------------
 # Bessel potentials (1 - discrete Laplacian)^{s/2}
 # ---------------------------------------------------------------------------

@@ -1,0 +1,87 @@
+"""Reference quantities the tests compare fracspec against; no run calls them."""
+
+import numpy as np
+
+from fracspec.extension import ExtensionField, _weighted_y_cells
+from fracspec.gridop import Grid
+from fracspec.spectral import SpectralDecomposition
+
+
+def gershgorin_lower_bound(matrix: np.ndarray) -> float:
+    """Smallest Gershgorin disc lower endpoint of a symmetric matrix."""
+    d = np.diag(matrix)
+    radii = np.abs(matrix).sum(axis=1) - np.abs(d)
+    return float((d - radii).min())
+
+
+def smoothing_norm_measured(dec: SpectralDecomposition, eps: float, t: float) -> float:
+    """Operator norm of L e^{-eps t L^2 + i t L^alpha}: max of lam e^{-eps t lam^2}."""
+    lam = dec.spectrum
+    return float((lam * np.exp(-eps * t * lam**2)).max())
+
+
+def smoothing_norm_bound(eps: float, t: float) -> float:
+    """Scalar bound (2 e eps t)^{-1/2}, attained at lam = (2 eps t)^{-1/2}."""
+    return float((2.0 * np.e * eps * t) ** -0.5)
+
+
+def constant_field_doubling_exponent(dim: int, alpha: float) -> float:
+    """Exact ratio 2^{(n+2-2a)/2} for a constant synthetic field."""
+    return 2.0 ** ((dim + 2.0 - 2.0 * alpha) / 2.0)
+
+
+def make_weak_test_bumps(grid: Grid, y_nodes: np.ndarray, count: int = 3, seed: int = 0):
+    """Tensor bumps vanishing on the whole boundary of the sampled box."""
+    rng = np.random.default_rng(seed)
+    x = grid.dof_nodes()
+    ys = np.asarray(y_nodes, dtype=float)
+    y_lo, y_hi = ys[0], ys[-1]
+    out = []
+    for _ in range(count):
+        cx = rng.uniform(-grid.half_length / 3, grid.half_length / 3, size=grid.dim)
+        wx = rng.uniform(grid.half_length / 4, grid.half_length / 2)
+        profile_x = np.exp(-((x - cx) ** 2).sum(axis=1) / wx**2)
+        edge = np.cos(np.pi * x / (2 * grid.half_length)).prod(axis=1)
+        ym = np.sqrt(y_lo * y_hi)
+        profile_y = np.exp(-np.log(ys / ym) ** 2) * (ys - y_lo) * (y_hi - ys) / y_hi**2
+        out.append((profile_x * edge)[:, None] * profile_y[None, :])
+    return out
+
+
+def weak_residual(ext: ExtensionField, test_functions) -> float:
+    """Max normalized weak-form residual over test functions.
+
+    The x part of the form (a grad U . grad xi + c U xi) is evaluated through
+    the assembled operator's own quadratic form, which is exact for the flux
+    stencil; the y part uses centered differences and the weighted trapezoid,
+    so the residual measures ladder resolution and decreases under refinement.
+    """
+    if ext.decomposition is None:
+        raise ValueError("weak residual needs an extension built by extend()")
+    grid = ext.grid
+    matrix = ext.decomposition.source.matrix
+    hn = grid.spacing**grid.dim
+    ys = ext.y_nodes
+    wy = _weighted_y_cells(ys, ext.alpha)
+    dy_u = np.gradient(ext.values, ys, axis=1)
+    lu = matrix @ ext.values
+
+    u_energy = float(
+        (wy * ((dy_u**2).sum(axis=0) + (ext.values * lu).sum(axis=0))).sum() * hn
+    )
+    if u_energy == 0.0:
+        return 0.0
+
+    worst = 0.0
+    for xi in test_functions:
+        xi = np.asarray(xi, dtype=float)
+        dy_xi = np.gradient(xi, ys, axis=1)
+        per_y = (dy_u * dy_xi).sum(axis=0) + (xi * lu).sum(axis=0)
+        value = float((wy * per_y).sum() * hn)
+        xi_energy = float(
+            (wy * ((dy_xi**2).sum(axis=0) + (xi * (matrix @ xi)).sum(axis=0))).sum() * hn
+        )
+        if xi_energy <= 0:
+            continue
+        worst = max(worst, abs(value) / np.sqrt(u_energy * xi_energy))
+    return worst

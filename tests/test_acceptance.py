@@ -23,7 +23,6 @@ from fracspec.extension import (
     ExtensionField,
     conormal_constant,
     conormal_recover,
-    constant_field_doubling_exponent,
     doubling_ratio,
     energy_report,
     extend,
@@ -36,11 +35,14 @@ from fracspec.spectral import (
     fractional_power,
     l2_norm,
     norm_equivalence,
-    smoothing_norm_bound,
-    smoothing_norm_measured,
     unitary_propagate,
 )
 from fracspec.ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep
+from oracles import (
+    constant_field_doubling_exponent,
+    smoothing_norm_bound,
+    smoothing_norm_measured,
+)
 
 BUMP_PARAMS = {"s": 0.7, "w": 2.0, "c_amp": 0.4}
 

@@ -677,21 +677,23 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy."))
 
 @pytest.mark.parametrize("max_dof", ["default", "16"])
 def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, max_dof):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, output_dir=str(out))  # 1-D Dirichlet n = 64: 62 dofs
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(path), max_dof],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0  # eigendecompose validated the decomposition on either path
-    if max_dof == "default":
-        assert not {"scipy.linalg", "scipy.fft", "scipy.special", "scipy.sparse"} & set(loaded)
-    else:
-        assert "scipy.linalg" in loaded
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "ok"
-    assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
+    for task in ("spectrum", "extend", "recover"):  # 1-D Dirichlet n = 64: 62 dofs
+        out = tmp_path / task
+        path = write_config(tmp_path, name=f"{task}.json", output_dir=str(out), task=task)
+        proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(path), max_dof],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, task  # eigendecompose validated the decomposition on either path
+        if max_dof == "default":
+            assert loaded == [], task
+        else:
+            assert "scipy.linalg" in loaded, task
+            assert "scipy.special" not in loaded, task
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
 
 
 def test_every_shipped_config_parses():

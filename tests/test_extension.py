@@ -5,25 +5,26 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv, kve
 
+from fracspec import extension
 from fracspec.extension import (
     DegenerateInputError,
     ExtensionField,
     ExtrapolationError,
+    _scaled_bessel_k,
+    _z_power_bessel_k,
     conormal_constant,
     conormal_recover,
     conormal_slopes,
-    constant_field_doubling_exponent,
     doubling_ratio,
     energy_report,
     extend,
     extension_multipliers,
     geometric_ladder,
-    make_weak_test_bumps,
     trace_tolerance,
-    weak_residual,
 )
-from fracspec.gridop import assemble, build_grid, make_coefficients
+from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, fractional_power, l2_norm
+from oracles import constant_field_doubling_exponent, make_weak_test_bumps, weak_residual
 
 
 def laplacian_dec(n=64, x=8.0, boundary="dirichlet"):
@@ -124,18 +125,51 @@ def test_multiplier_matches_independent_bessel_closed_form(alpha):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.35, 0.6, 0.95])
 def test_gamma_prefactors_match_scipy_gamma_oracle(alpha):
-    # math.gamma and scipy's gamma differ by a few ulps
+    # math.gamma and scipy's gamma differ by a few ulps; K_nu is the library's own,
+    # checked against kve below, so only the Gamma prefactors are compared here
     lam = laplacian_dec()[1].spectrum
     ys = geometric_ladder(1e-3, 1.3, 40)
     root = np.sqrt(lam)[:, None]
     z = root * ys[None, :]
     prefactor = 2.0 ** (1.0 - alpha) / gamma_fn(alpha)
-    multipliers = np.minimum(prefactor * z**alpha * kve(alpha, z) * np.exp(-z), 1.0)
+    multipliers = np.minimum(prefactor * _z_power_bessel_k(alpha, alpha, z), 1.0)
     slopes = (-prefactor * root * ys ** (1.0 - 2.0 * alpha)
-              * z**alpha * kve(1.0 - alpha, z) * np.exp(-z))
+              * _z_power_bessel_k(alpha, 1.0 - alpha, z))
     np.testing.assert_allclose(extension_multipliers(lam, ys, alpha), multipliers,
                                rtol=1e-14, atol=0)
     np.testing.assert_allclose(conormal_slopes(lam, ys, alpha), slopes, rtol=1e-14, atol=0)
+
+
+# both sides of the switch at z = 2, and nu > 1/2 for the upward step
+KNU_ORDERS = [1e-6, 0.01, 0.1, 0.35, 0.5, 0.65, 0.9, 0.999, 1.0 - 1e-6]
+KNU_POINTS = np.concatenate([np.logspace(-10, 3, 131), 2.0 + np.linspace(-0.05, 0.05, 11)])
+
+
+@pytest.mark.parametrize("nu", KNU_ORDERS)
+def test_scaled_bessel_k_matches_scipy_kve_oracle(nu):
+    # pyproject.toml turns any RuntimeWarning into an error
+    got = _scaled_bessel_k(nu, KNU_POINTS)
+    np.testing.assert_allclose(got, kve(nu, KNU_POINTS), rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize("nu", [0.105, 0.35, 0.5, 0.9])
+def test_scaled_bessel_k_matches_mpmath_near_the_switch(nu):
+    # kve itself is off by up to 3e-13 just below z = 2 (nu = 0.105)
+    mp = pytest.importorskip("mpmath")
+    z = np.array([0.5, 1.9, 1.99, 1.999, 2.0, 2.001, 2.5, 10.0])
+    with mp.workdps(30):
+        exact = np.array([float(mp.besselk(nu, x) * mp.exp(x)) for x in z])
+    np.testing.assert_allclose(_scaled_bessel_k(nu, z), exact, rtol=2e-14, atol=0)
+
+
+def test_scaled_bessel_k_raises_instead_of_returning_unconverged(monkeypatch):
+    # CF2 needs 80 terms at z = 2, and NaN never converges
+    with pytest.raises(NumericalError, match=r"did not converge in 150 terms \(1 entries left\)"):
+        _scaled_bessel_k(0.3, np.array([0.5, 2.5, np.nan]))
+    monkeypatch.setattr(extension, "K_MAX_TERMS", 40)
+    with pytest.raises(NumericalError, match="did not converge in 40 terms"):
+        _scaled_bessel_k(0.3, np.array([2.0, 100.0]))
+    assert np.isfinite(_scaled_bessel_k(0.3, np.array([0.5, 100.0]))).all()
 
 
 def test_multiplier_alpha_half_is_poisson_kernel():

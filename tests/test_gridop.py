@@ -10,10 +10,10 @@ from fracspec.gridop import (
     assemble,
     build_grid,
     check_hypotheses,
-    gershgorin_lower_bound,
     load_coefficients_csv,
     make_coefficients,
 )
+from oracles import gershgorin_lower_bound
 
 
 def test_build_grid_dirichlet_1d_nodes():

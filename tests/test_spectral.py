@@ -15,12 +15,11 @@ from fracspec.spectral import (
     l2_norm,
     laplacian_symbol,
     norm_equivalence,
-    smoothing_norm_bound,
-    smoothing_norm_measured,
     sobolev_norm,
     unitary_propagate,
     viscous_propagate,
 )
+from oracles import smoothing_norm_bound, smoothing_norm_measured
 
 
 def dirichlet_laplacian(n=33, x=8.0):

@@ -8,7 +8,6 @@ import pytest
 from fracspec.cli import parse_config, run
 from fracspec.extension import (
     ExtensionField,
-    constant_field_doubling_exponent,
     doubling_ratio,
     geometric_ladder,
 )
@@ -20,6 +19,7 @@ from fracspec.spectral import (
     unitary_propagate,
 )
 from fracspec.ucprobe import VanishingSpec, dichotomy_sweep
+from oracles import constant_field_doubling_exponent
 
 
 def test_2d_dirichlet_spectrum_is_sum_of_1d_spectra():
