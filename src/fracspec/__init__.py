@@ -17,8 +17,6 @@ from .evolution import (
     estimate_t_star,
     gradient_nonlinearity,
     kato_ponce_check,
-    measure_lipschitz_constant,
-    measure_scheme_constant,
     picard_solve,
     polynomial_nonlinearity,
     t_star_from_radius,

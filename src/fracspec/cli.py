@@ -19,7 +19,7 @@ import platform
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -435,7 +435,7 @@ def _run_funcalc(cfg, dec, rng, outdir):
 @_task("norm_equiv", {"n_bumps": (int, 12), "refine": (bool, True)})
 def _run_norm_equiv(cfg, dec, rng, outdir):
     p = cfg.task_params
-    reports = [r.to_json_dict() for r in norm_equivalence(
+    reports = [asdict(r) for r in norm_equivalence(
         dec, cfg.alpha, n_bumps=p["n_bumps"], seed=cfg.seed, refine=p["refine"])]
     (outdir / "norm_equiv.json").write_text(json.dumps({"reports": reports}, indent=2) + "\n")
     ok = all(0.0 < r["ratio_min"] <= r["ratio_max"] < np.inf for r in reports)
@@ -474,14 +474,7 @@ def _run_recover(cfg, dec, rng, outdir):
 def _run_energy(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     rep = energy_report(ext)
-    payload = {
-        "energy": rep.energy,
-        "base_mass": rep.base_mass,
-        "fractional_mass": rep.fractional_mass,
-        "bound_ratio": rep.bound_ratio,
-        "sup_trace_ratio": rep.sup_trace_ratio,
-    }
-    (outdir / "energy.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (outdir / "energy.json").write_text(json.dumps(asdict(rep), indent=2) + "\n")
     return {"energy_ratio_finite": bool(np.isfinite(rep.bound_ratio))}, ["energy.json"]
 
 

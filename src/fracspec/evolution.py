@@ -165,7 +165,7 @@ def check_energy_hypothesis(terms, dim: int, tol: float = 1e-10) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# scheme constants and the contraction horizon
+# the contraction horizon
 # ---------------------------------------------------------------------------
 
 def t_star_from_radius(radius: float, n1: int, n2: int, c_est: float) -> float:
@@ -181,39 +181,6 @@ def estimate_t_star(u0, s: float, n1: int, n2: int, c_est: float, grid: Grid) ->
     """Contraction horizon for the given data on ``grid``; +inf for zero data."""
     norm = sobolev_norm(grid, s, u0)
     return t_star_from_radius(8.0 * c_est * norm, n1, n2, c_est)
-
-
-def measure_scheme_constant(nl: Nonlinearity, s: float, probes, grid: Grid) -> float:
-    """max over probes of |P(f)|_s / (|f|_s^{N1} + |f|_s^{N2})."""
-    if nl.is_zero:
-        return 0.0
-    worst = 0.0
-    for f in probes:
-        nf = sobolev_norm(grid, s, f)
-        if nf == 0:
-            continue
-        np_ = sobolev_norm(grid, s, nl.evaluate(np.asarray(f, dtype=complex), grid))
-        worst = max(worst, np_ / (nf**nl.n1 + nf**nl.n2))
-    return worst
-
-
-def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs, grid: Grid) -> float:
-    """max of |P(f)-P(g)|_s over the product-estimate denominator."""
-    if nl.is_zero:
-        return 0.0
-    worst = 0.0
-    for f, g in probe_pairs:
-        f = np.asarray(f, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        dn = sobolev_norm(grid, s, f - g)
-        if dn == 0:
-            continue
-        nf, ng = sobolev_norm(grid, s, f), sobolev_norm(grid, s, g)
-        denom = (nf ** (nl.n1 - 1) + nf ** (nl.n2 - 1)
-                 + ng ** (nl.n1 - 1) + ng ** (nl.n2 - 1)) * dn
-        diff = sobolev_norm(grid, s, nl.evaluate(f, grid) - nl.evaluate(g, grid))
-        worst = max(worst, diff / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +215,11 @@ def _time_grid(t_final: float, dt: float) -> np.ndarray:
 
 
 # picard_solve's peak memory over the bytes of its states array, measured with
-# tracemalloc (1-D, 64 dofs, a cubic term): 12.1 at 2000 steps, 12.6 at 500.
-# A sweep holds forward, free, states, the modal nonlinearity, w, cs, integral
-# and new_states, each the size of states, plus the Sobolev-norm temporaries
-# of the sweep difference.
-PICARD_WORKING_SET = 13.0
+# tracemalloc (1-D, 64 dofs, a cubic term): 8.1 at 2000 steps, 8.6 at 500.
+# A sweep holds forward, states, modes and new_states, each the size of states,
+# plus the Sobolev-norm temporaries of the sweep difference; those of the Duhamel
+# integral are freed when _duhamel_modes returns.
+PICARD_WORKING_SET = 9.0
 
 
 def picard_solve(
@@ -279,7 +246,7 @@ def picard_solve(
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    grid = dec.source.grid
+    grid, v = dec.source.grid, dec.eigenvectors
     times = _time_grid(t_final, dt)
     if c_est is not None:
         t_star = estimate_t_star(u0, s, nonlinearity.n1 or 2, nonlinearity.n2 or 2,
@@ -291,11 +258,10 @@ def picard_solve(
                 stacklevel=2,
             )
     lam_a = dec.spectrum**alpha
-    u0 = np.asarray(u0, dtype=complex)
-    u0_modes = dec.eigenvectors.T @ u0
+    u0_modes = v.T @ np.asarray(u0, dtype=complex)
     forward = np.exp(1j * times[:, None] * lam_a[None, :])   # e^{+i t_k lam^a}
-    free = (forward * u0_modes[None, :]) @ dec.eigenvectors.T
-    states = free.copy()
+    modes = forward * u0_modes
+    states = modes @ v.T
 
     history = []
     if nonlinearity.is_zero:
@@ -303,11 +269,9 @@ def picard_solve(
     else:
         iterations = None
         for sweep in range(1, max_iter + 1):
-            p_modes = nonlinearity.evaluate(states.T, grid).T @ dec.eigenvectors
-            w = np.conj(forward) * p_modes                   # e^{-i t' lam^a} P
-            cs = np.cumsum(w, axis=0)
-            integral = dt * (cs - 0.5 * (w[0][None, :] + w))
-            new_states = free + 1j * (forward * integral) @ dec.eigenvectors.T
+            modes = _duhamel_modes(forward, u0_modes,
+                                   nonlinearity.evaluate(states.T, grid).T @ v, dt)
+            new_states = modes @ v.T
             diff = float(sobolev_norm(grid, s, (new_states - states).T).max())
             history.append(diff)
             states = new_states
@@ -321,8 +285,8 @@ def picard_solve(
         if iterations is None:
             raise PicardConvergenceError(history)
 
-    residual = _equation_residual(dec, 1j * lam_a, states, times,
-                                  1j * nonlinearity.evaluate(states.T, grid).T)
+    residual = _equation_residual(grid, 1j * lam_a, modes, times,
+                                  1j * (nonlinearity.evaluate(states.T, grid).T @ v))
     return Trajectory(
         times=times,
         states=states,
@@ -336,29 +300,37 @@ def picard_solve(
     )
 
 
-def _equation_residual(dec, symbol, states, times, forcing):
-    """h^{d/2} |du/dt - V diag(symbol) V^T u - forcing|_2 by centered differencing.
+def _duhamel_modes(forward, u0_modes, p_modes, dt):
+    """Modes of e^{i t L^alpha} u0 + i int_0^t e^{i (t - t') L^alpha} P dt', by the trapezoid."""
+    w = np.conj(forward) * p_modes                           # e^{-i t' lam^a} P
+    integral = dt * (np.cumsum(w, axis=0) - 0.5 * (w[0] + w))
+    return forward * (u0_modes + 1j * integral)
 
-    Evaluated at interior output times; the end values repeat their
-    neighbors. Picard passes symbol i lam^alpha and forcing i P(u), the
-    viscous scheme symbol -eps lam^2 + i lam^alpha and forcing Q(u).
+
+def _equation_residual(grid, symbol, modes, times, forcing):
+    """h^{d/2} |dv/dt - symbol v - forcing|_2 of modal states v by centered differencing.
+
+    The eigenvectors are orthonormal, so this is the norm of the physical
+    residual du/dt - V diag(symbol) V^T u - V forcing. Evaluated at interior
+    output times; the end values repeat their neighbors. Picard passes symbol
+    i lam^alpha and forcing i V^T P(u), the viscous scheme symbol
+    -eps lam^2 + i lam^alpha and forcing V^T Q(u).
     """
     if len(times) < 3:
         return np.zeros(len(times))
     dt = times[1] - times[0]
-    lsym = (states @ dec.eigenvectors * symbol[None, :]) @ dec.eigenvectors.T
-    du = (states[2:] - states[:-2]) / (2.0 * dt)
-    resid_interior = du - lsym[1:-1] - forcing[1:-1]
+    resid_interior = ((modes[2:] - modes[:-2]) / (2.0 * dt)
+                      - symbol * modes[1:-1] - forcing[1:-1])
     out = np.empty(len(times))
-    out[1:-1] = l2_norm(dec.source.grid, resid_interior.T)
+    out[1:-1] = l2_norm(grid, resid_interior.T)
     out[0], out[-1] = out[1], out[-2]
     return out
 
 
 # viscous_solve's peak memory over the bytes of its states array, measured with
-# tracemalloc (1-D, 64 dofs, a gradient-cubic term): 7.04 at 2000 steps, 7.49 at
-# 500, set by the monitor norms, nonlinearity and equation residual after the steps.
-VISCOUS_WORKING_SET = 8.0
+# tracemalloc (1-D, 64 dofs, a gradient-cubic term): 5.1 at 2000 steps, 5.5 at
+# 500, set by the modes, the states and the batched norms after the steps.
+VISCOUS_WORKING_SET = 6.0
 
 # viscous_solve's energy-flag and blow-up multiples (see its docstring)
 GROWTH_FACTOR = 10.0
@@ -391,58 +363,49 @@ def viscous_solve(
             and nonlinearity.energy_hypothesis is False):
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
                       "the a-priori envelope is not guaranteed", stacklevel=2)
-    grid = dec.source.grid
+    grid, v = dec.source.grid, dec.eigenvectors
     times = _time_grid(t_final, dt)
     lam = dec.spectrum
     symbol = -eps * lam**2 + 1j * lam**alpha
     step_mult = np.exp(dt * symbol)
-    half_s = lam ** (s / 2.0)
 
     u0 = np.asarray(u0, dtype=complex)
     envelope = 8.0 * c_est * sobolev_norm(grid, s, u0)
-    v = dec.eigenvectors.T @ u0  # modal state
     states = np.empty((len(times), dec.n_dof), dtype=complex)
-    states[0] = u0
-    energy = np.empty(len(times))
-    energy[0] = np.linalg.norm(half_s * v)
-    flags = []
-
+    modes = np.empty_like(states)
+    forcing = np.zeros_like(states)  # V^T Q(u_k); no step reads the last row, which stays 0
+    states[0], modes[0] = u0, v.T @ u0
     for k in range(1, len(times)):
         if nonlinearity.is_zero:
-            v = step_mult * v
+            modes[k] = step_mult * modes[k - 1]
         else:
-            u_phys = dec.eigenvectors @ v
-            q0 = dec.eigenvectors.T @ nonlinearity.evaluate(u_phys, grid)
-            predictor = step_mult * (v + dt * q0)
-            q1 = dec.eigenvectors.T @ nonlinearity.evaluate(
-                dec.eigenvectors @ predictor, grid
-            )
-            v = step_mult * v + 0.5 * dt * (step_mult * q0 + q1)
-        states[k] = dec.eigenvectors @ v
-        energy[k] = np.linalg.norm(half_s * v)
-
+            q0 = forcing[k - 1] = v.T @ nonlinearity.evaluate(states[k - 1], grid)
+            predictor = step_mult * (modes[k - 1] + dt * q0)
+            q1 = v.T @ nonlinearity.evaluate(v @ predictor, grid)
+            modes[k] = step_mult * modes[k - 1] + 0.5 * dt * (step_mult * q0 + q1)
+        states[k] = v @ modes[k]
+        # the blow-up guard runs each step, so it fires before the states overflow
         norm_s = sobolev_norm(grid, s, states[k])
         if envelope > 0 and norm_s > BLOWUP_FACTOR * envelope:
             raise BlowUpError(times[k], norm_s, BLOWUP_FACTOR * envelope)
-        growth = (energy[k] - energy[k - 1]) / dt
-        n2 = nonlinearity.n2 if nonlinearity.n2 else 2
-        bound = c_est * (norm_s**2 + norm_s**n2)
-        if growth > GROWTH_FACTOR * max(bound, 1e-300):
-            flags.append(times[k])
 
-    residual = _equation_residual(dec, symbol, states, times,
-                                  nonlinearity.evaluate(states.T, grid).T)
+    residual = _equation_residual(grid, symbol, modes, times, forcing)
+    del forcing  # the batched norms below peak without it
+    energy = np.linalg.norm(lam ** (s / 2.0) * np.abs(modes), axis=1)
+    norm_s = sobolev_norm(grid, s, states.T)
+    bound = c_est * (norm_s[1:]**2 + norm_s[1:]**(nonlinearity.n2 or 2))
+    flagged = np.diff(energy) / dt > GROWTH_FACTOR * np.maximum(bound, 1e-300)
     return Trajectory(
         times=times,
         states=states,
         monitors={
             "l2_norm": l2_norm(grid, states.T),
-            "sobolev_norm_s": sobolev_norm(grid, s, states.T),
+            "sobolev_norm_s": norm_s,
             "energy_half_s": energy,
             "viscosity_epsilon": np.full(len(times), eps),
             "equation_residual": residual,
         },
-        energy_flags=tuple(flags),
+        energy_flags=tuple(times[1:][flagged]),
     )
 
 

@@ -299,6 +299,8 @@ def _weighted_y_cells(ys: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnergyReport:
+    """The field order is the key order of ``energy.json``."""
+
     energy: float
     base_mass: float          # |u|_2^2
     fractional_mass: float    # |L^alpha u|_2^2

@@ -238,24 +238,15 @@ def sobolev_norm(grid: Grid, s: float, f: np.ndarray):
 
 @dataclass(frozen=True)
 class NormEquivalenceReport:
+    """One alpha's bracket; the field order is the key order of ``norm_equiv.json``."""
+
     alpha: float
-    n_samples: int
+    lambda_min: float
+    lambda_max: float
     ratio_min: float
     ratio_max: float
     refinement_drift: float | None  # None (JSON null) when refinement is skipped
-    lambda_min: float
-    lambda_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "refinement_drift": self.refinement_drift,
-            "n_samples": self.n_samples,
-        }
+    n_samples: int
 
 
 def _gaussian_bump_params(rng: np.random.Generator, half_length: float, dim: int, count: int):
@@ -328,6 +319,6 @@ def norm_equivalence(
         if fine_dec is not None:
             fine = _equivalence_ratios(fine_dec, alpha, bumps, EIGENVECTOR_SAMPLE_INDICES)
             drift = max(abs(float(fine.min()) - lo) / lo, abs(float(fine.max()) - hi) / hi)
-        reports.append(NormEquivalenceReport(alpha, len(ratios), lo, hi, drift,
-                                             *map(float, dec.eigenvalues[[0, -1]])))
+        reports.append(NormEquivalenceReport(alpha, *map(float, dec.eigenvalues[[0, -1]]),
+                                             lo, hi, drift, len(ratios)))
     return reports

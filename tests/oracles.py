@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from fracspec.evolution import Nonlinearity
 from fracspec.extension import ExtensionField, _weighted_y_cells
 from fracspec.gridop import Grid
-from fracspec.spectral import SpectralDecomposition
+from fracspec.spectral import SpectralDecomposition, l2_norm, sobolev_norm
 
 
 def gershgorin_lower_bound(matrix: np.ndarray) -> float:
@@ -85,3 +86,54 @@ def weak_residual(ext: ExtensionField, test_functions) -> float:
             continue
         worst = max(worst, abs(value) / np.sqrt(u_energy * xi_energy))
     return worst
+
+
+def measure_scheme_constant(nl: Nonlinearity, s: float, probes, grid: Grid) -> float:
+    """max over probes of |P(f)|_s / (|f|_s^{N1} + |f|_s^{N2})."""
+    if nl.is_zero:
+        return 0.0
+    worst = 0.0
+    for f in probes:
+        nf = sobolev_norm(grid, s, f)
+        if nf == 0:
+            continue
+        np_ = sobolev_norm(grid, s, nl.evaluate(np.asarray(f, dtype=complex), grid))
+        worst = max(worst, np_ / (nf**nl.n1 + nf**nl.n2))
+    return worst
+
+
+def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs, grid: Grid) -> float:
+    """max of |P(f)-P(g)|_s over the product-estimate denominator."""
+    if nl.is_zero:
+        return 0.0
+    worst = 0.0
+    for f, g in probe_pairs:
+        f = np.asarray(f, dtype=complex)
+        g = np.asarray(g, dtype=complex)
+        dn = sobolev_norm(grid, s, f - g)
+        if dn == 0:
+            continue
+        nf, ng = sobolev_norm(grid, s, f), sobolev_norm(grid, s, g)
+        denom = (nf ** (nl.n1 - 1) + nf ** (nl.n2 - 1)
+                 + ng ** (nl.n1 - 1) + ng ** (nl.n2 - 1)) * dn
+        diff = sobolev_norm(grid, s, nl.evaluate(f, grid) - nl.evaluate(g, grid))
+        worst = max(worst, diff / denom)
+    return worst
+
+
+def physical_equation_residual(dec: SpectralDecomposition, symbol, states, times, forcing):
+    """h^{d/2} |du/dt - V diag(symbol) V^T u - forcing|_2 of physical states, centered.
+
+    ``states`` and ``forcing`` have one row per output time. Evaluated at
+    interior times; the end values repeat their neighbors.
+    """
+    if len(times) < 3:
+        return np.zeros(len(times))
+    dt = times[1] - times[0]
+    lsym = (states @ dec.eigenvectors * symbol[None, :]) @ dec.eigenvectors.T
+    du = (states[2:] - states[:-2]) / (2.0 * dt)
+    resid_interior = du - lsym[1:-1] - forcing[1:-1]
+    out = np.empty(len(times))
+    out[1:-1] = l2_norm(dec.source.grid, resid_interior.T)
+    out[0], out[-1] = out[1], out[-2]
+    return out

@@ -12,8 +12,6 @@ import pytest
 from fracspec.evolution import (
     estimate_t_star,
     gradient_nonlinearity,
-    measure_lipschitz_constant,
-    measure_scheme_constant,
     picard_solve,
     polynomial_nonlinearity,
     viscosity_convergence,
@@ -40,6 +38,8 @@ from fracspec.spectral import (
 from fracspec.ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep
 from oracles import (
     constant_field_doubling_exponent,
+    measure_lipschitz_constant,
+    measure_scheme_constant,
     smoothing_norm_bound,
     smoothing_norm_measured,
 )

@@ -12,6 +12,7 @@ import pytest
 
 from fracspec import cli
 from fracspec.cli import TASKS, ConfigError, _kind_name, main, parse_config, run
+from fracspec.evolution import PICARD_WORKING_SET, VISCOUS_WORKING_SET
 from fracspec.extension import DegenerateInputError, extend
 from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
 from fracspec.spectral import SpectralDecomposition, SpectrumCapError, eigendecompose
@@ -473,7 +474,7 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
         "y_count": 2000000}}, "'y_count'"),
     "picard_working_set_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
-        "t_final": 70.0}}, "'dt'"),  # 70001 states, 13 times over
+        "t_final": 70.0}}, "'dt'"),  # 70001 states, 9 times over
     "recover_alpha_over_one": ("recover", {"grid": GRID_64, "alpha": 1.5}, "'alpha'"),
     "extend_y_ratio_below_one": ("extend", {"grid": GRID_64, "task_params": {
         "y_ratio": 0.9}}, "'y_ratio'"),
@@ -513,7 +514,11 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "norm_equiv_n_bumps_negative": ("norm_equiv", {"grid": GRID_64, "task_params": {
         "n_bumps": -3}}, "'n_bumps'"),
     "viscous_working_set_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {
-        "t_final": 100.0}}, "'dt'"),  # 100001 states, 8 times over
+        "t_final": 100.0}}, "'dt'"),  # 100001 states, 6 times over
+    "picard_just_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
+        "t_final": 30.1}}, "'dt'"),  # 9 x 30101 x 62 > 4096^2
+    "viscous_just_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {
+        "t_final": 45.1}}, "'dt'"),  # 6 x 45101 x 62 > 4096^2
     "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
     "picard_alpha_list_of_two": ("picard", {"grid": GRID_64, "alpha": [0.5, 0.6]}, "'alpha'"),
 }
@@ -556,7 +561,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
     ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # guard edge
         "y_ratio": 1.1, "y_count": 4096}}),
-    ("picard", {"grid": GRID_64, "task_params": {"t_final": 20.0}}),  # 13 x 20001 states
+    ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
+    ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)
@@ -731,3 +737,12 @@ def test_readme_task_parameter_table_mirrors_tasks():
     table = [line for line in readme.splitlines() if re.match(r"\| `[a-z_]+` \| `", line)]
     assert table == list(_readme_rows())
     assert {line.split("`")[1] for line in table} | {"spectrum", "funcalc"} == set(TASKS)
+
+
+def test_readme_memory_guard_factors_mirror_the_working_sets():
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(r"A `picard` run counts (\d+) times its states, a `viscous` run (\d+), "
+                      r"and `viscosity_convergence` (\d+) plus one for each further", readme)
+    assert found
+    assert tuple(map(float, found.groups())) == (PICARD_WORKING_SET, VISCOUS_WORKING_SET,
+                                                 VISCOUS_WORKING_SET)

@@ -8,6 +8,7 @@ from fracspec.evolution import (
     PICARD_WORKING_SET,
     VISCOUS_WORKING_SET,
     BlowUpError,
+    Nonlinearity,
     PicardConvergenceError,
     _evaluate_terms,
     check_energy_hypothesis,
@@ -15,8 +16,6 @@ from fracspec.evolution import (
     estimate_t_star,
     gradient_nonlinearity,
     kato_ponce_check,
-    measure_lipschitz_constant,
-    measure_scheme_constant,
     picard_solve,
     polynomial_nonlinearity,
     t_star_from_radius,
@@ -30,6 +29,7 @@ from fracspec.spectral import (
     sobolev_norm,
     unitary_propagate,
 )
+from oracles import measure_lipschitz_constant, measure_scheme_constant, physical_equation_residual
 
 CUBIC = polynomial_nonlinearity([(1.0, (2, 1))])  # |z|^2 z
 ZERO_P = polynomial_nonlinearity([])
@@ -387,6 +387,54 @@ def test_equation_residual_matches_closed_form_for_exact_propagator(boundary, ep
         assert abs(resid[k] - expected) <= 1e-6 * expected
 
 
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_modal_equation_residual_matches_physical_oracle(boundary):
+    # the solvers difference modal coefficients; the oracle differences the
+    # physical states and applies V diag(symbol) V^T, as the solvers once did
+    g = build_grid(1, 33, 8.0, boundary)
+    dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump",
+                                                       {"s": 0.7, "w": 2.0, "c_amp": 0.4})))
+    u0 = smooth_state(g, amp=0.5)
+    lam, alpha, eps = dec.spectrum, 0.5, 0.05
+    q = gradient_nonlinearity([(0.25, (2, 0, 1, 0)), (0.5, (1, 1, 1, 0)),
+                               (0.25, (0, 2, 1, 0))], dim=1)
+    runs = [
+        (picard_solve(dec, alpha, u0, CUBIC, t_final=0.2, dt=0.005, tol=1e-12),
+         1j * lam**alpha, lambda states: 1j * CUBIC.evaluate(states.T, g).T),
+        (viscous_solve(dec, alpha, eps, u0, q, t_final=0.2, dt=0.005),
+         -eps * lam**2 + 1j * lam**alpha, lambda states: q.evaluate(states.T, g).T),
+    ]
+    for traj, symbol, forcing in runs:
+        oracle = physical_equation_residual(dec, symbol, traj.states, traj.times,
+                                            forcing(traj.states))
+        assert oracle.max() > 0
+        np.testing.assert_allclose(traj.monitors["equation_residual"], oracle,
+                                   rtol=0, atol=1e-7 * oracle.max())
+
+
+def test_solvers_evaluate_the_nonlinearity_once_per_state(monkeypatch):
+    # viscous: the step's own state and its predictor, and no pass after the steps;
+    # Picard: one batched evaluation per sweep, and one for the equation residual
+    calls = []
+    evaluate = Nonlinearity.evaluate
+
+    def counted(self, states, grid=None):
+        calls.append(np.shape(states))
+        return evaluate(self, states, grid)
+
+    monkeypatch.setattr(Nonlinearity, "evaluate", counted)
+    g, dec = grid_dec(n=17)
+    u0 = smooth_state(g, amp=0.3)
+    q = gradient_nonlinearity([(1.0, (2, 1, 0, 0))], dim=1)
+    traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.1, dt=0.01)
+    assert len(calls) == 2 * (len(traj.times) - 1)
+    assert set(calls) == {(dec.n_dof,)}
+    calls.clear()
+    traj = picard_solve(dec, 0.5, u0, CUBIC, t_final=0.1, dt=0.01)
+    assert len(calls) == len(traj.picard_residual_history) + 1
+    assert set(calls) == {(dec.n_dof, len(traj.times))}
+
+
 # --- viscous scheme --------------------------------------------------------------
 
 def test_viscous_zero_q_zero_eps_is_unitary():
@@ -445,6 +493,25 @@ def test_viscous_small_data_keeps_energy_envelope():
     assert traj.energy_flags == ()
     envelope = 8.0 * 1.0 * traj.monitors["sobolev_norm_s"][0]
     assert traj.monitors["sobolev_norm_s"].max() <= 10.0 * envelope
+
+
+def test_viscous_energy_monitor_and_flags_match_a_per_step_loop():
+    # the solver computes both after its steps, batched; this loop is the reference.
+    # A strong quadratic Q pumps the energy past the bound on most steps, not all
+    g, dec = grid_dec(n=17)
+    u0 = smooth_state(g, amp=0.1)
+    q = gradient_nonlinearity([(8.0, (2, 0, 0, 0))], dim=1)
+    dt, c_est = 0.01, 0.1
+    traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.2, dt=dt, s=2, c_est=c_est)
+    energy = [np.linalg.norm(dec.spectrum * (dec.eigenvectors.T @ u)) for u in traj.states]
+    np.testing.assert_allclose(traj.monitors["energy_half_s"], energy, rtol=1e-13)
+    flags = []
+    for k in range(1, len(traj.times)):
+        norm_s = sobolev_norm(g, 2, traj.states[k])
+        if (energy[k] - energy[k - 1]) / dt > 10.0 * c_est * (norm_s**2 + norm_s**2):
+            flags.append(traj.times[k])
+    assert 0 < len(flags) < len(traj.times) - 1
+    assert traj.energy_flags == tuple(flags)
 
 
 # --- vanishing viscosity -----------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -413,9 +415,9 @@ def test_norm_equivalence_report_fields_and_drift():
     [rep] = norm_equivalence(eigendecompose(op), [0.5], n_bumps=6, seed=3)
     assert 0 < rep.ratio_min <= rep.ratio_max < np.inf
     assert rep.refinement_drift <= 0.1
-    d = rep.to_json_dict()
-    assert set(d) == {"alpha", "lambda_min", "lambda_max", "ratio_min",
-                      "ratio_max", "refinement_drift", "n_samples"}
+    d = asdict(rep)
+    assert list(d) == ["alpha", "lambda_min", "lambda_max", "ratio_min",
+                       "ratio_max", "refinement_drift", "n_samples"]
 
 
 def test_norm_equivalence_rejects_zero_function():
