@@ -3,8 +3,9 @@
 One JSON config describes one task: grid and coefficients, the fractional
 order(s), task parameters, output directory, and the seed for random test
 states. Each run writes its data files plus a manifest recording the
-config echo, library versions, wall time, and the pass/fail of the task's
-built-in invariants.
+config echo, library versions, wall time, peak RSS, the coefficient field's
+structural hypotheses, the eigensolver's driver and residuals, and the
+pass/fail of the task's built-in invariants.
 
 Exit codes: 0 success, 1 invariant failure, 2 config error, 3 numerical
 error (non-convergence, blow-up, degenerate input, failed self-check),
@@ -16,6 +17,7 @@ import importlib.metadata
 import json
 import math
 import platform
+import resource
 import sys
 import time
 import traceback
@@ -45,6 +47,7 @@ from .gridop import (
     _write_csv,
     assemble,
     build_grid,
+    check_hypotheses,
     load_coefficients_csv,
     make_coefficients,
 )
@@ -582,6 +585,8 @@ def run(cfg: RunConfig) -> int:
             "python": platform.python_version(),
         },
         "seed": cfg.seed,
+        "hypotheses": None,
+        "eigensolve": None,
         "invariants": {},
         "artifacts": [],
         "status": "ok",
@@ -590,7 +595,9 @@ def run(cfg: RunConfig) -> int:
     code = 0
     try:
         runner, _ = TASKS[cfg.task]
+        manifest["hypotheses"] = asdict(check_hypotheses(cfg.field, cfg.grid))
         dec = eigendecompose(assemble(cfg.grid, cfg.field))
+        manifest["eigensolve"] = dec.eigensolve
         rng = np.random.default_rng(cfg.seed)
         invariants, artifacts = runner(cfg, dec, rng, outdir)
         manifest["invariants"] = invariants
@@ -605,6 +612,7 @@ def run(cfg: RunConfig) -> int:
         if code == 4:
             traceback.print_exc()  # parsing caught every config error, so this is a fault
     manifest["wall_time_s"] = time.perf_counter() - started
+    manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return code
 

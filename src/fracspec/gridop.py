@@ -98,15 +98,19 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Symmetric matrix realization of the elliptic operator on a grid."""
+    """The elliptic operator on a grid; its symmetric matrix is built on each read."""
 
-    matrix: np.ndarray
     grid: Grid
     coefficients: CoefficientField
 
     @property
     def n_dof(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.n_dof
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """A new (n_dof, n_dof) array of the flux-form matrix, owned by the caller."""
+        return _flux_matrix(self.grid, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,19 @@ def _neighbour(grid: Grid, axis: int, step: int) -> np.ndarray:
 
 
 def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
+    """The operator L of ``coefficients`` on ``grid``, whose node counts must agree.
+
+    Nothing dense is built here: each read of ``DiscreteOperator.matrix``
+    assembles a new matrix (``_flux_matrix``), so an eigensolver may consume it.
+    """
+    if coefficients.a.shape[0] != grid.n_nodes:
+        raise ValueError(
+            f"field has {coefficients.a.shape[0]} nodes, grid has {grid.n_nodes}"
+        )
+    return DiscreteOperator(grid=grid, coefficients=coefficients)
+
+
+def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
     """Assemble the symmetric flux-form matrix of L on the grid dofs.
 
     Per-axis second derivatives use face-averaged coefficients
@@ -281,10 +298,6 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     returned; symmetry is exact by construction and positivity is verified
     by test.
     """
-    if coefficients.a.shape[0] != grid.n_nodes:
-        raise ValueError(
-            f"field has {coefficients.a.shape[0]} nodes, grid has {grid.n_nodes}"
-        )
     h = grid.spacing
     mask = grid.interior_mask()
     nodes = np.flatnonzero(mask)
@@ -319,7 +332,7 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
                 matrix[p[both], q[both]] += val
                 matrix[q[both], p[both]] += val
 
-    return DiscreteOperator(matrix=matrix, grid=grid, coefficients=coefficients)
+    return matrix
 
 
 def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:

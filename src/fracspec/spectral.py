@@ -10,18 +10,19 @@ need no eigensolve: the FFT (periodic) or DST-I (Dirichlet) diagonalizes it.
 Only eigensolves above ``NUMPY_EIGH_MAX_DOF`` import scipy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gridop import DiscreteOperator, Grid, NumericalError, assemble, make_coefficients
 
 DEFAULT_DOF_CAP = 4096
-# Eigensolver by size. np.linalg.eigh (LAPACK syevd) beats scipy's default evr
-# at 1024 and 2304 dofs (0.31 -> 0.10 s and 1.99 -> 0.81 s on a 2-D bump
-# operator, 2-vCPU VM, OpenBLAS), but it copies its input and takes a 2n^2
-# workspace: at 4096 dofs the process peaks at 682 MB against 444 MB for evr.
-# So operators above this size go to evr, which imports scipy.linalg.
+# Eigensolver by size. Up to this size np.linalg.eigh (LAPACK syevd on a copy);
+# at 2304 dofs it costs what scipy's evd plus the scipy import does (1.34-1.49
+# against 1.36-1.47 s on a 2-D bump operator, 2-vCPU VM, OpenBLAS). Above it,
+# scipy's evd works in place on a freshly assembled matrix, so no copy is made:
+# at 4096 dofs (2 BLAS threads) it takes 6.9-9.1 s and peaks at 453-455 MB,
+# against 10.3-11.9 s and 444-446 MB for scipy's default evr on a copy.
 NUMPY_EIGH_MAX_DOF = 2304
 
 # eigh roundoff envelopes used by validation
@@ -41,6 +42,7 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # orthonormal columns
     source: DiscreteOperator
+    eigensolve: dict | None = None  # set by eigendecompose: the driver and validate's residuals
 
     @property
     def n_dof(self) -> int:
@@ -52,31 +54,39 @@ class SpectralDecomposition:
         (tiny negatives included) snapped to exact zero."""
         return _clean_spectrum(self.eigenvalues)
 
-    def validate(self) -> None:
-        """Check orthonormality, reconstruction, and spectrum nonnegativity.
+    def validate(self) -> dict:
+        """Check spectrum nonnegativity, orthonormality and reconstruction.
 
         Full matrix checks up to 1024 dofs; above that the O(n^3) products
         would dominate the eigensolve, so deterministic random probes are
-        used instead.
+        used instead. Each check passes only if ``measured <= bound``, so a
+        NaN fails it. Returns the orthonormality and reconstruction residuals,
+        each as ``{"measured", "bound"}``.
         """
         lam, v = self.eigenvalues, self.eigenvectors
         scale = max(abs(lam[-1]), abs(lam[0]), 1e-300)
-        if lam[0] < -NEGATIVITY_TOL * scale:
-            raise NumericalError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}")
+        if not (-lam[0] <= NEGATIVITY_TOL * scale):
+            raise NumericalError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}, "
+                                 f"bound {-NEGATIVITY_TOL * scale:.3e}")
         if self.n_dof <= 1024:
-            gram = v.T @ v - np.eye(self.n_dof)
-            if np.abs(gram).max() > ORTHONORMALITY_TOL:
-                raise NumericalError("eigenvector matrix not orthonormal")
-            resid = (v * lam) @ v.T - self.source.matrix
-            if np.abs(resid).max() > RECONSTRUCTION_TOL * scale:
-                raise NumericalError("eigendecomposition does not reconstruct the matrix")
-            return
-        z = _probe(self.n_dof)
-        if np.linalg.norm(v @ (v.T @ z) - z) > ORTHONORMALITY_TOL * np.linalg.norm(z) * self.n_dof:
-            raise NumericalError("eigenvector matrix not orthonormal (probe check)")
-        resid = v @ (lam * (v.T @ z)) - self.source.matrix @ z
-        if np.linalg.norm(resid) > RECONSTRUCTION_TOL * scale * np.linalg.norm(z):
-            raise NumericalError("eigendecomposition does not reconstruct the matrix (probe check)")
+            how = ""
+            ortho = np.abs(v.T @ v - np.eye(self.n_dof)).max(), ORTHONORMALITY_TOL
+            recon = (np.abs((v * lam) @ v.T - self.source.matrix).max(),
+                     RECONSTRUCTION_TOL * scale)
+        else:
+            how = " (probe check)"
+            z = _probe(self.n_dof)
+            size = np.linalg.norm(z)
+            ortho = (np.linalg.norm(v @ (v.T @ z) - z), ORTHONORMALITY_TOL * size * self.n_dof)
+            recon = (np.linalg.norm(v @ (lam * (v.T @ z)) - self.source.matrix @ z),
+                     RECONSTRUCTION_TOL * scale * size)
+        checks = {"orthonormality": (ortho, "eigenvector matrix not orthonormal"),
+                  "reconstruction": (recon, "eigendecomposition does not reconstruct the matrix")}
+        for (measured, bound), failure in checks.values():
+            if not (measured <= bound):
+                raise NumericalError(f"{failure}{how}: residual {measured:.3e}, bound {bound:.3e}")
+        return {name: {"measured": float(measured), "bound": float(bound)}
+                for name, ((measured, bound), _) in checks.items()}
 
 
 def _probe(n: int) -> np.ndarray:
@@ -94,25 +104,29 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense), validated.
 
     Up to ``NUMPY_EIGH_MAX_DOF`` dofs this is ``np.linalg.eigh``; above it,
-    ``scipy.linalg.eigh``, which peaks lower. Each eigenvector's sign is set
-    so that its product with the seeded probe ``_probe(n)`` is positive, so
-    the vectors do not depend on the LAPACK driver, except within repeated
-    eigenvalues, where the basis itself does.
+    scipy's evd driver, which overwrites a freshly assembled matrix with the
+    eigenvectors. Each eigenvector's sign is set so that its product with the
+    seeded probe ``_probe(n)`` is positive, so the vectors do not depend on the
+    LAPACK driver, except within repeated eigenvalues, where the basis itself
+    does. ``eigensolve`` of the result records the driver and the residuals.
     """
-    n = op.matrix.shape[0]
+    n = op.n_dof
     if n > DEFAULT_DOF_CAP:
         raise SpectrumCapError(
             f"{n} degrees of freedom exceed the dense-solve cap {DEFAULT_DOF_CAP}; reduce N"
         )
     if n <= NUMPY_EIGH_MAX_DOF:
+        driver = "numpy.linalg.eigh"
         lam, v = np.linalg.eigh(op.matrix)
     else:
         import scipy.linalg
-        lam, v = scipy.linalg.eigh(op.matrix)
+        driver = "scipy evd in place"
+        # the transpose of the symmetric C-ordered matrix is the same matrix in
+        # Fortran order, so LAPACK works on its buffer instead of a copy
+        lam, v = scipy.linalg.eigh(op.matrix.T, driver="evd", overwrite_a=True)
     v *= np.where(_probe(n) @ v < 0.0, -1.0, 1.0)
     dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=v, source=op)
-    dec.validate()
-    return dec
+    return replace(dec, eigensolve={"driver": driver, **dec.validate()})
 
 
 def apply_function(dec: SpectralDecomposition, mult, f: np.ndarray) -> np.ndarray:

@@ -127,8 +127,9 @@ def locality_contrast(dec: SpectralDecomposition, m: int,
         raise ValueError(f"integer power m must be 1 or 2, got {m}")
     grid = dec.source.grid
     g = bump_state(grid, spec)
+    matrix = dec.source.matrix  # built on each read, so once
     for _ in range(m):
-        g = dec.source.matrix @ g
+        g = matrix @ g
     mask = _mask_in_box(grid, spec.shrunk_theta(m * grid.spacing))
     return NonlocalityResult(
         alpha=float(m),

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,13 @@ from fracspec import cli
 from fracspec.cli import TASKS, ConfigError, _kind_name, main, parse_config, run
 from fracspec.evolution import PICARD_WORKING_SET, VISCOUS_WORKING_SET
 from fracspec.extension import DegenerateInputError, extend
-from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
+from fracspec.gridop import (
+    NumericalError,
+    assemble,
+    build_grid,
+    check_hypotheses,
+    make_coefficients,
+)
 from fracspec.spectral import SpectralDecomposition, SpectrumCapError, eigendecompose
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,8 +189,9 @@ def test_run_is_deterministic_under_seed(tmp_path):
     assert csv_a == csv_b
     m_a = json.loads((outs[0] / "manifest.json").read_text())
     m_b = json.loads((outs[1] / "manifest.json").read_text())
-    for m in (m_a, m_b):
+    for m in (m_a, m_b):  # the two measurements of the process
         m.pop("wall_time_s")
+        m.pop("peak_rss_mb")
         m["config"].pop("output_dir")
     assert m_a == m_b
 
@@ -667,6 +675,56 @@ def test_failed_self_check_exits_3(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "numerical_error"
     assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
+
+
+MANIFEST_KEYS = {"artifacts", "config", "eigensolve", "error", "hypotheses", "invariants",
+                 "peak_rss_mb", "seed", "status", "versions", "wall_time_s"}
+
+
+def _nan_eigenvalue(op):
+    dec = eigendecompose(op)
+    lam = dec.eigenvalues.copy()
+    lam[len(lam) // 2] = np.nan
+    bad = SpectralDecomposition(lam, dec.eigenvectors, op)
+    bad.validate()
+    return bad
+
+
+def _raising(cfg, dec, rng, outdir):
+    raise TypeError("unsupported operand")
+
+
+@pytest.mark.parametrize("code,status", [(0, "ok"), (1, "invariant_failure"),
+                                         (3, "numerical_error"), (4, "internal_error")])
+def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch, capsys,
+                                                          code, status):
+    if code == 1:
+        monkeypatch.setitem(TASKS, "spectrum", (lambda *args: ({"held": False}, []), {}))
+    if code == 3:  # a NaN eigenvalue fails validate's checks
+        monkeypatch.setattr(cli, "eigendecompose", _nan_eigenvalue)
+    if code == 4:
+        monkeypatch.setitem(TASKS, "spectrum", (_raising, {}))
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out),
+                                    overrides={"grid": SMALL_GRID, "coefficients": BUMP}))
+    assert run(cfg) == code
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["status"] == status
+    assert manifest["peak_rss_mb"] > 0
+    hypotheses = manifest["hypotheses"]
+    assert hypotheses == json.loads(json.dumps(asdict(check_hypotheses(cfg.field, cfg.grid))))
+    assert hypotheses["symmetric"] and hypotheses["c_nonnegative"]
+    assert hypotheses["ellipticity_lambda"] == cfg.field.ellipticity
+    eigensolve = manifest["eigensolve"]
+    if code == 3:
+        assert eigensolve is None
+        assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
+        return
+    assert eigensolve["driver"] == "numpy.linalg.eigh"
+    for name in ("orthonormality", "reconstruction"):
+        assert set(eigensolve[name]) == {"measured", "bound"}
+        assert 0.0 <= eigensolve[name]["measured"] <= eigensolve[name]["bound"]
 
 
 # runs ``fracspec run`` on argv[1], with NUMPY_EIGH_MAX_DOF set to argv[2] unless

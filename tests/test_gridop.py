@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -228,18 +229,43 @@ def test_assemble_is_byte_identical_to_sparse_assembly_at_the_dof_cap():
     assert assemble(g, f).matrix.tobytes() == sparse_assembly(g, f).tobytes()
 
 
-def test_assemble_allocates_one_dense_array():
+def test_assemble_holds_no_dense_array_and_matrix_allocates_one():
     g = build_grid(2, 66, 8.0, "dirichlet")
     f = _oracle_field(g, "radial_bump")
+    dense = 8 * g.n_dof**2  # bytes of the one (n_dof, n_dof) float64 array
     tracemalloc.start()
     try:
         op = assemble(g, f)
-        _, peak = tracemalloc.get_traced_memory()
+        _, assemble_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        matrix = op.matrix
+        _, matrix_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    dense = 8 * g.n_dof**2  # bytes of the one (n_dof, n_dof) float64 array
-    assert op.matrix.nbytes == dense
-    assert peak <= 1.1 * dense
+    assert assemble_peak < 0.01 * dense
+    assert matrix.nbytes == dense
+    assert matrix_peak <= 1.1 * dense
+
+
+@pytest.mark.parametrize("dim,n,boundary", [(1, 33, "dirichlet"), (2, 16, "periodic"),
+                                            (2, 33, "dirichlet")])
+def test_each_matrix_read_is_a_new_array_equal_to_the_sparse_oracle(dim, n, boundary):
+    g = build_grid(dim, n, 3.0, boundary)
+    f = _oracle_field(g, "random")
+    op = assemble(g, f)
+    first, second = op.matrix, op.matrix
+    assert first is not second
+    assert first.tobytes() == second.tobytes() == sparse_assembly(g, f).tobytes()
+    first[:] = np.nan  # the caller owns each read, so writing to it changes no later one
+    assert op.matrix.tobytes() == second.tobytes()
+
+
+def test_discrete_operator_holds_no_array():
+    g = build_grid(2, 16, 3.0, "dirichlet")
+    op = assemble(g, _oracle_field(g, "radial_bump"))
+    assert [fld.name for fld in fields(op)] == ["grid", "coefficients"]
+    assert not any(isinstance(getattr(op, fld.name), np.ndarray) for fld in fields(op))
+    assert op.n_dof == g.n_dof
 
 
 def test_assemble_rejects_node_count_mismatch():

@@ -6,7 +6,13 @@ import scipy.fft
 import scipy.linalg
 
 from fracspec import spectral
-from fracspec.gridop import CoefficientField, assemble, build_grid, make_coefficients
+from fracspec.gridop import (
+    CoefficientField,
+    NumericalError,
+    assemble,
+    build_grid,
+    make_coefficients,
+)
 from fracspec.spectral import (
     SpectralDecomposition,
     SpectrumCapError,
@@ -72,18 +78,60 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
     # the 1-D Dirichlet modes are even or odd, so their largest entries tie in
     # pairs: a largest-entry-positive rule leaves syevd and evr apart on 31 columns
     _, op = bump_operator(n=130)
-    raw = scipy.linalg.eigh(op.matrix)[1]
+    lam, raw = scipy.linalg.eigh(op.matrix, driver="evr")
     assert np.any((np.linalg.eigh(op.matrix)[1] * raw).sum(axis=0) < 0)
     numpy_dec = eigendecompose(op)
     monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
-    scipy_dec = eigendecompose(op)
-    assert np.abs(numpy_dec.eigenvectors - scipy_dec.eigenvectors).max() <= 1e-10
+    evd_dec = eigendecompose(op)
+    assert evd_dec.eigensolve["driver"] == "scipy evd in place"
+    signed = raw * np.where(spectral._probe(op.n_dof) @ raw < 0.0, -1.0, 1.0)
+    for v in (evd_dec.eigenvectors, signed):
+        assert np.abs(numpy_dec.eigenvectors - v).max() <= 1e-10
     # a flip by -1 is exact, so f(L) keeps its bytes
     f = np.random.default_rng(3).standard_normal(op.n_dof)
-    unflipped = SpectralDecomposition(scipy_dec.eigenvalues, raw, op)
-    mult = scipy_dec.spectrum ** 0.3
-    assert (apply_function(scipy_dec, mult, f).tobytes()
-            == apply_function(unflipped, mult, f).tobytes())
+    mult = numpy_dec.spectrum ** 0.3
+    assert (apply_function(SpectralDecomposition(lam, signed, op), mult, f).tobytes()
+            == apply_function(SpectralDecomposition(lam, raw, op), mult, f).tobytes())
+
+
+def test_in_place_solve_leaves_the_operator_matrix_intact(monkeypatch):
+    g, op = bump_operator(n=20, dim=2)
+    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
+    dec = eigendecompose(op)
+    assert dec.eigensolve["driver"] == "scipy evd in place"
+    assert dec.source.matrix.tobytes() == assemble(g, op.coefficients).matrix.tobytes()
+
+
+@pytest.mark.parametrize("max_dof,driver", [(2304, "numpy.linalg.eigh"),
+                                            (0, "scipy evd in place")])
+def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_dof, driver):
+    _, op = bump_operator(n=65)
+    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", max_dof)
+    dec = eigendecompose(op)
+    assert dec.eigensolve["driver"] == driver
+    assert dec.eigensolve == {"driver": driver, **dec.validate()}
+    for name in ("orthonormality", "reconstruction"):
+        check = dec.eigensolve[name]
+        assert 0.0 <= check["measured"] <= check["bound"]
+    resid = np.abs((dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T - op.matrix).max()
+    assert dec.eigensolve["reconstruction"]["measured"] == resid
+
+
+# 33 dofs take the full matrix checks, 1089 the probe checks
+@pytest.mark.parametrize("dim,n", [(1, 35), (2, 35)])
+def test_validate_rejects_nan(dim, n):
+    _, op = bump_operator(n=n, dim=dim)
+    dec = eigendecompose(op)
+    mid = dec.n_dof // 2
+    for k in (mid, -1):
+        lam = dec.eigenvalues.copy()
+        lam[k] = np.nan
+        with pytest.raises(NumericalError, match="nan"):  # as the residual or the bound
+            SpectralDecomposition(lam, dec.eigenvectors, op).validate()
+    v = dec.eigenvectors.copy()
+    v[mid // 2, mid] = np.nan
+    with pytest.raises(NumericalError, match="not orthonormal.*residual nan"):
+        SpectralDecomposition(dec.eigenvalues, v, op).validate()
 
 
 def test_decomposition_requires_its_source_operator():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracspec import spectral
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, laplacian_symbol
 from fracspec.ucprobe import (
@@ -89,6 +90,16 @@ def test_locality_of_integer_powers_is_exact(m):
     for kind, params in [("identity", {}), ("radial_bump", {"s": 0.7, "w": 2.0})]:
         dec = make_dec(kind=kind, params=params)
         assert locality_contrast(dec, m, STANDARD).mass_on_theta == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_locality_is_exact_after_an_in_place_eigensolve(monkeypatch, m):
+    # the eigensolve consumes its matrix; locality_contrast builds its own
+    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
+    dec = make_dec(kind="radial_bump", params={"s": 0.7, "w": 2.0})
+    assert dec.eigensolve["driver"] == "scipy evd in place"
+    res = locality_contrast(dec, m, STANDARD)
+    assert res.mass_on_theta == 0.0 and res.mass_total > 0.0
 
 
 def test_fractional_mass_on_shrunken_theta_still_positive():
