@@ -55,12 +55,9 @@ from .spectral import (
     norm_equivalence,
     sobolev_norm,
     unitary_propagate,
-    viscous_propagate,
 )
 from .ucprobe import (
     VanishingSpec,
     bump_state,
     dichotomy_sweep,
-    locality_contrast,
-    nonlocality_probe,
 )

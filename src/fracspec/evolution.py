@@ -357,8 +357,8 @@ def viscous_solve(
     """
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if s % 2 != 0:
-        raise ValueError(f"monitoring index s must be an even integer, got {s}")
+    if s < 0 or s % 2 != 0:
+        raise ValueError(f"monitoring index s must be an even integer >= 0, got {s}")
     if (nonlinearity.kind == "gradient" and not nonlinearity.is_zero
             and nonlinearity.energy_hypothesis is False):
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "

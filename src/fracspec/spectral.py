@@ -163,16 +163,6 @@ def unitary_propagate(dec: SpectralDecomposition, alpha: float, t: float, f: np.
     return apply_function(dec, np.exp(1j * t * dec.spectrum**alpha), f)
 
 
-def viscous_propagate(
-    dec: SpectralDecomposition, alpha: float, eps: float, t: float, f: np.ndarray
-) -> np.ndarray:
-    """e^{t(-eps L^2 + i L^alpha)} f, the dissipative propagator."""
-    if eps < 0 or t < 0:
-        raise ValueError("viscous_propagate requires eps >= 0 and t >= 0")
-    lam = dec.spectrum
-    return apply_function(dec, np.exp(-eps * t * lam**2 + 1j * t * lam**alpha), f)
-
-
 # ---------------------------------------------------------------------------
 # Bessel potentials (1 - discrete Laplacian)^{s/2}
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A compactly supported bump f vanishes identically on a disjoint open set.
 Applying a fractional power of the operator leaves measurable mass on that
-set (nonlocality), while an integer power, being a finite-stencil matrix,
+set (nonlocality), while the operator itself, a finite-stencil matrix,
 leaves exactly zero mass once the set is shrunk by the stencil radius.
 """
 
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridop import Grid, _write_csv
-from .spectral import SpectralDecomposition, fractional_power
+from .spectral import SpectralDecomposition, apply_function
 
 # Empirical regression floor for the nonlocality ratio; the continuum
 # statement is qualitative and provides no constant.
@@ -80,80 +80,38 @@ def bump_state(grid: Grid, spec: VanishingSpec) -> np.ndarray:
     return out
 
 
-def _mask_in_box(grid: Grid, box: np.ndarray) -> np.ndarray:
-    x = grid.dof_nodes()
-    mask = np.ones(x.shape[0], dtype=bool)
-    for ax in range(grid.dim):
-        mask &= (x[:, ax] > box[ax, 0]) & (x[:, ax] < box[ax, 1])
-    return mask
-
-
-@dataclass(frozen=True)
-class NonlocalityResult:
-    alpha: float
-    mass_on_theta: float
-    mass_total: float
-
-    @property
-    def ratio(self) -> float:
-        return self.mass_on_theta / self.mass_total if self.mass_total > 0 else 0.0
-
-
-def nonlocality_probe(dec: SpectralDecomposition, alpha: float,
-                      spec: VanishingSpec) -> NonlocalityResult:
-    """Mass of L^alpha f on the vanishing set of f, for alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    grid = dec.source.grid
-    f = bump_state(grid, spec)
-    g = fractional_power(dec, alpha, f)
-    mask = _mask_in_box(grid, spec.theta)
-    return NonlocalityResult(
-        alpha=alpha,
-        mass_on_theta=float(np.linalg.norm(g[mask])),
-        mass_total=float(np.linalg.norm(g)),
-    )
-
-
-def locality_contrast(dec: SpectralDecomposition, m: int,
-                      spec: VanishingSpec) -> NonlocalityResult:
-    """Mass of the m-fold operator product on theta shrunk by m stencil widths.
-
-    The matrix power is applied as repeated matrix multiplication so the
-    finite stencil is exact: ``mass_on_theta`` is identically zero in
-    floating point.
-    """
-    if m not in (1, 2):
-        raise ValueError(f"integer power m must be 1 or 2, got {m}")
-    grid = dec.source.grid
-    g = bump_state(grid, spec)
-    matrix = dec.source.matrix  # built on each read, so once
-    for _ in range(m):
-        g = matrix @ g
-    mask = _mask_in_box(grid, spec.shrunk_theta(m * grid.spacing))
-    return NonlocalityResult(
-        alpha=float(m),
-        mass_on_theta=float(np.linalg.norm(g[mask])),
-        mass_total=float(np.linalg.norm(g)),
-    )
+def _mask_in_box(x: np.ndarray, box: np.ndarray) -> np.ndarray:
+    return np.all((x > box[:, 0]) & (x < box[:, 1]), axis=1)
 
 
 def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
                     alphas) -> list[tuple[float, float, float, float]]:
     """Rows (alpha, mass_on_theta, mass_total, ratio) for alphas in (0, 1].
 
-    Integer alpha = 1 is evaluated on theta shrunk by one stencil width,
-    where the matrix locality makes the mass exactly zero; fractional
-    alphas use the unshrunken set.
+    The masses are l2 norms of L^alpha f for the bump f of ``spec``. Every
+    fractional alpha comes from one conjugation (one V^T f, one GEMM) and is
+    measured on theta. Integer alpha = 1 is the matrix product, measured on
+    theta shrunk by one stencil width, where its mass is exactly zero.
     """
     alphas = [float(a) for a in alphas]
     if any(not 0.0 < a <= 1.0 for a in alphas):
         raise ValueError("sweep alphas must lie in (0, 1]")
+    grid = dec.source.grid
+    f, x = bump_state(grid, spec), grid.dof_nodes()
+    masses = {}
+    fractional = sorted(set(alphas) - {1.0})
+    if fractional:
+        g = apply_function(dec, dec.spectrum[:, None] ** np.array(fractional), f)
+        on_theta = np.linalg.norm(g[_mask_in_box(x, spec.theta)], axis=0)
+        masses.update(zip(fractional, zip(on_theta, np.linalg.norm(g, axis=0))))
+    if 1.0 in alphas:
+        g = dec.source.matrix @ f
+        mask = _mask_in_box(x, spec.shrunk_theta(grid.spacing))
+        masses[1.0] = (np.linalg.norm(g[mask]), np.linalg.norm(g))
     rows = []
     for alpha in alphas:
-        res = (locality_contrast(dec, 1, spec) if alpha == 1.0
-               else nonlocality_probe(dec, alpha, spec))
-        rows.append((alpha, res.mass_on_theta, res.mass_total, res.ratio))
+        on_theta, total = map(float, masses[alpha])
+        rows.append((alpha, on_theta, total, on_theta / total if total > 0 else 0.0))
     return rows
 
 

@@ -5,7 +5,8 @@ import numpy as np
 from fracspec.evolution import Nonlinearity
 from fracspec.extension import ExtensionField, _weighted_y_cells
 from fracspec.gridop import Grid
-from fracspec.spectral import SpectralDecomposition, l2_norm, sobolev_norm
+from fracspec.spectral import SpectralDecomposition, fractional_power, l2_norm, sobolev_norm
+from fracspec.ucprobe import VanishingSpec, bump_state
 
 
 def gershgorin_lower_bound(matrix: np.ndarray) -> float:
@@ -137,3 +138,18 @@ def physical_equation_residual(dec: SpectralDecomposition, symbol, states, times
     out[1:-1] = l2_norm(dec.source.grid, resid_interior.T)
     out[0], out[-1] = out[1], out[-2]
     return out
+
+
+def per_alpha_masses(dec: SpectralDecomposition, alpha: float, spec: VanishingSpec):
+    """(|L^alpha f| on theta, |L^alpha f|) for the bump f of ``spec``, one alpha at a time.
+
+    The probe the dichotomy sweep replaced: its own bump, its own nodes and
+    its own V^T f per alpha, and a per-axis mask of the open box theta.
+    """
+    grid = dec.source.grid
+    g = fractional_power(dec, alpha, bump_state(grid, spec))
+    x = grid.dof_nodes()
+    mask = np.ones(x.shape[0], dtype=bool)
+    for ax in range(grid.dim):
+        mask &= (x[:, ax] > spec.theta[ax, 0]) & (x[:, ax] < spec.theta[ax, 1])
+    return float(np.linalg.norm(g[mask])), float(np.linalg.norm(g))

@@ -474,6 +474,14 @@ def test_viscous_requires_even_monitor_index():
         viscous_solve(dec, 0.5, 0.1, smooth_state(g), ZERO_P, 0.1, 0.01, s=3)
 
 
+def test_viscous_rejects_a_negative_monitor_index():
+    # on a periodic grid L has a zero eigenvalue, where lam^{s/2} is singular for s < 0
+    g = build_grid(1, 16, 4.0, "periodic")
+    dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
+    with pytest.raises(ValueError, match="monitoring index s must be an even integer >= 0"):
+        viscous_solve(dec, 0.5, 0.1, smooth_state(g), ZERO_P, 0.1, 0.01, s=-2)
+
+
 def test_viscous_blowup_flag():
     # feed an envelope small enough that any state violates it
     g, dec = grid_dec(n=17)

@@ -1,0 +1,33 @@
+"""The library is what a run executes: no top-level definition in src/fracspec is test-only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fracspec"
+
+
+def _names(node):
+    """The names ``node`` refers to, as an ``ast.Name`` or an ``ast.Attribute``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _is_task_runner(stmt):
+    """``cli``'s ``@_task(...)`` runners are reached through the task table, not by name."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_task"
+               for d in stmt.decorator_list)
+
+
+def test_every_top_level_definition_is_referenced_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # the names each top-level statement refers to, so a definition's own body is left out
+    refs = {(module, i): _names(stmt)
+            for module, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    unreferenced = [
+        f"{module}:{stmt.name}"
+        for module, tree in trees.items() if module != "__init__.py"
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not _is_task_runner(stmt)
+        and not any(stmt.name in names for key, names in refs.items() if key != (module, i))
+    ]
+    assert unreferenced == []

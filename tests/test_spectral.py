@@ -25,7 +25,6 @@ from fracspec.spectral import (
     norm_equivalence,
     sobolev_norm,
     unitary_propagate,
-    viscous_propagate,
 )
 from oracles import smoothing_norm_bound, smoothing_norm_measured
 
@@ -251,37 +250,6 @@ def test_unitary_at_zero_is_identity():
     dec = eigendecompose(op)
     f = np.sin(np.arange(dec.n_dof))
     assert np.allclose(unitary_propagate(dec, 0.5, 0.0, f), f, rtol=0, atol=1e-14)
-
-
-def test_viscous_zero_eps_reduces_to_unitary():
-    _, op = bump_operator()
-    dec = eigendecompose(op)
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(dec.n_dof)
-    assert np.allclose(
-        viscous_propagate(dec, 0.5, 0.0, 2.0, f),
-        unitary_propagate(dec, 0.5, 2.0, f),
-        rtol=0, atol=1e-12,
-    )
-
-
-def test_viscous_is_contraction():
-    _, op = bump_operator()
-    dec = eigendecompose(op)
-    rng = np.random.default_rng(8)
-    f = rng.standard_normal(dec.n_dof)
-    out = viscous_propagate(dec, 0.5, 0.05, 1.5, f)
-    assert np.linalg.norm(out) <= np.linalg.norm(f) * (1 + 1e-12)
-
-
-def test_viscous_scalar_oracle():
-    # the one-dof operator L = [2]: 1-D Dirichlet n = 3 on [-1, 1] (h = 1), a = 1, c = 0
-    g = build_grid(1, 3, 1.0, "dirichlet")
-    one = eigendecompose(assemble(g, make_coefficients(
-        g, "tabulated", {"a": np.ones(3), "c": np.zeros(3)})))
-    f = np.array([1.0 + 0.0j])
-    out = viscous_propagate(one, 0.5, 0.1, 1.0, f)
-    assert out[0] == pytest.approx(np.exp(-0.4 + 1j * 2.0**0.5), abs=1e-14)
 
 
 def test_smoothing_norm_maximization():

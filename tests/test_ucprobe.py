@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from fracspec import spectral
+from fracspec import gridop, spectral, ucprobe
 from fracspec.gridop import assemble, build_grid, make_coefficients
-from fracspec.spectral import eigendecompose, laplacian_symbol
+from fracspec.spectral import eigendecompose, fractional_power, laplacian_symbol
 from fracspec.ucprobe import (
     NONLOCALITY_FLOOR,
     VanishingSpec,
     bump_state,
     dichotomy_sweep,
-    locality_contrast,
-    nonlocality_probe,
     sweep_to_csv,
 )
+from oracles import per_alpha_masses
 
 STANDARD = VanishingSpec.create(theta=(-1.0, 0.0), f_support=(1.0, 2.0), dim=1)
 
@@ -46,34 +45,36 @@ def test_bump_vanishes_exactly_off_support():
 
 def test_nonlocality_ratio_exceeds_floor_constant_coefficients():
     dec = make_dec()
-    res = nonlocality_probe(dec, 0.5, STANDARD)
-    assert res.mass_total > 0
-    assert res.ratio > NONLOCALITY_FLOOR
+    [(_, _, total, ratio)] = dichotomy_sweep(dec, STANDARD, [0.5])
+    assert total > 0
+    assert ratio > NONLOCALITY_FLOOR
 
 
 def test_nonlocality_with_variable_coefficients():
     dec = make_dec(kind="radial_bump", params={"s": 0.7, "w": 2.0, "c_amp": 0.4})
-    for alpha in (0.25, 0.5, 0.75):
-        assert nonlocality_probe(dec, alpha, STANDARD).ratio > NONLOCALITY_FLOOR
+    for _, _, _, ratio in dichotomy_sweep(dec, STANDARD, [0.25, 0.5, 0.75]):
+        assert ratio > NONLOCALITY_FLOOR
 
 
 def test_nonlocality_matches_fft_symbol_oracle_on_periodic_grid():
     g = build_grid(1, 128, 8.0, "periodic")
     dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
     f = bump_state(g, STANDARD)
-    # independent circulant oracle: multiplier m(xi)^alpha in Fourier space
-    oracle = np.fft.ifft(laplacian_symbol(g) ** 0.5 * np.fft.fft(f)).real
-    res = nonlocality_probe(dec, 0.5, STANDARD)
     x = g.dof_nodes().ravel()
     mask = (x > -1.0) & (x < 0.0)
-    assert res.mass_on_theta == pytest.approx(np.linalg.norm(oracle[mask]), rel=1e-9)
-    assert res.ratio > NONLOCALITY_FLOOR
+    for alpha, mass, total, ratio in dichotomy_sweep(dec, STANDARD, [0.25, 0.5, 0.75]):
+        # independent circulant oracle: multiplier m(xi)^alpha in Fourier space
+        oracle = np.fft.ifft(laplacian_symbol(g) ** alpha * np.fft.fft(f)).real
+        assert mass == pytest.approx(np.linalg.norm(oracle[mask]), rel=1e-9)
+        assert total == pytest.approx(np.linalg.norm(oracle), rel=1e-9)
+        assert ratio > NONLOCALITY_FLOOR
 
 
 def test_nonlocality_rejects_bad_alpha():
     dec = make_dec(n=33)
-    with pytest.raises(ValueError, match="alpha"):
-        nonlocality_probe(dec, 1.0, STANDARD)
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="0, 1"):
+            dichotomy_sweep(dec, STANDARD, [0.5, alpha])
 
 
 def test_zero_state_gives_zero_masses():
@@ -81,25 +82,25 @@ def test_zero_state_gives_zero_masses():
     dec = make_dec(n=17, x=8.0)
     h = dec.source.grid.spacing
     thin = VanishingSpec.create(theta=(-1.0, 0.0), f_support=(1.0 + 0.1 * h, 1.0 + 0.4 * h))
-    res = nonlocality_probe(dec, 0.5, thin)
-    assert res.mass_total == 0.0 and res.mass_on_theta == 0.0 and res.ratio == 0.0
+    assert dichotomy_sweep(dec, thin, [0.5]) == [(0.5, 0.0, 0.0, 0.0)]
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1])  # alpha = 1, the sweep's one integer power
 def test_locality_of_integer_powers_is_exact(m):
     for kind, params in [("identity", {}), ("radial_bump", {"s": 0.7, "w": 2.0})]:
         dec = make_dec(kind=kind, params=params)
-        assert locality_contrast(dec, m, STANDARD).mass_on_theta == 0.0
+        [(_, mass, total, ratio)] = dichotomy_sweep(dec, STANDARD, [float(m)])
+        assert mass == 0.0 and ratio == 0.0 and total > 0.0
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1])  # alpha = 1, the sweep's one integer power
 def test_locality_is_exact_after_an_in_place_eigensolve(monkeypatch, m):
-    # the eigensolve consumes its matrix; locality_contrast builds its own
+    # the eigensolve consumes its matrix; the sweep reads a new one
     monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
     dec = make_dec(kind="radial_bump", params={"s": 0.7, "w": 2.0})
     assert dec.eigensolve["driver"] == "scipy evd in place"
-    res = locality_contrast(dec, m, STANDARD)
-    assert res.mass_on_theta == 0.0 and res.mass_total > 0.0
+    [(_, mass, total, ratio)] = dichotomy_sweep(dec, STANDARD, [float(m)])
+    assert mass == 0.0 and ratio == 0.0 and total > 0.0
 
 
 def test_fractional_mass_on_shrunken_theta_still_positive():
@@ -107,20 +108,63 @@ def test_fractional_mass_on_shrunken_theta_still_positive():
     grid = dec.source.grid
     shrunk_box = STANDARD.shrunk_theta(grid.spacing)
     shrunk = VanishingSpec.create(theta=tuple(shrunk_box[0]), f_support=(1.0, 2.0))
-    res = nonlocality_probe(dec, 0.5, shrunk)
-    assert res.mass_on_theta > NONLOCALITY_FLOOR * res.mass_total
+    [(_, mass, total, _)] = dichotomy_sweep(dec, shrunk, [0.5])
+    assert mass > NONLOCALITY_FLOOR * total
 
 
 def test_locality_rejects_overshrunk_theta():
     dec = make_dec(n=17, x=8.0)  # h = 1: theta (-1,0) dies after shrinking by h
     with pytest.raises(ValueError, match="empty after shrinking"):
-        locality_contrast(dec, 1, STANDARD)
+        dichotomy_sweep(dec, STANDARD, [0.5, 1.0])
+    # the fractional rows are measured on theta itself, so they never shrink it
+    assert len(dichotomy_sweep(dec, STANDARD, [0.5])) == 1
 
 
-def test_locality_rejects_bad_power():
-    dec = make_dec(n=33)
-    with pytest.raises(ValueError, match="1 or 2"):
-        locality_contrast(dec, 3, STANDARD)
+@pytest.mark.parametrize("boundary, kind, params", [
+    ("dirichlet", "radial_bump", {"s": 0.7, "w": 2.0, "c_amp": 0.4}),
+    ("periodic", "identity", {}),
+])
+def test_sweep_matches_the_per_alpha_oracle(boundary, kind, params):
+    dec = make_dec(n=128 if boundary == "periodic" else 129, kind=kind, params=params,
+                   boundary=boundary)
+    alphas = [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    rows = dichotomy_sweep(dec, STANDARD, alphas)
+    assert [r[0] for r in rows] == alphas
+    for alpha, mass, total, ratio in rows[:-1]:
+        want_mass, want_total = per_alpha_masses(dec, alpha, STANDARD)
+        assert mass == pytest.approx(want_mass, rel=1e-12)
+        assert total == pytest.approx(want_total, rel=1e-12)
+        assert ratio == pytest.approx(want_mass / want_total, rel=1e-12)
+    assert rows[-1][1] == 0.0 and rows[-1][3] == 0.0
+
+
+def test_sweep_is_one_conjugation_and_one_matrix_read(monkeypatch):
+    dec = make_dec(n=65)
+    conjugations, reads = [], []
+    apply = ucprobe.apply_function
+    monkeypatch.setattr(ucprobe, "apply_function",
+                        lambda *args: conjugations.append(1) or apply(*args))
+    matrix = gridop.DiscreteOperator.matrix
+    monkeypatch.setattr(gridop.DiscreteOperator, "matrix",
+                        property(lambda op: reads.append(1) or matrix.fget(op)))
+    rows = dichotomy_sweep(dec, STANDARD, [0.25, 0.5, 0.75, 1.0, 0.5, 1.0])
+    assert len(rows) == 6
+    assert len(conjugations) == 1 and len(reads) == 1
+
+
+def test_sweep_repeats_the_row_of_a_duplicate_alpha():
+    dec = make_dec(n=65)
+    r25, r50, r1 = dichotomy_sweep(dec, STANDARD, [0.25, 0.5, 1.0])
+    rows = dichotomy_sweep(dec, STANDARD, [0.5, 1.0, 0.5, 1.0, 0.25])
+    assert rows == [r50, r1, r50, r1, r25]
+
+
+def test_sweep_of_alpha_one_alone_needs_no_conjugation(monkeypatch):
+    dec = make_dec(n=65)
+    monkeypatch.setattr(ucprobe, "apply_function", None)  # a call would raise TypeError
+    f = bump_state(dec.source.grid, STANDARD)
+    assert dichotomy_sweep(dec, STANDARD, [1.0]) == [
+        (1.0, 0.0, float(np.linalg.norm(dec.source.matrix @ f)), 0.0)]
 
 
 def test_dichotomy_sweep_standard():
@@ -150,8 +194,6 @@ def test_scaling_equivariance_of_masses():
     dec = make_dec(n=65)
     grid = dec.source.grid
     f = bump_state(grid, STANDARD)
-    from fracspec.spectral import fractional_power
-
     g1 = fractional_power(dec, 0.5, f)
     g2 = fractional_power(dec, 0.5, 2.0 * f)  # power of two: bit-exact scaling
     assert np.array_equal(g2, 2.0 * g1)
@@ -161,12 +203,11 @@ def test_scaling_equivariance_of_masses():
 
 def test_boundary_influence_small_under_box_doubling():
     # doubling the box at fixed spacing must leave the theta mass stable
-    res = []
+    masses = []
     for n, x in [(129, 8.0), (257, 16.0)]:
-        dec = make_dec(n=n, x=x)
-        res.append(nonlocality_probe(dec, 0.5, STANDARD))
-    rel = abs(res[0].mass_on_theta - res[1].mass_on_theta) / res[1].mass_on_theta
-    assert rel < 0.05
+        [(_, mass, _, _)] = dichotomy_sweep(make_dec(n=n, x=x), STANDARD, [0.5])
+        masses.append(mass)
+    assert abs(masses[0] - masses[1]) / masses[1] < 0.05
 
 
 def test_sweep_csv_export(tmp_path):
