@@ -53,6 +53,8 @@ from .gridop import (
 )
 from .spectral import (
     DEFAULT_DOF_CAP,
+    EIGENVECTOR_SAMPLE_INDICES,
+    NORM_EQUIV_WORKING_SET,
     _sample_bump,
     apply_function,
     eigendecompose,
@@ -226,8 +228,8 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
              "two or more nonincreasing values")
     if task == "picard":
         need(p["max_iter"] >= 1, "max_iter", ">= 1")
-        if p["c_est"] is not None:
-            need(p["c_est"] > 0, "c_est", "> 0")
+    if p.get("c_est") is not None:  # picard's null skips its horizon check
+        need(p["c_est"] > 0, "c_est", "> 0")
     if task == "norm_equiv":
         need(p["n_bumps"] >= 0, "n_bumps", ">= 0")
     if task == "kp_check":
@@ -236,10 +238,14 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
     if task == "uc_probe":
         need(p["alphas"] and all(0 < a <= 1 for a in p["alphas"]), "alphas",
              "a nonempty list in (0, 1]")
-    # the state-sized arrays held at once: every y node, or every time step times
-    # the solver's measured working set, to which each further viscosity run adds
-    # its states. Checked before _time_grid allocates the steps; a zero dt never ends
+    # the state-sized arrays held at once: every y node, every norm_equiv test
+    # function or every time step, times the measured working set of the task, to
+    # which each further viscosity run adds its states. Checked before _time_grid
+    # allocates the steps; a zero dt never ends
     keys, held = "'y_count'", p.get("y_count", 0)
+    if task == "norm_equiv":
+        keys = "'n_bumps'"
+        held = (p["n_bumps"] + len(EIGENVECTOR_SAMPLE_INDICES)) * NORM_EQUIV_WORKING_SET
     if "dt" in p:
         keys = "'t_final' / 'dt'"
         held = ((p["t_final"] / p["dt"] if p["dt"] else math.inf) + 1.0) * (
@@ -347,11 +353,13 @@ def parse_config(path: str | Path) -> RunConfig:
     task_params = _params(root["task_params"], TASKS[task][1], "task_params")
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
-    _check_values(task, task_params, grid, alphas[0])
-    inputs = _task_inputs(task, task_params, grid)
+    run_grid = grid  # the grid the task holds its arrays on
     if task == "norm_equiv" and task_params["refine"] and field.kind != "tabulated":
-        _within_cap(refined_grid(grid), "the grid doubled by task_params 'refine'",
+        run_grid = refined_grid(grid)
+        _within_cap(run_grid, "the grid doubled by task_params 'refine'",
                     "reduce 'n' or set 'refine' to false")
+    _check_values(task, task_params, run_grid, alphas[0])
+    inputs = _task_inputs(task, task_params, grid)
     output_dir = Path(root["output_dir"])
     if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
         raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")

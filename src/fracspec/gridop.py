@@ -9,6 +9,7 @@ discretized with second-order conservative (flux-form) differences so that
 the resulting matrix is symmetric by construction.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,31 +54,22 @@ class Grid:
         return -self.half_length + i * self.spacing
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates, shape (n_nodes, dim), axis-0 fastest last."""
-        ax = self.axis_nodes()
-        if self.dim == 1:
-            return ax[:, None]
-        g0, g1 = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([g0.ravel(), g1.ravel()])
+        """All node coordinates, shape (n_nodes, dim), the last axis fastest."""
+        axes = np.meshgrid(*[self.axis_nodes()] * self.dim, indexing="ij")
+        return np.column_stack([g.ravel() for g in axes])
 
-    def interior_mask(self) -> np.ndarray:
-        """Boolean mask of degree-of-freedom nodes (all nodes if periodic)."""
-        if self.boundary == "periodic":
-            return np.ones(self.n_nodes, dtype=bool)
+    @property
+    def dof_shape(self) -> tuple:
+        """Shape of the dof array: n per axis on a periodic grid, n - 2 on a Dirichlet grid."""
         n = self.points_per_axis
-        ax = (np.arange(n) > 0) & (np.arange(n) < n - 1)
-        if self.dim == 1:
-            return ax
-        return (ax[:, None] & ax[None, :]).ravel()
+        return (n if self.boundary == "periodic" else n - 2,) * self.dim
 
     @property
     def n_dof(self) -> int:
-        if self.boundary == "periodic":
-            return self.n_nodes
-        return (self.points_per_axis - 2) ** self.dim
+        return math.prod(self.dof_shape)
 
     def dof_nodes(self) -> np.ndarray:
-        return self.nodes()[self.interior_mask()]
+        return _window(self, _node_ring(self, self.nodes()), 0, 0).reshape(self.n_dof, self.dim)
 
 
 @dataclass(frozen=True)
@@ -234,10 +226,10 @@ def load_coefficients_csv(grid: Grid, path: str | Path) -> CoefficientField:
         raise ValueError(f"expected {expected_cols} columns, got {raw.shape[1]}")
     if raw.shape[0] != grid.n_nodes:
         raise ValueError(f"expected {grid.n_nodes} rows, got {raw.shape[0]}")
-    idx = raw[:, :dim].astype(int)
-    flat = idx[:, 0] if dim == 1 else idx[:, 0] * grid.points_per_axis + idx[:, 1]
-    order = np.argsort(flat)
-    if not np.array_equal(flat[order], np.arange(grid.n_nodes)):
+    shape = (grid.points_per_axis,) * dim
+    # truncating and clipping only sort the rows; the index columns as read must be the grid's
+    order = np.argsort(np.ravel_multi_index(tuple(raw[:, :dim].astype(int).T), shape, mode="clip"))
+    if not np.array_equal(raw[order, :dim], np.indices(shape).reshape(dim, -1).T):
         raise ValueError("node indices do not enumerate the grid exactly once")
     a = raw[order, dim:dim + dim * dim].reshape(grid.n_nodes, dim, dim)
     c = raw[order, -1]
@@ -260,18 +252,6 @@ def _write_csv(path: str | Path, header: str, columns) -> None:
             fh.writelines(map(row.format, *chunk))
 
 
-def _neighbour(grid: Grid, axis: int, step: int) -> np.ndarray:
-    """Flat node index of each node's neighbour ``step`` (+1 or -1) nodes along ``axis``.
-
-    Periodic grids wrap; on Dirichlet grids a neighbour outside the box is -1.
-    """
-    n = grid.points_per_axis
-    shifted = np.roll(np.arange(grid.n_nodes).reshape((n,) * grid.dim), -step, axis=axis)
-    if grid.boundary == "dirichlet":
-        np.moveaxis(shifted, axis, 0)[n - 1 if step > 0 else 0] = -1
-    return shifted.ravel()
-
-
 def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     """The operator L of ``coefficients`` on ``grid``, whose node counts must agree.
 
@@ -283,6 +263,27 @@ def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
             f"field has {coefficients.a.shape[0]} nodes, grid has {grid.n_nodes}"
         )
     return DiscreteOperator(grid=grid, coefficients=coefficients)
+
+
+def _ghosted(grid: Grid, x: np.ndarray, fill) -> np.ndarray:
+    """``x`` with a ghost node per side of each leading (dof) axis: wrapped if periodic, else
+    ``fill``."""
+    pad = [(1, 1)] * grid.dim + [(0, 0)] * (x.ndim - grid.dim)
+    return (np.pad(x, pad, mode="wrap") if grid.boundary == "periodic"
+            else np.pad(x, pad, constant_values=fill))
+
+
+def _node_ring(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """A node field (node axis first) with a ghost ring: a Dirichlet grid's boundary nodes,
+    or the wrapped field on a periodic grid."""
+    x = values.reshape((grid.points_per_axis,) * grid.dim + values.shape[1:])
+    return _ghosted(grid, x, None) if grid.boundary == "periodic" else x
+
+
+def _window(grid: Grid, ghosted: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """The dof-sized view of a ghosted array, moved ``step`` nodes along ``axis``."""
+    return ghosted[tuple(slice(1 + step * (k == axis), ghosted.shape[k] - 1 + step * (k == axis))
+                         for k in range(grid.dim))]
 
 
 def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
@@ -299,34 +300,32 @@ def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
     by test.
     """
     h = grid.spacing
-    mask = grid.interior_mask()
-    nodes = np.flatnonzero(mask)
-    dofs = np.arange(grid.n_dof)
-    # the trailing slot sends the -1 marker of _neighbour to dof -1 as well
-    dof_of_node = np.full(grid.n_nodes + 1, -1)
-    dof_of_node[nodes] = dofs
+    # dof numbers with a ghost ring; a neighbour past a Dirichlet boundary is -1
+    dof = _ghosted(grid, np.arange(grid.n_dof).reshape(grid.dof_shape), -1)
+    dofs = _window(grid, dof, 0, 0)
+    a, c = _node_ring(grid, coefficients.a), _node_ring(grid, coefficients.c)
     matrix = np.zeros((grid.n_dof, grid.n_dof))
 
-    diag = np.zeros(grid.n_dof)
+    diag = np.zeros(grid.dof_shape)
     for axis in range(grid.dim):
-        a_axis = coefficients.a[:, axis, axis]
-        ahead = _neighbour(grid, axis, 1)
-        # face between each node and the next (unused where ahead is -1); a dof has both faces
-        face = 0.5 * (a_axis + a_axis[ahead]) / h**2
-        diag += face[nodes]
-        diag += face[_neighbour(grid, axis, -1)[nodes]]
-        nbr = dof_of_node[ahead[nodes]]
+        a_axis = a[..., axis, axis]
+        here = _window(grid, a_axis, axis, 0)
+        # the face to each dof's neighbour ahead, then the face behind it
+        face = 0.5 * (here + _window(grid, a_axis, axis, 1)) / h**2
+        diag += face
+        diag += 0.5 * (_window(grid, a_axis, axis, -1) + here) / h**2
+        nbr = _window(grid, dof, axis, 1)
         both = nbr >= 0
-        matrix[dofs[both], nbr[both]] = matrix[nbr[both], dofs[both]] = -face[nodes[both]]
-    matrix[dofs, dofs] = diag + coefficients.c[mask]
+        matrix[dofs[both], nbr[both]] = matrix[nbr[both], dofs[both]] = -face[both]
+    np.fill_diagonal(matrix, diag + _window(grid, c, 0, 0))
 
     if grid.dim == 2:
-        b = coefficients.a[mask, 0, 1]
+        b = _window(grid, a[..., 0, 1], 0, 0)
         inv_2h = 1 / (2 * h)
         for s0 in (-1, 1):
-            p = dof_of_node[_neighbour(grid, 0, s0)[nodes]]
+            p = _window(grid, dof, 0, s0)
             for s1 in (-1, 1):
-                q = dof_of_node[_neighbour(grid, 1, s1)[nodes]]
+                q = _window(grid, dof, 1, s1)
                 both = (p >= 0) & (q >= 0)
                 val = s0 * s1 * (inv_2h * b[both] * inv_2h)
                 matrix[p[both], q[both]] += val
@@ -342,23 +341,9 @@ def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
     zero, periodic fields wrap. Matches the stencil spacing used by the
     assembled operator.
     """
-    h = grid.spacing
-    if grid.boundary == "periodic":
-        shape = (grid.points_per_axis,) * grid.dim
-    else:
-        shape = (grid.points_per_axis - 2,) * grid.dim
-    v = values.reshape(shape + values.shape[1:])
-    grads = []
-    for axis in range(grid.dim):
-        if grid.boundary == "periodic":
-            g = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
-        else:
-            pad = np.zeros_like(np.take(v, [0], axis=axis))
-            vp = np.concatenate([pad, v, pad], axis=axis)
-            g = (np.take(vp, range(2, vp.shape[axis]), axis=axis)
-                 - np.take(vp, range(0, vp.shape[axis] - 2), axis=axis)) / (2 * h)
-        grads.append(g.reshape(values.shape))
-    return grads
+    v = _ghosted(grid, values.reshape(grid.dof_shape + values.shape[1:]), 0)
+    return [((_window(grid, v, axis, 1) - _window(grid, v, axis, -1)) / (2 * grid.spacing))
+            .reshape(values.shape) for axis in range(grid.dim)]
 
 
 def check_hypotheses(coefficients: CoefficientField, grid: Grid) -> HypothesisReport:

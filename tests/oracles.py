@@ -153,3 +153,24 @@ def per_alpha_masses(dec: SpectralDecomposition, alpha: float, spec: VanishingSp
     for ax in range(grid.dim):
         mask &= (x[:, ax] > spec.theta[ax, 0]) & (x[:, ax] < spec.theta[ax, 1])
     return float(np.linalg.norm(g[mask])), float(np.linalg.norm(g))
+
+
+def rolled_centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
+    """Centered first differences of dof fields by np.roll (periodic) or a zero pad (Dirichlet)."""
+    h = grid.spacing
+    if grid.boundary == "periodic":
+        shape = (grid.points_per_axis,) * grid.dim
+    else:
+        shape = (grid.points_per_axis - 2,) * grid.dim
+    v = values.reshape(shape + values.shape[1:])
+    grads = []
+    for axis in range(grid.dim):
+        if grid.boundary == "periodic":
+            g = (np.roll(v, -1, axis=axis) - np.roll(v, 1, axis=axis)) / (2 * h)
+        else:
+            pad = np.zeros_like(np.take(v, [0], axis=axis))
+            vp = np.concatenate([pad, v, pad], axis=axis)
+            g = (np.take(vp, range(2, vp.shape[axis]), axis=axis)
+                 - np.take(vp, range(0, vp.shape[axis] - 2), axis=axis)) / (2 * h)
+        grads.append(g.reshape(values.shape))
+    return grads

@@ -22,7 +22,13 @@ from fracspec.gridop import (
     check_hypotheses,
     make_coefficients,
 )
-from fracspec.spectral import SpectralDecomposition, SpectrumCapError, eigendecompose
+from fracspec.spectral import (
+    EIGENVECTOR_SAMPLE_INDICES,
+    NORM_EQUIV_WORKING_SET,
+    SpectralDecomposition,
+    SpectrumCapError,
+    eigendecompose,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -527,6 +533,17 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "t_final": 30.1}}, "'dt'"),  # 9 x 30101 x 62 > 4096^2
     "viscous_just_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {
         "t_final": 45.1}}, "'dt'"),  # 6 x 45101 x 62 > 4096^2
+    "viscous_c_est_zero": ("viscous", {"grid": GRID_64, "task_params": {"c_est": 0.0}},
+                           "'c_est'"),  # the blow-up envelope 8 c |u0|_s must be positive
+    "viscous_c_est_negative": ("viscous", {"grid": GRID_64, "task_params": {"c_est": -1.0}},
+                               "'c_est'"),
+    "viscosity_convergence_c_est_zero": ("viscosity_convergence", {
+        "grid": GRID_64, "task_params": {"c_est": 0.0}}, "'c_est'"),
+    "norm_equiv_just_over_memory_guard": ("norm_equiv", {"grid": GRID_64, "task_params": {
+        "n_bumps": 12098}}, "'n_bumps'"),  # 11 x 12105 x 126 > 4096^2 on the doubled grid
+    "norm_equiv_unrefined_just_over_memory_guard": ("norm_equiv", {
+        "grid": GRID_64, "task_params": {"n_bumps": 24594, "refine": False}},
+        "'n_bumps'"),  # 11 x 24601 x 62 > 4096^2
     "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
     "picard_alpha_list_of_two": ("picard", {"grid": GRID_64, "alpha": [0.5, 0.6]}, "'alpha'"),
 }
@@ -571,6 +588,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
         "y_ratio": 1.1, "y_count": 4096}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
+    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126
+    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 24593, "refine": False}}),
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)
@@ -804,3 +823,7 @@ def test_readme_memory_guard_factors_mirror_the_working_sets():
     assert found
     assert tuple(map(float, found.groups())) == (PICARD_WORKING_SET, VISCOUS_WORKING_SET,
                                                  VISCOUS_WORKING_SET)
+    found = re.search(r"`\(n_bumps \+ (\d+)\) n_dof` times (\d+) for `norm_equiv`", readme)
+    assert found
+    assert tuple(map(float, found.groups())) == (len(EIGENVECTOR_SAMPLE_INDICES),
+                                                 NORM_EQUIV_WORKING_SET)

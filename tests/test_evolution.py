@@ -280,8 +280,10 @@ def test_sobolev_monitor_is_the_sobolev_norm_on_the_operator_grid(scheme):
     u0 = np.array([0.8 + 0.0j])
     traj = (picard_solve(dec, 0.5, u0, CUBIC, t_final=0.05, dt=1e-3) if scheme == "picard"
             else viscous_solve(dec, 0.5, 0.05, u0, CUBIC, t_final=0.05, dt=1e-3))
-    monitor = traj.monitors["sobolev_norm_s"]
-    assert np.array_equal(monitor, sobolev_norm(dec.source.grid, 2, traj.states.T))
+    monitor, grid = traj.monitors["sobolev_norm_s"], dec.source.grid
+    # Picard takes the norms of all states in one batch; viscous_solve keeps its per-step ones
+    assert np.array_equal(monitor, sobolev_norm(grid, 2, traj.states.T) if scheme == "picard"
+                          else [sobolev_norm(grid, 2, u) for u in traj.states])
     np.testing.assert_allclose(monitor, 3.0 * np.abs(traj.states[:, 0]), rtol=1e-14)
     np.testing.assert_allclose(traj.monitors["l2_norm"], np.abs(traj.states[:, 0]), rtol=1e-14)
 
@@ -350,6 +352,27 @@ def test_viscous_working_set_matches_tracemalloc_peak():
         dec, 0.5, u0, q, t_final=0.5, epsilons=epsilons, dt=1e-3))
     charged = VISCOUS_WORKING_SET + len(epsilons) - 1
     assert charged - 1.0 < peak / traj.states.nbytes <= charged
+
+
+@pytest.mark.parametrize("c_est", [0.0, -1.0, float("nan")])
+def test_viscous_schemes_reject_a_c_est_that_is_not_positive(c_est):
+    # c_est scales the blow-up envelope 8 c |u0|_s, which must be positive
+    g, dec = grid_dec(n=17)
+    q = gradient_nonlinearity([(5j, (3, 2, 0, 0))], dim=1)
+    with pytest.raises(ValueError, match="c_est"):
+        viscous_solve(dec, 0.5, 0.0, smooth_state(g), q, 0.1, 0.01, c_est=c_est)
+    with pytest.raises(ValueError, match="c_est"):
+        viscosity_convergence(dec, 0.5, smooth_state(g), q, 0.1, [0.1, 0.05], 0.01, c_est=c_est)
+
+
+def test_viscous_blowup_guard_fires_on_a_nan_state():
+    # Q(u0) overflows in the first step, so u_1 is NaN; the guard fires there
+    g, dec = grid_dec(n=17)
+    q = gradient_nonlinearity([(5j, (3, 2, 0, 0))], dim=1)
+    with pytest.raises(BlowUpError) as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            viscous_solve(dec, 0.5, 0.0, 1e70 * smooth_state(g), q, 0.05, 0.01)
+    assert err.value.t == 0.01 and np.isnan(err.value.norm)
 
 
 def test_picard_rejects_gradient_nonlinearity():

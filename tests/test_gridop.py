@@ -10,11 +10,12 @@ from fracspec.gridop import (
     _write_csv,
     assemble,
     build_grid,
+    centered_gradient,
     check_hypotheses,
     load_coefficients_csv,
     make_coefficients,
 )
-from oracles import gershgorin_lower_bound
+from oracles import gershgorin_lower_bound, rolled_centered_gradient
 
 
 def test_build_grid_dirichlet_1d_nodes():
@@ -44,6 +45,17 @@ def test_build_grid_2d_interior_count_matches_enumeration():
     assert count == 36
     assert g.n_dof == 36
     assert g.dof_nodes().shape == (36, 2)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_dof_nodes_are_the_nodes_inside_the_boundary(dim, boundary):
+    g = build_grid(dim, 5, 2.0, boundary)
+    m = 5 if boundary == "periodic" else 3
+    assert g.dof_shape == (m,) * dim and g.n_dof == m**dim
+    x = g.nodes()
+    inside = (np.abs(x) < 2.0).all(axis=1) | (boundary == "periodic")  # every periodic node
+    assert np.array_equal(g.dof_nodes(), x[inside])
 
 
 @pytest.mark.parametrize(
@@ -163,7 +175,9 @@ def _sparse_centered_difference(grid, axis):
 def sparse_assembly(grid, coefficients):
     """The flux-form matrix through scipy.sparse and dense sums, as assembled before."""
     h = grid.spacing
-    mask = grid.interior_mask()
+    n = grid.points_per_axis
+    inside = (np.arange(n) > 0) & (np.arange(n) < n - 1) | (grid.boundary == "periodic")
+    mask = np.logical_and.reduce(np.meshgrid(*[inside] * grid.dim, indexing="ij")).ravel()
     dof_of_node = -np.ones(grid.n_nodes, dtype=int)
     dof_of_node[mask] = np.arange(grid.n_dof)
     rows, cols, vals = [], [], []
@@ -368,6 +382,44 @@ def test_load_coefficients_csv_2d_shape_check(tmp_path):
     f = load_coefficients_csv(g, path)
     assert f.a.shape == (9, 2, 2)
     assert np.all(f.a[:, 0, 1] == 0.1)
+
+
+@pytest.mark.parametrize("dim,bad_row,index", [
+    (1, 2, [1]),       # node 1 twice, node 2 missing
+    (1, 4, [5]),       # off the grid
+    (1, 0, [-1]),
+    (1, 1, [1.7]),     # read as node 1 by truncation
+    (2, 3, [0, 3]),    # would alias node (1, 0) as i * n + j
+    (2, 8, [2, -1]),
+])
+def test_load_coefficients_csv_rejects_an_index_set_that_is_not_the_grid(tmp_path, dim,
+                                                                        bad_row, index):
+    g = build_grid(dim, 3 if dim == 2 else 5, 1.0, "dirichlet")
+    idx = np.array(np.unravel_index(np.arange(g.n_nodes), (g.points_per_axis,) * dim)).T * 1.0
+    idx[bad_row] = index
+    a = np.broadcast_to(np.eye(dim).ravel(), (g.n_nodes, dim * dim))
+    path = tmp_path / "field.csv"
+    np.savetxt(path, np.column_stack([idx, a, np.zeros(g.n_nodes)]), delimiter=",")
+    with pytest.raises(ValueError, match="do not enumerate the grid exactly once"):
+        load_coefficients_csv(g, path)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("dim,n", [(1, 3), (1, 12), (2, 3), (2, 9)])
+def test_centered_gradient_is_bitwise_the_rolled_oracle(dim, n, boundary, dtype, batch):
+    g = build_grid(dim, n, 2.5, boundary)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((g.n_dof, *batch))
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal(values.shape)
+    grads = centered_gradient(g, values)
+    oracle = rolled_centered_gradient(g, values)
+    assert len(grads) == dim
+    for got, want in zip(grads, oracle):
+        assert got.shape == values.shape and got.dtype == values.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_write_csv_format_round_trips_floats(tmp_path):

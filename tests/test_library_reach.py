@@ -1,6 +1,7 @@
-"""The library is what a run executes: no top-level definition in src/fracspec is test-only."""
+"""The library is what a run executes: no definition in src/fracspec is test-only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracspec"
@@ -29,5 +30,23 @@ def test_every_top_level_definition_is_referenced_in_src():
         for i, stmt in enumerate(tree.body)
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not _is_task_runner(stmt)
         and not any(stmt.name in names for key, names in refs.items() if key != (module, i))
+    ]
+    assert unreferenced == []
+
+
+def _attributes(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_method_and_property_is_referenced_as_an_attribute_in_src():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    everywhere = sum(map(_attributes, trees), Counter())
+    # a method's own body is left out, so a recursive or self-referring one needs another caller
+    unreferenced = [
+        f"{cls.name}.{method.name}"
+        for tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for method in cls.body if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("__")
+        and everywhere[method.name] == _attributes(method)[method.name]
     ]
     assert unreferenced == []
