@@ -63,7 +63,13 @@ from .spectral import (
     refined_grid,
     unitary_propagate,
 )
-from .ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep, sweep_to_csv
+from .ucprobe import (
+    NONLOCALITY_FLOOR,
+    UC_PROBE_WORKING_SET,
+    VanishingSpec,
+    dichotomy_sweep,
+    sweep_to_csv,
+)
 
 TASKS = {}  # task name -> (runner, parameter table); filled by @_task
 _REQUIRED = object()  # table default of a key that must be present
@@ -239,10 +245,12 @@ def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
         need(p["alphas"] and all(0 < a <= 1 for a in p["alphas"]), "alphas",
              "a nonempty list in (0, 1]")
     # the state-sized arrays held at once: every y node, every norm_equiv test
-    # function or every time step, times the measured working set of the task, to
-    # which each further viscosity run adds its states. Checked before _time_grid
-    # allocates the steps; a zero dt never ends
+    # function, every distinct fractional uc_probe alpha or every time step, times
+    # the measured working set of the task, to which each further viscosity run adds
+    # its states. Checked before _time_grid allocates the steps; a zero dt never ends
     keys, held = "'y_count'", p.get("y_count", 0)
+    if task == "uc_probe":
+        keys, held = "'alphas'", len(set(p["alphas"]) - {1.0}) * UC_PROBE_WORKING_SET
     if task == "norm_equiv":
         keys = "'n_bumps'"
         held = (p["n_bumps"] + len(EIGENVECTOR_SAMPLE_INDICES)) * NORM_EQUIV_WORKING_SET
@@ -386,7 +394,9 @@ def _build_state(cfg: RunConfig, dec, rng) -> np.ndarray:
     if u0["kind"] == "gaussian":
         return u0["amp"] * _sample_bump(cfg.grid, u0["center"], u0["width"])
     if u0["kind"] == "eigenmode":
-        return dec.eigenvectors[:, u0["index"]].copy()
+        unit = np.zeros(dec.n_dof)
+        unit[u0["index"]] = 1.0
+        return dec.from_modes(unit)
     # random_smooth: spectrally damped white noise, smooth and deterministic under the seed
     raw = rng.standard_normal(dec.n_dof)
     damping = np.exp(-dec.eigenvalues / max(dec.eigenvalues[-1] / 16.0, 1e-12))

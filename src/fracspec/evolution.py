@@ -246,7 +246,7 @@ def picard_solve(
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    grid, v = dec.source.grid, dec.eigenvectors
+    grid = dec.source.grid
     times = _time_grid(t_final, dt)
     if c_est is not None:
         t_star = estimate_t_star(u0, s, nonlinearity.n1 or 2, nonlinearity.n2 or 2,
@@ -258,10 +258,11 @@ def picard_solve(
                 stacklevel=2,
             )
     lam_a = dec.spectrum**alpha
-    u0_modes = v.T @ np.asarray(u0, dtype=complex)
+    u0_modes = dec.to_modes(np.asarray(u0, dtype=complex))
     forward = np.exp(1j * times[:, None] * lam_a[None, :])   # e^{+i t_k lam^a}
     modes = forward * u0_modes
-    states = modes @ v.T
+    # the rows of modes and states are times; the transforms take the dof axis first
+    states = dec.from_modes(modes.T).T
 
     history = []
     if nonlinearity.is_zero:
@@ -270,8 +271,8 @@ def picard_solve(
         iterations = None
         for sweep in range(1, max_iter + 1):
             modes = _duhamel_modes(forward, u0_modes,
-                                   nonlinearity.evaluate(states.T, grid).T @ v, dt)
-            new_states = modes @ v.T
+                                   dec.to_modes(nonlinearity.evaluate(states.T, grid)).T, dt)
+            new_states = dec.from_modes(modes.T).T
             diff = float(sobolev_norm(grid, s, (new_states - states).T).max())
             history.append(diff)
             states = new_states
@@ -286,7 +287,7 @@ def picard_solve(
             raise PicardConvergenceError(history)
 
     residual = _equation_residual(grid, 1j * lam_a, modes, times,
-                                  1j * (nonlinearity.evaluate(states.T, grid).T @ v))
+                                  1j * dec.to_modes(nonlinearity.evaluate(states.T, grid)).T)
     return Trajectory(
         times=times,
         states=states,
@@ -366,7 +367,7 @@ def viscous_solve(
             and nonlinearity.energy_hypothesis is False):
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
                       "the a-priori envelope is not guaranteed", stacklevel=2)
-    grid, v = dec.source.grid, dec.eigenvectors
+    grid = dec.source.grid
     times = _time_grid(t_final, dt)
     lam = dec.spectrum
     symbol = -eps * lam**2 + 1j * lam**alpha
@@ -379,16 +380,16 @@ def viscous_solve(
     states = np.empty((len(times), dec.n_dof), dtype=complex)
     modes = np.empty_like(states)
     forcing = np.zeros_like(states)  # V^T Q(u_k); no step reads the last row, which stays 0
-    states[0], modes[0] = u0, v.T @ u0
+    states[0], modes[0] = u0, dec.to_modes(u0)
     for k in range(1, len(times)):
         if nonlinearity.is_zero:
             modes[k] = step_mult * modes[k - 1]
         else:
-            q0 = forcing[k - 1] = v.T @ nonlinearity.evaluate(states[k - 1], grid)
+            q0 = forcing[k - 1] = dec.to_modes(nonlinearity.evaluate(states[k - 1], grid))
             predictor = step_mult * (modes[k - 1] + dt * q0)
-            q1 = v.T @ nonlinearity.evaluate(v @ predictor, grid)
+            q1 = dec.to_modes(nonlinearity.evaluate(dec.from_modes(predictor), grid))
             modes[k] = step_mult * modes[k - 1] + 0.5 * dt * (step_mult * q0 + q1)
-        states[k] = v @ modes[k]
+        states[k] = dec.from_modes(modes[k])
         # the blow-up guard runs each step, so it fires before the states overflow,
         # and on a NaN norm, which fails every comparison
         norm_s[k] = sobolev_norm(grid, s, states[k])

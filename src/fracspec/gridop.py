@@ -49,9 +49,12 @@ class Grid:
         return self.points_per_axis**self.dim
 
     def axis_nodes(self) -> np.ndarray:
-        """Node coordinates along one axis: -X + i*h."""
-        i = np.arange(self.points_per_axis)
-        return -self.half_length + i * self.spacing
+        """Node coordinates along one axis: -X + i*h, on a Dirichlet grid as
+        (2i - (n-1)) X/(n-1), so that node n-1-i is exactly minus node i."""
+        n, i = self.points_per_axis, np.arange(self.points_per_axis)
+        if self.boundary == "periodic":
+            return -self.half_length + i * self.spacing
+        return (2 * i - (n - 1)) * self.half_length / (n - 1)
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), the last axis fastest."""
@@ -370,8 +373,8 @@ def check_hypotheses(coefficients: CoefficientField, grid: Grid) -> HypothesisRe
         sup = float(dev[outside].max()) if outside.any() else 0.0
         profile.append((float(r), sup))
 
-    shape = (grid.points_per_axis,) * dim + (dim, dim)
-    a_grid = a.reshape(shape)
+    # through the ghost ring, so a periodic grid's differences include its seam
+    a_grid = _node_ring(grid, a)
     h = grid.spacing
     d1 = max(
         float(np.abs(np.diff(a_grid, axis=ax)).max()) / h for ax in range(dim)

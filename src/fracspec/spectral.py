@@ -5,12 +5,21 @@ propagators, the extension multipliers, the conormal limit) is realized
 exactly at the discrete level by one conjugation with the
 eigendecomposition, ``apply_function``: g(L) f = V diag(g(Lambda)) V^T f,
 where the caller evaluates the per-mode multipliers g(Lambda) on
-``SpectralDecomposition.spectrum``. Bessel potentials of the flat Laplacian
+``SpectralDecomposition.spectrum``. Every product with V goes through
+``to_modes`` (V^T f) and ``from_modes`` (V c). On a Dirichlet grid a
+coefficient field that is even under x -> -x gives a matrix that commutes
+with the reversal of the dofs, so in the symmetry-adapted basis
+(e_k +- e_{n-1-k})/sqrt 2 (Fassler and Stiefel, Group Theoretical Methods
+and Their Applications, 1992) it splits into two decoupled blocks of about
+n/2 dofs. They are solved apart, V is kept as the two blocks, and each
+transform costs two half-size GEMMs. Bessel potentials of the flat Laplacian
 need no eigensolve: the FFT (periodic) or DST-I (Dirichlet) diagonalizes it.
-Only eigensolves above ``NUMPY_EIGH_MAX_DOF`` import scipy.
+Only a block above ``NUMPY_EIGH_MAX_DOF`` imports scipy, so only an operator
+that does not split, above 2304 dofs.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,12 +27,13 @@ import numpy as np
 from .gridop import DiscreteOperator, Grid, NumericalError, assemble, make_coefficients
 
 DEFAULT_DOF_CAP = 4096
-# Eigensolver by size. Up to this size np.linalg.eigh (LAPACK syevd on a copy);
-# at 2304 dofs it costs what scipy's evd plus the scipy import does (1.34-1.49
+# Eigensolver by block size. Up to this size np.linalg.eigh (LAPACK syevd on a
+# copy); at 2304 dofs it costs what scipy's evd plus the scipy import does (1.34-1.49
 # against 1.36-1.47 s on a 2-D bump operator, 2-vCPU VM, OpenBLAS). Above it,
-# scipy's evd works in place on a freshly assembled matrix, so no copy is made:
-# at 4096 dofs (2 BLAS threads) it takes 6.9-9.1 s and peaks at 453-455 MB,
-# against 10.3-11.9 s and 444-446 MB for scipy's default evr on a copy.
+# scipy's evd works in place on the block, so no copy is made: one 4096-dof block
+# (2 BLAS threads) takes 6.9-9.1 s and peaks at 453-455 MB, against 10.3-11.9 s
+# and 444-446 MB for scipy's default evr on a copy. A split 4096-dof operator is
+# two 2048-dof blocks: about 3 s, with a 270 MB peak.
 NUMPY_EIGH_MAX_DOF = 2304
 
 # eigh roundoff envelopes used by validation
@@ -38,12 +48,22 @@ class SpectrumCapError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of the operator ``source``, eigenvalues nondecreasing; states live on its grid."""
+    """Eigenpairs of the operator ``source``, eigenvalues nondecreasing; states live on its grid.
+
+    ``to_modes`` (V^T f) and ``from_modes`` (V c) are the only changes of
+    basis; the orthonormal V is held as two blocks. The first p = len(odd)
+    dofs pair with the last p in reverse order, and the n - 2p between are
+    unpaired. A column of ``even`` is a column of V on its first n - p dofs,
+    which its last p repeat in reverse order. A column of ``odd`` is one on
+    its first p dofs, which its last p repeat negated and reversed, with
+    zeros between. Without pairs (p = 0), ``even`` is V and ``odd`` is empty.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
+    blocks: tuple  # (even, odd), as above
+    rank: np.ndarray  # the eigenvalue index of each block column, those of even first
     source: DiscreteOperator
-    eigensolve: dict | None = None  # set by eigendecompose: the driver and validate's residuals
+    eigensolve: dict | None = None  # set by eigendecompose: the driver, block sizes, residuals
 
     @property
     def n_dof(self) -> int:
@@ -55,31 +75,69 @@ class SpectralDecomposition:
         (tiny negatives included) snapped to exact zero."""
         return _clean_spectrum(self.eigenvalues)
 
+    def to_modes(self, f: np.ndarray) -> np.ndarray:
+        """V^T f, in eigenvalue order; ``f`` has the dof axis first, trailing axes a batch."""
+        f = np.asarray(f)
+        if f.shape[0] != self.n_dof:
+            raise ValueError(f"state length {f.shape[0]} != dof count {self.n_dof}")
+        even, odd = self.blocks
+        p, q, split = len(odd), self.n_dof - len(odd), even.shape[1]
+        out = np.empty(f.shape, np.result_type(f, float))
+        folded = f[:q].astype(out.dtype)  # each pair summed, then (below) differenced
+        folded[:p] += f[q:][::-1]
+        out[self.rank[:split]] = _product(even.T, folded)
+        np.subtract(f[:p], f[q:][::-1], out=folded[:p])
+        out[self.rank[split:]] = _product(odd.T, folded[:p])
+        return out
+
+    def from_modes(self, c: np.ndarray) -> np.ndarray:
+        """V c for coefficients ``c`` in eigenvalue order (first axis: the mode)."""
+        c = np.asarray(c)
+        even, odd = self.blocks
+        p, q, split = len(odd), self.n_dof - len(odd), even.shape[1]
+        x_even = _product(even, c[self.rank[:split]])
+        x_odd = _product(odd, c[self.rank[split:]])
+        out = np.empty(c.shape, x_even.dtype)
+        np.add(x_even[:p], x_odd, out=out[:p])
+        out[p:q] = x_even[p:]
+        np.subtract(x_even[:p], x_odd, out=out[q:][::-1])
+        return out
+
     def validate(self) -> dict:
         """Check spectrum nonnegativity, orthonormality and reconstruction.
 
+        Both go through ``to_modes`` and ``from_modes``, and the reconstruction
+        is measured against ``source.matrix`` as assembled, so it includes how
+        far that matrix is from the reflection symmetry the blocks assume.
         Full matrix checks up to 1024 dofs; above that the O(n^3) products
         would dominate the eigensolve, so deterministic random probes are
         used instead. Each check passes only if ``measured <= bound``, so a
         NaN fails it. Returns the orthonormality and reconstruction residuals,
         each as ``{"measured", "bound"}``.
         """
-        lam, v = self.eigenvalues, self.eigenvectors
+        lam, n = self.eigenvalues, self.n_dof
         scale = max(abs(lam[-1]), abs(lam[0]), 1e-300)
         if not (-lam[0] <= NEGATIVITY_TOL * scale):
             raise NumericalError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}, "
                                  f"bound {-NEGATIVITY_TOL * scale:.3e}")
-        if self.n_dof <= 1024:
+        if n <= 1024:
             how = ""
-            ortho = np.abs(v.T @ v - np.eye(self.n_dof)).max(), ORTHONORMALITY_TOL
-            recon = (np.abs((v * lam) @ v.T - self.source.matrix).max(),
-                     RECONSTRUCTION_TOL * scale)
+            # V V^T - I and V diag(lam) V^T - A, from V^T and in place
+            modes = self.to_modes(np.eye(n))
+            resid = self.from_modes(modes)
+            resid.flat[::n + 1] -= 1.0
+            ortho = np.abs(resid, out=resid).max(), ORTHONORMALITY_TOL
+            del resid
+            modes *= lam[:, None]
+            resid = self.from_modes(modes)
+            resid -= self.source.matrix
+            recon = np.abs(resid, out=resid).max(), RECONSTRUCTION_TOL * scale
         else:
             how = " (probe check)"
-            z = _probe(self.n_dof)
-            size = np.linalg.norm(z)
-            ortho = (np.linalg.norm(v @ (v.T @ z) - z), ORTHONORMALITY_TOL * size * self.n_dof)
-            recon = (np.linalg.norm(v @ (lam * (v.T @ z)) - self.source.matrix @ z),
+            z = _probe(n)
+            size, modes = np.linalg.norm(z), self.to_modes(z)
+            ortho = (np.linalg.norm(self.from_modes(modes) - z), ORTHONORMALITY_TOL * size * n)
+            recon = (np.linalg.norm(self.from_modes(lam * modes) - self.source.matrix @ z),
                      RECONSTRUCTION_TOL * scale * size)
         checks = {"orthonormality": (ortho, "eigenvector matrix not orthonormal"),
                   "reconstruction": (recon, "eigendecomposition does not reconstruct the matrix")}
@@ -88,6 +146,16 @@ class SpectralDecomposition:
                 raise NumericalError(f"{failure}{how}: residual {measured:.3e}, bound {bound:.3e}")
         return {name: {"measured": float(measured), "bound": float(bound)}
                 for name, ((measured, bound), _) in checks.items()}
+
+
+def _product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for a real ``w``. A complex ``x`` is multiplied as one real GEMM on its float
+    view, where numpy would cast ``w`` to complex on every call."""
+    if not np.iscomplexobj(x):
+        return w @ x
+    x = np.ascontiguousarray(x)
+    out = w @ x.view(float).reshape(len(x), 2 * math.prod(x.shape[1:]))
+    return out.view(complex).reshape(w.shape[:1] + x.shape[1:])
 
 
 def _probe(n: int) -> np.ndarray:
@@ -101,33 +169,84 @@ def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.where(lam <= tol, 0.0, lam)
 
 
+def _mirror_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of the symmetric ``a`` under the pairing of its first p dofs
+    with its last p reversed (see ``SpectralDecomposition``).
+
+    In the basis (e_k +- e_{n-1-k})/sqrt 2, k < p, and e_k between, with quarters A11
+    (first p rows and columns), A12, A21 and A22 (last p) and the reversal J, they are
+
+        even = [[ (A11 + J A22 J + A12 J + J A21)/2,  (A_1m + J A_2m)/sqrt 2 ],
+                [ its transpose,                       A_mm                   ]],
+        odd  = (A11 + J A22 J - A12 J - J A21)/2,
+
+    the blocks of (A + P A P)/2 for the dof reversal P, each symmetric by construction.
+    """
+    n = len(a)
+    q = n - p
+    top, rev = a[:p], a[q:][::-1]  # the first p rows, and the last p reversed
+    same = top[:, :p] + rev[:, q:][:, ::-1]  # A11 + J A22 J
+    cross = top[:, q:][:, ::-1] + rev[:, :p]  # A12 J + J A21
+    even = np.empty((q, q))
+    np.add(same, cross, out=even[:p, :p])
+    even[:p, :p] *= 0.5
+    even[p:, :p] = (top[:, p:q] + rev[:, p:q]).T * np.sqrt(0.5)
+    even[:p, p:] = even[p:, :p].T
+    even[p:, p:] = a[p:q, p:q]
+    odd = np.subtract(same, cross, out=same)
+    odd *= 0.5
+    return even, odd
+
+
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense), validated.
 
-    Up to ``NUMPY_EIGH_MAX_DOF`` dofs this is ``np.linalg.eigh``; above it,
-    scipy's evd driver, which overwrites a freshly assembled matrix with the
-    eigenvectors. Each eigenvector's sign is set so that its product with the
-    seeded probe ``_probe(n)`` is positive, so the vectors do not depend on the
-    LAPACK driver, except within repeated eigenvalues, where the basis itself
-    does. ``eigensolve`` of the result records the driver and the residuals.
+    On a Dirichlet grid whose coefficient field is bitwise even under the
+    reversal of the nodes (x -> -x), the assembled matrix commutes with the
+    reversal of the dofs up to the order of its diagonal sums, so it splits
+    into an even and an odd block of about n/2 dofs (``_mirror_blocks``),
+    which are solved apart. Any other operator is one block. Every block of a
+    decomposition takes the same solver: ``np.linalg.eigh`` up to
+    ``NUMPY_EIGH_MAX_DOF`` dofs, and above it scipy's evd driver, which
+    overwrites the block with its eigenvectors. Each eigenvector's sign is set
+    so that its product with the seeded probe ``_probe(n)`` is positive, so
+    the vectors do not depend on the LAPACK driver, except within repeated
+    eigenvalues, where the basis itself does. ``eigensolve`` of the result
+    records the driver, the block sizes and the residuals.
     """
     n = op.n_dof
     if n > DEFAULT_DOF_CAP:
         raise SpectrumCapError(
             f"{n} degrees of freedom exceed the dense-solve cap {DEFAULT_DOF_CAP}; reduce N"
         )
-    if n <= NUMPY_EIGH_MAX_DOF:
+    field = op.coefficients
+    mirrored = op.grid.boundary == "dirichlet" and all(
+        np.array_equal(x, x[::-1]) for x in (field.a, field.c))
+    p = n // 2 if mirrored else 0
+    # the full matrix is freed when _mirror_blocks returns
+    blocks = _mirror_blocks(op.matrix, p)
+    if max(map(len, blocks)) <= NUMPY_EIGH_MAX_DOF:
         driver = "numpy.linalg.eigh"
-        lam, v = np.linalg.eigh(op.matrix)
+        pairs = [np.linalg.eigh(b) for b in blocks]
     else:
         import scipy.linalg
         driver = "scipy evd in place"
-        # the transpose of the symmetric C-ordered matrix is the same matrix in
+        # the transpose of a symmetric C-ordered block is the same block in
         # Fortran order, so LAPACK works on its buffer instead of a copy
-        lam, v = scipy.linalg.eigh(op.matrix.T, driver="evd", overwrite_a=True)
-    v *= np.where(_probe(n) @ v < 0.0, -1.0, 1.0)
-    dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=v, source=op)
-    return replace(dec, eigensolve={"driver": driver, **dec.validate()})
+        pairs = [scipy.linalg.eigh(b.T, driver="evd", overwrite_a=True) for b in blocks]
+    del blocks
+    (lam_even, even), (lam_odd, odd) = pairs
+    even[:p] *= np.sqrt(0.5)  # the paired rows of V hold 1/sqrt 2 of each block entry
+    odd *= np.sqrt(0.5)
+    lam = np.concatenate([lam_even, lam_odd])
+    order = np.argsort(lam, kind="stable")
+    rank = np.argsort(order)  # the inverse permutation
+    dec = SpectralDecomposition(eigenvalues=lam[order], blocks=(even, odd), rank=rank, source=op)
+    sign = np.where(dec.to_modes(_probe(n)) < 0.0, -1.0, 1.0)[rank]
+    even *= sign[:len(lam_even)]
+    odd *= sign[len(lam_even):]
+    sizes = [len(lam_b) for lam_b in (lam_even, lam_odd) if len(lam_b)]
+    return replace(dec, eigensolve={"driver": driver, "blocks": sizes, **dec.validate()})
 
 
 def apply_function(dec: SpectralDecomposition, mult, f: np.ndarray) -> np.ndarray:
@@ -137,19 +256,16 @@ def apply_function(dec: SpectralDecomposition, mult, f: np.ndarray) -> np.ndarra
     over their trailing axes: an ``(n_dof, n_y)`` multiplier maps one state to
     ``n_y`` columns, and an ``(n_dof,)`` multiplier acts on every column.
     """
-    f = np.asarray(f)
-    if f.shape[0] != dec.n_dof:
-        raise ValueError(f"state length {f.shape[0]} != dof count {dec.n_dof}")
+    coeffs = dec.to_modes(f)
     mult = np.asarray(mult)
     bad = ~np.isfinite(mult)
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise ValueError("multiplier is singular on the spectrum "
                          f"(eigenvalue {dec.eigenvalues[k]:.6e} at index {k})")
-    coeffs = dec.eigenvectors.T @ f
     ndim = max(mult.ndim, coeffs.ndim)
     mult, coeffs = (a.reshape(a.shape + (1,) * (ndim - a.ndim)) for a in (mult, coeffs))
-    return dec.eigenvectors @ (mult * coeffs)
+    return dec.from_modes(mult * coeffs)
 
 
 def fractional_power(dec: SpectralDecomposition, alpha: float, f: np.ndarray) -> np.ndarray:
@@ -269,8 +385,11 @@ def _sample_bump(grid: Grid, center: np.ndarray, width: float) -> np.ndarray:
 def _equivalence_ratios(dec: SpectralDecomposition, alpha: float, bump_params,
                         eig_indices) -> np.ndarray:
     grid = dec.source.grid
+    indices = [k for k in eig_indices if k < dec.n_dof]
+    unit = np.zeros((dec.n_dof, len(indices)))
+    unit[indices, np.arange(len(indices))] = 1.0
     tests = np.column_stack([_sample_bump(grid, c, w) for c, w in bump_params]
-                            + [dec.eigenvectors[:, k] for k in eig_indices if k < dec.n_dof])
+                            + [dec.from_modes(unit)])
     norms = l2_norm(grid, tests)
     if np.any(norms == 0.0):
         raise ValueError("zero test function in norm-equivalence sample")

@@ -4,9 +4,32 @@ import numpy as np
 
 from fracspec.evolution import Nonlinearity
 from fracspec.extension import ExtensionField, _weighted_y_cells
-from fracspec.gridop import Grid
-from fracspec.spectral import SpectralDecomposition, fractional_power, l2_norm, sobolev_norm
+from fracspec.gridop import DiscreteOperator, Grid
+from fracspec.spectral import (
+    SpectralDecomposition,
+    _probe,
+    fractional_power,
+    l2_norm,
+    sobolev_norm,
+)
 from fracspec.ucprobe import VanishingSpec, bump_state
+
+
+def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
+    """The dense eigenvector matrix V of ``dec``, one column per eigenvalue in order."""
+    return dec.from_modes(np.eye(dec.n_dof))
+
+
+def full_eigh(op: DiscreteOperator):
+    """The whole matrix solved by np.linalg.eigh, each vector signed by the probe rule."""
+    lam, v = np.linalg.eigh(op.matrix)
+    v *= np.where(_probe(op.n_dof) @ v < 0.0, -1.0, 1.0)
+    return lam, v
+
+
+def dense_decomposition(lam: np.ndarray, v: np.ndarray, op: DiscreteOperator):
+    """The decomposition that holds the dense ``v`` as its one block."""
+    return SpectralDecomposition(lam, (v, np.zeros((0, 0))), np.arange(len(lam)), op)
 
 
 def gershgorin_lower_bound(matrix: np.ndarray) -> float:
@@ -131,7 +154,8 @@ def physical_equation_residual(dec: SpectralDecomposition, symbol, states, times
     if len(times) < 3:
         return np.zeros(len(times))
     dt = times[1] - times[0]
-    lsym = (states @ dec.eigenvectors * symbol[None, :]) @ dec.eigenvectors.T
+    v = eigenvectors(dec)
+    lsym = (states @ v * symbol[None, :]) @ v.T
     du = (states[2:] - states[:-2]) / (2.0 * dt)
     resid_interior = du - lsym[1:-1] - forcing[1:-1]
     out = np.empty(len(times))

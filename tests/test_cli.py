@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,11 @@ from fracspec.gridop import (
 from fracspec.spectral import (
     EIGENVECTOR_SAMPLE_INDICES,
     NORM_EQUIV_WORKING_SET,
-    SpectralDecomposition,
     SpectrumCapError,
     eigendecompose,
 )
+from fracspec.ucprobe import UC_PROBE_WORKING_SET
+from oracles import eigenvectors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -448,6 +449,8 @@ def test_invalid_config_exits_2_at_parse_time_naming_the_key(tmp_path, capsys, c
 GRID_2D = {"dim": 2, "n": 12, "half_length": 4.0, "boundary": "dirichlet"}
 TERM = {"coeff_re": 1.0}
 GRID_64 = {**SMALL_GRID, "n": 64}
+# the most distinct fractional uc_probe alphas the memory guard admits at 4096 dofs
+UC_ALPHAS_AT_GUARD = [k / 1000 for k in range(1, 820)]
 # case -> (task, config overrides, what the message names); each is caught by parse_config
 CAUGHT_BEFORE_ASSEMBLY = {
     "grid_over_dof_cap": ("spectrum", {"grid": {**GRID_2D, "n": 70}}, "'n'"),
@@ -544,6 +547,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "norm_equiv_unrefined_just_over_memory_guard": ("norm_equiv", {
         "grid": GRID_64, "task_params": {"n_bumps": 24594, "refine": False}},
         "'n_bumps'"),  # 11 x 24601 x 62 > 4096^2
+    "uc_probe_just_over_memory_guard": ("uc_probe", {"grid": {**GRID_2D, "n": 66}, "task_params": {
+        "alphas": UC_ALPHAS_AT_GUARD + [0.9]}}, "'alphas'"),  # 5 x 820 x 4096 > 4096^2
     "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
     "picard_alpha_list_of_two": ("picard", {"grid": GRID_64, "alpha": [0.5, 0.6]}, "'alpha'"),
 }
@@ -590,6 +595,10 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
     ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126
     ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 24593, "refine": False}}),
+    # 819 distinct fractional alphas, each twice, and alpha 1: 5 x 819 x 4096, edge
+    ("uc_probe", {"grid": {**GRID_2D, "n": 66}, "task_params": {
+        "theta": [[-1.0, 0.0]] * 2, "f_support": [[1.0, 2.0]] * 2,
+        "alphas": UC_ALPHAS_AT_GUARD * 2 + [1.0]}}),
 ])
 def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
     monkeypatch.chdir(tmp_path)
@@ -667,13 +676,13 @@ def _bump_dec(n=33):
 
 def test_corrupted_decomposition_and_extension_raise_numerical_error():
     dec = _bump_dec()
-    corrupted = SpectralDecomposition(2.0 * dec.eigenvalues, dec.eigenvectors, dec.source)
+    corrupted = replace(dec, eigenvalues=2.0 * dec.eigenvalues)
     with pytest.raises(NumericalError, match="does not reconstruct"):
         corrupted.validate()
     # eigenvectors of norm 2 quadruple the extension: it exceeds the mass of its trace
-    scaled = SpectralDecomposition(dec.eigenvalues, 2.0 * dec.eigenvectors, dec.source)
+    scaled = replace(dec, blocks=tuple(2.0 * v for v in dec.blocks))
     with pytest.raises(NumericalError, match="exceeds the trace mass"):
-        extend(scaled, 0.5, dec.eigenvectors[:, 0], np.array([1e-3, 2e-3, 4e-3]))
+        extend(scaled, 0.5, eigenvectors(dec)[:, 0], np.array([1e-3, 2e-3, 4e-3]))
     assert issubclass(DegenerateInputError, NumericalError)
     assert not issubclass(DegenerateInputError, ValueError)
     assert issubclass(SpectrumCapError, ValueError)
@@ -682,7 +691,7 @@ def test_corrupted_decomposition_and_extension_raise_numerical_error():
 def test_failed_self_check_exits_3(tmp_path, monkeypatch):
     def corrupted(op):
         dec = eigendecompose(op)
-        bad = SpectralDecomposition(2.0 * dec.eigenvalues, dec.eigenvectors, op)
+        bad = replace(dec, eigenvalues=2.0 * dec.eigenvalues)
         bad.validate()
         return bad
 
@@ -704,7 +713,7 @@ def _nan_eigenvalue(op):
     dec = eigendecompose(op)
     lam = dec.eigenvalues.copy()
     lam[len(lam) // 2] = np.nan
-    bad = SpectralDecomposition(lam, dec.eigenvectors, op)
+    bad = replace(dec, eigenvalues=lam)
     bad.validate()
     return bad
 
@@ -741,6 +750,7 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
         assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
         return
     assert eigensolve["driver"] == "numpy.linalg.eigh"
+    assert eigensolve["blocks"] == [16, 15]  # the 31 dofs of an even field, split
     for name in ("orthonormality", "reconstruction"):
         assert set(eigensolve[name]) == {"measured", "bound"}
         assert 0.0 <= eigensolve[name]["measured"] <= eigensolve[name]["bound"]
@@ -827,3 +837,6 @@ def test_readme_memory_guard_factors_mirror_the_working_sets():
     assert found
     assert tuple(map(float, found.groups())) == (len(EIGENVECTOR_SAMPLE_INDICES),
                                                  NORM_EQUIV_WORKING_SET)
+    found = re.search(r"`n_dof` times (\d+) for each distinct `uc_probe` alpha below 1", readme)
+    assert found
+    assert float(found.group(1)) == UC_PROBE_WORKING_SET

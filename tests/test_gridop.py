@@ -25,6 +25,16 @@ def test_build_grid_dirichlet_1d_nodes():
     assert np.array_equal(g.dof_nodes().ravel(), [-1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("n", [3, 4, 34, 66, 258, 1001])
+def test_dirichlet_nodes_are_exactly_antisymmetric(n):
+    # node n-1-i is exactly minus node i, within 1.8e-15 of -X + i h
+    g = build_grid(1, n, 8.0, "dirichlet")
+    x = g.axis_nodes()
+    assert np.array_equal(x, -x[::-1])
+    assert np.abs(x - (-8.0 + np.arange(n) * g.spacing)).max() <= 1.8e-15
+    assert x[0] == -8.0 and x[-1] == 8.0
+
+
 def test_build_grid_periodic_excludes_duplicate_endpoint():
     g = build_grid(1, 4, 2.0, "periodic")
     assert g.spacing == 1.0
@@ -337,6 +347,20 @@ def test_check_hypotheses_identity_all_flat():
     assert rep.symmetric and rep.c_nonnegative
     assert rep.ellipticity_lambda == 1.0
     assert all(sup == 0.0 for _, sup in rep.flatness_profile)
+
+
+def test_regularity_proxy_reads_across_the_periodic_seam():
+    # the ramp a = 1 + i/7 jumps from 2 back to 1 between the last and the first node,
+    # a face the periodic operator uses; h = 1
+    ramp = {"a": 1.0 + np.arange(8) / 7.0, "c": np.zeros(8)}
+    g = build_grid(1, 8, 4.0, "periodic")
+    proxy = check_hypotheses(make_coefficients(g, "tabulated", dict(ramp)), g).regularity_proxy
+    assert proxy["max_first_derivative"] == 1.0
+    assert proxy["max_second_derivative"] == pytest.approx(8.0 / 7.0, rel=1e-15)
+    # a Dirichlet grid has no seam: only the steps of 1/7 between neighbours
+    g = build_grid(1, 8, 3.5, "dirichlet")
+    proxy = check_hypotheses(make_coefficients(g, "tabulated", dict(ramp)), g).regularity_proxy
+    assert proxy["max_first_derivative"] == pytest.approx(1.0 / 7.0, rel=1e-14)
 
 
 def test_check_hypotheses_bump_flatness_value():

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,13 @@ from fracspec.spectral import (
     sobolev_norm,
     unitary_propagate,
 )
-from oracles import smoothing_norm_bound, smoothing_norm_measured
+from oracles import (
+    dense_decomposition,
+    eigenvectors,
+    full_eigh,
+    smoothing_norm_bound,
+    smoothing_norm_measured,
+)
 
 
 def dirichlet_laplacian(n=33, x=8.0):
@@ -69,7 +75,8 @@ def test_shifted_c_shifts_eigenvalues_only():
 def test_reconstruction_residual_random_bump():
     _, op = bump_operator(n=65)
     dec = eigendecompose(op)
-    resid = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T - op.matrix
+    v = eigenvectors(dec)
+    resid = (v * dec.eigenvalues) @ v.T - op.matrix
     assert np.abs(resid).max() <= 1e-8 * np.abs(dec.eigenvalues).max()
 
 
@@ -84,13 +91,13 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
     evd_dec = eigendecompose(op)
     assert evd_dec.eigensolve["driver"] == "scipy evd in place"
     signed = raw * np.where(spectral._probe(op.n_dof) @ raw < 0.0, -1.0, 1.0)
-    for v in (evd_dec.eigenvectors, signed):
-        assert np.abs(numpy_dec.eigenvectors - v).max() <= 1e-10
+    for v in (eigenvectors(evd_dec), signed):
+        assert np.abs(eigenvectors(numpy_dec) - v).max() <= 1e-10
     # a flip by -1 is exact, so f(L) keeps its bytes
     f = np.random.default_rng(3).standard_normal(op.n_dof)
     mult = numpy_dec.spectrum ** 0.3
-    assert (apply_function(SpectralDecomposition(lam, signed, op), mult, f).tobytes()
-            == apply_function(SpectralDecomposition(lam, raw, op), mult, f).tobytes())
+    assert (apply_function(dense_decomposition(lam, signed, op), mult, f).tobytes()
+            == apply_function(dense_decomposition(lam, raw, op), mult, f).tobytes())
 
 
 def test_in_place_solve_leaves_the_operator_matrix_intact(monkeypatch):
@@ -108,11 +115,12 @@ def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_d
     monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", max_dof)
     dec = eigendecompose(op)
     assert dec.eigensolve["driver"] == driver
-    assert dec.eigensolve == {"driver": driver, **dec.validate()}
+    assert dec.eigensolve == {"driver": driver, "blocks": [32, 31], **dec.validate()}
     for name in ("orthonormality", "reconstruction"):
         check = dec.eigensolve[name]
         assert 0.0 <= check["measured"] <= check["bound"]
-    resid = np.abs((dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T - op.matrix).max()
+    v = eigenvectors(dec)
+    resid = np.abs(dec.from_modes(dec.eigenvalues[:, None] * v.T) - op.matrix).max()
     assert dec.eigensolve["reconstruction"]["measured"] == resid
 
 
@@ -126,17 +134,97 @@ def test_validate_rejects_nan(dim, n):
         lam = dec.eigenvalues.copy()
         lam[k] = np.nan
         with pytest.raises(NumericalError, match="nan"):  # as the residual or the bound
-            SpectralDecomposition(lam, dec.eigenvectors, op).validate()
-    v = dec.eigenvectors.copy()
+            replace(dec, eigenvalues=lam).validate()
+    v = eigenvectors(dec)
     v[mid // 2, mid] = np.nan
     with pytest.raises(NumericalError, match="not orthonormal.*residual nan"):
-        SpectralDecomposition(dec.eigenvalues, v, op).validate()
+        dense_decomposition(dec.eigenvalues, v, op).validate()
+
+
+def _split_field(dim, kind):
+    params = {} if kind == "identity" else {
+        "s": 0.6, "w": 2.0, "c_amp": 0.4, "M": [[1.0, 0.4], [0.4, 0.8]] if dim == 2 else [[1.0]]}
+    return kind, params
+
+
+# even and odd dof counts: 32 and 31 in 1-D, 1024 and 961 in 2-D
+@pytest.mark.parametrize("kind", ["identity", "radial_bump"])
+@pytest.mark.parametrize("dim,n", [(1, 34), (1, 33), (2, 34), (2, 33)])
+def test_split_decomposition_matches_the_full_eigh_oracle(dim, n, kind):
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    op = assemble(g, make_coefficients(g, *_split_field(dim, kind)))
+    dec = eigendecompose(op)
+    n_dof = op.n_dof
+    # an even field on a Dirichlet grid splits; the middle dof of an odd count is even
+    assert dec.eigensolve["blocks"] == [n_dof - n_dof // 2, n_dof // 2]
+    lam, oracle = full_eigh(op)
+    scale = np.abs(lam).max()
+    assert np.abs(dec.eigenvalues - lam).max() <= 1e-12 * scale
+    v = eigenvectors(dec)
+    assert np.abs(v.T @ v - np.eye(n_dof)).max() <= 1e-13
+    f = np.random.default_rng(7).standard_normal((n_dof, 3))
+    action = dec.from_modes(dec.eigenvalues[:, None] * dec.to_modes(f))
+    assert np.abs(action - op.matrix @ f).max() <= 1e-12 * scale * np.abs(f).max()
+    # the probe sign rule: every vector has a positive product with the probe, so
+    # each simple eigenvalue's vector is the oracle's, signed by the same rule
+    assert np.all(dec.to_modes(spectral._probe(n_dof)) > 0.0)
+    gaps = np.diff(lam)
+    simple = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-6 * scale
+    assert simple.sum() >= n - 3  # at least the modes lam_i + lam_i of the 2-D identity
+    assert np.abs(v[:, simple] - oracle[:, simple]).max() <= 1e-7
+
+
+@pytest.mark.parametrize("dim,n", [(1, 34), (2, 33)])
+def test_complex_transforms_are_the_dense_products(dim, n):
+    # to_modes and from_modes take a complex batch as a real GEMM on its float view
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    dec = eigendecompose(assemble(g, make_coefficients(g, *_split_field(dim, "radial_bump"))))
+    v = eigenvectors(dec)
+    rng = np.random.default_rng(11)
+    for shape in [(dec.n_dof,), (dec.n_dof, 5)]:
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert dec.to_modes(z).dtype == dec.from_modes(z).dtype == complex
+        assert np.abs(dec.to_modes(z) - v.T @ z).max() <= 1e-13
+        assert np.abs(dec.from_modes(z) - v @ z).max() <= 1e-13
+        assert np.abs(dec.to_modes(z.T.copy().T) - dec.to_modes(z)).max() == 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (1, 33), (2, 12), (2, 13)])
+def test_periodic_grids_and_asymmetric_fields_take_one_block(dim, n):
+    for kind in ("identity", "radial_bump"):
+        g = build_grid(dim, n, 8.0, "periodic")
+        op = assemble(g, make_coefficients(g, *_split_field(dim, kind)))
+        dec = eigendecompose(op)
+        assert dec.eigensolve["blocks"] == [op.n_dof]
+        lam, oracle = full_eigh(op)
+        assert dec.eigenvalues.tobytes() == lam.tobytes()
+        assert np.array_equal(eigenvectors(dec), oracle)
+    # a Dirichlet field that is not even under x -> -x: a ramp in the first axis
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    ramp = 1.0 + 0.1 * np.arange(g.n_nodes) / g.n_nodes
+    a = ramp[:, None, None] * np.eye(dim)
+    op = assemble(g, make_coefficients(g, "tabulated", {"a": a, "c": np.zeros(g.n_nodes)}))
+    dec = eigendecompose(op)
+    assert dec.eigensolve["blocks"] == [op.n_dof]
+    assert np.abs(dec.eigenvalues - full_eigh(op)[0]).max() <= 1e-12 * dec.eigenvalues[-1]
+
+
+def test_an_even_tabulated_field_splits_as_its_kind_does():
+    # the split reads the field's bits, not its kind
+    g = build_grid(2, 18, 8.0, "dirichlet")
+    bump = make_coefficients(g, *_split_field(2, "radial_bump"))
+    table = make_coefficients(g, "tabulated", {"a": bump.a, "c": bump.c})
+    made, loaded = (eigendecompose(assemble(g, field)) for field in (bump, table))
+    assert made.eigensolve == loaded.eigensolve and made.eigensolve["blocks"] == [128, 128]
+    assert made.eigenvalues.tobytes() == loaded.eigenvalues.tobytes()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(made.blocks, loaded.blocks))
 
 
 def test_decomposition_requires_its_source_operator():
     # the source's grid is the one grid of every norm taken with the decomposition
     with pytest.raises(TypeError, match="source"):
-        SpectralDecomposition(eigenvalues=np.array([2.0]), eigenvectors=np.eye(1))
+        SpectralDecomposition(eigenvalues=np.array([2.0]), blocks=(np.eye(1), np.zeros((0, 0))),
+                              rank=np.arange(1))
 
 
 def test_cap_exceeded_message(monkeypatch):
@@ -210,18 +298,18 @@ def test_apply_function_broadcasts_multiplier_and_state():
     # for an (n_dof, n_y) multiplier, V (m[:, None] * V^T F) for an (n_dof, k) batch
     _, op = bump_operator()
     dec = eigendecompose(op)
-    v, lam = dec.eigenvectors, dec.spectrum
+    lam = dec.spectrum
     rng = np.random.default_rng(17)
     u = rng.standard_normal(dec.n_dof)
     per_y = np.exp(-lam[:, None] * np.array([0.1, 0.5, 2.0]))
     out = apply_function(dec, per_y, u)
     assert out.shape == (dec.n_dof, 3)
-    assert out.tobytes() == (v @ (per_y * (v.T @ u)[:, None])).tobytes()
+    assert out.tobytes() == dec.from_modes(per_y * dec.to_modes(u)[:, None]).tobytes()
     batch = rng.standard_normal((dec.n_dof, 4))
     m = np.exp(1j * lam**0.5)
     out = apply_function(dec, m, batch)
     assert out.shape == batch.shape
-    assert out.tobytes() == (v @ (m[:, None] * (v.T @ batch))).tobytes()
+    assert out.tobytes() == dec.from_modes(m[:, None] * dec.to_modes(batch)).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -416,7 +504,7 @@ def test_norm_equivalence_periodic_constant_bracket(alpha):
     # per-mode oracle: the ratio equals (1 + m^alpha) / (1 + m)^alpha
     for frac in (0.0, 0.3, 0.8, 1.0):
         k = int(frac * (dec.n_dof - 1))
-        v = dec.eigenvectors[:, k]
+        v = eigenvectors(dec)[:, k]
         m = dec.eigenvalues[k]
         m = 0.0 if m < 1e-10 * dec.eigenvalues[-1] else m
         ratio = (l2_norm(g, v) + l2_norm(g, fractional_power(dec, alpha, v))) / l2_norm(
