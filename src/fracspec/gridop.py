@@ -6,9 +6,15 @@ The operator assembled here is the divergence-form elliptic operator
 
 on a truncated box [-X, X]^dim with Dirichlet or periodic boundary,
 discretized with second-order conservative (flux-form) differences so that
-the resulting matrix is symmetric by construction.
+the resulting matrix is symmetric by construction. The operator is held as
+its stencil entries, (row, col, value) triplets, at most 3 per dof in 1-D
+and 13 in 2-D (``DiscreteOperator.entries``). ``DiscreteOperator.apply`` is
+the one sparse product, and a dense array exists only where a caller
+scatters the entries into one (``_symmetric_scatter``), as
+``DiscreteOperator.matrix`` and the eigensolver's reflection blocks do.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,8 +24,11 @@ import numpy as np
 VALID_BOUNDARIES = ("dirichlet", "periodic")
 FIELD_KINDS = ("identity", "radial_bump", "tabulated")
 
-# Rows converted to python scalars at a time by the CSV writer.
-_CSV_CHUNK_ROWS = 4096
+# Rows the CSV writer formats and joins at a time. At 1024 a 4-column chunk's strings
+# take less memory than a row-at-a-time writer of 4096-row chunks held (peak RSS of
+# writing a 101 x 256 trajectory: +0.8 against +1.0 MB; +2.3 MB at 4096 rows), and
+# the writer is as fast as at 4096.
+_CSV_CHUNK_ROWS = 1024
 
 
 class NumericalError(RuntimeError):
@@ -93,7 +102,7 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """The elliptic operator on a grid; its symmetric matrix is built on each read."""
+    """The elliptic operator on a grid; its stencil entries are built on each read."""
 
     grid: Grid
     coefficients: CoefficientField
@@ -103,9 +112,25 @@ class DiscreteOperator:
         return self.grid.n_dof
 
     @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (rows, cols, values) of the flux-form matrix; the matrix is their sum, in order."""
+        return _flux_entries(self.grid, self.coefficients)
+
+    @property
     def matrix(self) -> np.ndarray:
-        """A new (n_dof, n_dof) array of the flux-form matrix, owned by the caller."""
-        return _flux_matrix(self.grid, self.coefficients)
+        """A new dense (n_dof, n_dof) array of the entries, owned by the caller."""
+        return _symmetric_scatter(self.n_dof, *self.entries)
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """L f from the entries, real or complex; ``f`` has the dof axis first, trailing axes
+        a batch."""
+        f = np.asarray(f)
+        if f.shape[0] != self.n_dof:
+            raise ValueError(f"state length {f.shape[0]} != dof count {self.n_dof}")
+        rows, cols, vals = self.entries
+        out = np.zeros(f.shape, np.result_type(f, float))
+        np.add.at(out, rows, vals.reshape(vals.shape + (1,) * (f.ndim - 1)) * f[cols])
+        return out
 
 
 @dataclass(frozen=True)
@@ -246,20 +271,44 @@ def _write_csv(path: str | Path, header: str, columns) -> None:
     LF endings. The format is chosen once per column from its dtype.
     """
     columns = [np.asarray(col) for col in columns]
-    row = ",".join("{:.17e}" if col.dtype.kind == "f" else "{}" for col in columns) + "\n"
+    width = 2 * len(columns)  # a cell and its separator per column
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        # python scalars format faster than numpy ones; chunks bound the list memory
+        # chunks bound the memory of the python strings
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
-            fh.writelines(map(row.format, *chunk))
+            chunk = [col[start:start + _CSV_CHUNK_ROWS] for col in columns]
+            cells = [","] * (width * len(chunk[0]))
+            cells[width - 1::width] = ["\n"] * len(chunk[0])
+            for k, col in enumerate(chunk):
+                cells[2 * k::width] = _csv_cells(col)
+            fh.write("".join(cells))
+
+
+def _csv_cells(col: np.ndarray) -> list:
+    """The text of each entry of a column. Where at most half the entries of a numeric column
+    are distinct, each distinct value is formatted once; values are told apart by their
+    bits, so -0.0 and 0.0 stay distinct."""
+    if col.dtype.kind in "biuf":
+        distinct, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        if 2 * len(distinct) <= len(col):
+            return np.array(_csv_text(distinct.view(col.dtype)), dtype=object)[inverse].tolist()
+    return _csv_text(col)
+
+
+def _csv_text(col: np.ndarray) -> list:
+    """Floats as %.17e, everything else as str, from python scalars (which format faster
+    than numpy ones)."""
+    if col.dtype.kind == "f":
+        return list(map(format, col.tolist(), itertools.repeat(".17e")))
+    return list(map(str, col.tolist()))
 
 
 def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     """The operator L of ``coefficients`` on ``grid``, whose node counts must agree.
 
-    Nothing dense is built here: each read of ``DiscreteOperator.matrix``
-    assembles a new matrix (``_flux_matrix``), so an eigensolver may consume it.
+    Nothing is built here: each read of ``DiscreteOperator.entries`` assembles
+    the stencil anew (``_flux_entries``), and each read of ``matrix`` scatters a
+    new dense array of it, so an eigensolver may consume it.
     """
     if coefficients.a.shape[0] != grid.n_nodes:
         raise ValueError(
@@ -289,8 +338,8 @@ def _window(grid: Grid, ghosted: np.ndarray, axis: int, step: int) -> np.ndarray
                          for k in range(grid.dim))]
 
 
-def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
-    """Assemble the symmetric flux-form matrix of L on the grid dofs.
+def _flux_entries(grid: Grid, coefficients: CoefficientField):
+    """The (rows, cols, values) triplets of the symmetric flux-form matrix of L on the dofs.
 
     Per-axis second derivatives use face-averaged coefficients
     a_{i+1/2} = (a_i + a_{i+1}) / 2. The 2D mixed term -d_j(a_jk d_k u),
@@ -298,16 +347,21 @@ def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
     D_0^T B D_1 + D_1^T B D_0 with centered differences D_j (zero-extended
     on Dirichlet grids) and the nodal values B = diag(a_01): dof k adds
     s0 s1 b_k / (2h)^2 at (k + s0 e0, k + s1 e1) and at its mirror, for
-    s0, s1 = +-1. Every entry is scattered into the one dense array that is
-    returned; symmetry is exact by construction and positivity is verified
-    by test.
+    s0, s1 = +-1. Each entry comes with its mirror, so symmetry is exact by
+    construction; positivity is verified by test. A mixed-term position
+    receives two entries, summed in the order given.
     """
     h = grid.spacing
     # dof numbers with a ghost ring; a neighbour past a Dirichlet boundary is -1
     dof = _ghosted(grid, np.arange(grid.n_dof).reshape(grid.dof_shape), -1)
     dofs = _window(grid, dof, 0, 0)
     a, c = _node_ring(grid, coefficients.a), _node_ring(grid, coefficients.c)
-    matrix = np.zeros((grid.n_dof, grid.n_dof))
+    rows, cols, vals = [], [], []
+
+    def add(p, q, val):
+        rows.extend((p, q))
+        cols.extend((q, p))
+        vals.extend((val, val))
 
     diag = np.zeros(grid.dof_shape)
     for axis in range(grid.dim):
@@ -319,8 +373,10 @@ def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
         diag += 0.5 * (_window(grid, a_axis, axis, -1) + here) / h**2
         nbr = _window(grid, dof, axis, 1)
         both = nbr >= 0
-        matrix[dofs[both], nbr[both]] = matrix[nbr[both], dofs[both]] = -face[both]
-    np.fill_diagonal(matrix, diag + _window(grid, c, 0, 0))
+        add(dofs[both], nbr[both], -face[both])
+    rows.append(dofs.ravel())
+    cols.append(dofs.ravel())
+    vals.append((diag + _window(grid, c, 0, 0)).ravel())
 
     if grid.dim == 2:
         b = _window(grid, a[..., 0, 1], 0, 0)
@@ -330,11 +386,20 @@ def _flux_matrix(grid: Grid, coefficients: CoefficientField) -> np.ndarray:
             for s1 in (-1, 1):
                 q = _window(grid, dof, 1, s1)
                 both = (p >= 0) & (q >= 0)
-                val = s0 * s1 * (inv_2h * b[both] * inv_2h)
-                matrix[p[both], q[both]] += val
-                matrix[q[both], p[both]] += val
+                add(p[both], q[both], s0 * s1 * (inv_2h * b[both] * inv_2h))
 
-    return matrix
+    return tuple(np.concatenate(x) for x in (rows, cols, vals))
+
+
+def _symmetric_scatter(size: int, rows, cols, vals) -> np.ndarray:
+    """The dense (size, size) sum of symmetric entries: those on and below the diagonal are
+    summed in order, and the sums below it are mirrored above, so the result is exactly
+    symmetric."""
+    low = rows >= cols
+    strict = low & (rows != cols)
+    at = np.concatenate([rows[low] * size + cols[low], cols[strict] * size + rows[strict]])
+    return np.bincount(at, np.concatenate([vals[low], vals[strict]]),
+                       minlength=size * size).reshape(size, size)
 
 
 def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:

@@ -11,11 +11,12 @@ coefficient field that is even under x -> -x gives a matrix that commutes
 with the reversal of the dofs, so in the symmetry-adapted basis
 (e_k +- e_{n-1-k})/sqrt 2 (Fassler and Stiefel, Group Theoretical Methods
 and Their Applications, 1992) it splits into two decoupled blocks of about
-n/2 dofs. They are solved apart, V is kept as the two blocks, and each
-transform costs two half-size GEMMs. Bessel potentials of the flat Laplacian
-need no eigensolve: the FFT (periodic) or DST-I (Dirichlet) diagonalizes it.
-Only a block above ``NUMPY_EIGH_MAX_DOF`` imports scipy, so only an operator
-that does not split, above 2304 dofs.
+n/2 dofs. Each block is folded straight from the operator's stencil entries
+(``_fold``), so no (n, n) array of a split operator is built, and solved
+apart; V is kept as the two blocks, and each transform costs two half-size
+GEMMs. Bessel potentials of the flat Laplacian need no eigensolve: the FFT
+(periodic) or DST-I (Dirichlet) diagonalizes it. Only an operator above
+``NUMPY_EIGH_MAX_DOF`` (2304) dofs imports scipy.
 """
 
 import functools
@@ -24,16 +25,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gridop import DiscreteOperator, Grid, NumericalError, assemble, make_coefficients
+from .gridop import (
+    DiscreteOperator,
+    Grid,
+    NumericalError,
+    _symmetric_scatter,
+    assemble,
+    make_coefficients,
+)
 
 DEFAULT_DOF_CAP = 4096
-# Eigensolver by block size. Up to this size np.linalg.eigh (LAPACK syevd on a
-# copy); at 2304 dofs it costs what scipy's evd plus the scipy import does (1.34-1.49
-# against 1.36-1.47 s on a 2-D bump operator, 2-vCPU VM, OpenBLAS). Above it,
-# scipy's evd works in place on the block, so no copy is made: one 4096-dof block
-# (2 BLAS threads) takes 6.9-9.1 s and peaks at 453-455 MB, against 10.3-11.9 s
-# and 444-446 MB for scipy's default evr on a copy. A split 4096-dof operator is
-# two 2048-dof blocks: about 3 s, with a 270 MB peak.
+# Eigensolver by the operator's dof count. Up to this count np.linalg.eigh (LAPACK
+# syevd on a copy of each block); at 2304 unsplit dofs it costs what scipy's evd plus
+# the scipy import does (1.34-1.49 against 1.36-1.47 s on a 2-D bump operator, 2-vCPU
+# VM, OpenBLAS). Above it, scipy's evd works in place on each block, so no copy is
+# made: one 4096-dof block (2 BLAS threads) takes 6.9-9.1 s and peaks at 453-455 MB,
+# against 10.3-11.9 s and 444-446 MB for scipy's default evr on a copy. A split
+# 4096-dof operator is two 2048-dof blocks: about 3 s, with a 197-199 MB peak.
 NUMPY_EIGH_MAX_DOF = 2304
 
 # eigh roundoff envelopes used by validation
@@ -56,7 +64,8 @@ class SpectralDecomposition:
     unpaired. A column of ``even`` is a column of V on its first n - p dofs,
     which its last p repeat in reverse order. A column of ``odd`` is one on
     its first p dofs, which its last p repeat negated and reversed, with
-    zeros between. Without pairs (p = 0), ``even`` is V and ``odd`` is empty.
+    zeros between. Without pairs (p = 0), ``even`` is V in eigenvalue order,
+    ``rank`` the identity and ``odd`` empty, and the transforms are one product.
     """
 
     eigenvalues: np.ndarray
@@ -81,6 +90,8 @@ class SpectralDecomposition:
         if f.shape[0] != self.n_dof:
             raise ValueError(f"state length {f.shape[0]} != dof count {self.n_dof}")
         even, odd = self.blocks
+        if not len(odd):
+            return _product(even.T, f)
         p, q, split = len(odd), self.n_dof - len(odd), even.shape[1]
         out = np.empty(f.shape, np.result_type(f, float))
         folded = f[:q].astype(out.dtype)  # each pair summed, then (below) differenced
@@ -94,26 +105,35 @@ class SpectralDecomposition:
         """V c for coefficients ``c`` in eigenvalue order (first axis: the mode)."""
         c = np.asarray(c)
         even, odd = self.blocks
+        if not len(odd):
+            return _product(even, c)
         p, q, split = len(odd), self.n_dof - len(odd), even.shape[1]
-        x_even = _product(even, c[self.rank[:split]])
-        x_odd = _product(odd, c[self.rank[split:]])
-        out = np.empty(c.shape, x_even.dtype)
-        np.add(x_even[:p], x_odd, out=out[:p])
-        out[p:q] = x_even[p:]
-        np.subtract(x_even[:p], x_odd, out=out[q:][::-1])
+        out = np.empty(c.shape, np.result_type(c, float))
+        # the block products go straight into place, the odd one into the last p rows
+        _product(even, c[self.rank[:split]], out=out[:q])
+        _product(odd, c[self.rank[split:]], out=out[q:])
+        diff = out[:p] - out[q:]
+        out[:p] += out[q:]
+        out[q:] = diff[::-1]
         return out
 
     def validate(self) -> dict:
         """Check spectrum nonnegativity, orthonormality and reconstruction.
 
-        Both go through ``to_modes`` and ``from_modes``, and the reconstruction
-        is measured against ``source.matrix`` as assembled, so it includes how
-        far that matrix is from the reflection symmetry the blocks assume.
-        Full matrix checks up to 1024 dofs; above that the O(n^3) products
-        would dominate the eigensolve, so deterministic random probes are
-        used instead. Each check passes only if ``measured <= bound``, so a
-        NaN fails it. Returns the orthonormality and reconstruction residuals,
-        each as ``{"measured", "bound"}``.
+        Up to 1024 dofs the checks are per block, on W, the block's orthonormal
+        eigenvectors: orthonormality is the largest entry of W W^T - I, and
+        reconstruction the largest entry of W diag(lam) W^T - B against the block
+        B folded again from the stencil entries, plus half the largest entry of
+        A - P A P, the even/odd coupling that the blocks leave out (P pairs the
+        dofs as the blocks do). In the dof basis V = Q diag(W_even, W_odd) for an
+        orthogonal Q with at most two entries of 1/sqrt 2 per row, so each bounds
+        the largest entry of V V^T - I or V diag(lam) V^T - A: no check is weaker
+        than one on the dense products. Without pairs they are those products.
+        Above 1024 dofs the O(n^3) products would dominate the eigensolve, so
+        deterministic random probes go through ``to_modes``, ``from_modes`` and
+        ``source.apply`` instead. Each check passes only if ``measured <= bound``,
+        so a NaN fails it. Returns the orthonormality and reconstruction
+        residuals, each as ``{"measured", "bound"}``.
         """
         lam, n = self.eigenvalues, self.n_dof
         scale = max(abs(lam[-1]), abs(lam[0]), 1e-300)
@@ -122,22 +142,22 @@ class SpectralDecomposition:
                                  f"bound {-NEGATIVITY_TOL * scale:.3e}")
         if n <= 1024:
             how = ""
-            # V V^T - I and V diag(lam) V^T - A, from V^T and in place
-            modes = self.to_modes(np.eye(n))
-            resid = self.from_modes(modes)
-            resid.flat[::n + 1] -= 1.0
-            ortho = np.abs(resid, out=resid).max(), ORTHONORMALITY_TOL
-            del resid
-            modes *= lam[:, None]
-            resid = self.from_modes(modes)
-            resid -= self.source.matrix
-            recon = np.abs(resid, out=resid).max(), RECONSTRUCTION_TOL * scale
+            even, odd = self.blocks
+            p, split = len(odd), even.shape[1]
+            entries = self.source.entries
+            coupling = _coupling(entries, n, p)
+            ortho, recon = np.transpose([
+                _block_residuals(v, lam_b, p, _fold(entries, n, p, is_odd))
+                for is_odd, v, lam_b in [(False, even, lam[self.rank[:split]]),
+                                         (True, odd, lam[self.rank[split:]])]])
+            ortho = ortho.max(), ORTHONORMALITY_TOL
+            recon = recon.max() + coupling, RECONSTRUCTION_TOL * scale
         else:
             how = " (probe check)"
             z = _probe(n)
             size, modes = np.linalg.norm(z), self.to_modes(z)
             ortho = (np.linalg.norm(self.from_modes(modes) - z), ORTHONORMALITY_TOL * size * n)
-            recon = (np.linalg.norm(self.from_modes(lam * modes) - self.source.matrix @ z),
+            recon = (np.linalg.norm(self.from_modes(lam * modes) - self.source.apply(z)),
                      RECONSTRUCTION_TOL * scale * size)
         checks = {"orthonormality": (ortho, "eigenvector matrix not orthonormal"),
                   "reconstruction": (recon, "eigendecomposition does not reconstruct the matrix")}
@@ -148,14 +168,17 @@ class SpectralDecomposition:
                 for name, ((measured, bound), _) in checks.items()}
 
 
-def _product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x for a real ``w``. A complex ``x`` is multiplied as one real GEMM on its float
-    view, where numpy would cast ``w`` to complex on every call."""
+def _product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """w @ x for a real ``w``, into the contiguous ``out`` if given. A complex ``x`` is
+    multiplied as one real GEMM on its float view, where numpy would cast ``w`` to complex
+    on every call."""
     if not np.iscomplexobj(x):
-        return w @ x
-    x = np.ascontiguousarray(x)
-    out = w @ x.view(float).reshape(len(x), 2 * math.prod(x.shape[1:]))
-    return out.view(complex).reshape(w.shape[:1] + x.shape[1:])
+        return np.matmul(w, x, out=out)
+    x = np.ascontiguousarray(x, dtype=complex)
+    width = 2 * math.prod(x.shape[1:])
+    real = None if out is None else out.view(float).reshape(len(out), width)
+    real = np.matmul(w, x.view(float).reshape(len(x), width), out=real)
+    return real.view(complex).reshape(w.shape[:1] + x.shape[1:])
 
 
 def _probe(n: int) -> np.ndarray:
@@ -169,33 +192,63 @@ def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.where(lam <= tol, 0.0, lam)
 
 
-def _mirror_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks of the symmetric ``a`` under the pairing of its first p dofs
-    with its last p reversed (see ``SpectralDecomposition``).
+def _fold(entries, n: int, p: int, odd: bool):
+    """The stencil ``entries`` of an n-dof operator folded into its even or odd block, as
+    (size, rows, cols, values), under the pairing of the first p dofs with the last p
+    reversed (see ``SpectralDecomposition``).
 
-    In the basis (e_k +- e_{n-1-k})/sqrt 2, k < p, and e_k between, with quarters A11
-    (first p rows and columns), A12, A21 and A22 (last p) and the reversal J, they are
-
-        even = [[ (A11 + J A22 J + A12 J + J A21)/2,  (A_1m + J A_2m)/sqrt 2 ],
-                [ its transpose,                       A_mm                   ]],
-        odd  = (A11 + J A22 J - A12 J - J A21)/2,
-
-    the blocks of (A + P A P)/2 for the dof reversal P, each symmetric by construction.
+    In the basis (e_k +- e_{n-1-k})/sqrt 2, k < p, and e_k between, an entry
+    A[r, c] adds to the even block at the pair indices of r and c, times 1/2
+    if both dofs are paired and 1/sqrt 2 if one is; it adds to the odd block
+    times +-1/2 if both are paired, negated if one of them is in the last p.
+    These are the blocks of (A + P A P)/2 for the dof reversal P. Without
+    pairs (p = 0) the even block is the operator itself and the odd one empty.
     """
-    n = len(a)
-    q = n - p
-    top, rev = a[:p], a[q:][::-1]  # the first p rows, and the last p reversed
-    same = top[:, :p] + rev[:, q:][:, ::-1]  # A11 + J A22 J
-    cross = top[:, q:][:, ::-1] + rev[:, :p]  # A12 J + J A21
-    even = np.empty((q, q))
-    np.add(same, cross, out=even[:p, :p])
-    even[:p, :p] *= 0.5
-    even[p:, :p] = (top[:, p:q] + rev[:, p:q]).T * np.sqrt(0.5)
-    even[:p, p:] = even[p:, :p].T
-    even[p:, p:] = a[p:q, p:q]
-    odd = np.subtract(same, cross, out=same)
-    odd *= 0.5
-    return even, odd
+    rows, cols, vals = entries
+    index = np.arange(n)
+    index[n - p:] = index[:p][::-1]  # the first dof of each one's pair, or itself
+    late, paired = index < np.arange(n), index < p  # in the last p; in a pair
+    if odd:
+        both = paired[rows] & paired[cols]
+        rows, cols, vals = rows[both], cols[both], vals[both]
+        weight = np.where(late[rows] == late[cols], 0.5, -0.5)
+    else:
+        weight = np.array([1.0, np.sqrt(0.5), 0.5])[paired[rows].astype(np.intp) + paired[cols]]
+    return p if odd else n - p, index[rows], index[cols], vals * weight
+
+
+def _coupling(entries, n: int, p: int) -> float:
+    """Half the largest entry of A - P A P for the stencil ``entries`` of A, where P pairs
+    the first p of the n dofs with the last p reversed: the even/odd coupling of the blocks."""
+    rows, cols, vals = entries
+    pair = np.arange(n)
+    pair[:p], pair[n - p:] = pair[n - p:][::-1].copy(), pair[:p][::-1].copy()
+    at = np.concatenate([rows * n + cols, pair[rows] * n + pair[cols]])
+    _, slot = np.unique(at, return_inverse=True)
+    return 0.5 * float(np.abs(np.bincount(slot, np.concatenate([vals, -vals]))).max())
+
+
+def _gram(v: np.ndarray, lam: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """W diag(lam) W^T into ``out``, for the orthonormal block vectors W of which ``v``, a
+    block of V, holds the first p rows at 1/sqrt 2. The rows go a slab at a time, so no
+    copy of ``v`` is made."""
+    for start in range(0, len(v), 128):
+        np.matmul(v[start:start + 128] * lam, v.T, out=out[start:start + 128])
+    out[:p, :p] *= 2.0
+    out[:p, p:] *= np.sqrt(2.0)
+    out[p:, :p] *= np.sqrt(2.0)
+    return out
+
+
+def _block_residuals(v: np.ndarray, lam: np.ndarray, p: int, folded) -> tuple[float, float]:
+    """The largest entries of W W^T - I and of W diag(lam) W^T - B, for the block vectors W
+    of ``v`` (see ``_gram``) and the ``folded`` entries of the block B, in one buffer."""
+    resid = _gram(v, 1.0, p, np.empty((len(v), len(v))))
+    resid.flat[::len(v) + 1] -= 1.0
+    ortho = np.abs(resid, out=resid).max(initial=0.0)
+    _, rows, cols, vals = folded
+    np.subtract.at(_gram(v, lam, p, resid), (rows, cols), vals)
+    return ortho, np.abs(resid, out=resid).max(initial=0.0)
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -204,9 +257,10 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     On a Dirichlet grid whose coefficient field is bitwise even under the
     reversal of the nodes (x -> -x), the assembled matrix commutes with the
     reversal of the dofs up to the order of its diagonal sums, so it splits
-    into an even and an odd block of about n/2 dofs (``_mirror_blocks``),
-    which are solved apart. Any other operator is one block. Every block of a
-    decomposition takes the same solver: ``np.linalg.eigh`` up to
+    into an even and an odd block of about n/2 dofs, each folded from the
+    stencil entries (``_fold``) and solved before the next is built. Any other
+    operator is one block, its matrix. Every block of a decomposition takes
+    the same solver: ``np.linalg.eigh`` for an operator of up to
     ``NUMPY_EIGH_MAX_DOF`` dofs, and above it scipy's evd driver, which
     overwrites the block with its eigenvectors. Each eigenvector's sign is set
     so that its product with the seeded probe ``_probe(n)`` is positive, so
@@ -223,19 +277,23 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     mirrored = op.grid.boundary == "dirichlet" and all(
         np.array_equal(x, x[::-1]) for x in (field.a, field.c))
     p = n // 2 if mirrored else 0
-    # the full matrix is freed when _mirror_blocks returns
-    blocks = _mirror_blocks(op.matrix, p)
-    if max(map(len, blocks)) <= NUMPY_EIGH_MAX_DOF:
-        driver = "numpy.linalg.eigh"
-        pairs = [np.linalg.eigh(b) for b in blocks]
+    if n <= NUMPY_EIGH_MAX_DOF:
+        driver, solve = "numpy.linalg.eigh", np.linalg.eigh
     else:
         import scipy.linalg
         driver = "scipy evd in place"
-        # the transpose of a symmetric C-ordered block is the same block in
-        # Fortran order, so LAPACK works on its buffer instead of a copy
-        pairs = [scipy.linalg.eigh(b.T, driver="evd", overwrite_a=True) for b in blocks]
-    del blocks
-    (lam_even, even), (lam_odd, odd) = pairs
+
+        def solve(block):
+            # the transpose of a symmetric C-ordered block is the same block in
+            # Fortran order, so LAPACK works on its buffer instead of a copy
+            return scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True)
+
+    def block(odd):  # referenced only until its solve returns
+        if not p:  # one block, the operator's matrix
+            return np.zeros((0, 0)) if odd else op.matrix
+        return _symmetric_scatter(*_fold(op.entries, n, p, odd))
+
+    (lam_even, even), (lam_odd, odd) = (solve(block(is_odd)) for is_odd in (False, True))
     even[:p] *= np.sqrt(0.5)  # the paired rows of V hold 1/sqrt 2 of each block entry
     odd *= np.sqrt(0.5)
     lam = np.concatenate([lam_even, lam_odd])

@@ -85,10 +85,11 @@ def _mask_in_box(x: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 
 # dichotomy_sweep's peak memory over one float64 (n_dof, k) array, for k distinct
-# fractional alphas, measured with tracemalloc: 4.1-4.2 at 1000-20000 alphas on 1-D
-# and 2-D grids of both boundaries, 4.5 at 300 alphas on 2-D n = 34. It holds the
-# multipliers, their product with V^T f and the result, while the two blocks of
-# from_modes take their columns in block order.
+# fractional alphas, measured with tracemalloc at 300-20000 alphas on 1-D and 2-D
+# grids: 3.6-3.7 where the operator splits, 3.1-3.2 where it does not (periodic
+# grids). It holds the multipliers, their product with V^T f and the result, and a
+# split operator's from_modes half an array more: the columns of one block in block
+# order, or the differences of the pairs.
 UC_PROBE_WORKING_SET = 5.0
 
 
@@ -98,8 +99,8 @@ def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
 
     The masses are l2 norms of L^alpha f for the bump f of ``spec``. Every
     fractional alpha comes from one conjugation (one V^T f, one GEMM) and is
-    measured on theta. Integer alpha = 1 is the matrix product, measured on
-    theta shrunk by one stencil width, where its mass is exactly zero.
+    measured on theta. Integer alpha = 1 is the stencil product ``apply``,
+    measured on theta shrunk by one stencil width, where its mass is exactly zero.
     """
     alphas = [float(a) for a in alphas]
     if any(not 0.0 < a <= 1.0 for a in alphas):
@@ -113,7 +114,7 @@ def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
         on_theta = np.linalg.norm(g[_mask_in_box(x, spec.theta)], axis=0)
         masses.update(zip(fractional, zip(on_theta, np.linalg.norm(g, axis=0))))
     if 1.0 in alphas:
-        g = dec.source.matrix @ f
+        g = dec.source.apply(f)
         mask = _mask_in_box(x, spec.shrunk_theta(grid.spacing))
         masses[1.0] = (np.linalg.norm(g[mask]), np.linalg.norm(g))
     rows = []

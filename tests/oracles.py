@@ -32,6 +32,36 @@ def dense_decomposition(lam: np.ndarray, v: np.ndarray, op: DiscreteOperator):
     return SpectralDecomposition(lam, (v, np.zeros((0, 0))), np.arange(len(lam)), op)
 
 
+def mirror_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of the symmetric ``a`` under the pairing of its first p dofs
+    with its last p reversed (see ``SpectralDecomposition``), by quarter algebra on the
+    dense matrix: the oracle of the fold from the stencil entries.
+
+    In the basis (e_k +- e_{n-1-k})/sqrt 2, k < p, and e_k between, with quarters A11
+    (first p rows and columns), A12, A21 and A22 (last p) and the reversal J, they are
+
+        even = [[ (A11 + J A22 J + A12 J + J A21)/2,  (A_1m + J A_2m)/sqrt 2 ],
+                [ its transpose,                       A_mm                   ]],
+        odd  = (A11 + J A22 J - A12 J - J A21)/2,
+
+    the blocks of (A + P A P)/2 for the dof reversal P, each symmetric by construction.
+    """
+    n = len(a)
+    q = n - p
+    top, rev = a[:p], a[q:][::-1]  # the first p rows, and the last p reversed
+    same = top[:, :p] + rev[:, q:][:, ::-1]  # A11 + J A22 J
+    cross = top[:, q:][:, ::-1] + rev[:, :p]  # A12 J + J A21
+    even = np.empty((q, q))
+    np.add(same, cross, out=even[:p, :p])
+    even[:p, :p] *= 0.5
+    even[p:, :p] = (top[:, p:q] + rev[:, p:q]).T * np.sqrt(0.5)
+    even[:p, p:] = even[p:, :p].T
+    even[p:, p:] = a[p:q, p:q]
+    odd = np.subtract(same, cross, out=same)
+    odd *= 0.5
+    return even, odd
+
+
 def gershgorin_lower_bound(matrix: np.ndarray) -> float:
     """Smallest Gershgorin disc lower endpoint of a symmetric matrix."""
     d = np.diag(matrix)

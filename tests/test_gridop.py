@@ -284,6 +284,26 @@ def test_each_matrix_read_is_a_new_array_equal_to_the_sparse_oracle(dim, n, boun
     assert op.matrix.tobytes() == second.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["radial_bump", "random"])
+@pytest.mark.parametrize("dim,n,boundary", [(1, 33, "dirichlet"), (1, 16, "periodic"),
+                                            (2, 17, "dirichlet"), (2, 12, "periodic")])
+def test_apply_is_the_matrix_product(dim, n, boundary, kind):
+    g = build_grid(dim, n, 3.0, boundary)
+    op = assemble(g, _oracle_field(g, kind))
+    a = op.matrix
+    rng = np.random.default_rng(n)
+    for shape in [(g.n_dof,), (g.n_dof, 3)]:
+        x = rng.standard_normal(shape)
+        for f in (x, x + 1j * rng.standard_normal(shape)):
+            got = op.apply(f)
+            assert got.shape == f.shape and got.dtype == f.dtype
+            # the sums differ only in order: a few roundings of |A| |f| per entry
+            err = 8 * np.finfo(float).eps * (np.abs(a) @ np.abs(f))
+            assert np.all(np.abs(got - a @ f) <= err)
+    with pytest.raises(ValueError, match="dof count"):
+        op.apply(np.zeros(g.n_dof + 1))
+
+
 def test_discrete_operator_holds_no_array():
     g = build_grid(2, 16, 3.0, "dirichlet")
     op = assemble(g, _oracle_field(g, "radial_bump"))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from fracspec import spectral
 from fracspec.gridop import (
     CoefficientField,
     NumericalError,
+    _symmetric_scatter,
     assemble,
     build_grid,
     make_coefficients,
@@ -30,6 +32,7 @@ from oracles import (
     dense_decomposition,
     eigenvectors,
     full_eigh,
+    mirror_blocks,
     smoothing_norm_bound,
     smoothing_norm_measured,
 )
@@ -119,9 +122,28 @@ def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_d
     for name in ("orthonormality", "reconstruction"):
         check = dec.eigensolve[name]
         assert 0.0 <= check["measured"] <= check["bound"]
+    # the residuals are per block, against the blocks folded from the matrix, plus the
+    # even/odd coupling the blocks leave out
+    a, p = op.matrix, len(dec.blocks[1])
+    split, lam, eps = len(dec.blocks[0]), dec.eigenvalues, np.finfo(float).eps
+    ortho, recon = [], []
+    for v, b, lam_b in zip(dec.blocks, mirror_blocks(a, p),
+                           (lam[dec.rank[:split]], lam[dec.rank[split:]])):
+        w = v.copy()
+        w[:p] *= np.sqrt(2.0)
+        ortho.append(np.abs(w @ w.T - np.eye(len(w))).max())
+        recon.append(np.abs((w * lam_b) @ w.T - b).max())
+    recon = max(recon) + np.abs(a - a[::-1, ::-1]).max() / 2
+    measured = {name: dec.eigensolve[name]["measured"]
+                for name in ("orthonormality", "reconstruction")}
+    assert measured["orthonormality"] == pytest.approx(max(ortho), rel=0, abs=8 * eps)
+    assert measured["reconstruction"] == pytest.approx(recon, rel=0, abs=8 * eps * np.abs(a).max())
+    # and each bounds the largest entry of its dense product
     v = eigenvectors(dec)
-    resid = np.abs(dec.from_modes(dec.eigenvalues[:, None] * v.T) - op.matrix).max()
-    assert dec.eigensolve["reconstruction"]["measured"] == resid
+    dense = {"orthonormality": np.abs(v @ v.T - np.eye(op.n_dof)).max(),
+             "reconstruction": np.abs(dec.from_modes(lam[:, None] * v.T) - a).max()}
+    assert dense["orthonormality"] <= measured["orthonormality"] + 8 * eps
+    assert dense["reconstruction"] <= measured["reconstruction"] + 8 * eps * np.abs(a).max()
 
 
 # 33 dofs take the full matrix checks, 1089 the probe checks
@@ -218,6 +240,53 @@ def test_an_even_tabulated_field_splits_as_its_kind_does():
     assert made.eigensolve == loaded.eigensolve and made.eigensolve["blocks"] == [128, 128]
     assert made.eigenvalues.tobytes() == loaded.eigenvalues.tobytes()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(made.blocks, loaded.blocks))
+
+
+def _even_table(g):
+    """A tabulated field that is bitwise even under x -> -x but not under either axis
+    reflection alone: its entries are functions of x_0^2, x_1^2 and x_0 x_1."""
+    x = g.nodes()
+    r2 = (x**2).sum(axis=1)
+    a = np.eye(g.dim) * (1.0 + 0.5 * np.exp(-x**2 / 4.0))[:, None, :]
+    if g.dim == 2:
+        a[:, 0, 1] = a[:, 1, 0] = 0.3 * x[:, 0] * x[:, 1] / (1.0 + r2)
+    return make_coefficients(g, "tabulated", {"a": a, "c": 0.4 * r2 / (1.0 + r2)})
+
+
+# even and odd dof counts: 32 and 31 in 1-D, 256 and 225 in 2-D
+@pytest.mark.parametrize("kind", ["identity", "radial_bump", "even_table"])
+@pytest.mark.parametrize("dim,n", [(1, 34), (1, 33), (2, 18), (2, 17)])
+def test_fold_matches_the_mirror_blocks_oracle(dim, n, kind):
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    field = _even_table(g) if kind == "even_table" else make_coefficients(g, *_split_field(dim, kind))
+    op = assemble(g, field)
+    a, n_dof = op.matrix, op.n_dof
+    p = n_dof // 2
+    assert eigendecompose(op).eigensolve["blocks"] == [n_dof - p, p]  # the field splits
+    for odd, oracle in zip((False, True), mirror_blocks(a, p)):
+        block = _symmetric_scatter(*spectral._fold(op.entries, n_dof, p, odd))
+        assert block.shape == oracle.shape
+        assert np.array_equal(block, block.T)  # exactly symmetric
+        assert np.abs(block - oracle).max() <= 4 * np.finfo(float).eps * np.abs(a).max()
+    # without pairs the even block is the matrix itself, bit for bit, and the odd one empty
+    assert _symmetric_scatter(*spectral._fold(op.entries, n_dof, 0, False)).tobytes() == a.tobytes()
+    assert _symmetric_scatter(*spectral._fold(op.entries, n_dof, 0, True)).shape == (0, 0)
+
+
+def test_split_eigendecompose_holds_no_dense_array():
+    # 2-D, 1024 dofs: the blocks are folded from the entries and the full checks run per block
+    g = build_grid(2, 34, 8.0, "dirichlet")
+    op = assemble(g, make_coefficients(g, *_split_field(2, "radial_bump")))
+    dense = 8 * op.n_dof**2  # bytes of one (n_dof, n_dof) float64 array
+    tracemalloc.start()
+    try:
+        dec = eigendecompose(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.eigensolve["blocks"] == [512, 512]
+    assert dec.eigensolve["driver"] == "numpy.linalg.eigh"
+    assert peak < dense  # one dense array alone would reach it
 
 
 def test_decomposition_requires_its_source_operator():

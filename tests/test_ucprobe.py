@@ -138,18 +138,34 @@ def test_sweep_matches_the_per_alpha_oracle(boundary, kind, params):
     assert rows[-1][1] == 0.0 and rows[-1][3] == 0.0
 
 
-def test_sweep_is_one_conjugation_and_one_matrix_read(monkeypatch):
+def test_sweep_is_one_conjugation_and_one_operator_apply(monkeypatch):
     dec = make_dec(n=65)
-    conjugations, reads = [], []
+    conjugations, applies, reads = [], [], []
     apply = ucprobe.apply_function
     monkeypatch.setattr(ucprobe, "apply_function",
                         lambda *args: conjugations.append(1) or apply(*args))
+    product = gridop.DiscreteOperator.apply
+    monkeypatch.setattr(gridop.DiscreteOperator, "apply",
+                        lambda op, f: applies.append(1) or product(op, f))
     matrix = gridop.DiscreteOperator.matrix
     monkeypatch.setattr(gridop.DiscreteOperator, "matrix",
                         property(lambda op: reads.append(1) or matrix.fget(op)))
     rows = dichotomy_sweep(dec, STANDARD, [0.25, 0.5, 0.75, 1.0, 0.5, 1.0])
     assert len(rows) == 6
-    assert len(conjugations) == 1 and len(reads) == 1
+    assert len(conjugations) == 1 and len(applies) == 1 and reads == []
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_alpha_one_mass_is_exactly_zero_on_a_2d_grid(boundary):
+    # the mixed term reaches the diagonal neighbours, one stencil width away
+    g = build_grid(2, 24, 8.0, boundary)
+    field = make_coefficients(g, "radial_bump", {"s": 0.6, "w": 3.0, "M": [[1.0, 0.5], [0.5, 0.8]]})
+    dec = eigendecompose(assemble(g, field))
+    # theta overlaps the support's rows and stops 0.1 short of its columns
+    spec = VanishingSpec.create(theta=[(-4.0, 0.9), (0.5, 4.5)],
+                                f_support=[(1.0, 4.0), (1.0, 4.0)], dim=2)
+    [(_, mass, total, ratio)] = dichotomy_sweep(dec, spec, [1.0])
+    assert mass == 0.0 and ratio == 0.0 and total > 0.0
 
 
 def test_sweep_repeats_the_row_of_a_duplicate_alpha():
@@ -164,7 +180,7 @@ def test_sweep_of_alpha_one_alone_needs_no_conjugation(monkeypatch):
     monkeypatch.setattr(ucprobe, "apply_function", None)  # a call would raise TypeError
     f = bump_state(dec.source.grid, STANDARD)
     assert dichotomy_sweep(dec, STANDARD, [1.0]) == [
-        (1.0, 0.0, float(np.linalg.norm(dec.source.matrix @ f)), 0.0)]
+        (1.0, 0.0, float(np.linalg.norm(dec.source.apply(f))), 0.0)]
 
 
 def test_dichotomy_sweep_standard():
