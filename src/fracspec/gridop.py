@@ -10,8 +10,9 @@ the resulting matrix is symmetric by construction. The operator is held as
 its stencil entries, (row, col, value) triplets, at most 3 per dof in 1-D
 and 13 in 2-D (``DiscreteOperator.entries``). ``DiscreteOperator.apply`` is
 the one sparse product, and a dense array exists only where a caller
-scatters the entries into one (``_symmetric_scatter``), as
-``DiscreteOperator.matrix`` and the eigensolver's reflection blocks do.
+scatters the entries into one (``_symmetric_scatter``), as the eigensolver's
+blocks do. ``DiscreteOperator.matrix``, the dense view, is for inspection:
+no run of the library reads it.
 """
 
 import itertools

@@ -108,14 +108,15 @@ class SpectralDecomposition:
         if not len(odd):
             return _product(even, c)
         p, q, split = len(odd), self.n_dof - len(odd), even.shape[1]
-        out = np.empty(c.shape, np.result_type(c, float))
         # the block products go straight into place, the odd one into the last p rows
-        _product(even, c[self.rank[:split]], out=out[:q])
-        _product(odd, c[self.rank[split:]], out=out[q:])
+        cols = _float_columns(c)
+        out = np.empty(cols.shape)
+        np.matmul(even, cols[self.rank[:split]], out=out[:q])
+        np.matmul(odd, cols[self.rank[split:]], out=out[q:])
         diff = out[:p] - out[q:]
         out[:p] += out[q:]
         out[q:] = diff[::-1]
-        return out
+        return (out.view(complex) if np.iscomplexobj(c) else out).reshape(c.shape)
 
     def validate(self) -> dict:
         """Check spectrum nonnegativity, orthonormality and reconstruction.
@@ -128,7 +129,9 @@ class SpectralDecomposition:
         dofs as the blocks do). In the dof basis V = Q diag(W_even, W_odd) for an
         orthogonal Q with at most two entries of 1/sqrt 2 per row, so each bounds
         the largest entry of V V^T - I or V diag(lam) V^T - A: no check is weaker
-        than one on the dense products. Without pairs they are those products.
+        than one on the dense products. Without pairs the coupling is exactly 0 and
+        the checks are those products, up to the order in which the entries of A
+        are subtracted.
         Above 1024 dofs the O(n^3) products would dominate the eigensolve, so
         deterministic random probes go through ``to_modes``, ``from_modes`` and
         ``source.apply`` instead. Each check passes only if ``measured <= bound``,
@@ -168,17 +171,19 @@ class SpectralDecomposition:
                 for name, ((measured, bound), _) in checks.items()}
 
 
-def _product(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """w @ x for a real ``w``, into the contiguous ``out`` if given. A complex ``x`` is
-    multiplied as one real GEMM on its float view, where numpy would cast ``w`` to complex
-    on every call."""
+def _product(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for a real ``w``. A complex ``x`` is multiplied as one real GEMM on its float
+    view, where numpy would cast ``w`` to complex on every call."""
     if not np.iscomplexobj(x):
-        return np.matmul(w, x, out=out)
-    x = np.ascontiguousarray(x, dtype=complex)
-    width = 2 * math.prod(x.shape[1:])
-    real = None if out is None else out.view(float).reshape(len(out), width)
-    real = np.matmul(w, x.view(float).reshape(len(x), width), out=real)
-    return real.view(complex).reshape(w.shape[:1] + x.shape[1:])
+        return w @ x
+    return (w @ _float_columns(x)).view(complex).reshape(w.shape[:1] + x.shape[1:])
+
+
+def _float_columns(x: np.ndarray) -> np.ndarray:
+    """``x`` as a C-ordered float (len(x), width) matrix; a complex ``x`` is its float view,
+    twice as wide."""
+    x = np.ascontiguousarray(x, complex if np.iscomplexobj(x) else float)
+    return x.view(float).reshape(len(x), x.itemsize // 8 * math.prod(x.shape[1:]))
 
 
 def _probe(n: int) -> np.ndarray:
@@ -219,13 +224,16 @@ def _fold(entries, n: int, p: int, odd: bool):
 
 def _coupling(entries, n: int, p: int) -> float:
     """Half the largest entry of A - P A P for the stencil ``entries`` of A, where P pairs
-    the first p of the n dofs with the last p reversed: the even/odd coupling of the blocks."""
+    the first p of the n dofs with the last p reversed: the even/odd coupling of the blocks.
+    Each entry of A is summed once, so without pairs (P = I) the coupling is exactly 0."""
     rows, cols, vals = entries
     pair = np.arange(n)
     pair[:p], pair[n - p:] = pair[n - p:][::-1].copy(), pair[:p][::-1].copy()
-    at = np.concatenate([rows * n + cols, pair[rows] * n + pair[cols]])
-    _, slot = np.unique(at, return_inverse=True)
-    return 0.5 * float(np.abs(np.bincount(slot, np.concatenate([vals, -vals]))).max())
+    at, slot = np.unique(rows * n + cols, return_inverse=True)
+    a = np.bincount(slot, vals)  # the entry of A at each position ``at``
+    mirror = pair[at // n] * n + pair[at % n]
+    k = np.searchsorted(at, mirror).clip(max=len(at) - 1)
+    return 0.5 * float(np.abs(a - np.where(at[k] == mirror, a[k], 0.0)).max(initial=0.0))
 
 
 def _gram(v: np.ndarray, lam: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -259,14 +267,15 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     reversal of the dofs up to the order of its diagonal sums, so it splits
     into an even and an odd block of about n/2 dofs, each folded from the
     stencil entries (``_fold``) and solved before the next is built. Any other
-    operator is one block, its matrix. Every block of a decomposition takes
-    the same solver: ``np.linalg.eigh`` for an operator of up to
-    ``NUMPY_EIGH_MAX_DOF`` dofs, and above it scipy's evd driver, which
-    overwrites the block with its eigenvectors. Each eigenvector's sign is set
-    so that its product with the seeded probe ``_probe(n)`` is positive, so
-    the vectors do not depend on the LAPACK driver, except within repeated
-    eigenvalues, where the basis itself does. ``eigensolve`` of the result
-    records the driver, the block sizes and the residuals.
+    operator is one block, its matrix, folded the same way with no pairs. Every
+    block of a decomposition takes the same solver: ``np.linalg.eigh`` for an
+    operator of up to ``NUMPY_EIGH_MAX_DOF`` dofs, and above it scipy's evd
+    driver, which overwrites the block with its eigenvectors. Each
+    eigenvector's sign is set so that its product with the seeded probe
+    ``_probe(n)`` is positive, so the vectors do not depend on the LAPACK
+    driver, except within repeated eigenvalues, where the basis itself does.
+    ``eigensolve`` of the result records the driver, the block sizes and the
+    residuals.
     """
     n = op.n_dof
     if n > DEFAULT_DOF_CAP:
@@ -289,8 +298,6 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
             return scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True)
 
     def block(odd):  # referenced only until its solve returns
-        if not p:  # one block, the operator's matrix
-            return np.zeros((0, 0)) if odd else op.matrix
         return _symmetric_scatter(*_fold(op.entries, n, p, odd))
 
     (lam_even, even), (lam_odd, odd) = (solve(block(is_odd)) for is_odd in (False, True))

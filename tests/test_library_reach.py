@@ -5,6 +5,8 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracspec"
+# the benchmark harness, whose traced pass reads the library too (its tests are left out)
+HARNESS = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _names(node):
@@ -40,7 +42,10 @@ def _attributes(node):
 
 def test_every_method_and_property_is_referenced_as_an_attribute_in_src():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    everywhere = sum(map(_attributes, trees), Counter())
+    # a read by the harness counts: DiscreteOperator.matrix, the dense view that no run
+    # builds, is what the traced pass sizes each eigensolve by
+    harness = [ast.parse(path.read_text()) for path in sorted(HARNESS.glob("*.py"))]
+    everywhere = sum(map(_attributes, trees + harness), Counter())
     # a method's own body is left out, so a recursive or self-referring one needs another caller
     unreferenced = [
         f"{cls.name}.{method.name}"

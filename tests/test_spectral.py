@@ -111,36 +111,54 @@ def test_in_place_solve_leaves_the_operator_matrix_intact(monkeypatch):
     assert dec.source.matrix.tobytes() == assemble(g, op.coefficients).matrix.tobytes()
 
 
-@pytest.mark.parametrize("max_dof,driver", [(2304, "numpy.linalg.eigh"),
-                                            (0, "scipy evd in place")])
-def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_dof, driver):
-    _, op = bump_operator(n=65)
+def _record_case(case):
+    """The operators of the residual record test: a split 1-D bump, and a periodic 2-D bump
+    with an off-diagonal M, which is one block (p = 0)."""
+    if case == "split":
+        return bump_operator(n=65)[1], [32, 31]
+    g = build_grid(2, 12, 8.0, "periodic")
+    return assemble(g, make_coefficients(g, *_split_field(2, "radial_bump"))), [144]
+
+
+@pytest.mark.parametrize("max_dof,driver,case", [
+    pytest.param(2304, "numpy.linalg.eigh", "split", id="2304-numpy.linalg.eigh"),
+    pytest.param(0, "scipy evd in place", "split", id="0-scipy evd in place"),
+    pytest.param(2304, "numpy.linalg.eigh", "periodic", id="2304-numpy.linalg.eigh-periodic"),
+    pytest.param(0, "scipy evd in place", "periodic", id="0-scipy evd in place-periodic"),
+])
+def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_dof, driver, case):
+    op, blocks = _record_case(case)
     monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", max_dof)
     dec = eigendecompose(op)
     assert dec.eigensolve["driver"] == driver
-    assert dec.eigensolve == {"driver": driver, "blocks": [32, 31], **dec.validate()}
+    assert dec.eigensolve == {"driver": driver, "blocks": blocks, **dec.validate()}
     for name in ("orthonormality", "reconstruction"):
         check = dec.eigensolve[name]
         assert 0.0 <= check["measured"] <= check["bound"]
     # the residuals are per block, against the blocks folded from the matrix, plus the
-    # even/odd coupling the blocks leave out
-    a, p = op.matrix, len(dec.blocks[1])
+    # even/odd coupling the blocks leave out, under the pairing P of the p used
+    a, p, n = op.matrix, len(dec.blocks[1]), op.n_dof
+    pair = np.arange(n)
+    pair[:p], pair[n - p:] = pair[n - p:][::-1].copy(), pair[:p][::-1].copy()
+    coupling = np.abs(a - a[np.ix_(pair, pair)]).max() / 2
+    if not p:
+        assert spectral._coupling(op.entries, n, p) == 0.0  # exactly, with no pairs
     split, lam, eps = len(dec.blocks[0]), dec.eigenvalues, np.finfo(float).eps
     ortho, recon = [], []
     for v, b, lam_b in zip(dec.blocks, mirror_blocks(a, p),
                            (lam[dec.rank[:split]], lam[dec.rank[split:]])):
         w = v.copy()
         w[:p] *= np.sqrt(2.0)
-        ortho.append(np.abs(w @ w.T - np.eye(len(w))).max())
-        recon.append(np.abs((w * lam_b) @ w.T - b).max())
-    recon = max(recon) + np.abs(a - a[::-1, ::-1]).max() / 2
+        ortho.append(np.abs(w @ w.T - np.eye(len(w))).max(initial=0.0))
+        recon.append(np.abs((w * lam_b) @ w.T - b).max(initial=0.0))
+    recon = max(recon) + coupling
     measured = {name: dec.eigensolve[name]["measured"]
                 for name in ("orthonormality", "reconstruction")}
     assert measured["orthonormality"] == pytest.approx(max(ortho), rel=0, abs=8 * eps)
     assert measured["reconstruction"] == pytest.approx(recon, rel=0, abs=8 * eps * np.abs(a).max())
     # and each bounds the largest entry of its dense product
     v = eigenvectors(dec)
-    dense = {"orthonormality": np.abs(v @ v.T - np.eye(op.n_dof)).max(),
+    dense = {"orthonormality": np.abs(v @ v.T - np.eye(n)).max(),
              "reconstruction": np.abs(dec.from_modes(lam[:, None] * v.T) - a).max()}
     assert dense["orthonormality"] <= measured["orthonormality"] + 8 * eps
     assert dense["reconstruction"] <= measured["reconstruction"] + 8 * eps * np.abs(a).max()
