@@ -32,6 +32,9 @@ from .evolution import (
     VISCOUS_WORKING_SET,
     Nonlinearity,
     _time_grid,
+    check_picard,
+    check_viscosities,
+    check_viscous,
     gradient_nonlinearity,
     kato_ponce_check,
     picard_solve,
@@ -39,7 +42,8 @@ from .evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from .extension import conormal_recover, doubling_ratio, energy_report, extend, geometric_ladder
+from .extension import (conormal_constant, conormal_recover, doubling_radii, doubling_ratio,
+                        energy_report, extend, geometric_ladder)
 from .gridop import (
     CoefficientField,
     Grid,
@@ -53,13 +57,14 @@ from .gridop import (
 )
 from .spectral import (
     DEFAULT_DOF_CAP,
-    EIGENVECTOR_SAMPLE_INDICES,
     NORM_EQUIV_WORKING_SET,
     _sample_bump,
     apply_function,
+    check_dof_cap,
     eigendecompose,
     fractional_power,
     norm_equivalence,
+    norm_test_count,
     refined_grid,
     unitary_propagate,
 )
@@ -68,6 +73,7 @@ from .ucprobe import (
     UC_PROBE_WORKING_SET,
     VanishingSpec,
     dichotomy_sweep,
+    sweep_alphas,
     sweep_to_csv,
 )
 
@@ -103,24 +109,26 @@ def _kind_name(kind) -> str:
     return "dict" if isinstance(kind, dict) else kind.__name__
 
 
-def _conform(value, kind, context: str):
-    """``value`` as ``kind``; TypeError if it does not have that kind."""
+def _conform(value, kind, key: str):
+    """``value`` of ``key`` as ``kind``; TypeError if it does not have that kind."""
     if isinstance(kind, tuple):
         for alternative in kind:
             try:
-                return _conform(value, alternative, context)
+                return _conform(value, alternative, key)
             except TypeError:
                 pass
         raise TypeError
     if isinstance(kind, (list, dict)) and not isinstance(value, type(kind)):
         raise TypeError
     if isinstance(kind, list):
-        return [_conform(item, kind[0], context) for item in value]
+        return [_conform(item, kind[0], key) for item in value]
     if isinstance(kind, dict):
-        return _params(value, kind, context)
+        return _params(value, kind, key)
     if isinstance(value, bool) and kind is not bool:
         raise TypeError
     if kind is float and isinstance(value, (int, float)):
+        if not abs(value) <= sys.float_info.max:  # json reads NaN, Infinity and 1e400
+            raise ConfigError(f"key {key!r} must be a finite number, got {value}")
         return float(value)
     if not isinstance(value, kind):
         raise TypeError
@@ -193,105 +201,70 @@ _U0 = {
 }
 
 
-def _within_cap(grid: Grid, what: str, remedy: str) -> None:
-    if grid.n_dof > DEFAULT_DOF_CAP:
-        raise ConfigError(f"{what} has {grid.n_dof} degrees of freedom, over the dense-solve "
-                          f"cap {DEFAULT_DOF_CAP}; {remedy}")
-
-
 def _built(keys: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a ValueError it raises becomes a ConfigError led by ``keys``.
-
-    ``build`` is the library constructor that owns the rules of the values it
-    reads, so parsing states none of them again.
-    """
+    """``build(*args, **kwargs)``, the library function that owns the rules of the values it
+    reads; a ValueError or OSError it raises becomes a ConfigError led by ``keys``."""
     try:
         return build(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         raise ConfigError(f"{keys}: {err}") from None
 
 
-def _check_values(task: str, p: dict, grid: Grid, alpha: float) -> None:
-    """Reject values that would otherwise fail, or pass unnoticed, only after the eigensolve."""
-    def need(ok, key: str, rule: str) -> None:
-        if not ok:
-            value = alpha if key == "alpha" else p[key]
-            raise ConfigError(f"{key!r} of {task} must be {rule}, got {value}")
-
-    centers = {"'center'": p.get("center"), "u0 'center'": p.get("u0", {}).get("center")}
-    for key, center in centers.items():
-        if isinstance(center, list) and len(center) != grid.dim:
-            raise ConfigError(f"{key} must be one number or {grid.dim} numbers, got {center}")
-    if "y0" in p:  # the extension tasks
-        need(0.0 < alpha < 1.0, "alpha", "in (0, 1)")
-    if task in ("viscous", "viscosity_convergence"):
-        need(p["s"] >= 0 and p["s"] % 2 == 0, "s", "an even integer >= 0")
-    if task == "viscous":
-        need(p["eps"] >= 0, "eps", ">= 0")
-    if task == "viscosity_convergence":
-        eps = p["epsilons"]
-        need(len(eps) >= 2 and all(a >= b for a, b in zip(eps, eps[1:])), "epsilons",
-             "two or more nonincreasing values")
-    if task == "picard":
-        need(p["max_iter"] >= 1, "max_iter", ">= 1")
-    if p.get("c_est") is not None:  # picard's null skips its horizon check
-        need(p["c_est"] > 0, "c_est", "> 0")
-    if task == "norm_equiv":
-        need(p["n_bumps"] >= 0, "n_bumps", ">= 0")
-    if task == "kp_check":
-        need(p["l"] > 0, "l", "> 0")
-        need(p["n_pairs"] >= 1, "n_pairs", ">= 1")
-    if task == "uc_probe":
-        need(p["alphas"] and all(0 < a <= 1 for a in p["alphas"]), "alphas",
-             "a nonempty list in (0, 1]")
-    # the state-sized arrays held at once: every y node, every norm_equiv test
-    # function, every distinct fractional uc_probe alpha or every time step, times
-    # the measured working set of the task, to which each further viscosity run adds
-    # its states. Checked before _time_grid allocates the steps; a zero dt never ends
-    keys, held = "'y_count'", p.get("y_count", 0)
-    if task == "uc_probe":
-        keys, held = "'alphas'", len(set(p["alphas"]) - {1.0}) * UC_PROBE_WORKING_SET
-    if task == "norm_equiv":
-        keys = "'n_bumps'"
-        held = (p["n_bumps"] + len(EIGENVECTOR_SAMPLE_INDICES)) * NORM_EQUIV_WORKING_SET
-    if "dt" in p:
-        keys = "'t_final' / 'dt'"
-        held = ((p["t_final"] / p["dt"] if p["dt"] else math.inf) + 1.0) * (
-            PICARD_WORKING_SET if task == "picard"
-            else VISCOUS_WORKING_SET + len(p.get("epsilons", [0])) - 1)
+def _within_memory(keys: str, held: float, grid: Grid) -> None:
     if held * grid.n_dof > DEFAULT_DOF_CAP**2:
         raise ConfigError(f"{keys} give {held:.4g} arrays of {grid.n_dof} dofs held at once, "
                           f"over the memory guard of {DEFAULT_DOF_CAP}^2 entries")
 
 
-def _task_inputs(task: str, p: dict, grid: Grid) -> dict:
-    """The ladder, nonlinearity or vanishing set of the task, as RunConfig fields.
-
-    Each is made by the library constructor that checks it. The default
-    ``doubling`` radii are filled in, since they depend on the ladder.
-    """
+def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha: float) -> dict:
+    """Check the task's values before any assembly or state-sized allocation, each by the
+    library function that owns its rule; return its ladder, nonlinearity or vanishing set."""
+    for key, center in (("'center'", p.get("center")),
+                        ("u0 'center'", p.get("u0", {}).get("center"))):
+        if isinstance(center, list) and len(center) != grid.dim:
+            raise ConfigError(f"{key} must be one number or {grid.dim} numbers, got {center}")
     inputs = {}
     if "y0" in p:  # the extension tasks
-        inputs["ladder"] = _built(f"'y0' / 'y_ratio' / 'y_count' of {task}", geometric_ladder,
-                                  p["y0"], p["y_ratio"], p["y_count"])
-    if task == "doubling":
-        # every half ball of radius >= h holds the dof node nearest the center, at most
-        # h sqrt(dim)/2 off; a radius fits when its double fits the sampled half space
-        h, fits = grid.spacing, min(grid.half_length, float(inputs["ladder"][-1])) / 2.0
-        if p["radii"] is None:
-            p["radii"] = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
-        if not (p["radii"] and 0 < min(p["radii"]) and max(p["radii"]) <= fits):
-            raise ConfigError(f"'radii' of doubling must be a nonempty list in (0, {fits:.6g}], "
-                              f"half of min(half_length, y_max), got {p['radii']}")
-    if "dt" in p:  # the evolution tasks
-        _built(f"'t_final' / 'dt' of {task}", _time_grid, p["t_final"], p["dt"])
+        _built(f"'alpha' of {task}", conormal_constant, alpha)
+        _within_memory(f"'y_count' of {task}", p["y_count"], grid)
+        ladder = inputs["ladder"] = _built(f"'y0' / 'y_ratio' / 'y_count' of {task}",
+                                           geometric_ladder, p["y0"], p["y_ratio"], p["y_count"])
+        if task == "doubling":  # None picks the default radii, here and in the run
+            _built("'radii' of doubling", doubling_radii, p["radii"], grid, float(ladder[-1]))
+    if "dt" in p:  # the evolution tasks; each further viscosity run adds its states
+        if task == "picard":
+            _built("'max_iter' / 'c_est' of picard", check_picard, p["max_iter"], p["c_est"])
+        elif task == "viscous":
+            _built("'eps' / 's' / 'c_est' of viscous", check_viscous, p["eps"], p["s"], p["c_est"])
+        else:
+            _built(f"'epsilons' / 's' / 'c_est' of {task}", check_viscosities, p["epsilons"],
+                   p["s"], p["c_est"])
+        keys = f"'t_final' / 'dt' of {task}"
+        held = (PICARD_WORKING_SET if task == "picard"
+                else VISCOUS_WORKING_SET + len(p.get("epsilons", [0])) - 1)
+        _within_memory(keys, ((p["t_final"] / p["dt"] if p["dt"] else math.inf) + 1) * held, grid)
+        _built(keys, _time_grid, p["t_final"], p["dt"])
         terms = [(complex(term["coeff_re"], term["coeff_im"]), term["powers"])
                  for term in p["nonlinearity"]]
         keys = f"'nonlinearity' of {task}"
         inputs["nonlinearity"] = (
             _built(keys, polynomial_nonlinearity, terms) if task == "picard"
             else _built(keys, gradient_nonlinearity, terms, dim=grid.dim))
+    if task == "norm_equiv":
+        tests = _built("'n_bumps' of norm_equiv", norm_test_count, p["n_bumps"])
+        if p["refine"] and field.kind != "tabulated":  # the tests are held on the doubled grid
+            grid = refined_grid(grid)
+            _built("task_params 'refine' doubles the grid", check_dof_cap, grid.n_dof)
+        _within_memory("'n_bumps' of norm_equiv", tests * NORM_EQUIV_WORKING_SET, grid)
+    if task == "kp_check":  # empty functions: only kato_ponce_check's rule on l runs
+        _built("'l' of kp_check", kato_ponce_check, grid, p["l"], [], [])
+        if p["n_pairs"] < 1:
+            raise ConfigError(f"'n_pairs' of kp_check must be >= 1, got {p['n_pairs']}")
     if task == "uc_probe":
+        if not p["alphas"]:
+            raise ConfigError("'alphas' of uc_probe must be a nonempty list, got []")
+        _, fractional = _built("'alphas' of uc_probe", sweep_alphas, p["alphas"])
+        _within_memory("'alphas' of uc_probe", len(fractional) * UC_PROBE_WORKING_SET, grid)
         keys = "'theta' / 'f_support' of uc_probe"
         spec = inputs["spec"] = _built(keys, VanishingSpec.create, p["theta"], p["f_support"],
                                        grid.dim)
@@ -312,8 +285,6 @@ def _field(grid: Grid, coefficients: dict) -> CoefficientField:
     if (kind == "tabulated") != (table_path is not None):
         raise ConfigError("coefficients need 'table_path' exactly when their kind is 'tabulated'")
     if table_path is not None:
-        if not Path(table_path).is_file():
-            raise ConfigError(f"coefficients 'table_path' is not a file: {table_path}")
         return _built(f"coefficients 'table_path' {table_path}", load_coefficients_csv,
                       grid, table_path)
     # only the given params: make_coefficients holds the defaults
@@ -346,7 +317,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("config root must be an object")
     root = _params(raw, _ROOT, "config root")
     grid = _built("grid", build_grid, **root["grid"])
-    _within_cap(grid, f"grid with 'n' = {grid.points_per_axis}", "reduce 'n'")
+    _built(f"grid with 'n' = {grid.points_per_axis}", check_dof_cap, grid.n_dof)
     field = _field(grid, root["coefficients"])
 
     alphas = root["alpha"] if isinstance(root["alpha"], list) else [root["alpha"]]
@@ -361,13 +332,7 @@ def parse_config(path: str | Path) -> RunConfig:
     task_params = _params(root["task_params"], TASKS[task][1], "task_params")
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
-    run_grid = grid  # the grid the task holds its arrays on
-    if task == "norm_equiv" and task_params["refine"] and field.kind != "tabulated":
-        run_grid = refined_grid(grid)
-        _within_cap(run_grid, "the grid doubled by task_params 'refine'",
-                    "reduce 'n' or set 'refine' to false")
-    _check_values(task, task_params, run_grid, alphas[0])
-    inputs = _task_inputs(task, task_params, grid)
+    inputs = _task_inputs(task, task_params, grid, field, alphas[0])
     output_dir = Path(root["output_dir"])
     if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
         raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
@@ -502,9 +467,8 @@ def _run_energy(cfg, dec, rng, outdir):
 @_task("doubling", {**_LADDER, "radii": ([float], None), "center": ((float, [float]), 0.0)})
 def _run_doubling(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
-    radii = cfg.task_params["radii"]  # parse_config fills in the default
-    rows = doubling_ratio(ext, radii, center=cfg.task_params["center"])
-    ratios = [r for _, r in rows]
+    rows = doubling_ratio(ext, cfg.task_params["radii"], center=cfg.task_params["center"])
+    radii, ratios = zip(*rows)
     _write_csv(outdir / "doubling.csv", "radius,ratio", [radii, ratios])
     return {"doubling_ratios_finite": bool(all(np.isfinite(r) and r > 0 for r in ratios))}, \
         ["doubling.csv"]

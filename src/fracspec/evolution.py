@@ -168,10 +168,15 @@ def check_energy_hypothesis(terms, dim: int, tol: float = 1e-10) -> bool:
 # the contraction horizon
 # ---------------------------------------------------------------------------
 
+def check_c_est(c_est: float) -> None:
+    """The measured constant c of the Picard horizon and of the viscous blow-up envelope is > 0."""
+    if not c_est > 0:
+        raise ValueError(f"c_est must be > 0, got {c_est}")
+
+
 def t_star_from_radius(radius: float, n1: int, n2: int, c_est: float) -> float:
     """Picard horizon: largest T with 2 c T (R^{N1-1} + R^{N2-1}) = 1/4."""
-    if c_est <= 0:
-        raise ValueError("c_est must be positive")
+    check_c_est(c_est)
     if radius == 0.0:
         return math.inf
     return 1.0 / (8.0 * c_est * (radius ** (n1 - 1) + radius ** (n2 - 1)))
@@ -208,7 +213,7 @@ class Trajectory:
 
 
 def _time_grid(t_final: float, dt: float) -> np.ndarray:
-    if t_final <= 0 or dt <= 0:
+    if not (t_final > 0 and dt > 0):
         raise ValueError("t_final and dt must be positive")
     n_steps = max(int(round(t_final / dt)), 1)
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
@@ -220,6 +225,14 @@ def _time_grid(t_final: float, dt: float) -> np.ndarray:
 # plus the Sobolev-norm temporaries of the sweep difference; those of the Duhamel
 # integral are freed when _duhamel_modes returns.
 PICARD_WORKING_SET = 9.0
+
+
+def check_picard(max_iter: int, c_est: float | None) -> None:
+    """picard_solve's rules, which need no decomposition; a null c_est skips the horizon check."""
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if c_est is not None:
+        check_c_est(c_est)
 
 
 def picard_solve(
@@ -244,8 +257,7 @@ def picard_solve(
     """
     if nonlinearity.kind != "polynomial":
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_picard(max_iter, c_est)
     grid = dec.source.grid
     times = _time_grid(t_final, dt)
     if c_est is not None:
@@ -339,6 +351,15 @@ GROWTH_FACTOR = 10.0
 BLOWUP_FACTOR = 10.0
 
 
+def check_viscous(eps: float, s: int, c_est: float) -> None:
+    """viscous_solve's rules, which need no decomposition."""
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not (s >= 0 and s % 2 == 0):
+        raise ValueError(f"monitoring index s must be an even integer >= 0, got {s}")
+    check_c_est(c_est)
+
+
 def viscous_solve(
     dec: SpectralDecomposition,
     alpha: float,
@@ -357,12 +378,7 @@ def viscous_solve(
     ``GROWTH_FACTOR``; raises when |u(t)|_s, on the grid of ``dec.source``,
     escapes the a-priori envelope 8 c |u0|_s by more than ``BLOWUP_FACTOR``.
     """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if not c_est > 0:  # c_est scales the blow-up envelope 8 c |u0|_s and the energy bound
-        raise ValueError(f"c_est must be > 0, got {c_est}")
-    if s < 0 or s % 2 != 0:
-        raise ValueError(f"monitoring index s must be an even integer >= 0, got {s}")
+    check_viscous(eps, s, c_est)
     if (nonlinearity.kind == "gradient" and not nonlinearity.is_zero
             and nonlinearity.energy_hypothesis is False):
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
@@ -421,6 +437,13 @@ class ViscosityConvergenceTable:
     r_squared: float
 
 
+def check_viscosities(epsilons, s: int, c_est: float) -> None:
+    """viscosity_convergence's rules: two or more nonincreasing epsilons viscous_solve takes."""
+    if not (len(epsilons) >= 2 and all(a >= b for a, b in zip(epsilons, epsilons[1:]))):
+        raise ValueError(f"epsilons must be two or more nonincreasing values, got {epsilons}")
+    check_viscous(epsilons[-1], s, c_est)  # the least of them
+
+
 def viscosity_convergence(
     dec: SpectralDecomposition,
     alpha: float,
@@ -434,10 +457,7 @@ def viscosity_convergence(
 ) -> ViscosityConvergenceTable:
     """Pairwise trajectory distances against (eps - eps'), with a linear fit."""
     epsilons = list(epsilons)
-    if len(epsilons) < 2:
-        raise ValueError("need at least two viscosity values")
-    if any(b > a for a, b in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilons must be nonincreasing")
+    check_viscosities(epsilons, s, c_est)
     runs = [viscous_solve(dec, alpha, e, u0, nonlinearity, t_final, dt, s=s, c_est=c_est)
             for e in epsilons]
     rows = []
@@ -459,8 +479,8 @@ def viscosity_convergence(
 
 def kato_ponce_check(grid: Grid, l: float, f: np.ndarray, g: np.ndarray) -> float:
     """Product-estimate quotient |J^l(fg)|_2 / (|f|_inf |J^l g|_2 + |g|_inf |J^l f|_2)."""
-    if l <= 0:
-        raise ValueError("order l must be positive")
+    if not l > 0:
+        raise ValueError(f"order l must be > 0, got {l}")
     f = np.asarray(f)
     g = np.asarray(g)
     if not f.any() or not g.any():

@@ -54,7 +54,7 @@ def conormal_constant(alpha: float) -> float:
 
 def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> np.ndarray:
     """Geometric y ladder y0 * ratio^k, k = 0..count-1."""
-    if y0 <= 0 or ratio <= 1 or count < 3:
+    if not (y0 > 0 and ratio > 1 and count >= 3):
         raise ValueError("ladder requires y0 > 0, ratio > 1, count >= 3")
     with np.errstate(over="ignore"):
         ys = y0 * ratio ** np.arange(count)
@@ -207,8 +207,7 @@ def extend(
     y_nodes: np.ndarray | None = None,
 ) -> ExtensionField:
     """Evaluate the extension of u on the y ladder, mode by mode."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    conormal_constant(alpha)  # raises unless 0 < alpha < 1
     ys = geometric_ladder() if y_nodes is None else np.asarray(y_nodes, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) <= 0):
         raise ValueError("y ladder must be positive and strictly increasing")
@@ -329,15 +328,28 @@ def energy_report(ext: ExtensionField) -> EnergyReport:
     return EnergyReport(energy, base_norm**2, frac**2, ratio, sup)
 
 
+def doubling_radii(radii, grid: Grid, y_top: float) -> list[float]:
+    """Radii > 0 whose doubles fit the sampled half space; None picks those of 4h, 2h, h that
+    fit, h the spacing: a half ball of radius >= h holds the node nearest the center."""
+    h, fits = grid.spacing, min(grid.half_length, y_top) / 2.0
+    if radii is None:
+        radii = [r for r in (4.0 * h, 2.0 * h, h) if r <= fits] or [h]
+    if not (radii and all(0.0 < r <= fits for r in radii)):
+        raise ValueError(f"radii must be a nonempty list in (0, {fits:.6g}], half of the sampled "
+                         f"half-space box min(half_length, y_max), got {radii}")
+    return [float(r) for r in radii]
+
+
 def doubling_ratio(
     ext: ExtensionField, radii, center: np.ndarray | float = 0.0
 ) -> list[tuple[float, float]]:
-    """Weighted L2 mass ratio of half balls B(2R) over B(R) on {y = 0}.
+    """Weighted L2 mass ratio of half balls B(2R) over B(R) on {y = 0}, R in ``doubling_radii``.
 
     Midpoint counting: a grid cell contributes its full weighted measure
     iff its center (x_i, y_k) lies inside the half ball.
     """
     grid = ext.grid
+    radii = doubling_radii(radii, grid, float(ext.y_nodes[-1]))
     x = grid.dof_nodes()
     center = np.atleast_1d(np.asarray(center, dtype=float))
     dist2 = ((x - center) ** 2).sum(axis=1)
@@ -349,16 +361,11 @@ def doubling_ratio(
         inside = dist2[:, None] + ext.y_nodes[None, :] ** 2 < radius**2
         return float((u2 * inside * wy[None, :]).sum() * hn)
 
-    box = grid.half_length
     out = []
     for r in radii:
-        if 2.0 * r > min(box, float(ext.y_nodes[-1])):
-            raise ValueError(f"doubled radius {2 * r} exceeds the sampled half-space box")
-        m_r = mass(r)
-        m_2r = mass(2.0 * r)
+        m_r, m_2r = mass(r), mass(2.0 * r)
         if m_r == 0.0:
-            raise DegenerateInputError(
-                f"extension vanishes on the half ball of radius {r}; ratio undefined"
-            )
-        out.append((float(r), float(np.sqrt(m_2r / m_r))))
+            raise DegenerateInputError(f"extension vanishes on the half ball of radius {r}; "
+                                       "ratio undefined")
+        out.append((r, float(np.sqrt(m_2r / m_r))))
     return out

@@ -153,8 +153,8 @@ def build_grid(dim: int, n: int, half_length: float, boundary: str) -> Grid:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if n < 3:
         raise ValueError(f"points_per_axis must be >= 3, got {n}")
-    if half_length <= 0:
-        raise ValueError(f"half_length must be positive, got {half_length}")
+    if not 0 < half_length < math.inf:
+        raise ValueError(f"half_length must be positive and finite, got {half_length}")
     if boundary not in VALID_BOUNDARIES:
         raise ValueError(f"boundary must be one of {VALID_BOUNDARIES}, got {boundary!r}")
     return Grid(dim, n, float(half_length), boundary)

@@ -54,6 +54,13 @@ class SpectrumCapError(ValueError):
     """Dense eigensolve refused; reduce the grid size."""
 
 
+def check_dof_cap(n_dof: int) -> None:
+    """The dense eigensolve takes at most DEFAULT_DOF_CAP dofs."""
+    if n_dof > DEFAULT_DOF_CAP:
+        raise SpectrumCapError(
+            f"{n_dof} degrees of freedom exceed the dense-solve cap {DEFAULT_DOF_CAP}; reduce N")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of the operator ``source``, eigenvalues nondecreasing; states live on its grid.
@@ -278,10 +285,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     residuals.
     """
     n = op.n_dof
-    if n > DEFAULT_DOF_CAP:
-        raise SpectrumCapError(
-            f"{n} degrees of freedom exceed the dense-solve cap {DEFAULT_DOF_CAP}; reduce N"
-        )
+    check_dof_cap(n)
     field = op.coefficients
     mirrored = op.grid.boundary == "dirichlet" and all(
         np.array_equal(x, x[::-1]) for x in (field.a, field.c))
@@ -432,16 +436,6 @@ class NormEquivalenceReport:
     n_samples: int
 
 
-def _gaussian_bump_params(rng: np.random.Generator, half_length: float, dim: int, count: int):
-    """Analytic bump parameters reusable across grid resolutions."""
-    out = []
-    for _ in range(count):
-        center = rng.uniform(-half_length / 2, half_length / 2, size=dim)
-        width = rng.uniform(half_length / 8, half_length / 2)
-        out.append((center, width))
-    return out
-
-
 def _sample_bump(grid: Grid, center: np.ndarray, width: float) -> np.ndarray:
     x = grid.dof_nodes()
     return np.exp(-((x - center) ** 2).sum(axis=1) / width**2)
@@ -476,6 +470,13 @@ EIGENVECTOR_SAMPLE_INDICES = (0, 1, 2, 4, 8, 16, 32)
 NORM_EQUIV_WORKING_SET = 11.0
 
 
+def norm_test_count(n_bumps: int) -> int:
+    """The most test functions norm_equivalence samples: n_bumps >= 0 bumps, the eigenvectors."""
+    if not n_bumps >= 0:
+        raise ValueError(f"n_bumps must be >= 0, got {n_bumps}")
+    return n_bumps + len(EIGENVECTOR_SAMPLE_INDICES)
+
+
 def refined_grid(grid: Grid) -> Grid:
     """The doubled grid on which norm_equivalence re-measures the bracket."""
     return Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
@@ -496,9 +497,12 @@ def norm_equivalence(
     alpha samples the same test functions, and the doubled grid is
     decomposed once for all of them.
     """
-    op, grid = dec.source, dec.source.grid
+    norm_test_count(n_bumps)  # raises on a negative n_bumps
+    op, grid, x = dec.source, dec.source.grid, dec.source.grid.half_length
     rng = np.random.default_rng(seed)
-    bumps = _gaussian_bump_params(rng, grid.half_length, grid.dim, n_bumps)
+    # (center, width) of each bump, analytic so that the doubled grid samples the same ones
+    bumps = [(rng.uniform(-x / 2, x / 2, size=grid.dim), rng.uniform(x / 8, x / 2))
+             for _ in range(n_bumps)]
     fine_dec = None
     if refine and op.coefficients.kind != "tabulated":
         fine_grid = refined_grid(grid)

@@ -23,7 +23,7 @@ def _as_boxes(spec, dim):
     box = np.atleast_2d(np.asarray(spec, dtype=float))
     if box.shape != (dim, 2):
         raise ValueError(f"expected {dim} (lo, hi) pairs, got shape {box.shape}")
-    if np.any(box[:, 0] >= box[:, 1]):
+    if not np.all(box[:, 0] < box[:, 1]):
         raise ValueError("interval lower bounds must be below upper bounds")
     return box
 
@@ -53,7 +53,7 @@ class VanishingSpec:
     def check_inside(self, grid: Grid) -> None:
         x = grid.half_length
         for name, box in (("theta", self.theta), ("f_support", self.f_support)):
-            if box[:, 0].min() < -x or box[:, 1].max() > x:
+            if not (box[:, 0].min() >= -x and box[:, 1].max() <= x):
                 raise ValueError(f"{name} is not inside the grid box [-{x}, {x}]^dim")
 
     def shrunk_theta(self, margin: float) -> np.ndarray:
@@ -93,6 +93,14 @@ def _mask_in_box(x: np.ndarray, box: np.ndarray) -> np.ndarray:
 UC_PROBE_WORKING_SET = 5.0
 
 
+def sweep_alphas(alphas) -> tuple[list[float], list[float]]:
+    """The alphas of dichotomy_sweep as floats, each in (0, 1], and the distinct ones below 1."""
+    alphas = [float(a) for a in alphas]
+    if not all(0.0 < a <= 1.0 for a in alphas):
+        raise ValueError(f"sweep alphas must lie in (0, 1], got {alphas}")
+    return alphas, sorted(set(alphas) - {1.0})
+
+
 def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
                     alphas) -> list[tuple[float, float, float, float]]:
     """Rows (alpha, mass_on_theta, mass_total, ratio) for alphas in (0, 1].
@@ -102,13 +110,10 @@ def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
     measured on theta. Integer alpha = 1 is the stencil product ``apply``,
     measured on theta shrunk by one stencil width, where its mass is exactly zero.
     """
-    alphas = [float(a) for a in alphas]
-    if any(not 0.0 < a <= 1.0 for a in alphas):
-        raise ValueError("sweep alphas must lie in (0, 1]")
+    alphas, fractional = sweep_alphas(alphas)
     grid = dec.source.grid
     f, x = bump_state(grid, spec), grid.dof_nodes()
     masses = {}
-    fractional = sorted(set(alphas) - {1.0})
     if fractional:
         g = apply_function(dec, dec.spectrum[:, None] ** np.array(fractional), f)
         on_theta = np.linalg.norm(g[_mask_in_box(x, spec.theta)], axis=0)

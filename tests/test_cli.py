@@ -1,6 +1,7 @@
 import importlib.metadata
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,8 +14,17 @@ import pytest
 
 from fracspec import cli
 from fracspec.cli import TASKS, ConfigError, _kind_name, main, parse_config, run
-from fracspec.evolution import PICARD_WORKING_SET, VISCOUS_WORKING_SET
-from fracspec.extension import DegenerateInputError, extend
+from fracspec.evolution import (
+    PICARD_WORKING_SET,
+    VISCOUS_WORKING_SET,
+    gradient_nonlinearity,
+    kato_ponce_check,
+    picard_solve,
+    polynomial_nonlinearity,
+    viscosity_convergence,
+    viscous_solve,
+)
+from fracspec.extension import DegenerateInputError, doubling_ratio, extend
 from fracspec.gridop import (
     NumericalError,
     assemble,
@@ -27,8 +37,9 @@ from fracspec.spectral import (
     NORM_EQUIV_WORKING_SET,
     SpectrumCapError,
     eigendecompose,
+    norm_equivalence,
 )
-from fracspec.ucprobe import UC_PROBE_WORKING_SET
+from fracspec.ucprobe import UC_PROBE_WORKING_SET, VanishingSpec, dichotomy_sweep
 from oracles import eigenvectors
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -551,6 +562,16 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "alphas": UC_ALPHAS_AT_GUARD + [0.9]}}, "'alphas'"),  # 5 x 820 x 4096 > 4096^2
     "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
     "picard_alpha_list_of_two": ("picard", {"grid": GRID_64, "alpha": [0.5, 0.6]}, "'alpha'"),
+    "viscosity_convergence_epsilon_negative": ("viscosity_convergence", {
+        "grid": GRID_64, "task_params": {"epsilons": [0.1, -0.1]}}, "'epsilons'"),
+    "identity_half_length_nan": ("spectrum", {"grid": {**SMALL_GRID, "half_length": math.nan},
+                                              "coefficients": {"kind": "identity"}},
+                                 "'half_length'"),  # json reads NaN as a float
+    "identity_half_length_infinite": ("spectrum", {
+        "grid": {**SMALL_GRID, "half_length": math.inf}, "coefficients": {"kind": "identity"}},
+        "'half_length'"),
+    "u0_amp_nan": ("extend", {"grid": GRID_64, "task_params": {"u0": {"amp": math.nan}}},
+                   "'amp'"),
 }
 
 
@@ -580,6 +601,74 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == written
+
+
+GRID_70 = {**GRID_2D, "n": 70}
+Q0 = gradient_nonlinearity([])
+
+
+def _identity_dec(grid):
+    return eigendecompose(assemble(grid, make_coefficients(grid, "identity")))
+
+
+# case -> (task, config overrides, the key named, the library call that owns the rule)
+ONE_TEXT = {
+    "extension_alpha": ("extend", {"alpha": 1.5}, "'alpha'",
+                        lambda dec, u: extend(dec, 1.5, u)),
+    "viscous_eps": ("viscous", {"task_params": {"eps": -0.1}}, "'eps'",
+                    lambda dec, u: viscous_solve(dec, 0.5, -0.1, u, Q0, 0.1, 1e-3)),
+    "viscous_s": ("viscous", {"task_params": {"s": 3}}, "'s'",
+                  lambda dec, u: viscous_solve(dec, 0.5, 0.05, u, Q0, 0.1, 1e-3, s=3)),
+    "viscous_c_est": ("viscous", {"task_params": {"c_est": 0.0}}, "'c_est'",
+                      lambda dec, u: viscous_solve(dec, 0.5, 0.05, u, Q0, 0.1, 1e-3, c_est=0.0)),
+    "epsilons_increase": ("viscosity_convergence", {"task_params": {"epsilons": [0.01, 0.1]}},
+                          "'epsilons'", lambda dec, u: viscosity_convergence(
+                              dec, 0.5, u, Q0, 0.1, [0.01, 0.1], 1e-3)),
+    "epsilons_one": ("viscosity_convergence", {"task_params": {"epsilons": [0.1]}},
+                     "'epsilons'", lambda dec, u: viscosity_convergence(
+                         dec, 0.5, u, Q0, 0.1, [0.1], 1e-3)),
+    "epsilons_negative": ("viscosity_convergence", {"task_params": {"epsilons": [0.1, -0.1]}},
+                          "'epsilons'", lambda dec, u: viscosity_convergence(
+                              dec, 0.5, u, Q0, 0.1, [0.1, -0.1], 1e-3)),
+    "viscosity_convergence_s": ("viscosity_convergence", {"task_params": {"s": -2}}, "'s'",
+                                lambda dec, u: viscosity_convergence(
+                                    dec, 0.5, u, Q0, 0.1, [0.1, 0.05], 1e-3, s=-2)),
+    "picard_max_iter": ("picard", {"task_params": {"max_iter": 0}}, "'max_iter'",
+                        lambda dec, u: picard_solve(dec, 0.5, u, polynomial_nonlinearity([]),
+                                                    0.1, 1e-3, max_iter=0)),
+    "picard_c_est": ("picard", {"task_params": {"c_est": -1.0}}, "'c_est'",
+                     lambda dec, u: picard_solve(dec, 0.5, u, polynomial_nonlinearity([]),
+                                                 0.1, 1e-3, c_est=-1.0)),
+    "kp_check_l": ("kp_check", {"task_params": {"l": 0.0}}, "'l'",
+                   lambda dec, u: kato_ponce_check(dec.source.grid, 0.0, u, u)),
+    "uc_probe_alphas": ("uc_probe", {"task_params": {"alphas": [0.5, 1.5]}}, "'alphas'",
+                        lambda dec, u: dichotomy_sweep(
+                            dec, VanishingSpec.create([-1.0, 0.0], [1.0, 2.0]), [0.5, 1.5])),
+    "doubling_radii": ("doubling", {"task_params": {"radii": [5.0]}}, "'radii'",
+                       lambda dec, u: doubling_ratio(extend(dec, 0.5, u), [5.0])),
+    "norm_equiv_n_bumps": ("norm_equiv", {"task_params": {"n_bumps": -3}}, "'n_bumps'",
+                           lambda dec, u: norm_equivalence(dec, [0.5], n_bumps=-3)),
+    "dof_cap": ("spectrum", {"grid": GRID_70}, "'n'",
+                lambda dec, u: _identity_dec(build_grid(**GRID_70))),
+}
+
+
+@pytest.fixture(scope="module")
+def dec_64():
+    return _identity_dec(build_grid(**GRID_64))
+
+
+@pytest.mark.parametrize("case", sorted(ONE_TEXT))
+def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, case):
+    # the library entry point raises the ValueError; parsing raises it before any
+    # assembly, led by the key that holds the value
+    task, overrides, key, call = ONE_TEXT[case]
+    with pytest.raises(ValueError) as library:
+        call(dec_64, np.exp(-dec_64.source.grid.dof_nodes().ravel() ** 2))
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(write_config(tmp_path, {"grid": GRID_64, **overrides}, task=task))
+    lead, text = str(parsed.value).split(": ", 1)
+    assert text == str(library.value) and key in lead
 
 
 @pytest.mark.parametrize("task, overrides", [
@@ -824,6 +913,20 @@ def test_readme_task_parameter_table_mirrors_tasks():
     table = [line for line in readme.splitlines() if re.match(r"\| `[a-z_]+` \| `", line)]
     assert table == list(_readme_rows())
     assert {line.split("`")[1] for line in table} | {"spectrum", "funcalc"} == set(TASKS)
+
+
+def test_readme_examples_run_and_parse(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    [library] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    names = {}
+    exec(library, names)
+    direct, recovered = names["direct"], names["recovered"]
+    assert np.linalg.norm(recovered - direct) <= 1e-3 * np.linalg.norm(direct)
+    [config] = re.findall(r"```json\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example.json").write_text(config)
+    cfg = parse_config(tmp_path / "example.json")
+    assert (cfg.task, cfg.field.kind, cfg.grid.n_dof) == ("spectrum", "radial_bump", 126)
 
 
 def test_readme_memory_guard_factors_mirror_the_working_sets():

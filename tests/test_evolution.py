@@ -338,6 +338,23 @@ def test_picard_rejects_max_iter_below_one():
         picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, max_iter=0)
 
 
+@pytest.mark.parametrize("c_est", [0.0, -1.0, math.nan])
+def test_picard_horizon_rejects_a_c_est_that_is_not_positive(c_est):
+    # a NaN horizon fails no comparison, so the horizon check would pass silently
+    g, dec = grid_dec(n=17)
+    with pytest.raises(ValueError, match="c_est must be > 0"):
+        t_star_from_radius(1.0, 2, 3, c_est)
+    with pytest.raises(ValueError, match="c_est must be > 0"):
+        picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, c_est=c_est)
+
+
+@pytest.mark.parametrize("epsilons", [[math.nan, 0.1], [0.1, math.nan]])
+def test_viscosity_convergence_rejects_a_nan_epsilon(epsilons):
+    g, dec = grid_dec(n=9)
+    with pytest.raises(ValueError, match="epsilons must be two or more nonincreasing"):
+        viscosity_convergence(dec, 0.5, smooth_state(g), ZERO_P, 0.1, epsilons, 0.01)
+
+
 def test_viscous_working_set_matches_tracemalloc_peak():
     # the parse-time memory guard charges a viscous run VISCOUS_WORKING_SET state
     # arrays, and viscosity_convergence one more per further viscosity
@@ -609,6 +626,13 @@ def test_kato_ponce_single_mode_closed_form():
     expected = (1 + m_2k) / (2 * (1 + m_k))
     ratio = kato_ponce_check(g, 2.0, mode, mode)
     assert ratio == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("l", [0.0, -1.0, math.nan])
+def test_kato_ponce_rejects_an_order_that_is_not_positive(l):
+    g = build_grid(1, 16, 4.0, "periodic")
+    with pytest.raises(ValueError, match="order l must be > 0"):
+        kato_ponce_check(g, l, np.ones(16), np.ones(16))
 
 
 def test_kato_ponce_zero_input():

@@ -222,6 +222,21 @@ def test_extend_rejects_bad_alpha_and_ladder():
         extend(dec, 0.5, u, np.array([0.1, 0.05, 0.2]))
 
 
+@pytest.mark.parametrize("args", [(0.0, 1.2, 10), (np.nan, 1.2, 10), (1e-3, 1.0, 10),
+                                  (1e-3, np.nan, 10), (1e-3, 1.2, 2)])
+def test_geometric_ladder_rejects_bad_arguments(args):
+    with pytest.raises(ValueError, match="ladder requires"):
+        geometric_ladder(*args)
+
+
+@pytest.mark.parametrize("radii", [[], [0.0], [-0.5], [np.nan]])
+def test_doubling_rejects_radii_outside_the_sampled_half_space(radii):
+    _, dec = bump_dec(n=32)
+    ext = extend(dec, 0.5, np.ones(dec.n_dof), geometric_ladder(1e-3, 1.2, 55))
+    with pytest.raises(ValueError, match=r"radii must be a nonempty list in \(0, 4\]"):
+        doubling_ratio(ext, radii)
+
+
 def test_geometric_ladder_rejects_an_overflowing_top_node():
     with pytest.raises(ValueError, match="overflows"):
         geometric_ladder(1e-3, 1.2, 4096)  # 1e-3 * 1.2^4095 is about 1e321

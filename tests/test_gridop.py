@@ -71,7 +71,8 @@ def test_dof_nodes_are_the_nodes_inside_the_boundary(dim, boundary):
 @pytest.mark.parametrize(
     "args",
     [(0, 5, 1.0, "dirichlet"), (3, 5, 1.0, "dirichlet"), (1, 2, 1.0, "dirichlet"),
-     (1, 5, 0.0, "dirichlet"), (1, 5, -1.0, "periodic"), (1, 5, 1.0, "neumann")],
+     (1, 5, 0.0, "dirichlet"), (1, 5, -1.0, "periodic"), (1, 5, 1.0, "neumann"),
+     (1, 5, np.nan, "dirichlet"), (1, 5, np.inf, "periodic")],
 )
 def test_build_grid_rejects_bad_arguments(args):
     with pytest.raises(ValueError):

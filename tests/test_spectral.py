@@ -611,6 +611,12 @@ def test_norm_equivalence_report_fields_and_drift():
                        "ratio_max", "refinement_drift", "n_samples"]
 
 
+def test_norm_equivalence_rejects_a_negative_n_bumps():
+    _, op = bump_operator(n=17)
+    with pytest.raises(ValueError, match="n_bumps must be >= 0, got -3"):
+        norm_equivalence(eigendecompose(op), [0.5], n_bumps=-3, refine=False)
+
+
 def test_norm_equivalence_rejects_zero_function():
     _, op = bump_operator(n=17)
     dec = eigendecompose(op)

@@ -28,6 +28,18 @@ def test_spec_rejects_touching_sets():
         VanishingSpec.create(theta=(0.5, 1.5), f_support=(1.0, 2.0), dim=1)
 
 
+@pytest.mark.parametrize("theta", [(np.nan, 0.0), (-1.0, np.nan), (0.0, -1.0)])
+def test_spec_rejects_an_empty_or_nan_interval(theta):
+    with pytest.raises(ValueError, match="lower bounds must be below upper bounds"):
+        VanishingSpec.create(theta=theta, f_support=(1.0, 2.0), dim=1)
+
+
+def test_spec_with_a_nan_bound_is_not_inside_the_grid():
+    spec = VanishingSpec(theta=np.array([[np.nan, 0.0]]), f_support=np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="theta is not inside"):
+        spec.check_inside(build_grid(1, 33, 8.0, "dirichlet"))
+
+
 def test_spec_must_fit_grid():
     g = build_grid(1, 17, 1.5, "dirichlet")
     with pytest.raises(ValueError, match="inside the grid box"):
