@@ -313,6 +313,8 @@ def parse_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON (line {err.lineno}): {err.msg}") from err
+    except ValueError as err:  # e.g. an integer literal past CPython's digit limit
+        raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     root = _params(raw, _ROOT, "config root")
@@ -334,8 +336,11 @@ def parse_config(path: str | Path) -> RunConfig:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     inputs = _task_inputs(task, task_params, grid, field, alphas[0])
     output_dir = Path(root["output_dir"])
-    if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
-        raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
+    try:
+        if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
+            raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
+    except OSError as err:  # e.g. a component longer than the file system allows
+        raise ConfigError(f"'output_dir' cannot be looked up: {err.strerror}") from None
 
     return RunConfig(
         grid=grid,
@@ -381,16 +386,10 @@ _VISCOUS = {**_EVOLUTION, "s": (int, 2), "c_est": (float, 1.0)}
 
 @_task("spectrum", {})
 def _run_spectrum(cfg, dec, rng, outdir):
+    # validate has checked the nonnegativity and the reconstruction; eigensolve holds both
     lam = dec.eigenvalues
     _write_csv(outdir / "eigenvalues.csv", "k,lambda", [np.arange(len(lam)), lam])
-    probe = rng.standard_normal(dec.n_dof)
-    resid = np.linalg.norm(apply_function(dec, lam, probe) - dec.source.apply(probe))
-    scale = max(abs(lam[-1]), 1e-300)
-    inv = {
-        "eigenvalues_nonnegative": bool(lam[0] >= -1e-10 * scale),
-        "reconstruction_residual_ok": bool(resid <= 1e-8 * scale * np.linalg.norm(probe)),
-    }
-    return inv, ["eigenvalues.csv"]
+    return {}, ["eigenvalues.csv"]
 
 
 @_task("funcalc", {})
@@ -437,11 +436,8 @@ def _run_extend(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     ext.export_csv(outdir / "extension.csv")
     (outdir / "extension_meta.json").write_text(ext.metadata_json() + "\n")
-    norms = np.linalg.norm(ext.values, axis=0)
-    inv = {
-        "trace_mass_contracts": bool(norms.max() <= np.linalg.norm(ext.base) * (1 + 1e-8)),
-        "mass_nonincreasing_in_y": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1e-300))),
-    }
+    norms = np.linalg.norm(ext.values, axis=0)  # extend has checked that none exceeds |u|
+    inv = {"mass_nonincreasing_in_y": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1e-300)))}
     return inv, ["extension.csv", "extension_meta.json"]
 
 
@@ -486,12 +482,8 @@ def _run_picard(cfg, dec, rng, outdir):
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
     resid = traj.monitors["equation_residual"]
-    inv = {
-        "picard_converged": True,
-        "equation_residual_ok":
-            bool(resid[1:-1].max() <= 10.0 * p["dt"]**2) if len(resid) > 2 else True,
-    }
-    return inv, ["trajectory.csv", "monitors.csv"]
+    ok = bool(resid[1:-1].max() <= 10.0 * p["dt"]**2) if len(resid) > 2 else True
+    return {"equation_residual_ok": ok}, ["trajectory.csv", "monitors.csv"]
 
 
 @_task("viscous", {**_VISCOUS, "eps": (float, 0.05)})
@@ -503,11 +495,7 @@ def _run_viscous(cfg, dec, rng, outdir):
     )
     traj.export_csv(outdir / "trajectory.csv")
     traj.export_monitors_csv(outdir / "monitors.csv")
-    inv = {
-        "no_blowup": True,
-        "no_energy_flags": not traj.energy_flags,
-    }
-    return inv, ["trajectory.csv", "monitors.csv"]
+    return {"no_energy_flags": not traj.energy_flags}, ["trajectory.csv", "monitors.csv"]
 
 
 @_task("viscosity_convergence", {**_VISCOUS, "epsilons": ([float], [0.1, 0.05, 0.025, 0.0125])})

@@ -213,8 +213,10 @@ class Trajectory:
 
 
 def _time_grid(t_final: float, dt: float) -> np.ndarray:
-    if not (t_final > 0 and dt > 0):
-        raise ValueError("t_final and dt must be positive")
+    # written so that NaN fails, and an infinity or an overflowing step count too
+    if not (0 < t_final < math.inf and 0 < dt < math.inf and t_final / dt < math.inf):
+        raise ValueError(f"t_final, dt and t_final / dt must be positive and finite, "
+                         f"got {t_final} and {dt}")
     n_steps = max(int(round(t_final / dt)), 1)
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 

@@ -87,18 +87,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Sampled matrix field a_jk(x) and scalar field c(x) with metadata.
-
-    ``a`` has shape (n_nodes, dim, dim), ``c`` shape (n_nodes,);
-    ``ellipticity`` stores the measured uniform lower bound on the
-    smallest eigenvalue of a(x) over the grid.
-    """
+    """Sampled matrix field a_jk(x), shape (n_nodes, dim, dim), and scalar field c(x),
+    shape (n_nodes,), with metadata."""
 
     a: np.ndarray
     c: np.ndarray
     kind: str
     params: dict = field(default_factory=dict)
-    ellipticity: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -175,36 +170,12 @@ def min_eigenvalues(a: np.ndarray) -> np.ndarray:
     return _min_eig_2x2(a)
 
 
-def _validate_field(a: np.ndarray, c: np.ndarray, grid: Grid) -> float:
-    """Check finiteness / symmetry / ellipticity / nonnegativity; return the ellipticity bound."""
-    if not (np.isfinite(a).all() and np.isfinite(c).all()):
-        raise ValueError("coefficients are not finite")
-    asym = np.abs(a - np.transpose(a, (0, 2, 1))).max(axis=(1, 2))
-    if asym.max() > 0:
-        node = int(np.argmax(asym))
-        raise ValueError(
-            f"coefficient matrix not symmetric at node {node} "
-            f"(x = {grid.nodes()[node]}, |a - a^T| = {asym[node]:.3e})"
-        )
-    lam_nodes = min_eigenvalues(a)
-    lam = float(lam_nodes.min())
-    if lam <= 0:
-        node = int(np.argmin(lam_nodes))
-        raise ValueError(
-            f"ellipticity violated at node {node} (x = {grid.nodes()[node]}, "
-            f"min eigenvalue of a = {lam:.3e} <= 0)"
-        )
-    if c.min() < 0:
-        node = int(np.argmin(c))
-        raise ValueError(
-            f"zeroth-order coefficient negative at node {node} "
-            f"(x = {grid.nodes()[node]}, c = {c[node]:.3e})"
-        )
-    return lam
-
-
 def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> CoefficientField:
     """Build a coefficient field of the given kind and validate its hypotheses.
+
+    The field must be finite, and the structural hypotheses that
+    ``check_hypotheses`` measures must hold: a symmetric, a uniformly elliptic
+    and c >= 0 at every node. A ValueError names the node of a failure and its x.
 
     Kinds:
       identity     a = I, c = 0.
@@ -238,8 +209,23 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
         c = np.asarray(params.pop("c"), dtype=float).reshape(n_nodes)
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}, expected one of {FIELD_KINDS}")
-    lam = _validate_field(a, c, grid)
-    return CoefficientField(a=a, c=c, kind=kind, params=params, ellipticity=lam)
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise ValueError("coefficients are not finite")
+    made = CoefficientField(a=a, c=c, kind=kind, params=params)
+    report = check_hypotheses(made, grid)
+    if not report.symmetric:
+        k = report.asymmetric_nodes[0]
+        raise ValueError(f"coefficient matrix not symmetric at node {k} "
+                         f"(x = {grid.nodes()[k]}, |a - a^T| = {np.abs(a[k] - a[k].T).max():.3e})")
+    if not report.ellipticity_lambda > 0:
+        k = int(np.argmin(min_eigenvalues(a)))
+        raise ValueError(f"ellipticity violated at node {k} (x = {grid.nodes()[k]}, "
+                         f"min eigenvalue of a = {report.ellipticity_lambda:.3e} <= 0)")
+    if not report.c_nonnegative:
+        k = report.negative_c_nodes[0]
+        raise ValueError(f"zeroth-order coefficient negative at node {k} "
+                         f"(x = {grid.nodes()[k]}, c = {c[k]:.3e})")
+    return made
 
 
 def load_coefficients_csv(grid: Grid, path: str | Path) -> CoefficientField:
@@ -368,10 +354,10 @@ def _flux_entries(grid: Grid, coefficients: CoefficientField):
     for axis in range(grid.dim):
         a_axis = a[..., axis, axis]
         here = _window(grid, a_axis, axis, 0)
-        # the face to each dof's neighbour ahead, then the face behind it
+        # the face to each dof's neighbour ahead and the face behind it, added as one sum,
+        # which the reflection x -> -x only swaps: an even field gives a mirrored matrix
         face = 0.5 * (here + _window(grid, a_axis, axis, 1)) / h**2
-        diag += face
-        diag += 0.5 * (_window(grid, a_axis, axis, -1) + here) / h**2
+        diag += face + 0.5 * (_window(grid, a_axis, axis, -1) + here) / h**2
         nbr = _window(grid, dof, axis, 1)
         both = nbr >= 0
         add(dofs[both], nbr[both], -face[both])

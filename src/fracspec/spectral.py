@@ -128,17 +128,17 @@ class SpectralDecomposition:
     def validate(self) -> dict:
         """Check spectrum nonnegativity, orthonormality and reconstruction.
 
-        Up to 1024 dofs the checks are per block, on W, the block's orthonormal
-        eigenvectors: orthonormality is the largest entry of W W^T - I, and
-        reconstruction the largest entry of W diag(lam) W^T - B against the block
-        B folded again from the stencil entries, plus half the largest entry of
-        A - P A P, the even/odd coupling that the blocks leave out (P pairs the
-        dofs as the blocks do). In the dof basis V = Q diag(W_even, W_odd) for an
+        Paired blocks are refused unless they pair every dof with its mirror image
+        on a mirrored source (``_mirrored``), whose matrix A equals P A P for the
+        dof reversal P: the blocks then leave out no even/odd coupling. Up to 1024
+        dofs the checks are per block, on W, the block's orthonormal eigenvectors:
+        orthonormality is the largest entry of W W^T - I, and reconstruction the
+        largest entry of W diag(lam) W^T - B against the block B folded again from
+        the stencil entries. In the dof basis V = Q diag(W_even, W_odd) for an
         orthogonal Q with at most two entries of 1/sqrt 2 per row, so each bounds
         the largest entry of V V^T - I or V diag(lam) V^T - A: no check is weaker
-        than one on the dense products. Without pairs the coupling is exactly 0 and
-        the checks are those products, up to the order in which the entries of A
-        are subtracted.
+        than one on the dense products. Without pairs the checks are those
+        products, up to the order in which the entries of A are subtracted.
         Above 1024 dofs the O(n^3) products would dominate the eigensolve, so
         deterministic random probes go through ``to_modes``, ``from_modes`` and
         ``source.apply`` instead. Each check passes only if ``measured <= bound``,
@@ -146,22 +146,23 @@ class SpectralDecomposition:
         residuals, each as ``{"measured", "bound"}``.
         """
         lam, n = self.eigenvalues, self.n_dof
+        even, odd = self.blocks
+        p, split = len(odd), even.shape[1]
+        if p and not (p == n // 2 and _mirrored(self.source)):
+            raise NumericalError(f"{p} dof pairs split an operator that is not their mirror image")
         scale = max(abs(lam[-1]), abs(lam[0]), 1e-300)
         if not (-lam[0] <= NEGATIVITY_TOL * scale):
             raise NumericalError(f"operator not nonnegative: min eigenvalue {lam[0]:.3e}, "
                                  f"bound {-NEGATIVITY_TOL * scale:.3e}")
         if n <= 1024:
             how = ""
-            even, odd = self.blocks
-            p, split = len(odd), even.shape[1]
             entries = self.source.entries
-            coupling = _coupling(entries, n, p)
             ortho, recon = np.transpose([
                 _block_residuals(v, lam_b, p, _fold(entries, n, p, is_odd))
                 for is_odd, v, lam_b in [(False, even, lam[self.rank[:split]]),
                                          (True, odd, lam[self.rank[split:]])]])
             ortho = ortho.max(), ORTHONORMALITY_TOL
-            recon = recon.max() + coupling, RECONSTRUCTION_TOL * scale
+            recon = recon.max(), RECONSTRUCTION_TOL * scale
         else:
             how = " (probe check)"
             z = _probe(n)
@@ -204,6 +205,15 @@ def _clean_spectrum(lam: np.ndarray) -> np.ndarray:
     return np.where(lam <= tol, 0.0, lam)
 
 
+def _mirrored(op: DiscreteOperator) -> bool:
+    """Whether ``op`` is on a Dirichlet grid with a coefficient field bitwise even under the
+    reversal of the nodes (x -> -x). Its matrix A then equals P A P for the dof reversal P
+    bit for bit: ``gridop._flux_entries`` sums terms that the reflection only reorders."""
+    field = op.coefficients
+    return op.grid.boundary == "dirichlet" and all(
+        np.array_equal(x, x[::-1]) for x in (field.a, field.c))
+
+
 def _fold(entries, n: int, p: int, odd: bool):
     """The stencil ``entries`` of an n-dof operator folded into its even or odd block, as
     (size, rows, cols, values), under the pairing of the first p dofs with the last p
@@ -227,20 +237,6 @@ def _fold(entries, n: int, p: int, odd: bool):
     else:
         weight = np.array([1.0, np.sqrt(0.5), 0.5])[paired[rows].astype(np.intp) + paired[cols]]
     return p if odd else n - p, index[rows], index[cols], vals * weight
-
-
-def _coupling(entries, n: int, p: int) -> float:
-    """Half the largest entry of A - P A P for the stencil ``entries`` of A, where P pairs
-    the first p of the n dofs with the last p reversed: the even/odd coupling of the blocks.
-    Each entry of A is summed once, so without pairs (P = I) the coupling is exactly 0."""
-    rows, cols, vals = entries
-    pair = np.arange(n)
-    pair[:p], pair[n - p:] = pair[n - p:][::-1].copy(), pair[:p][::-1].copy()
-    at, slot = np.unique(rows * n + cols, return_inverse=True)
-    a = np.bincount(slot, vals)  # the entry of A at each position ``at``
-    mirror = pair[at // n] * n + pair[at % n]
-    k = np.searchsorted(at, mirror).clip(max=len(at) - 1)
-    return 0.5 * float(np.abs(a - np.where(at[k] == mirror, a[k], 0.0)).max(initial=0.0))
 
 
 def _gram(v: np.ndarray, lam: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
@@ -269,27 +265,22 @@ def _block_residuals(v: np.ndarray, lam: np.ndarray, p: int, folded) -> tuple[fl
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense), validated.
 
-    On a Dirichlet grid whose coefficient field is bitwise even under the
-    reversal of the nodes (x -> -x), the assembled matrix commutes with the
-    reversal of the dofs up to the order of its diagonal sums, so it splits
-    into an even and an odd block of about n/2 dofs, each folded from the
-    stencil entries (``_fold``) and solved before the next is built. Any other
-    operator is one block, its matrix, folded the same way with no pairs. Every
-    block of a decomposition takes the same solver: ``np.linalg.eigh`` for an
-    operator of up to ``NUMPY_EIGH_MAX_DOF`` dofs, and above it scipy's evd
-    driver, which overwrites the block with its eigenvectors. Each
-    eigenvector's sign is set so that its product with the seeded probe
-    ``_probe(n)`` is positive, so the vectors do not depend on the LAPACK
-    driver, except within repeated eigenvalues, where the basis itself does.
-    ``eigensolve`` of the result records the driver, the block sizes and the
-    residuals.
+    A mirrored operator (``_mirrored``) commutes exactly with the reversal of
+    the dofs, so it splits into an even and an odd block of about n/2 dofs,
+    each folded from the stencil entries (``_fold``) and solved before the next
+    is built. Any other operator is one block, its matrix, folded the same way
+    with no pairs. Every block of a decomposition takes the same solver:
+    ``np.linalg.eigh`` for an operator of up to ``NUMPY_EIGH_MAX_DOF`` dofs, and
+    above it scipy's evd driver, which overwrites the block with its
+    eigenvectors. Each eigenvector's sign is set so that its product with the
+    seeded probe ``_probe(n)`` is positive, so the vectors do not depend on the
+    LAPACK driver, except within repeated eigenvalues, where the basis itself
+    does. ``eigensolve`` of the result records the driver, the block sizes and
+    the residuals.
     """
     n = op.n_dof
     check_dof_cap(n)
-    field = op.coefficients
-    mirrored = op.grid.boundary == "dirichlet" and all(
-        np.array_equal(x, x[::-1]) for x in (field.a, field.c))
-    p = n // 2 if mirrored else 0
+    p = n // 2 if _mirrored(op) else 0
     if n <= NUMPY_EIGH_MAX_DOF:
         driver, solve = "numpy.linalg.eigh", np.linalg.eigh
     else:

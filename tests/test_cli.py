@@ -31,6 +31,7 @@ from fracspec.gridop import (
     build_grid,
     check_hypotheses,
     make_coefficients,
+    min_eigenvalues,
 )
 from fracspec.spectral import (
     EIGENVECTOR_SAMPLE_INDICES,
@@ -120,7 +121,10 @@ def test_run_spectrum_writes_artifacts_and_manifest(tmp_path):
     assert run(cfg) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
-    assert manifest["invariants"]["eigenvalues_nonnegative"] is True
+    # validate's checks are not restated as invariants: eigensolve holds the residuals
+    assert manifest["invariants"] == {}
+    assert all(manifest["eigensolve"][name]["measured"] <= manifest["eigensolve"][name]["bound"]
+               for name in ("orthonormality", "reconstruction"))
     assert "wall_time_s" in manifest
     lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "k,lambda"
@@ -470,6 +474,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "refined_grid_over_dof_cap": ("norm_equiv", {"grid": {**GRID_2D, "n": 34}}, "'refine'"),
     "output_dir_is_a_file": ("spectrum", {}, "output_dir"),
     "output_dir_below_a_file": ("spectrum", {}, "output_dir"),
+    "output_dir_component_too_long": ("spectrum", {}, "'output_dir'"),  # Path.exists raises
+    "seed_past_the_int_digit_limit": ("spectrum", {}, "config is not valid JSON"),
     "config_path_is_a_directory": ("spectrum", {}, "not a file"),
     "u0_center_too_long": ("extend", {"grid": GRID_2D, "task_params": {
         "u0": {"center": [0.0, 0.0, 0.0]}}}, "center"),
@@ -584,8 +590,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     monkeypatch.setattr(cli, "eigendecompose", refuse)
     monkeypatch.chdir(tmp_path)  # a table_path is relative to the run directory
     task, overrides, key = CAUGHT_BEFORE_ASSEMBLY[case]
-    out = tmp_path / "out"
-    if case.startswith("output_dir"):
+    out = tmp_path / ("o" * 300 if case == "output_dir_component_too_long" else "out")
+    if case.startswith("output_dir") and case != "output_dir_component_too_long":
         out.write_text("taken\n")
     Path("table.csv").write_text("0,1.0,0.0\n1,1.0,0.0\n")
     path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
@@ -593,6 +599,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     if case == "config_path_is_a_directory":
         path = tmp_path / "configs"
         path.mkdir()
+    if case == "seed_past_the_int_digit_limit":  # json.dumps cannot write it: json.loads reads it
+        path.write_text(path.read_text().replace('"task"', f'"seed": {"9" * 5001},\n "task"'))
     written = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(path)
@@ -832,7 +840,7 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
     hypotheses = manifest["hypotheses"]
     assert hypotheses == json.loads(json.dumps(asdict(check_hypotheses(cfg.field, cfg.grid))))
     assert hypotheses["symmetric"] and hypotheses["c_nonnegative"]
-    assert hypotheses["ellipticity_lambda"] == cfg.field.ellipticity
+    assert hypotheses["ellipticity_lambda"] == min_eigenvalues(cfg.field.a).min()
     eigensolve = manifest["eigensolve"]
     if code == 3:
         assert eigensolve is None
@@ -878,11 +886,18 @@ def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, m
         assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
 
 
-def test_every_shipped_config_parses():
+def test_every_shipped_config_parses(tmp_path):
+    # and runs end to end, with its output_dir moved under tmp_path
     paths = sorted((ROOT / "configs").glob("*.json"))
     assert paths
     for path in paths:
         assert parse_config(path).task in TASKS
+        config = json.loads(path.read_text())
+        out = tmp_path / config["output_dir"]
+        moved = tmp_path / path.name
+        moved.write_text(json.dumps({**config, "output_dir": str(out)}))
+        assert main(["run", str(moved)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
 
 def _benchmark_workloads():

@@ -11,6 +11,7 @@ from fracspec.evolution import (
     Nonlinearity,
     PicardConvergenceError,
     _evaluate_terms,
+    _time_grid,
     check_energy_hypothesis,
     differentiate_terms,
     estimate_t_star,
@@ -336,6 +337,21 @@ def test_picard_rejects_max_iter_below_one():
     g, dec = grid_dec(n=17)
     with pytest.raises(ValueError, match="max_iter"):
         picard_solve(dec, 0.5, smooth_state(g), CUBIC, 0.1, 0.01, max_iter=0)
+
+
+@pytest.mark.parametrize("t_final, dt", [
+    (1e300, 1e-300),  # each finite, the step count not
+    (math.inf, 0.01), (0.1, math.inf), (math.nan, 0.01), (0.1, math.nan), (0.1, 0.0), (-0.1, 0.01),
+])
+def test_solvers_reject_a_time_grid_without_a_finite_step_count(t_final, dt):
+    g, dec = grid_dec(n=17)
+    match = "t_final, dt and t_final / dt must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        _time_grid(t_final, dt)
+    with pytest.raises(ValueError, match=match):
+        picard_solve(dec, 0.5, smooth_state(g), CUBIC, t_final, dt)
+    with pytest.raises(ValueError, match=match):
+        viscous_solve(dec, 0.5, 0.0, smooth_state(g), ZERO_P, t_final, dt)
 
 
 @pytest.mark.parametrize("c_est", [0.0, -1.0, math.nan])

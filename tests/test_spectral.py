@@ -61,7 +61,7 @@ def test_dirichlet_spectrum_matches_closed_form():
 def test_shifted_c_shifts_eigenvalues_only():
     g, op = bump_operator()
     f = op.coefficients
-    shifted = CoefficientField(a=f.a, c=f.c + 1.0, kind="tabulated", ellipticity=f.ellipticity)
+    shifted = CoefficientField(a=f.a, c=f.c + 1.0, kind="tabulated")
     dec0 = eigendecompose(op)
     dec1 = eigendecompose(assemble(g, shifted))
     assert np.allclose(dec1.eigenvalues, dec0.eigenvalues + 1.0, rtol=1e-12, atol=1e-11)
@@ -135,14 +135,9 @@ def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_d
     for name in ("orthonormality", "reconstruction"):
         check = dec.eigensolve[name]
         assert 0.0 <= check["measured"] <= check["bound"]
-    # the residuals are per block, against the blocks folded from the matrix, plus the
-    # even/odd coupling the blocks leave out, under the pairing P of the p used
+    # the residuals are per block, against the blocks folded from the matrix; a split
+    # operator is its own mirror image (test_split_operators_are_their_mirror_image)
     a, p, n = op.matrix, len(dec.blocks[1]), op.n_dof
-    pair = np.arange(n)
-    pair[:p], pair[n - p:] = pair[n - p:][::-1].copy(), pair[:p][::-1].copy()
-    coupling = np.abs(a - a[np.ix_(pair, pair)]).max() / 2
-    if not p:
-        assert spectral._coupling(op.entries, n, p) == 0.0  # exactly, with no pairs
     split, lam, eps = len(dec.blocks[0]), dec.eigenvalues, np.finfo(float).eps
     ortho, recon = [], []
     for v, b, lam_b in zip(dec.blocks, mirror_blocks(a, p),
@@ -151,7 +146,7 @@ def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_d
         w[:p] *= np.sqrt(2.0)
         ortho.append(np.abs(w @ w.T - np.eye(len(w))).max(initial=0.0))
         recon.append(np.abs((w * lam_b) @ w.T - b).max(initial=0.0))
-    recon = max(recon) + coupling
+    recon = max(recon)
     measured = {name: dec.eigensolve[name]["measured"]
                 for name in ("orthonormality", "reconstruction")}
     assert measured["orthonormality"] == pytest.approx(max(ortho), rel=0, abs=8 * eps)
@@ -289,6 +284,61 @@ def test_fold_matches_the_mirror_blocks_oracle(dim, n, kind):
     # without pairs the even block is the matrix itself, bit for bit, and the odd one empty
     assert _symmetric_scatter(*spectral._fold(op.entries, n_dof, 0, False)).tobytes() == a.tobytes()
     assert _symmetric_scatter(*spectral._fold(op.entries, n_dof, 0, True)).shape == (0, 0)
+
+
+def _random_even_table(g, seed):
+    """A seeded random tabulated field, with a mixed term in 2-D, made bitwise even under
+    x -> -x (the reversal of the nodes) by adding its reversal: r + r[::-1] has the bits of
+    its own reversal."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((g.n_nodes, g.dim, g.dim))
+    a[:, range(g.dim), range(g.dim)] = rng.uniform(1.0, 2.0, (g.n_nodes, g.dim))
+    if g.dim == 2:
+        a[:, 0, 1] = a[:, 1, 0] = rng.uniform(-0.5, 0.5, g.n_nodes)
+    c = rng.uniform(0.0, 1.0, g.n_nodes)
+    return make_coefficients(g, "tabulated", {"a": a + a[::-1], "c": c + c[::-1]})
+
+
+# the dense cap, 4096 dofs, is the 2-D grid of 66 points
+@pytest.mark.parametrize("kind", ["identity", "radial_bump", "random_0", "random_1"])
+@pytest.mark.parametrize("dim,n", [(1, 34), (1, 33), (1, 258), (2, 18), (2, 17), (2, 66)])
+def test_split_operators_are_their_mirror_image(dim, n, kind):
+    # the mirror oracle: every operator that eigendecompose splits equals P A P bit for bit
+    # for the dof reversal P, so its blocks leave out no even/odd coupling
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    field = (_random_even_table(g, int(kind[-1])) if kind.startswith("random")
+             else make_coefficients(g, *_split_field(dim, kind)))
+    op = assemble(g, field)
+    assert spectral._mirrored(op)  # the predicate that eigendecompose splits by
+    a = op.matrix
+    assert a.tobytes() == a[::-1, ::-1].tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 34), (1, 33), (2, 18), (2, 35)])  # 2-D: 256, 1089 dofs
+def test_validate_refuses_blocks_paired_on_an_operator_that_is_not_mirrored(dim, n):
+    g = build_grid(dim, n, 8.0, "dirichlet")
+    field = make_coefficients(g, *_split_field(dim, "radial_bump"))
+    dec = eigendecompose(assemble(g, field))
+    assert len(dec.blocks[1]) == dec.n_dof // 2
+    # c raised by 1e-12 at the node next to the centre: the blocks still reconstruct the
+    # operator within the bound, but it is not its mirror image, so the pairing is refused
+    # whatever the residuals
+    c, k = field.c.copy(), g.n_nodes // 2 + 1
+    c[k] += 1e-12
+    skewed = assemble(g, make_coefficients(g, "tabulated", {"a": field.a, "c": c}))
+    assert not spectral._mirrored(skewed)
+    assert skewed.matrix.tobytes() != skewed.matrix[::-1, ::-1].tobytes()
+    with pytest.raises(NumericalError, match="not their mirror image"):
+        replace(dec, source=skewed).validate()
+    # and on a periodic grid, whose reflection the pairing of the first and last dofs is not
+    periodic = build_grid(dim, n - 2, 8.0, "periodic")
+    assert periodic.n_dof == g.n_dof
+    flat = assemble(periodic, make_coefficients(periodic, "identity"))
+    with pytest.raises(NumericalError, match="not their mirror image"):
+        replace(dec, source=flat).validate()
+    # without pairs every operator is accepted: the dense eigenvectors of the skewed one
+    lam, v = full_eigh(skewed)
+    assert dense_decomposition(lam, v, skewed).validate()["reconstruction"]["measured"] >= 0.0
 
 
 def test_split_eigendecompose_holds_no_dense_array():
