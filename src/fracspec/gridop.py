@@ -17,7 +17,7 @@ no run of the library reads it.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +94,7 @@ class CoefficientField:
     c: np.ndarray
     kind: str
     params: dict = field(default_factory=dict)
+    hypotheses: "HypothesisReport | None" = None  # make_coefficients' measurement
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
         k = report.negative_c_nodes[0]
         raise ValueError(f"zeroth-order coefficient negative at node {k} "
                          f"(x = {grid.nodes()[k]}, c = {c[k]:.3e})")
-    return made
+    return replace(made, hypotheses=report)
 
 
 def load_coefficients_csv(grid: Grid, path: str | Path) -> CoefficientField:

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import cli
-from fracspec.cli import TASKS, ConfigError, _kind_name, main, parse_config, run
+from fracspec import cli, tasks
+from fracspec.cli import main
+from fracspec.tasks import TASKS, ConfigError, _kind_name, parse_config, run
 from fracspec.evolution import (
     PICARD_WORKING_SET,
     VISCOUS_WORKING_SET,
@@ -586,8 +588,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     def refuse(*args, **kwargs):
         raise AssertionError("a rejected config reached the solver")
 
-    monkeypatch.setattr(cli, "assemble", refuse)
-    monkeypatch.setattr(cli, "eigendecompose", refuse)
+    monkeypatch.setattr(tasks, "assemble", refuse)
+    monkeypatch.setattr(tasks, "eigendecompose", refuse)
     monkeypatch.chdir(tmp_path)  # a table_path is relative to the run directory
     task, overrides, key = CAUGHT_BEFORE_ASSEMBLY[case]
     out = tmp_path / ("o" * 300 if case == "output_dir_component_too_long" else "out")
@@ -792,7 +794,7 @@ def test_failed_self_check_exits_3(tmp_path, monkeypatch):
         bad.validate()
         return bad
 
-    monkeypatch.setattr(cli, "eigendecompose", corrupted)
+    monkeypatch.setattr(tasks, "eigendecompose", corrupted)
     out = tmp_path / "out"
     cfg = parse_config(write_config(tmp_path, output_dir=str(out),
                                     overrides={"grid": SMALL_GRID}))
@@ -802,7 +804,7 @@ def test_failed_self_check_exits_3(tmp_path, monkeypatch):
     assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
 
 
-MANIFEST_KEYS = {"artifacts", "config", "eigensolve", "error", "hypotheses", "invariants",
+MANIFEST_KEYS = {"artifacts", "blas", "config", "eigensolve", "error", "hypotheses", "invariants",
                  "peak_rss_mb", "seed", "status", "versions", "wall_time_s"}
 
 
@@ -823,10 +825,12 @@ def _raising(cfg, dec, rng, outdir):
                                          (3, "numerical_error"), (4, "internal_error")])
 def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch, capsys,
                                                           code, status):
+    for name in cli.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
     if code == 1:
         monkeypatch.setitem(TASKS, "spectrum", (lambda *args: ({"held": False}, []), {}))
     if code == 3:  # a NaN eigenvalue fails validate's checks
-        monkeypatch.setattr(cli, "eigendecompose", _nan_eigenvalue)
+        monkeypatch.setattr(tasks, "eigendecompose", _nan_eigenvalue)
     if code == 4:
         monkeypatch.setitem(TASKS, "spectrum", (_raising, {}))
     out = tmp_path / "out"
@@ -841,6 +845,11 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
     assert hypotheses == json.loads(json.dumps(asdict(check_hypotheses(cfg.field, cfg.grid))))
     assert hypotheses["symmetric"] and hypotheses["c_nonnegative"]
     assert hypotheses["ellipticity_lambda"] == min_eigenvalues(cfg.field.a).min()
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    pinned = (1, "runtime") if tasks._openblas() else (None, None)  # a 31-dof run
+    assert manifest["blas"] == {"name": build["name"], "version": build["version"],
+                                "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+                                "threads": pinned[0], "threads_set_by": pinned[1]}
     eigensolve = manifest["eigensolve"]
     if code == 3:
         assert eigensolve is None
@@ -853,37 +862,208 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
         assert 0.0 <= eigensolve[name]["measured"] <= eigensolve[name]["bound"]
 
 
+def _child_env(**variables):
+    """This environment with ``src`` on the path and no BLAS thread variable but ``variables``."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return {**env, **variables}
+
+
+def _python(code, *args, env=None):
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env or _child_env(),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 # runs ``fracspec run`` on argv[1], with NUMPY_EIGH_MAX_DOF set to argv[2] unless
-# that is "default", then prints the exit code and the scipy modules loaded
-_RUN_AND_LIST_SCIPY = """
+# that is "default", then prints the exit code and the modules loaded
+_RUN_AND_LIST_MODULES = """
 import json, sys
 from fracspec import cli, spectral
 if sys.argv[2] != "default":
     spectral.NUMPY_EIGH_MAX_DOF = int(sys.argv[2])
 code = cli.main(["run", sys.argv[1]])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
 @pytest.mark.parametrize("max_dof", ["default", "16"])
 def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, max_dof):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    # numpy itself may load platform (numpy 2.4 does); then no run can avoid it
+    _, numpy_loads_platform, _ = _python("import sys, numpy; print('platform' in sys.modules)")
     for task in ("spectrum", "extend", "recover"):  # 1-D Dirichlet n = 64: 62 dofs
         out = tmp_path / task
         path = write_config(tmp_path, name=f"{task}.json", output_dir=str(out), task=task)
-        proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(path), max_dof],
-                              env=env, capture_output=True, text=True, timeout=120, check=True)
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        returncode, stdout, stderr = _python(_RUN_AND_LIST_MODULES, path, max_dof)
+        assert returncode == 0, stderr
+        code, modules = json.loads(stdout.splitlines()[-1])
         assert code == 0, task  # eigendecompose validated the decomposition on either path
+        loaded = [m for m in modules if m.startswith("scipy.")]
         if max_dof == "default":
             assert loaded == [], task
+            # the manifest's versions are read without importlib.metadata or platform
+            assert not [m for m in modules if m.split(".")[0] == "email"], task
+            assert "importlib.metadata" not in modules, task
+            assert "platform" not in modules or numpy_loads_platform.strip() == "True", task
         else:
             assert "scipy.linalg" in loaded, task
             assert "scipy.special" not in loaded, task
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
+        assert manifest["versions"]["python"] == platform.python_version()
+
+
+def test_importing_the_front_loads_neither_numpy_nor_platform():
+    returncode, stdout, stderr = _python(
+        "import json, sys, fracspec.cli; print(json.dumps(sorted(sys.modules)))")
+    assert returncode == 0, stderr
+    modules = json.loads(stdout)
+    assert "numpy" not in modules and "platform" not in modules
+    assert not [m for m in modules if m.startswith("fracspec.") and m != "fracspec.cli"]
+
+
+# the names ``fracspec`` imported from its modules before it resolved them on first use
+EXPORTED = {
+    "evolution": ["BlowUpError", "Nonlinearity", "PicardConvergenceError", "Trajectory",
+                  "estimate_t_star", "gradient_nonlinearity", "kato_ponce_check",
+                  "picard_solve", "polynomial_nonlinearity", "t_star_from_radius",
+                  "viscosity_convergence", "viscous_solve"],
+    "extension": ["ExtensionField", "conormal_constant", "conormal_recover", "doubling_ratio",
+                  "energy_report", "extend", "geometric_ladder"],
+    "gridop": ["CoefficientField", "DiscreteOperator", "Grid", "HypothesisReport",
+               "NumericalError", "assemble", "build_grid", "check_hypotheses",
+               "load_coefficients_csv", "make_coefficients"],
+    "spectral": ["NormEquivalenceReport", "SpectralDecomposition", "apply_function",
+                 "bessel_apply", "eigendecompose", "fractional_power", "l2_norm",
+                 "norm_equivalence", "sobolev_norm", "unitary_propagate"],
+    "ucprobe": ["VanishingSpec", "bump_state", "dichotomy_sweep"],
+}
+
+
+def test_package_resolves_every_exported_name_and_submodule():
+    import fracspec
+
+    listed = dir(fracspec)
+    for module, names in EXPORTED.items():
+        for name in names:
+            assert getattr(fracspec, name) is getattr(importlib.import_module(
+                f"fracspec.{module}"), name), name
+            assert name in listed, name
+    for module in (*EXPORTED, "cli", "tasks"):
+        assert getattr(fracspec, module) is importlib.import_module(f"fracspec.{module}")
+        assert module in listed, module
+    assert fracspec.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        fracspec.frobnicate
+
+
+# prints the exit code of ``fracspec run argv[1]`` in a fresh process, the OS threads
+# the process has then (None without /proc), and numpy's OpenBLAS thread count
+_CLI_RUN = """
+import json, os, sys
+from fracspec.cli import main
+code = main(["run", sys.argv[1]])
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+from fracspec.tasks import _openblas
+print(json.dumps([code, threads, _openblas()[0]()]))
+"""
+_DEFAULT_THREADS = "import numpy; from fracspec.tasks import _openblas; print(_openblas()[0]())"
+needs_openblas = pytest.mark.skipif(tasks._openblas() is None,
+                                    reason="numpy bundles no OpenBLAS whose threads can be set")
+
+
+@needs_openblas
+def test_cli_run_takes_one_blas_thread_only_below_the_threshold_and_unset_by_the_caller(
+        tmp_path):
+    small = {"grid": {**SMALL_GRID, "n": cli.THREADED_BLAS_MIN_POINTS - 1}}
+    above = {"grid": {**GRID_2D, "n": 34}}  # 34^2 = 1156 points, 1024 dofs
+    for name, overrides, variables, threads, set_by in (
+            ("small", small, {}, 1, "environment"),
+            ("above", above, {}, None, "default"),
+            ("caller", small, {"OPENBLAS_NUM_THREADS": "2"}, None, "caller")):
+        out = tmp_path / name
+        path = write_config(tmp_path, overrides, name=f"{name}.json", output_dir=str(out))
+        env = _child_env(**variables)
+        returncode, stdout, stderr = _python(_CLI_RUN, path, env=env)
+        assert returncode == 0, stderr
+        code, os_threads, count = json.loads(stdout.splitlines()[-1])
+        default = int(_python(_DEFAULT_THREADS, env=env)[1])
+        assert code == 0
+        assert count == (threads or default), name
+        if threads == 1 and os_threads is not None:
+            assert os_threads == 1  # OpenBLAS started no worker thread
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        assert (blas["threads"], blas["threads_set_by"]) == (count, set_by), name
+        assert blas["OPENBLAS_NUM_THREADS"] == ("1" if set_by == "environment"
+                                               else variables.get("OPENBLAS_NUM_THREADS"))
+        assert blas["OMP_NUM_THREADS"] is None
+
+
+@needs_openblas
+def test_in_process_run_pins_one_thread_only_while_it_runs(tmp_path, monkeypatch):
+    for name in cli.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    get, put = tasks._openblas()
+    before = get()
+    put(2)
+    try:
+        for name, grid, threads, set_by in (("small", SMALL_GRID, 1, "runtime"),
+                                            ("above", {**GRID_2D, "n": 34}, 2, "default")):
+            out = tmp_path / name
+            path = write_config(tmp_path, {"grid": grid}, name=f"{name}.json",
+                                output_dir=str(out))
+            assert run(parse_config(path)) == 0
+            assert get() == 2, name
+            blas = json.loads((out / "manifest.json").read_text())["blas"]
+            assert (blas["threads"], blas["threads_set_by"]) == (threads, set_by), name
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        out = tmp_path / "small"
+        assert run(parse_config(tmp_path / "small.json")) == 0
+        blas = json.loads((out / "manifest.json").read_text())["blas"]
+        assert (blas["threads"], blas["threads_set_by"], blas["OMP_NUM_THREADS"]) == \
+            (2, "caller", "2")
+    finally:
+        put(before)
+    monkeypatch.setattr(tasks, "_openblas", lambda: None)  # numpy on another BLAS
+    assert run(parse_config(tmp_path / "small.json")) == 0
+    blas = json.loads((out / "manifest.json").read_text())["blas"]
+    assert (blas["threads"], blas["threads_set_by"]) == (None, None)
+
+
+@needs_openblas
+def test_cli_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    # a periodic spectrum moves at roundoff between one and two BLAS threads, so this holds
+    # only if both runs took one thread: the CLI through the environment, run() at runtime
+    for name in cli.THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    periodic = {"grid": {**SMALL_GRID, "n": 256, "boundary": "periodic"}, "coefficients": BUMP}
+    out = {}
+    for side in ("cli", "in_process"):
+        out[side] = tmp_path / side
+        path = write_config(tmp_path, periodic, name=f"{side}.json", output_dir=str(out[side]))
+        if side == "cli":
+            returncode, _, stderr = _python(_CLI_RUN, path)
+            assert returncode == 0, stderr
+        else:
+            assert run(parse_config(path)) == 0
+    assert (out["cli"] / "eigenvalues.csv").read_bytes() == \
+        (out["in_process"] / "eigenvalues.csv").read_bytes()
+
+
+def test_cli_reports_unreadable_configs_before_loading_numpy(tmp_path):
+    # the front reads each config for its thread rule first and leaves the report to parsing
+    path = tmp_path / "config.json"
+    for text in ('{\n "grid": }\n',
+                 json.dumps({"grid": BASE["grid"], "task": "spectrum"}),
+                 write_config(tmp_path).read_text().replace('"task"', f'"seed": {"9" * 5001}, "task"')):
+        path.write_text(text)
+        with pytest.raises(ConfigError) as expected:
+            parse_config(path)
+        returncode, stdout, stderr = _python("import sys; from fracspec.cli import main; "
+                                             "sys.exit(main())", "run", path)
+        assert (returncode, stdout, stderr) == (2, "", f"config error: {expected.value}\n")
 
 
 def test_every_shipped_config_parses(tmp_path):

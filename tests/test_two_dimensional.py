@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fracspec.cli import parse_config, run
+from fracspec.tasks import parse_config, run
 from fracspec.extension import (
     ExtensionField,
     doubling_ratio,
