@@ -328,10 +328,15 @@ def apply_function(dec: SpectralDecomposition, mult, f: np.ndarray) -> np.ndarra
     return dec.from_modes(mult * coeffs)
 
 
-def fractional_power(dec: SpectralDecomposition, alpha: float, f: np.ndarray) -> np.ndarray:
-    """L^alpha f for alpha >= 0."""
+def check_alpha(alpha: float) -> None:
+    """The rule of fractional_power on its order."""
     if alpha < 0:
         raise ValueError(f"fractional_power requires alpha >= 0, got {alpha}")
+
+
+def fractional_power(dec: SpectralDecomposition, alpha: float, f: np.ndarray) -> np.ndarray:
+    """L^alpha f for alpha >= 0."""
+    check_alpha(alpha)
     return apply_function(dec, dec.spectrum**alpha, f)
 
 

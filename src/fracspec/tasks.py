@@ -54,6 +54,7 @@ from .spectral import (
     NORM_EQUIV_WORKING_SET,
     _sample_bump,
     apply_function,
+    check_alpha,
     check_dof_cap,
     eigendecompose,
     fractional_power,
@@ -72,6 +73,10 @@ from .ucprobe import (
 )
 
 TASKS = {}  # task name -> (runner, parameter table); filled by @_task
+# Below this many grid points a second OpenBLAS thread bought no wall time and, spinning idle,
+# took 39-45 % of a run's CPU (258-676 points, 1-D and 2-D, 2 vCPUs, OpenBLAS 0.3.31); from
+# 1024 points one thread was level to 12 % slower in wall time, at 2500 points 33 % slower.
+THREADED_BLAS_MIN_POINTS = 1024
 _REQUIRED = object()  # table default of a key that must be present
 
 
@@ -93,6 +98,7 @@ class RunConfig:
     ladder: np.ndarray | None = None
     nonlinearity: Nonlinearity | None = None
     spec: VanishingSpec | None = None
+    refined: Grid | None = None  # the doubled grid that norm_equiv decomposes as well
 
 
 def _kind_name(kind) -> str:
@@ -247,7 +253,7 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
     if task == "norm_equiv":
         tests = _built("'n_bumps' of norm_equiv", norm_test_count, p["n_bumps"])
         if p["refine"] and field.kind != "tabulated":  # the tests are held on the doubled grid
-            grid = refined_grid(grid)
+            grid = inputs["refined"] = refined_grid(grid)
             _built("task_params 'refine' doubles the grid", check_dof_cap, grid.n_dof)
         _within_memory("'n_bumps' of norm_equiv", tests * NORM_EQUIV_WORKING_SET, grid)
     if task == "kp_check":  # empty functions: only kato_ponce_check's rule on l runs
@@ -255,8 +261,6 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
         if p["n_pairs"] < 1:
             raise ConfigError(f"'n_pairs' of kp_check must be >= 1, got {p['n_pairs']}")
     if task == "uc_probe":
-        if not p["alphas"]:
-            raise ConfigError("'alphas' of uc_probe must be a nonempty list, got []")
         _, fractional = _built("'alphas' of uc_probe", sweep_alphas, p["alphas"])
         _within_memory("'alphas' of uc_probe", len(fractional) * UC_PROBE_WORKING_SET, grid)
         keys = "'theta' / 'f_support' of uc_probe"
@@ -307,7 +311,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON (line {err.lineno}): {err.msg}") from err
-    except ValueError as err:  # e.g. an integer literal past CPython's digit limit
+    except (ValueError, RecursionError) as err:  # past CPython's int-digit or nesting limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -317,8 +321,9 @@ def parse_config(path: str | Path) -> RunConfig:
     field = _field(grid, root["coefficients"])
 
     alphas = root["alpha"] if isinstance(root["alpha"], list) else [root["alpha"]]
-    if not alphas or min(alphas) < 0:
-        raise ConfigError("alpha must be >= 0, as a number or a nonempty list of numbers")
+    if not alphas:
+        raise ConfigError("'alpha' must be a number or a nonempty list of numbers, got []")
+    _built("alpha must be >= 0", check_alpha, min(alphas))
 
     task = root["task"]
     if task not in TASKS:
@@ -330,8 +335,9 @@ def parse_config(path: str | Path) -> RunConfig:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     inputs = _task_inputs(task, task_params, grid, field, alphas[0])
     output_dir = Path(root["output_dir"])
-    try:
-        if any(part.exists() and not part.is_dir() for part in (output_dir, *output_dir.parents)):
+    try:  # a file, or a symlink to nothing, cannot lead to the run's directory
+        if any((part.exists() or part.is_symlink()) and not part.is_dir()
+               for part in (output_dir, *output_dir.parents)):
             raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
     except OSError as err:  # e.g. a component longer than the file system allows
         raise ConfigError(f"'output_dir' cannot be looked up: {err.strerror}") from None
@@ -546,33 +552,37 @@ def _scipy_version():
 
 
 def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS in numpy's wheel, or None."""
+    """The get and set thread-count functions and the processor count of the OpenBLAS in numpy's
+    wheel, or None."""
     for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*"):
         handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
-            if get and put:
-                get.argtypes, get.restype = [], ctypes.c_int
+        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            found = [getattr(handle, name.format(verb), None)
+                     for verb in ("get_num_threads", "set_num_threads", "get_num_procs")]
+            if all(found):
+                get, put, procs = found
+                for query in (get, procs):
+                    query.argtypes, query.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                return get, put, procs
     return None
 
 
 def _blas(cfg: RunConfig):
-    """The manifest's ``blas`` record, and the call that restores numpy's OpenBLAS thread count:
-    the run takes one thread here when the thread rule asks and main has not pinned it at load."""
+    """The manifest's ``blas`` record, and the call that restores numpy's OpenBLAS thread count.
+
+    Unless the caller has set a thread variable, the run takes one thread on a grid of fewer
+    than THREADED_BLAS_MIN_POINTS points (the doubled grid where norm_equiv refines), and on a
+    larger one OpenBLAS's default of one per processor."""
     build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {name: os.environ.get(name) for name in cli.THREAD_VARIABLES}
-    get, put = _openblas() or (lambda: None, lambda threads: None)
-    previous = get()
-    how = None if previous is None else (
-        "environment" if cli.pinned_at_load else "caller" if any(env.values())
-        else "runtime" if cli.one_blas_thread(cfg.echo) else "default")
-    if how == "runtime":
-        put(1)
-    return ({"name": build.get("name"), "version": build.get("version"), **env,
-             "threads": get(), "threads_set_by": how}, lambda: put(previous))
+    get, put, procs = _openblas() or (lambda: None, lambda threads: None, lambda: None)
+    previous, caller = get(), any(value is not None for value in env.values())
+    if not caller:
+        put(1 if (cfg.refined or cfg.grid).n_nodes < THREADED_BLAS_MIN_POINTS else procs())
+    return ({"name": build.get("name"), "version": build.get("version"), **env, "threads": get(),
+             "threads_set_by": None if previous is None else "caller" if caller else "runtime"},
+            lambda: put(previous))
 
 
 def run(cfg: RunConfig) -> int:

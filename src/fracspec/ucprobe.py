@@ -96,8 +96,8 @@ UC_PROBE_WORKING_SET = 5.0
 def sweep_alphas(alphas) -> tuple[list[float], list[float]]:
     """The alphas of dichotomy_sweep as floats, each in (0, 1], and the distinct ones below 1."""
     alphas = [float(a) for a in alphas]
-    if not all(0.0 < a <= 1.0 for a in alphas):
-        raise ValueError(f"sweep alphas must lie in (0, 1], got {alphas}")
+    if not alphas or not all(0.0 < a <= 1.0 for a in alphas):
+        raise ValueError(f"sweep alphas must be a nonempty list in (0, 1], got {alphas}")
     return alphas, sorted(set(alphas) - {1.0})
 
 

@@ -477,6 +477,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "output_dir_is_a_file": ("spectrum", {}, "output_dir"),
     "output_dir_below_a_file": ("spectrum", {}, "output_dir"),
     "output_dir_component_too_long": ("spectrum", {}, "'output_dir'"),  # Path.exists raises
+    "output_dir_is_a_symlink_to_nothing": ("spectrum", {}, "'output_dir'"),
+    "output_dir_below_a_symlink_to_nothing": ("spectrum", {}, "'output_dir'"),
     "seed_past_the_int_digit_limit": ("spectrum", {}, "config is not valid JSON"),
     "config_path_is_a_directory": ("spectrum", {}, "not a file"),
     "u0_center_too_long": ("extend", {"grid": GRID_2D, "task_params": {
@@ -593,7 +595,9 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
     monkeypatch.chdir(tmp_path)  # a table_path is relative to the run directory
     task, overrides, key = CAUGHT_BEFORE_ASSEMBLY[case]
     out = tmp_path / ("o" * 300 if case == "output_dir_component_too_long" else "out")
-    if case.startswith("output_dir") and case != "output_dir_component_too_long":
+    if "symlink" in case:  # mkdir would raise FileExistsError for it
+        out.symlink_to(tmp_path / "missing")
+    elif case.startswith("output_dir") and case != "output_dir_component_too_long":
         out.write_text("taken\n")
     Path("table.csv").write_text("0,1.0,0.0\n1,1.0,0.0\n")
     path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
@@ -969,7 +973,6 @@ threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task")
 from fracspec.tasks import _openblas
 print(json.dumps([code, threads, _openblas()[0]()]))
 """
-_DEFAULT_THREADS = "import numpy; from fracspec.tasks import _openblas; print(_openblas()[0]())"
 needs_openblas = pytest.mark.skipif(tasks._openblas() is None,
                                     reason="numpy bundles no OpenBLAS whose threads can be set")
 
@@ -977,47 +980,60 @@ needs_openblas = pytest.mark.skipif(tasks._openblas() is None,
 @needs_openblas
 def test_cli_run_takes_one_blas_thread_only_below_the_threshold_and_unset_by_the_caller(
         tmp_path):
-    small = {"grid": {**SMALL_GRID, "n": cli.THREADED_BLAS_MIN_POINTS - 1}}
+    small = {"grid": {**SMALL_GRID, "n": tasks.THREADED_BLAS_MIN_POINTS - 1}}
     above = {"grid": {**GRID_2D, "n": 34}}  # 34^2 = 1156 points, 1024 dofs
+    procs = tasks._openblas()[2]()
     for name, overrides, variables, threads, set_by in (
-            ("small", small, {}, 1, "environment"),
-            ("above", above, {}, None, "default"),
-            ("caller", small, {"OPENBLAS_NUM_THREADS": "2"}, None, "caller")):
+            ("small", small, {}, 1, "runtime"),
+            ("above", above, {}, procs, "runtime"),
+            ("caller", small, {"OPENBLAS_NUM_THREADS": "2"}, 2, "caller")):
         out = tmp_path / name
         path = write_config(tmp_path, overrides, name=f"{name}.json", output_dir=str(out))
-        env = _child_env(**variables)
-        returncode, stdout, stderr = _python(_CLI_RUN, path, env=env)
+        returncode, stdout, stderr = _python(_CLI_RUN, path, env=_child_env(**variables))
         assert returncode == 0, stderr
         code, os_threads, count = json.loads(stdout.splitlines()[-1])
-        default = int(_python(_DEFAULT_THREADS, env=env)[1])
         assert code == 0
-        assert count == (threads or default), name
+        # OpenBLAS loaded on one thread unless the caller chose, and run() restored that count
+        assert count == int(variables.get("OPENBLAS_NUM_THREADS", 1)), name
         if threads == 1 and os_threads is not None:
             assert os_threads == 1  # OpenBLAS started no worker thread
         blas = json.loads((out / "manifest.json").read_text())["blas"]
-        assert (blas["threads"], blas["threads_set_by"]) == (count, set_by), name
-        assert blas["OPENBLAS_NUM_THREADS"] == ("1" if set_by == "environment"
-                                               else variables.get("OPENBLAS_NUM_THREADS"))
+        assert (blas["threads"], blas["threads_set_by"]) == (threads, set_by), name
+        assert blas["OPENBLAS_NUM_THREADS"] == variables.get("OPENBLAS_NUM_THREADS")
         assert blas["OMP_NUM_THREADS"] is None
+
+
+@pytest.mark.parametrize("variable", [None, "3"])
+def test_main_leaves_the_thread_variable_as_the_caller_set_it(tmp_path, variable):
+    # main sets OPENBLAS_NUM_THREADS only while numpy loads, so scipy's OpenBLAS never reads it
+    path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    code = ("import os, sys; from fracspec.cli import main; code = main(['run', sys.argv[1]]); "
+            "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    variables = {} if variable is None else {"OPENBLAS_NUM_THREADS": variable}
+    returncode, stdout, stderr = _python(code, path, env=_child_env(**variables))
+    assert returncode == 0, stderr
+    assert stdout.splitlines()[-1] == f"0 {variable}"
 
 
 @needs_openblas
 def test_in_process_run_pins_one_thread_only_while_it_runs(tmp_path, monkeypatch):
     for name in cli.THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    get, put = tasks._openblas()
+    get, put, procs = tasks._openblas()
     before = get()
-    put(2)
     try:
-        for name, grid, threads, set_by in (("small", SMALL_GRID, 1, "runtime"),
-                                            ("above", {**GRID_2D, "n": 34}, 2, "default")):
+        for name, overrides, start, threads in (
+                ("above", {"grid": {**GRID_2D, "n": 34}}, 1, procs()),
+                ("refined", {"grid": {**SMALL_GRID, "n": 512}, "task": "norm_equiv",  # 1024
+                             "task_params": {"n_bumps": 2}}, 1, procs()),  # points, doubled
+                ("small", {"grid": SMALL_GRID}, 2, 1)):
+            put(start)
             out = tmp_path / name
-            path = write_config(tmp_path, {"grid": grid}, name=f"{name}.json",
-                                output_dir=str(out))
+            path = write_config(tmp_path, overrides, name=f"{name}.json", output_dir=str(out))
             assert run(parse_config(path)) == 0
-            assert get() == 2, name
+            assert get() == start, name
             blas = json.loads((out / "manifest.json").read_text())["blas"]
-            assert (blas["threads"], blas["threads_set_by"]) == (threads, set_by), name
+            assert (blas["threads"], blas["threads_set_by"]) == (threads, "runtime"), name
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         out = tmp_path / "small"
         assert run(parse_config(tmp_path / "small.json")) == 0
@@ -1034,37 +1050,41 @@ def test_in_process_run_pins_one_thread_only_while_it_runs(tmp_path, monkeypatch
 
 @needs_openblas
 def test_cli_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
-    # a periodic spectrum moves at roundoff between one and two BLAS threads, so this holds
-    # only if both runs took one thread: the CLI through the environment, run() at runtime
+    # periodic outputs move at roundoff with the BLAS thread count, so this holds only if run()
+    # sets the same count in a CLI process, whose OpenBLAS loaded on one thread, as in this one
     for name in cli.THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    periodic = {"grid": {**SMALL_GRID, "n": 256, "boundary": "periodic"}, "coefficients": BUMP}
-    out = {}
-    for side in ("cli", "in_process"):
-        out[side] = tmp_path / side
-        path = write_config(tmp_path, periodic, name=f"{side}.json", output_dir=str(out[side]))
-        if side == "cli":
-            returncode, _, stderr = _python(_CLI_RUN, path)
-            assert returncode == 0, stderr
-        else:
-            assert run(parse_config(path)) == 0
-    assert (out["cli"] / "eigenvalues.csv").read_bytes() == \
-        (out["in_process"] / "eigenvalues.csv").read_bytes()
+    for task, grid, artifact in (("spectrum", {**SMALL_GRID, "n": 256}, "eigenvalues.csv"),
+                                 ("funcalc", {**GRID_2D, "n": 32}, "funcalc.csv")):  # 1024 points
+        periodic = {"grid": {**grid, "boundary": "periodic"}, "coefficients": BUMP}
+        out = {}
+        for side in ("cli", "in_process"):
+            out[side] = tmp_path / task / side
+            path = write_config(tmp_path, periodic, name=f"{task}_{side}.json", task=task,
+                                output_dir=str(out[side]))
+            if side == "cli":
+                returncode, _, stderr = _python(_CLI_RUN, path)
+                assert returncode == 0, stderr
+            else:
+                assert run(parse_config(path)) == 0
+        assert (out["cli"] / artifact).read_bytes() == \
+            (out["in_process"] / artifact).read_bytes(), task
 
 
 def test_cli_reports_unreadable_configs_before_loading_numpy(tmp_path):
-    # the front reads each config for its thread rule first and leaves the report to parsing
+    # in a fresh process, whose front reads nothing of the config, parsing reports each one
     path = tmp_path / "config.json"
     for text in ('{\n "grid": }\n',
                  json.dumps({"grid": BASE["grid"], "task": "spectrum"}),
-                 write_config(tmp_path).read_text().replace('"task"', f'"seed": {"9" * 5001}, "task"')):
+                 write_config(tmp_path).read_text().replace('"task"', f'"seed": {"9" * 5001}, "task"'),
+                 "[" * 100000):  # past the nesting limit of json's decoder
         path.write_text(text)
         with pytest.raises(ConfigError) as expected:
             parse_config(path)
-        returncode, stdout, stderr = _python("import sys; from fracspec.cli import main; "
-                                             "sys.exit(main())", "run", path)
-        assert (returncode, stdout, stderr) == (2, "", f"config error: {expected.value}\n")
-
+        for command in ("validate", "run"):
+            returncode, stdout, stderr = _python("import sys; from fracspec.cli import main; "
+                                                 "sys.exit(main())", command, path)
+            assert (returncode, stdout, stderr) == (2, "", f"config error: {expected.value}\n")
 
 def test_every_shipped_config_parses(tmp_path):
     # and runs end to end, with its output_dir moved under tmp_path

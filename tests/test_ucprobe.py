@@ -206,7 +206,8 @@ def test_dichotomy_sweep_standard():
 
 def test_dichotomy_sweep_empty_and_deterministic():
     dec = make_dec(n=65)
-    assert dichotomy_sweep(dec, STANDARD, []) == []
+    with pytest.raises(ValueError, match="nonempty"):
+        dichotomy_sweep(dec, STANDARD, [])
     r1 = dichotomy_sweep(dec, STANDARD, [0.5])
     r2 = dichotomy_sweep(dec, STANDARD, [0.5])
     assert r1 == r2  # bit-identical rows
