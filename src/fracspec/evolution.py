@@ -71,8 +71,9 @@ class Nonlinearity:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, states: np.ndarray, grid: Grid | None = None) -> np.ndarray:
-        """Pointwise collocation evaluation; states have the dof axis first."""
+    def evaluate(self, states: np.ndarray, grid: Grid) -> np.ndarray:
+        """Pointwise collocation evaluation; states have the dof axis first, on ``grid``'s
+        dofs, which the gradient kind differentiates on."""
         if self.is_zero:
             return np.zeros_like(np.asarray(states, dtype=complex))
         variables = self._variables(np.asarray(states, dtype=complex), grid)
@@ -81,8 +82,6 @@ class Nonlinearity:
     def _variables(self, states, grid):
         variables = [states, np.conj(states)]
         if self.kind == "gradient":
-            if grid is None:
-                raise ValueError("gradient nonlinearity needs the grid for derivatives")
             grads = centered_gradient(grid, states)
             variables += grads + [np.conj(g) for g in grads]
         return variables

@@ -13,7 +13,6 @@ with M = 1 at z = 0 (Caffarelli-Silvestre; Stinga-Torrea), which depends on
 method (N. M. Temme, J. Comput. Phys. 19 (1975) 324), so no scipy is loaded.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,12 @@ from .gridop import Grid, NumericalError, _write_csv, centered_gradient
 from .spectral import SpectralDecomposition, apply_function, fractional_power, l2_norm
 
 RECOVERY_TOL = 1e-3
+# The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
+# tracemalloc on 1-D and 2-D grids: 31.6 where every z = sqrt(lambda) y is below 2, and
+# 18.0-21.7 on the default ladder. The peak is extend's: Temme's series steps seven
+# arrays and their compacted copies. conormal_recover, energy_report and doubling_ratio
+# stay below it, as do the runners that write the artifacts.
+EXTENSION_WORKING_SET = 32.0
 TRACE_ENVELOPE_FACTOR = 10.0
 # K_nu: relative size of the last term kept, and the most terms taken (CF2 takes
 # 80 at x = 2, its slowest point; by 170 its factorial coefficient would overflow)
@@ -168,26 +173,17 @@ def conormal_slopes(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class ExtensionField:
-    """Samples U[dof, k] of the extension on grid x ladder, weight y^{1-2a}."""
+    """Samples U[dof, k] of the extension of ``base`` on grid x ladder, weight y^{1-2a}; the
+    grid is ``decomposition.source.grid``."""
 
     base: np.ndarray
     alpha: float
     y_nodes: np.ndarray
     values: np.ndarray
-    grid: Grid
-    decomposition: SpectralDecomposition | None = None
+    decomposition: SpectralDecomposition
     # not a field: perfbench/traced_task.py reads it after every extend(); the
     # line goes when that reader is dropped with the next benchmark change
     quadrature = None
-
-    def metadata_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "y_nodes": [float(y) for y in self.y_nodes],
-            },
-            indent=2,
-        )
 
     def export_csv(self, path: str | Path) -> None:
         n_x, n_y = self.values.shape
@@ -217,7 +213,6 @@ def extend(
         alpha=alpha,
         y_nodes=ys,
         values=apply_function(dec, extension_multipliers(dec.spectrum, ys, alpha), u),
-        grid=dec.source.grid,
         decomposition=dec,
     )
     _validate_extension(field)
@@ -253,8 +248,6 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
     then extrapolated to y = 0 with the boundary expansion exponents 2-2a
     and 2, so the recovered value is a measured limit from finite y.
     """
-    if ext.decomposition is None:
-        raise ValueError("conormal recovery needs an extension built by extend()")
     if len(ext.y_nodes) < 3:
         raise ValueError("need at least 3 y nodes near 0 for the limit extrapolation")
     ys = ext.y_nodes[:3]
@@ -309,7 +302,7 @@ class EnergyReport:
 
 def energy_report(ext: ExtensionField) -> EnergyReport:
     """Weighted Dirichlet energy of the extension against its trace masses."""
-    grid = ext.grid
+    grid = ext.decomposition.source.grid
     hn = grid.spacing**grid.dim
     wy = _weighted_y_cells(ext.y_nodes, ext.alpha)
     dy_u = np.gradient(ext.values, ext.y_nodes, axis=1)
@@ -320,8 +313,6 @@ def energy_report(ext: ExtensionField) -> EnergyReport:
     base_norm = l2_norm(grid, ext.base)
     if base_norm == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
-    if ext.decomposition is None:
-        raise ValueError("energy report needs an extension built by extend()")
     frac = l2_norm(grid, fractional_power(ext.decomposition, ext.alpha, ext.base))
     ratio = energy / (base_norm**2 + frac**2)
     sup = float(np.linalg.norm(ext.values, axis=0).max() / np.linalg.norm(ext.base))
@@ -348,7 +339,7 @@ def doubling_ratio(
     Midpoint counting: a grid cell contributes its full weighted measure
     iff its center (x_i, y_k) lies inside the half ball.
     """
-    grid = ext.grid
+    grid = ext.decomposition.source.grid
     radii = doubling_radii(radii, grid, float(ext.y_nodes[-1]))
     x = grid.dof_nodes()
     center = np.atleast_1d(np.asarray(center, dtype=float))

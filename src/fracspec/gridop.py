@@ -8,11 +8,11 @@ on a truncated box [-X, X]^dim with Dirichlet or periodic boundary,
 discretized with second-order conservative (flux-form) differences so that
 the resulting matrix is symmetric by construction. The operator is held as
 its stencil entries, (row, col, value) triplets, at most 3 per dof in 1-D
-and 13 in 2-D (``DiscreteOperator.entries``). ``DiscreteOperator.apply`` is
-the one sparse product, and a dense array exists only where a caller
-scatters the entries into one (``_symmetric_scatter``), as the eigensolver's
-blocks do. ``DiscreteOperator.matrix``, the dense view, is for inspection:
-no run of the library reads it.
+and 13 in 2-D (``DiscreteOperator.entries``), built once by ``assemble``.
+``DiscreteOperator.apply`` is the one sparse product, and a dense array exists
+only where a caller scatters the entries into one (``_symmetric_scatter``), as
+the eigensolver's blocks do. ``DiscreteOperator.matrix``, the dense view, is
+for inspection: no run of the library reads it.
 """
 
 import itertools
@@ -99,19 +99,16 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """The elliptic operator on a grid; its stencil entries are built on each read."""
+    """The elliptic operator on a grid, held as its stencil ``entries``: the (rows, cols,
+    values) of the flux-form matrix, which is their sum, in order."""
 
     grid: Grid
     coefficients: CoefficientField
+    entries: tuple
 
     @property
     def n_dof(self) -> int:
         return self.grid.n_dof
-
-    @property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (rows, cols, values) of the flux-form matrix; the matrix is their sum, in order."""
-        return _flux_entries(self.grid, self.coefficients)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -156,19 +153,13 @@ def build_grid(dim: int, n: int, half_length: float, boundary: str) -> Grid:
     return Grid(dim, n, float(half_length), boundary)
 
 
-def _min_eig_2x2(a: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of symmetric 2x2 matrices, shape (n, 2, 2) -> (n,)."""
-    tr = a[:, 0, 0] + a[:, 1, 1]
-    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    disc = np.sqrt(np.maximum((tr / 2) ** 2 - det, 0.0))
-    return tr / 2 - disc
-
-
 def min_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Per-node smallest eigenvalue of the coefficient matrices."""
+    """Per-node smallest eigenvalue of the symmetric coefficient matrices, shape (n, dim, dim)
+    -> (n,); in 2-D as (a00 + a11)/2 - hypot((a00 - a11)/2, a01), which, unlike the root of
+    the discriminant tr^2/4 - det, does not cancel where a is near a multiple of I."""
     if a.shape[1] == 1:
         return a[:, 0, 0]
-    return _min_eig_2x2(a)
+    return (a[:, 0, 0] + a[:, 1, 1]) / 2 - np.hypot((a[:, 0, 0] - a[:, 1, 1]) / 2, a[:, 0, 1])
 
 
 def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> CoefficientField:
@@ -294,15 +285,14 @@ def _csv_text(col: np.ndarray) -> list:
 def assemble(grid: Grid, coefficients: CoefficientField) -> DiscreteOperator:
     """The operator L of ``coefficients`` on ``grid``, whose node counts must agree.
 
-    Nothing is built here: each read of ``DiscreteOperator.entries`` assembles
-    the stencil anew (``_flux_entries``), and each read of ``matrix`` scatters a
-    new dense array of it, so an eigensolver may consume it.
+    The stencil (``_flux_entries``) is built here, once; no dense array is. Each
+    read of ``matrix`` scatters a new one, so an eigensolver may consume it.
     """
     if coefficients.a.shape[0] != grid.n_nodes:
         raise ValueError(
             f"field has {coefficients.a.shape[0]} nodes, grid has {grid.n_nodes}"
         )
-    return DiscreteOperator(grid=grid, coefficients=coefficients)
+    return DiscreteOperator(grid, coefficients, _flux_entries(grid, coefficients))
 
 
 def _ghosted(grid: Grid, x: np.ndarray, fill) -> np.ndarray:

@@ -39,9 +39,11 @@ DEFAULT_DOF_CAP = 4096
 # syevd on a copy of each block); at 2304 unsplit dofs it costs what scipy's evd plus
 # the scipy import does (1.34-1.49 against 1.36-1.47 s on a 2-D bump operator, 2-vCPU
 # VM, OpenBLAS). Above it, scipy's evd works in place on each block, so no copy is
-# made: one 4096-dof block (2 BLAS threads) takes 6.9-9.1 s and peaks at 453-455 MB,
-# against 10.3-11.9 s and 444-446 MB for scipy's default evr on a copy. A split
-# 4096-dof operator is two 2048-dof blocks: about 3 s, with a 197-199 MB peak.
+# made. A 2-D n = 66 bump extend, two 2048-dof blocks, took 2.95-3.00 s wall, 5.36-5.38 s
+# CPU and 198.5 MB peak RSS so, against 2.81-2.87 s, 5.18-5.21 s and 235.6-235.7 MB with
+# numpy's eigh (medians of two sets of 10 alternating process pairs, 2 vCPUs, OpenBLAS
+# 0.3.31): numpy saves at most 0.14 s, less than the 0.21-0.30 s scipy import, for a
+# 19 % higher peak. An operator that does not split is one block, and its copy 128 MiB.
 NUMPY_EIGH_MAX_DOF = 2304
 
 # eigh roundoff envelopes used by validation
@@ -156,9 +158,8 @@ class SpectralDecomposition:
                                  f"bound {-NEGATIVITY_TOL * scale:.3e}")
         if n <= 1024:
             how = ""
-            entries = self.source.entries
             ortho, recon = np.transpose([
-                _block_residuals(v, lam_b, p, _fold(entries, n, p, is_odd))
+                _block_residuals(v, lam_b, p, _fold(self.source.entries, n, p, is_odd))
                 for is_odd, v, lam_b in [(False, even, lam[self.rank[:split]]),
                                          (True, odd, lam[self.rank[split:]])]])
             ortho = ortho.max(), ORTHONORMALITY_TOL

@@ -37,8 +37,8 @@ from .evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from .extension import (conormal_constant, conormal_recover, doubling_radii, doubling_ratio,
-                        energy_report, extend, geometric_ladder)
+from .extension import (EXTENSION_WORKING_SET, conormal_constant, conormal_recover,
+                        doubling_radii, doubling_ratio, energy_report, extend, geometric_ladder)
 from .gridop import (
     CoefficientField,
     Grid,
@@ -69,7 +69,6 @@ from .ucprobe import (
     VanishingSpec,
     dichotomy_sweep,
     sweep_alphas,
-    sweep_to_csv,
 )
 
 TASKS = {}  # task name -> (runner, parameter table); filled by @_task
@@ -226,7 +225,7 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
     inputs = {}
     if "y0" in p:  # the extension tasks
         _built(f"'alpha' of {task}", conormal_constant, alpha)
-        _within_memory(f"'y_count' of {task}", p["y_count"], grid)
+        _within_memory(f"'y_count' of {task}", p["y_count"] * EXTENSION_WORKING_SET, grid)
         ladder = inputs["ladder"] = _built(f"'y0' / 'y_ratio' / 'y_count' of {task}",
                                            geometric_ladder, p["y0"], p["y_ratio"], p["y_count"])
         if task == "doubling":  # None picks the default radii, here and in the run
@@ -334,11 +333,15 @@ def parse_config(path: str | Path) -> RunConfig:
     if "u0" in task_params:
         task_params["u0"] = _u0(task_params["u0"], grid.n_dof)
     inputs = _task_inputs(task, task_params, grid, field, alphas[0])
+    _built("'seed'", np.random.SeedSequence, root["seed"])
     output_dir = Path(root["output_dir"])
     try:  # a file, or a symlink to nothing, cannot lead to the run's directory
         if any((part.exists() or part.is_symlink()) and not part.is_dir()
                for part in (output_dir, *output_dir.parents)):
             raise ConfigError(f"'output_dir' is not a directory path: {output_dir}")
+        manifest = output_dir / "manifest.json"
+        if manifest.exists() and not manifest.is_file():
+            raise ConfigError(f"'output_dir' holds a manifest.json that is not a file: {manifest}")
     except OSError as err:  # e.g. a component longer than the file system allows
         raise ConfigError(f"'output_dir' cannot be looked up: {err.strerror}") from None
 
@@ -435,7 +438,8 @@ def _extension_for(cfg, dec, rng):
 def _run_extend(cfg, dec, rng, outdir):
     ext = _extension_for(cfg, dec, rng)
     ext.export_csv(outdir / "extension.csv")
-    (outdir / "extension_meta.json").write_text(ext.metadata_json() + "\n")
+    meta = {"alpha": ext.alpha, "y_nodes": ext.y_nodes.tolist()}
+    (outdir / "extension_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     norms = np.linalg.norm(ext.values, axis=0)  # extend has checked that none exceeds |u|
     inv = {"mass_nonincreasing_in_y": bool(np.all(np.diff(norms) <= 1e-12 * max(norms[0], 1e-300)))}
     return inv, ["extension.csv", "extension_meta.json"]
@@ -519,7 +523,7 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
                     "alphas": ([float], [0.25, 0.5, 0.75, 1.0])})
 def _run_uc_probe(cfg, dec, rng, outdir):
     rows = dichotomy_sweep(dec, cfg.spec, cfg.task_params["alphas"])
-    sweep_to_csv(rows, outdir / "uc_sweep.csv")
+    _write_csv(outdir / "uc_sweep.csv", "alpha,mass_theta,mass_total,ratio", zip(*rows))
     ok = all(
         (ratio == 0.0 if alpha == 1.0 else ratio > NONLOCALITY_FLOOR)
         for alpha, _, _, ratio in rows
@@ -589,7 +593,11 @@ def run(cfg: RunConfig) -> int:
     """Execute one task; write artifacts and the manifest; return the exit code."""
     started = time.perf_counter()
     outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"no manifest written: {err}", file=sys.stderr)
+        return 4
     blas, restore = _blas(cfg)
     manifest = {
         "config": cfg.echo,
@@ -629,5 +637,9 @@ def run(cfg: RunConfig) -> int:
         restore()
     manifest["wall_time_s"] = time.perf_counter() - started
     manifest["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except OSError as err:
+        print(f"no manifest written: {err}", file=sys.stderr)
+        return 4
     return code

@@ -7,11 +7,10 @@ leaves exactly zero mass once the set is shrunk by the stencil radius.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .gridop import Grid, _write_csv
+from .gridop import Grid
 from .spectral import SpectralDecomposition, apply_function
 
 # Empirical regression floor for the nonlocality ratio; the continuum
@@ -127,8 +126,3 @@ def dichotomy_sweep(dec: SpectralDecomposition, spec: VanishingSpec,
         on_theta, total = map(float, masses[alpha])
         rows.append((alpha, on_theta, total, on_theta / total if total > 0 else 0.0))
     return rows
-
-
-def sweep_to_csv(rows, path: str | Path) -> None:
-    _write_csv(path, "alpha,mass_theta,mass_total,ratio",
-               np.asarray(rows, dtype=float).reshape(-1, 4).T)

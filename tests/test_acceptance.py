@@ -39,6 +39,7 @@ from fracspec.ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep
 from oracles import (
     eigenvectors,
     constant_field_doubling_exponent,
+    grid_only,
     measure_lipschitz_constant,
     measure_scheme_constant,
     smoothing_norm_bound,
@@ -337,7 +338,7 @@ def test_criterion_11_doubling_measurement():
     for alpha in (0.25, 0.5, 0.75):
         synth = ExtensionField(
             base=np.ones(g_syn.n_dof), alpha=alpha, y_nodes=ys_syn,
-            values=np.ones((g_syn.n_dof, len(ys_syn))), grid=g_syn,
+            values=np.ones((g_syn.n_dof, len(ys_syn))), decomposition=grid_only(g_syn),
         )
         [(_, ratio)] = doubling_ratio(synth, [0.5])
         exact = constant_field_doubling_exponent(1, alpha)

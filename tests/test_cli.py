@@ -26,7 +26,8 @@ from fracspec.evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from fracspec.extension import DegenerateInputError, doubling_ratio, extend
+from fracspec.extension import (EXTENSION_WORKING_SET, DegenerateInputError, doubling_ratio,
+                                extend, geometric_ladder)
 from fracspec.gridop import (
     NumericalError,
     assemble,
@@ -187,8 +188,11 @@ def test_run_uc_probe_standard_sweep(tmp_path):
                             "boundary": "dirichlet"}},
     ))
     assert run(cfg) == 0
-    rows = (out / "uc_sweep.csv").read_text().splitlines()[1:]
-    table = [row.split(",") for row in rows]
+    lines = (out / "uc_sweep.csv").read_text().splitlines()
+    assert lines[0] == "alpha,mass_theta,mass_total,ratio"
+    table = [row.split(",") for row in lines[1:]]
+    assert [len(row) for row in table] == [4] * 4  # the four default alphas
+    assert all(f"{float(cell):.17e}" == cell for row in table for cell in row)
     assert float(table[-1][0]) == 1.0
     assert float(table[-1][3]) == 0.0
     for row in table[:-1]:
@@ -320,6 +324,9 @@ def test_run_extend_energy_doubling_tasks(tmp_path):
         assert (out / artifact).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
+    meta = (tmp_path / "extend" / "extension_meta.json").read_text()
+    assert json.loads(meta) == {"alpha": 0.5, "y_nodes": list(geometric_ladder(1e-3, 1.2, 50))}
+    assert meta.startswith('{\n  "alpha": 0.5,\n  "y_nodes": [\n') and meta.endswith("]\n}\n")
 
 
 @pytest.mark.parametrize("dim, n, multiples", [(2, 18, [4, 2, 1]), (1, 9, [2, 1])])
@@ -480,6 +487,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "output_dir_is_a_symlink_to_nothing": ("spectrum", {}, "'output_dir'"),
     "output_dir_below_a_symlink_to_nothing": ("spectrum", {}, "'output_dir'"),
     "seed_past_the_int_digit_limit": ("spectrum", {}, "config is not valid JSON"),
+    "seed_negative": ("spectrum", {"seed": -1}, "'seed'"),  # numpy's seeds are >= 0
+    "manifest_json_is_a_directory": ("spectrum", {}, "'output_dir'"),
     "config_path_is_a_directory": ("spectrum", {}, "not a file"),
     "u0_center_too_long": ("extend", {"grid": GRID_2D, "task_params": {
         "u0": {"center": [0.0, 0.0, 0.0]}}}, "center"),
@@ -511,6 +520,8 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "grid": GRID_64, "task_params": {"t_final": 70.0}}, "'dt'"),  # 4 runs of 70001 states
     "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
         "y_count": 2000000}}, "'y_count'"),
+    "extend_just_over_memory_guard": ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {
+        "y_ratio": 1.1, "y_count": 129}}, "'y_count'"),  # 32 x 129 x 4096 > 4096^2
     "picard_working_set_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
         "t_final": 70.0}}, "'dt'"),  # 70001 states, 9 times over
     "recover_alpha_over_one": ("recover", {"grid": GRID_64, "alpha": 1.5}, "'alpha'"),
@@ -599,6 +610,8 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
         out.symlink_to(tmp_path / "missing")
     elif case.startswith("output_dir") and case != "output_dir_component_too_long":
         out.write_text("taken\n")
+    elif case == "manifest_json_is_a_directory":  # write_text would raise IsADirectoryError
+        (out / "manifest.json").mkdir(parents=True)
     Path("table.csv").write_text("0,1.0,0.0\n1,1.0,0.0\n")
     path = write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP, **overrides},
                         task=task, output_dir=str(out / "run" if "below" in case else out))
@@ -615,6 +628,24 @@ def test_config_errors_exit_2_before_assembly(tmp_path, capsys, monkeypatch, cas
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == written
+
+
+@pytest.mark.parametrize("taken", ["output_dir", "manifest"])
+def test_an_output_dir_taken_after_parsing_exits_4_with_one_line(tmp_path, capsys, taken):
+    # parsing refuses both; here each appears between parsing and the run
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out)))
+    if taken == "output_dir":  # mkdir raises FileExistsError
+        out.write_text("taken\n")
+    else:  # the manifest's write_text raises IsADirectoryError
+        (out / "manifest.json").mkdir(parents=True)
+    assert run(cfg) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("no manifest written: ") and err.count("\n") == 1
+    if taken == "output_dir":
+        assert out.read_text() == "taken\n"
+    else:
+        assert (out / "manifest.json").is_dir() and (out / "eigenvalues.csv").is_file()
 
 
 GRID_70 = {**GRID_2D, "n": 70}
@@ -692,8 +723,8 @@ def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, 
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
-    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # guard edge
-        "y_ratio": 1.1, "y_count": 4096}}),
+    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # 32 x 128 x 4096, edge
+        "y_ratio": 1.1, "y_count": 128}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
     ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126
@@ -878,6 +909,24 @@ def _python(code, *args, env=None):
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env or _child_env(),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("task, overrides", [
+    ("extend", {}),
+    ("picard", {"grid": {**SMALL_GRID, "n": 17},
+                "task_params": {"nonlinearity": [{"powers": [2, 1], "coeff_re": 1.0}]}}),
+])
+def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path, task, overrides):
+    # the benchmark's traced pass wraps fracspec's functions and reads its records by name
+    path = write_config(tmp_path, overrides, task=task, output_dir=str(tmp_path / "out"))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "traced_task.py"), str(path),
+                           str(spans)], env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text())
+    assert record["exit"] == 0
+    assert any(span[3] == "spectral.eigendecompose" for span in record["spans"])
 
 
 # runs ``fracspec run`` on argv[1], with NUMPY_EIGH_MAX_DOF set to argv[2] unless
@@ -1151,6 +1200,9 @@ def test_readme_memory_guard_factors_mirror_the_working_sets():
     assert found
     assert tuple(map(float, found.groups())) == (PICARD_WORKING_SET, VISCOUS_WORKING_SET,
                                                  VISCOUS_WORKING_SET)
+    found = re.search(r"`y_count n_dof` times (\d+) for the extension tasks", readme)
+    assert found
+    assert float(found.group(1)) == EXTENSION_WORKING_SET
     found = re.search(r"`\(n_bumps \+ (\d+)\) n_dof` times (\d+) for `norm_equiv`", readme)
     assert found
     assert tuple(map(float, found.groups())) == (len(EIGENVECTOR_SAMPLE_INDICES),

@@ -66,13 +66,13 @@ def test_polynomial_degrees_and_validation():
 
 def test_zero_nonlinearity_evaluates_to_zero():
     assert ZERO_P.is_zero
-    out = ZERO_P.evaluate(np.ones(5, dtype=complex))
+    out = ZERO_P.evaluate(np.ones(5, dtype=complex), build_grid(1, 7, 1.0, "dirichlet"))
     assert np.all(out == 0)
 
 
 def test_cubic_evaluation_pointwise():
     z = np.array([1 + 1j, 2.0, -1j])
-    out = CUBIC.evaluate(z)
+    out = CUBIC.evaluate(z, build_grid(1, 5, 1.0, "dirichlet"))
     assert np.allclose(out, np.abs(z) ** 2 * z)
 
 
@@ -474,7 +474,7 @@ def test_solvers_evaluate_the_nonlinearity_once_per_state(monkeypatch):
     calls = []
     evaluate = Nonlinearity.evaluate
 
-    def counted(self, states, grid=None):
+    def counted(self, states, grid):
         calls.append(np.shape(states))
         return evaluate(self, states, grid)
 

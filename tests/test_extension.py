@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.special import kv, kve
 
 from fracspec import extension
 from fracspec.extension import (
+    EXTENSION_WORKING_SET,
     DegenerateInputError,
     ExtensionField,
     ExtrapolationError,
@@ -27,6 +29,7 @@ from fracspec.spectral import eigendecompose, fractional_power, l2_norm
 from oracles import (
     constant_field_doubling_exponent,
     eigenvectors,
+    grid_only,
     make_weak_test_bumps,
     weak_residual,
 )
@@ -365,7 +368,7 @@ def test_doubling_of_synthetic_constant_field(alpha):
     ys = geometric_ladder(5e-4, 1.02, 420)
     synth = ExtensionField(
         base=np.ones(g.n_dof), alpha=alpha, y_nodes=ys,
-        values=np.ones((g.n_dof, len(ys))), grid=g,
+        values=np.ones((g.n_dof, len(ys))), decomposition=grid_only(g),
     )
     [(_, ratio)] = doubling_ratio(synth, [0.5])
     assert ratio == pytest.approx(constant_field_doubling_exponent(1, alpha), rel=0.01)
@@ -397,6 +400,34 @@ def test_doubling_rejects_zero_field_and_big_radius():
         doubling_ratio(ext, [100.0])
 
 
+# --- memory ------------------------------------------------------------------
+
+def _traced_peak(work):
+    """The peak traced memory of ``work()``, in bytes."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extension_working_set_matches_tracemalloc_peak():
+    # the parse-time memory guard charges an extension task EXTENSION_WORKING_SET
+    # (n_dof, y_count) arrays; extend peaks highest where every z = sqrt(lambda) y < 2,
+    # and recovery, energy and doubling stay below that peak, on either ladder
+    _, dec = bump_dec(n=66)
+    u = gaussian_state(dec.source.grid)
+    steep = geometric_ladder(1e-3, 1.001, 1000)
+    assert np.sqrt(dec.spectrum[-1]) * steep[-1] < 2.0
+    peak = _traced_peak(lambda: extend(dec, 0.5, u, steep)) / (8 * dec.n_dof * len(steep))
+    assert EXTENSION_WORKING_SET - 1.0 < peak <= EXTENSION_WORKING_SET
+    for ys, follow in [(steep, conormal_recover), (steep, energy_report),
+                       (geometric_ladder(), lambda ext: doubling_ratio(ext, None))]:
+        peak = _traced_peak(lambda: follow(extend(dec, 0.5, u, ys)))
+        assert peak / (8 * dec.n_dof * len(ys)) <= EXTENSION_WORKING_SET
+
+
 # --- weak form ---------------------------------------------------------------
 
 def test_weak_residual_zero_field():
@@ -423,7 +454,7 @@ def test_weak_residual_decreases_under_refinement():
 
 def test_weak_residual_detects_corruption():
     ext, clean = single_mode_residual(32, 60)
-    tests = make_weak_test_bumps(ext.grid, ext.y_nodes, count=3, seed=0)
+    tests = make_weak_test_bumps(ext.decomposition.source.grid, ext.y_nodes, count=3, seed=0)
     # corrupt with amplitude 1e-2 relative to the solution's energy norm along
     # a direction the probe can see; rough white noise has unbounded weighted
     # energy and would swamp the normalization instead
@@ -439,7 +470,7 @@ def test_weak_residual_detects_corruption():
     w = tests[0] * np.sqrt(energy(ext.values) / energy(tests[0]))
     corrupted = ExtensionField(
         base=ext.base, alpha=ext.alpha, y_nodes=ext.y_nodes,
-        values=ext.values + 1e-2 * w, grid=ext.grid, decomposition=ext.decomposition,
+        values=ext.values + 1e-2 * w, decomposition=ext.decomposition,
     )
     noisy = weak_residual(corrupted, tests)
     assert noisy >= 10.0 * clean
@@ -447,7 +478,7 @@ def test_weak_residual_detects_corruption():
 
 # --- export ------------------------------------------------------------------
 
-def test_extension_export_csv_and_metadata(tmp_path):
+def test_extension_export_csv(tmp_path):
     _, dec = bump_dec(n=32)
     u = gaussian_state(dec.source.grid)
     ys = geometric_ladder(1e-3, 1.4, 12)
@@ -458,9 +489,3 @@ def test_extension_export_csv_and_metadata(tmp_path):
     assert lines[0] == "x_index,y,U"
     assert lines[1:] == [f"{i},{y:.17e},{ext.values[i, k]:.17e}"
                          for k, y in enumerate(ys) for i in range(dec.n_dof)]
-    import json
-
-    meta = json.loads(ext.metadata_json())
-    assert meta["alpha"] == 0.5
-    assert "quadrature" not in meta
-    assert len(meta["y_nodes"]) == 12

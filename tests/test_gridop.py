@@ -14,6 +14,7 @@ from fracspec.gridop import (
     check_hypotheses,
     load_coefficients_csv,
     make_coefficients,
+    min_eigenvalues,
 )
 from oracles import gershgorin_lower_bound, rolled_centered_gradient
 
@@ -95,6 +96,29 @@ def test_radial_bump_positive_scale_keeps_lambda_one():
     lam = check_hypotheses(f, g).ellipticity_lambda
     assert lam == pytest.approx(scan)
     assert lam == pytest.approx(1.0, abs=1e-12)
+
+
+def _near_isotropic(rng, count, spread):
+    """Symmetric 2x2 matrices b I + d with b in [0.5, 2] and entries of d up to ``spread``."""
+    b, d = rng.uniform(0.5, 2.0, count), rng.uniform(-spread, spread, (3, count))
+    return np.stack([np.stack([b + d[0], d[2]], -1), np.stack([d[2], b + d[1]], -1)], 1)
+
+
+@pytest.mark.parametrize("field", ["bump_34", "bump_66", "tabulated"])
+def test_min_eigenvalues_match_eigvalsh_near_a_multiple_of_the_identity(field):
+    # the root of tr^2/4 - det cancels where a is near b I: 1.5e-8 off on these bumps
+    if field == "tabulated":
+        rng = np.random.default_rng(3)
+        a = np.concatenate([_near_isotropic(rng, 1200, spread) for spread in (1e-12, 1e-8, 1e-4)])
+        g = build_grid(2, 60, 4.0, "periodic")  # 3600 nodes
+        f = make_coefficients(g, "tabulated", {"a": a, "c": np.zeros(g.n_nodes)})
+    else:  # the benchmark's 2-D field, on its grids
+        g = build_grid(2, int(field[-2:]), 8.0, "dirichlet")
+        f = make_coefficients(g, "radial_bump", {"s": 0.6, "w": 2.0, "c_amp": 0.4,
+                                                 "M": [[1.0, 0.4], [0.4, 0.8]]})
+    exact, tol = np.linalg.eigvalsh(f.a)[:, 0], 4 * np.finfo(float).eps * np.abs(f.a).max()
+    assert np.abs(min_eigenvalues(f.a) - exact).max() <= tol
+    assert abs(f.hypotheses.ellipticity_lambda - exact.min()) <= tol
 
 
 def test_radial_bump_ellipticity_violation_names_origin():
@@ -264,13 +288,16 @@ def test_assemble_holds_no_dense_array_and_matrix_allocates_one():
     tracemalloc.start()
     try:
         op = assemble(g, f)
-        _, assemble_peak = tracemalloc.get_traced_memory()
+        assemble_held, assemble_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         matrix = op.matrix
         _, matrix_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert assemble_peak < 0.01 * dense
+    # assemble holds the stencil, 0.93 % of the dense array here, and builds it in twice that
+    stencil = sum(x.nbytes for x in op.entries)
+    assert assemble_held < 0.01 * dense
+    assert assemble_peak <= 2 * stencil
     assert matrix.nbytes == dense
     assert matrix_peak <= 1.1 * dense
 
@@ -308,11 +335,15 @@ def test_apply_is_the_matrix_product(dim, n, boundary, kind):
         op.apply(np.zeros(g.n_dof + 1))
 
 
-def test_discrete_operator_holds_no_array():
+def test_discrete_operator_holds_its_stencil_and_no_dense_array():
     g = build_grid(2, 16, 3.0, "dirichlet")
     op = assemble(g, _oracle_field(g, "radial_bump"))
-    assert [fld.name for fld in fields(op)] == ["grid", "coefficients"]
+    assert [fld.name for fld in fields(op)] == ["grid", "coefficients", "entries"]
     assert not any(isinstance(getattr(op, fld.name), np.ndarray) for fld in fields(op))
+    m = 14  # dofs per axis: the diagonal, each axis neighbour, and two mixed-term entries at
+    # each diagonal neighbour
+    assert all(x.shape == (m**2 + 4 * m * (m - 1) + 8 * (m - 1) ** 2,) for x in op.entries)
+    assert op.entries is op.entries  # built once, by assemble
     assert op.n_dof == g.n_dof
 
 

@@ -19,7 +19,7 @@ from fracspec.spectral import (
     unitary_propagate,
 )
 from fracspec.ucprobe import VanishingSpec, dichotomy_sweep
-from oracles import constant_field_doubling_exponent
+from oracles import constant_field_doubling_exponent, grid_only
 
 
 def test_2d_dirichlet_spectrum_is_sum_of_1d_spectra():
@@ -105,7 +105,7 @@ def test_2d_synthetic_constant_doubling():
     alpha = 0.5
     synth = ExtensionField(
         base=np.ones(g.n_dof), alpha=alpha, y_nodes=ys,
-        values=np.ones((g.n_dof, len(ys))), grid=g,
+        values=np.ones((g.n_dof, len(ys))), decomposition=grid_only(g),
     )
     [(_, ratio)] = doubling_ratio(synth, [0.25])
     exact = constant_field_doubling_exponent(2, alpha)

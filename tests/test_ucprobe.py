@@ -9,7 +9,6 @@ from fracspec.ucprobe import (
     VanishingSpec,
     bump_state,
     dichotomy_sweep,
-    sweep_to_csv,
 )
 from oracles import per_alpha_masses
 
@@ -237,13 +236,3 @@ def test_boundary_influence_small_under_box_doubling():
         [(_, mass, _, _)] = dichotomy_sweep(make_dec(n=n, x=x), STANDARD, [0.5])
         masses.append(mass)
     assert abs(masses[0] - masses[1]) / masses[1] < 0.05
-
-
-def test_sweep_csv_export(tmp_path):
-    dec = make_dec(n=65)
-    rows = dichotomy_sweep(dec, STANDARD, [0.5, 1.0])
-    path = tmp_path / "sweep.csv"
-    sweep_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "alpha,mass_theta,mass_total,ratio"
-    assert len(lines) == 3
