@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fracspec import gridop, spectral, ucprobe
+from fracspec import gridop, spectral, tasks, ucprobe
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, fractional_power, laplacian_symbol
 from fracspec.ucprobe import (
@@ -210,6 +212,18 @@ def test_dichotomy_sweep_empty_and_deterministic():
     r1 = dichotomy_sweep(dec, STANDARD, [0.5])
     r2 = dichotomy_sweep(dec, STANDARD, [0.5])
     assert r1 == r2  # bit-identical rows
+
+
+def test_sweep_csv_export(tmp_path):
+    dec = make_dec(n=65)
+    cfg = SimpleNamespace(spec=STANDARD, task_params={"alphas": [0.5, 1.0]})
+    _, files = tasks._run_uc_probe(cfg, dec, None, tmp_path)
+    assert files == ["uc_sweep.csv"]
+    lines = (tmp_path / "uc_sweep.csv").read_text().splitlines()
+    assert lines[0] == "alpha,mass_theta,mass_total,ratio"
+    assert len(lines) == 3
+    rows = dichotomy_sweep(dec, STANDARD, [0.5, 1.0])
+    assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
 
 
 def test_sweep_rejects_alpha_outside_range():
