@@ -28,8 +28,8 @@ def main(argv=None) -> int:
     val_p.add_argument("config", help="path to the JSON run configuration")
     args = parser.parse_args(argv)
 
-    # OpenBLAS reads its thread count once, when numpy loads it; scipy's own OpenBLAS loads
-    # later, so the variable goes again before anything else can read it
+    # OpenBLAS reads its thread count once, when numpy loads it; the variable goes again, so
+    # that run tells a caller's setting from this pin
     pin = "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_VARIABLES)
     if pin:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -73,7 +73,9 @@ class Nonlinearity:
 
     def evaluate(self, states: np.ndarray, grid: Grid) -> np.ndarray:
         """Pointwise collocation evaluation; states have the dof axis first, on ``grid``'s
-        dofs, which the gradient kind differentiates on."""
+        dofs, which the gradient kind differentiates on in its own dimension."""
+        if self.kind == "gradient" and self.dim != grid.dim:
+            raise ValueError(f"a {self.dim}-D gradient nonlinearity on a {grid.dim}-D grid")
         if self.is_zero:
             return np.zeros_like(np.asarray(states, dtype=complex))
         variables = self._variables(np.asarray(states, dtype=complex), grid)

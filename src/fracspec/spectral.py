@@ -15,17 +15,20 @@ n/2 dofs. Each block is folded straight from the operator's stencil entries
 (``_fold``), so no (n, n) array of a split operator is built, and solved
 apart; V is kept as the two blocks, and each transform costs two half-size
 GEMMs. Bessel potentials of the flat Laplacian need no eigensolve: the FFT
-(periodic) or DST-I (Dirichlet) diagonalizes it. Only an operator above
-``NUMPY_EIGH_MAX_DOF`` (2304) dofs imports scipy.
+(periodic) or DST-I (Dirichlet) diagonalizes it. Each block is solved in place
+by LAPACK's dsyevd from numpy's own OpenBLAS (``_eigh``); no module imports scipy.
 """
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .gridop import (
+    CoefficientField,
     DiscreteOperator,
     Grid,
     NumericalError,
@@ -35,17 +38,6 @@ from .gridop import (
 )
 
 DEFAULT_DOF_CAP = 4096
-# Eigensolver by the operator's dof count. Up to this count np.linalg.eigh (LAPACK
-# syevd on a copy of each block); at 2304 unsplit dofs it costs what scipy's evd plus
-# the scipy import does (1.34-1.49 against 1.36-1.47 s on a 2-D bump operator, 2-vCPU
-# VM, OpenBLAS). Above it, scipy's evd works in place on each block, so no copy is
-# made. A 2-D n = 66 bump extend, two 2048-dof blocks, took 2.95-3.00 s wall, 5.36-5.38 s
-# CPU and 198.5 MB peak RSS so, against 2.81-2.87 s, 5.18-5.21 s and 235.6-235.7 MB with
-# numpy's eigh (medians of two sets of 10 alternating process pairs, 2 vCPUs, OpenBLAS
-# 0.3.31): numpy saves at most 0.14 s, less than the 0.21-0.30 s scipy import, for a
-# 19 % higher peak. An operator that does not split is one block, and its copy 128 MiB.
-NUMPY_EIGH_MAX_DOF = 2304
-
 # eigh roundoff envelopes used by validation
 ORTHONORMALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
@@ -263,40 +255,68 @@ def _block_residuals(v: np.ndarray, lam: np.ndarray, p: int, folded) -> tuple[fl
     return ortho, np.abs(resid, out=resid).max(initial=0.0)
 
 
+@functools.cache
+def _openblas():
+    """The OpenBLAS in numpy's wheel as (get_num_threads, set_num_threads, get_num_procs,
+    LAPACKE_dsyevd), or None where numpy bundles none that exports all four."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*"):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            found = [getattr(handle, f"{prefix}{name}{suffix}", None) for name in (
+                "openblas_get_num_threads", "openblas_set_num_threads",
+                "openblas_get_num_procs", "LAPACKE_dsyevd")]
+            if all(found):
+                get, put, procs, dsyevd = found
+                for query in (get, procs):
+                    query.argtypes, query.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                dsyevd.restype = integer = ctypes.c_int64 if suffix else ctypes.c_int32
+                dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer,
+                                   ctypes.c_void_p, integer, ctypes.c_void_p]
+                return get, put, procs, dsyevd
+    return None
+
+
+def _eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues and eigenvector columns of a symmetric C-ordered ``block``. LAPACK's
+    dsyevd reads it in Fortran order (LAPACKE's layout 102), the same matrix, and overwrites
+    it with the vectors, so V is ``block.T``; without numpy's OpenBLAS, ``np.linalg.eigh`` solves a copy. A NaN
+    raises NumericalError on either path, as LAPACKE's check of its 5th argument."""
+    block = np.ascontiguousarray(block, float)  # an unsplit operator's odd block: empty int
+    n, lapack = len(block), _openblas()
+    if lapack is not None:
+        lam, v = np.empty(n), block.T
+        info = lapack[3](102, b"V", b"L", n, block.ctypes.data, max(n, 1), lam.ctypes.data)
+    elif np.isnan(block).any():
+        info = -5
+    else:
+        (lam, v), info = np.linalg.eigh(block), 0
+    if info:
+        raise NumericalError(f"LAPACK dsyevd failed on a block of {n} dofs: info {info}")
+    return lam, v
+
+
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition (dense), validated.
 
     A mirrored operator (``_mirrored``) commutes exactly with the reversal of
     the dofs, so it splits into an even and an odd block of about n/2 dofs,
-    each folded from the stencil entries (``_fold``) and solved before the next
-    is built. Any other operator is one block, its matrix, folded the same way
-    with no pairs. Every block of a decomposition takes the same solver:
-    ``np.linalg.eigh`` for an operator of up to ``NUMPY_EIGH_MAX_DOF`` dofs, and
-    above it scipy's evd driver, which overwrites the block with its
-    eigenvectors. Each eigenvector's sign is set so that its product with the
-    seeded probe ``_probe(n)`` is positive, so the vectors do not depend on the
-    LAPACK driver, except within repeated eigenvalues, where the basis itself
-    does. ``eigensolve`` of the result records the driver, the block sizes and
-    the residuals.
+    each folded from the stencil entries (``_fold``) and solved by ``_eigh``
+    before the next is built. Any other operator is one block, its matrix,
+    folded the same way with no pairs. Each eigenvector's sign is set so that
+    its product with the seeded probe ``_probe(n)`` is positive, so the
+    vectors do not depend on the LAPACK driver, except within repeated
+    eigenvalues, where the basis itself does. ``eigensolve`` of the result
+    records the driver, the block sizes and the residuals.
     """
     n = op.n_dof
     check_dof_cap(n)
     p = n // 2 if _mirrored(op) else 0
-    if n <= NUMPY_EIGH_MAX_DOF:
-        driver, solve = "numpy.linalg.eigh", np.linalg.eigh
-    else:
-        import scipy.linalg
-        driver = "scipy evd in place"
-
-        def solve(block):
-            # the transpose of a symmetric C-ordered block is the same block in
-            # Fortran order, so LAPACK works on its buffer instead of a copy
-            return scipy.linalg.eigh(block.T, driver="evd", overwrite_a=True)
 
     def block(odd):  # referenced only until its solve returns
         return _symmetric_scatter(*_fold(op.entries, n, p, odd))
 
-    (lam_even, even), (lam_odd, odd) = (solve(block(is_odd)) for is_odd in (False, True))
+    (lam_even, even), (lam_odd, odd) = (_eigh(block(is_odd)) for is_odd in (False, True))
     even[:p] *= np.sqrt(0.5)  # the paired rows of V hold 1/sqrt 2 of each block entry
     odd *= np.sqrt(0.5)
     lam = np.concatenate([lam_even, lam_odd])
@@ -307,6 +327,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     even *= sign[:len(lam_even)]
     odd *= sign[len(lam_even):]
     sizes = [len(lam_b) for lam_b in (lam_even, lam_odd) if len(lam_b)]
+    driver = "numpy.linalg.eigh" if _openblas() is None else "LAPACK dsyevd in place"
     return replace(dec, eigensolve={"driver": driver, "blocks": sizes, **dec.validate()})
 
 
@@ -474,9 +495,15 @@ def norm_test_count(n_bumps: int) -> int:
     return n_bumps + len(EIGENVECTOR_SAMPLE_INDICES)
 
 
-def refined_grid(grid: Grid) -> Grid:
-    """The doubled grid on which norm_equivalence re-measures the bracket."""
-    return Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
+def refinement(grid: Grid, field: CoefficientField, refine: bool = True):
+    """The doubled grid and the same coefficient family made on it, where norm_equivalence
+    re-measures the bracket; None unless ``refine``, and for a tabulated field, which has no
+    samples there. A ValueError names a doubled grid over the dof cap or a failed hypothesis."""
+    if not refine or field.kind == "tabulated":
+        return None
+    fine = Grid(grid.dim, 2 * grid.points_per_axis, grid.half_length, grid.boundary)
+    check_dof_cap(fine.n_dof)
+    return fine, make_coefficients(fine, field.kind, field.params)
 
 
 def norm_equivalence(
@@ -500,11 +527,8 @@ def norm_equivalence(
     # (center, width) of each bump, analytic so that the doubled grid samples the same ones
     bumps = [(rng.uniform(-x / 2, x / 2, size=grid.dim), rng.uniform(x / 8, x / 2))
              for _ in range(n_bumps)]
-    fine_dec = None
-    if refine and op.coefficients.kind != "tabulated":
-        fine_grid = refined_grid(grid)
-        fine_field = make_coefficients(fine_grid, op.coefficients.kind, op.coefficients.params)
-        fine_dec = eigendecompose(assemble(fine_grid, fine_field))
+    refined = refinement(grid, op.coefficients, refine)
+    fine_dec = None if refined is None else eigendecompose(assemble(*refined))
 
     reports = []
     for alpha in alphas:

@@ -7,8 +7,6 @@ the coefficient field's structural hypotheses, the eigensolver's driver and resi
 pass/fail of the task's built-in invariants. The exit codes are those of ``fracspec.cli``.
 """
 
-import ctypes
-import importlib.util
 import json
 import math
 import os
@@ -21,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cli
+from . import __version__, cli, spectral
 from .evolution import (
     PICARD_WORKING_SET,
     VISCOUS_WORKING_SET,
@@ -60,7 +58,7 @@ from .spectral import (
     fractional_power,
     norm_equivalence,
     norm_test_count,
-    refined_grid,
+    refinement,
     unitary_propagate,
 )
 from .ucprobe import (
@@ -251,9 +249,10 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
             else _built(keys, gradient_nonlinearity, terms, dim=grid.dim))
     if task == "norm_equiv":
         tests = _built("'n_bumps' of norm_equiv", norm_test_count, p["n_bumps"])
-        if p["refine"] and field.kind != "tabulated":  # the tests are held on the doubled grid
-            grid = inputs["refined"] = refined_grid(grid)
-            _built("task_params 'refine' doubles the grid", check_dof_cap, grid.n_dof)
+        refined = _built("task_params 'refine' doubles the grid", refinement, grid, field,
+                         p["refine"])
+        if refined:  # the tests are held on the doubled grid
+            grid = inputs["refined"] = refined[0]
         _within_memory("'n_bumps' of norm_equiv", tests * NORM_EQUIV_WORKING_SET, grid)
     if task == "kp_check":  # empty functions: only kato_ponce_check's rule on l runs
         _built("'l' of kp_check", kato_ponce_check, grid, p["l"], [], [])
@@ -513,9 +512,8 @@ def _run_viscosity_convergence(cfg, dec, rng, outdir):
     (outdir / "viscosity_fit.json").write_text(
         json.dumps({"k_est": table.k_est, "r_squared": table.r_squared}, indent=2) + "\n"
     )
-    distinct = len({e for e, _, _ in table.rows} | {e for _, e, _ in table.rows}) > 1
-    inv = {"linear_rate_fit": bool(table.r_squared >= 0.9) if distinct else True}
-    return inv, ["viscosity_pairs.csv", "viscosity_fit.json"]
+    return ({"linear_rate_fit": bool(table.r_squared >= 0.9)},
+            ["viscosity_pairs.csv", "viscosity_fit.json"])
 
 
 @_task("uc_probe", {"theta": (([float], [[float]]), [-1.0, 0.0]),
@@ -545,33 +543,6 @@ def _run_kp_check(cfg, dec, rng, outdir):
     return {"kp_ratio_finite": bool(np.isfinite(worst) and worst > 0)}, ["kp_ratios.csv"]
 
 
-def _scipy_version():
-    """scipy's version without importlib.metadata: from scipy when the run has loaded it, else
-    from the name of the one ``scipy-*.dist-info`` beside the package (None without one)."""
-    if "scipy" in sys.modules:
-        return sys.modules["scipy"].__version__
-    origin = getattr(importlib.util.find_spec("scipy"), "origin", None)
-    found = [*Path(origin).parents[1].glob("scipy-*.dist-info")] if origin else []
-    return found[0].name[len("scipy-"):-len(".dist-info")] if len(found) == 1 else None
-
-
-def _openblas():
-    """The get and set thread-count functions and the processor count of the OpenBLAS in numpy's
-    wheel, or None."""
-    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*"):
-        handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
-            found = [getattr(handle, name.format(verb), None)
-                     for verb in ("get_num_threads", "set_num_threads", "get_num_procs")]
-            if all(found):
-                get, put, procs = found
-                for query in (get, procs):
-                    query.argtypes, query.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put, procs
-    return None
-
-
 def _blas(cfg: RunConfig):
     """The manifest's ``blas`` record, and the call that restores numpy's OpenBLAS thread count.
 
@@ -580,7 +551,8 @@ def _blas(cfg: RunConfig):
     larger one OpenBLAS's default of one per processor."""
     build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     env = {name: os.environ.get(name) for name in cli.THREAD_VARIABLES}
-    get, put, procs = _openblas() or (lambda: None, lambda threads: None, lambda: None)
+    lib = spectral._openblas()
+    get, put, procs = lib[:3] if lib else (lambda: None, lambda threads: None, lambda: None)
     previous, caller = get(), any(value is not None for value in env.values())
     if not caller:
         put(1 if (cfg.refined or cfg.grid).n_nodes < THREADED_BLAS_MIN_POINTS else procs())
@@ -604,7 +576,6 @@ def run(cfg: RunConfig) -> int:
         "versions": {
             "fracspec": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "python": "{}.{}.{}".format(*sys.version_info),
         },
         "blas": blas,

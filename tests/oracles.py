@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from fracspec import spectral
 from fracspec.evolution import Nonlinearity
 from fracspec.extension import ExtensionField, _weighted_y_cells
 from fracspec.gridop import DiscreteOperator, Grid
@@ -20,6 +21,14 @@ from fracspec.ucprobe import VanishingSpec, bump_state
 def eigenvectors(dec: SpectralDecomposition) -> np.ndarray:
     """The dense eigenvector matrix V of ``dec``, one column per eigenvalue in order."""
     return dec.from_modes(np.eye(dec.n_dof))
+
+
+def use_lookup(monkeypatch, lookup: str) -> str:
+    """Switch spectral's OpenBLAS lookup to ``lookup``, "openblas" (as found) or "none" (the
+    fallback of a numpy without one), and return the driver eigendecompose then records."""
+    if lookup == "none":
+        monkeypatch.setattr(spectral, "_openblas", lambda: None)
+    return "numpy.linalg.eigh" if spectral._openblas() is None else "LAPACK dsyevd in place"
 
 
 def grid_only(grid: Grid) -> SimpleNamespace:

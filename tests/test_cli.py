@@ -1,4 +1,3 @@
-import importlib.metadata
 import importlib.util
 import json
 import math
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspec import cli, tasks
+from fracspec import cli, spectral, tasks
 from fracspec.cli import main
 from fracspec.tasks import TASKS, ConfigError, _kind_name, parse_config, run
 from fracspec.evolution import (
@@ -44,7 +43,7 @@ from fracspec.spectral import (
     norm_equivalence,
 )
 from fracspec.ucprobe import UC_PROBE_WORKING_SET, VanishingSpec, dichotomy_sweep
-from oracles import eigenvectors
+from oracles import eigenvectors, use_lookup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -365,6 +364,24 @@ def test_run_viscosity_convergence_task(tmp_path):
     assert len(rows) == 4  # 3 unordered pairs
 
 
+def test_run_viscosity_convergence_with_equal_epsilons_fits_exactly(tmp_path):
+    # every gap eps - eps' is 0, so viscosity_convergence reports r_squared = 1
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(
+        tmp_path, output_dir=str(out), task="viscosity_convergence",
+        overrides={"grid": {"dim": 1, "n": 17, "half_length": 8.0, "boundary": "dirichlet"},
+                   "task_params": {"u0": {"amp": 0.1}, "t_final": 0.05, "dt": 0.005,
+                                   "epsilons": [0.1, 0.1]}},
+    ))
+    assert run(cfg) == 0
+    assert json.loads((out / "viscosity_fit.json").read_text()) == {"k_est": 0.0,
+                                                                    "r_squared": 1.0}
+    assert json.loads((out / "manifest.json").read_text())["invariants"] == {
+        "linear_rate_fit": True}
+    pairs = (out / "viscosity_pairs.csv").read_text().splitlines()
+    assert pairs[1:] == ["1.00000000000000006e-01,1.00000000000000006e-01,0.00000000000000000e+00"]
+
+
 def test_run_recover_invariant_failure_exit_code(tmp_path):
     # a ladder too coarse for the trace limit: extrapolation error -> exit 3
     out = tmp_path / "out"
@@ -481,6 +498,9 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "periodic_grid_over_dof_cap": ("spectrum", {"grid": {**SMALL_GRID, "n": 4097,
                                                          "boundary": "periodic"}}, "'n'"),
     "refined_grid_over_dof_cap": ("norm_equiv", {"grid": {**GRID_2D, "n": 34}}, "'refine'"),
+    # elliptic at the 64 nodes, not at the 128 of the doubled grid (node 63 there)
+    "refined_field_not_elliptic": ("norm_equiv", {"grid": GRID_64, "coefficients": {
+        "kind": "radial_bump", "params": {"s": 1.0, "w": 1.0, "M": -1.0101}}}, "'refine'"),
     "output_dir_is_a_file": ("spectrum", {}, "output_dir"),
     "output_dir_below_a_file": ("spectrum", {}, "output_dir"),
     "output_dir_component_too_long": ("spectrum", {}, "'output_dir'"),  # Path.exists raises
@@ -881,7 +901,7 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
     assert hypotheses["symmetric"] and hypotheses["c_nonnegative"]
     assert hypotheses["ellipticity_lambda"] == min_eigenvalues(cfg.field.a).min()
     build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    pinned = (1, "runtime") if tasks._openblas() else (None, None)  # a 31-dof run
+    pinned = (1, "runtime") if spectral._openblas() else (None, None)  # a 31-dof run
     assert manifest["blas"] == {"name": build["name"], "version": build["version"],
                                 "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
                                 "threads": pinned[0], "threads_set_by": pinned[1]}
@@ -890,7 +910,7 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
         assert eigensolve is None
         assert "NumericalError: eigendecomposition does not reconstruct" in manifest["error"]
         return
-    assert eigensolve["driver"] == "numpy.linalg.eigh"
+    assert eigensolve["driver"] == use_lookup(monkeypatch, "openblas")
     assert eigensolve["blocks"] == [16, 15]  # the 31 dofs of an even field, split
     for name in ("orthonormality", "reconstruction"):
         assert set(eigensolve[name]) == {"measured", "bound"}
@@ -929,43 +949,40 @@ def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path,
     assert any(span[3] == "spectral.eigendecompose" for span in record["spans"])
 
 
-# runs ``fracspec run`` on argv[1], with NUMPY_EIGH_MAX_DOF set to argv[2] unless
-# that is "default", then prints the exit code and the modules loaded
+# runs ``fracspec run`` on argv[1], with spectral's OpenBLAS lookup switched to none when
+# argv[2] is "none", then prints the exit code and the modules loaded
 _RUN_AND_LIST_MODULES = """
 import json, sys
 from fracspec import cli, spectral
-if sys.argv[2] != "default":
-    spectral.NUMPY_EIGH_MAX_DOF = int(sys.argv[2])
+if sys.argv[2] == "none":
+    spectral._openblas = lambda: None
 code = cli.main(["run", sys.argv[1]])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("max_dof", ["default", "16"])
-def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, max_dof):
+def test_no_run_imports_scipy(tmp_path, monkeypatch):
     # numpy itself may load platform (numpy 2.4 does); then no run can avoid it
     _, numpy_loads_platform, _ = _python("import sys, numpy; print('platform' in sys.modules)")
-    for task in ("spectrum", "extend", "recover"):  # 1-D Dirichlet n = 64: 62 dofs
-        out = tmp_path / task
-        path = write_config(tmp_path, name=f"{task}.json", output_dir=str(out), task=task)
-        returncode, stdout, stderr = _python(_RUN_AND_LIST_MODULES, path, max_dof)
-        assert returncode == 0, stderr
-        code, modules = json.loads(stdout.splitlines()[-1])
-        assert code == 0, task  # eigendecompose validated the decomposition on either path
-        loaded = [m for m in modules if m.startswith("scipy.")]
-        if max_dof == "default":
-            assert loaded == [], task
+    for lookup in ("openblas", "none"):
+        for task in ("spectrum", "extend", "recover"):  # 1-D Dirichlet n = 64: 62 dofs
+            out = tmp_path / lookup / task
+            path = write_config(tmp_path, name=f"{lookup}_{task}.json", output_dir=str(out),
+                                task=task)
+            returncode, stdout, stderr = _python(_RUN_AND_LIST_MODULES, path, lookup)
+            assert returncode == 0, stderr
+            code, modules = json.loads(stdout.splitlines()[-1])
+            assert code == 0, task  # eigendecompose validated the decomposition on either path
+            assert [m for m in modules if m.split(".")[0] == "scipy"] == [], task
             # the manifest's versions are read without importlib.metadata or platform
             assert not [m for m in modules if m.split(".")[0] == "email"], task
             assert "importlib.metadata" not in modules, task
             assert "platform" not in modules or numpy_loads_platform.strip() == "True", task
-        else:
-            assert "scipy.linalg" in loaded, task
-            assert "scipy.special" not in loaded, task
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "ok"
-        assert manifest["versions"]["scipy"] == importlib.metadata.version("scipy")
-        assert manifest["versions"]["python"] == platform.python_version()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == "ok"
+            assert manifest["eigensolve"]["driver"] == use_lookup(monkeypatch, lookup)
+            assert manifest["versions"] == {"fracspec": "0.1.0", "numpy": np.__version__,
+                                            "python": platform.python_version()}
 
 
 def test_importing_the_front_loads_neither_numpy_nor_platform():
@@ -1019,10 +1036,10 @@ import json, os, sys
 from fracspec.cli import main
 code = main(["run", sys.argv[1]])
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-from fracspec.tasks import _openblas
+from fracspec.spectral import _openblas
 print(json.dumps([code, threads, _openblas()[0]()]))
 """
-needs_openblas = pytest.mark.skipif(tasks._openblas() is None,
+needs_openblas = pytest.mark.skipif(spectral._openblas() is None,
                                     reason="numpy bundles no OpenBLAS whose threads can be set")
 
 
@@ -1031,7 +1048,7 @@ def test_cli_run_takes_one_blas_thread_only_below_the_threshold_and_unset_by_the
         tmp_path):
     small = {"grid": {**SMALL_GRID, "n": tasks.THREADED_BLAS_MIN_POINTS - 1}}
     above = {"grid": {**GRID_2D, "n": 34}}  # 34^2 = 1156 points, 1024 dofs
-    procs = tasks._openblas()[2]()
+    procs = spectral._openblas()[2]()
     for name, overrides, variables, threads, set_by in (
             ("small", small, {}, 1, "runtime"),
             ("above", above, {}, procs, "runtime"),
@@ -1054,7 +1071,7 @@ def test_cli_run_takes_one_blas_thread_only_below_the_threshold_and_unset_by_the
 
 @pytest.mark.parametrize("variable", [None, "3"])
 def test_main_leaves_the_thread_variable_as_the_caller_set_it(tmp_path, variable):
-    # main sets OPENBLAS_NUM_THREADS only while numpy loads, so scipy's OpenBLAS never reads it
+    # main sets OPENBLAS_NUM_THREADS only while numpy loads, so run tells the caller's from it
     path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
     code = ("import os, sys; from fracspec.cli import main; code = main(['run', sys.argv[1]]); "
             "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))")
@@ -1068,7 +1085,7 @@ def test_main_leaves_the_thread_variable_as_the_caller_set_it(tmp_path, variable
 def test_in_process_run_pins_one_thread_only_while_it_runs(tmp_path, monkeypatch):
     for name in cli.THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    get, put, procs = tasks._openblas()
+    get, put, procs, _ = spectral._openblas()
     before = get()
     try:
         for name, overrides, start, threads in (
@@ -1091,7 +1108,7 @@ def test_in_process_run_pins_one_thread_only_while_it_runs(tmp_path, monkeypatch
             (2, "caller", "2")
     finally:
         put(before)
-    monkeypatch.setattr(tasks, "_openblas", lambda: None)  # numpy on another BLAS
+    use_lookup(monkeypatch, "none")  # numpy on another BLAS
     assert run(parse_config(tmp_path / "small.json")) == 0
     blas = json.loads((out / "manifest.json").read_text())["blas"]
     assert (blas["threads"], blas["threads_set_by"]) == (None, None)

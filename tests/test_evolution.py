@@ -23,7 +23,7 @@ from fracspec.evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from fracspec.gridop import assemble, build_grid, make_coefficients
+from fracspec.gridop import assemble, build_grid, centered_gradient, make_coefficients
 from fracspec.spectral import (
     eigendecompose,
     laplacian_symbol,
@@ -74,6 +74,17 @@ def test_cubic_evaluation_pointwise():
     z = np.array([1 + 1j, 2.0, -1j])
     out = CUBIC.evaluate(z, build_grid(1, 5, 1.0, "dirichlet"))
     assert np.allclose(out, np.abs(z) ** 2 * z)
+
+
+def test_gradient_nonlinearity_refuses_a_grid_of_another_dimension():
+    # zip(variables, powers) would pair d/dx_2 with the power of d conj z/dx_1
+    q = gradient_nonlinearity([(1.0, (0, 0, 0, 2))])  # (d conj z/dx)^2 in 1-D
+    g2 = build_grid(2, 6, 1.0, "dirichlet")
+    with pytest.raises(ValueError, match="a 1-D gradient nonlinearity on a 2-D grid"):
+        q.evaluate(np.ones(g2.n_dof, dtype=complex), g2)
+    q2 = gradient_nonlinearity([(1.0, (0, 0, 0, 0, 2, 0))], dim=2)  # (d conj z/dx_1)^2
+    z = np.arange(g2.n_dof) * (1 + 2j)
+    assert np.array_equal(q2.evaluate(z, g2), np.conj(centered_gradient(g2, z)[0]) ** 2)
 
 
 def test_energy_hypothesis_single_terms():

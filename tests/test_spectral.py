@@ -35,7 +35,11 @@ from oracles import (
     mirror_blocks,
     smoothing_norm_bound,
     smoothing_norm_measured,
+    use_lookup,
 )
+
+needs_openblas = pytest.mark.skipif(spectral._openblas() is None,
+                                    reason="numpy bundles no OpenBLAS that exports dsyevd")
 
 
 def dirichlet_laplacian(n=33, x=8.0):
@@ -89,12 +93,12 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
     _, op = bump_operator(n=130)
     lam, raw = scipy.linalg.eigh(op.matrix, driver="evr")
     assert np.any((np.linalg.eigh(op.matrix)[1] * raw).sum(axis=0) < 0)
+    in_place_dec = eigendecompose(op)
+    assert use_lookup(monkeypatch, "none") == "numpy.linalg.eigh"
     numpy_dec = eigendecompose(op)
-    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
-    evd_dec = eigendecompose(op)
-    assert evd_dec.eigensolve["driver"] == "scipy evd in place"
+    assert numpy_dec.eigensolve["driver"] == "numpy.linalg.eigh"
     signed = raw * np.where(spectral._probe(op.n_dof) @ raw < 0.0, -1.0, 1.0)
-    for v in (eigenvectors(evd_dec), signed):
+    for v in (eigenvectors(in_place_dec), signed):
         assert np.abs(eigenvectors(numpy_dec) - v).max() <= 1e-10
     # a flip by -1 is exact, so f(L) keeps its bytes
     f = np.random.default_rng(3).standard_normal(op.n_dof)
@@ -105,10 +109,55 @@ def test_eigenvector_signs_do_not_depend_on_the_driver(monkeypatch):
 
 def test_in_place_solve_leaves_the_operator_matrix_intact(monkeypatch):
     g, op = bump_operator(n=20, dim=2)
-    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", 0)
     dec = eigendecompose(op)
-    assert dec.eigensolve["driver"] == "scipy evd in place"
+    assert dec.eigensolve["driver"] == use_lookup(monkeypatch, "openblas")
     assert dec.source.matrix.tobytes() == assemble(g, op.coefficients).matrix.tobytes()
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", ["split", "periodic", "split_1d_512"])
+def test_in_place_and_fallback_solves_are_bit_identical(monkeypatch, case):
+    # the same LAPACK dsyevd either way: numpy's eigh runs it on a copy of the block
+    op = bump_operator(n=514)[1] if case == "split_1d_512" else _record_case(case)[0]
+    in_place = eigendecompose(op)
+    use_lookup(monkeypatch, "none")
+    copy = eigendecompose(op)
+    assert in_place.eigenvalues.tobytes() == copy.eigenvalues.tobytes()
+    assert in_place.rank.tobytes() == copy.rank.tobytes()
+    for ours, numpys in zip(in_place.blocks, copy.blocks):
+        assert ours.dtype == numpys.dtype == np.float64 and ours.shape == numpys.shape
+        assert ours.tobytes(order="C") == numpys.tobytes(order="C")
+    assert in_place.blocks[0].flags.f_contiguous  # a view of the block LAPACK overwrote
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", ["split", "periodic"])
+def test_in_place_solve_returns_the_buffer_of_the_block_it_was_given(monkeypatch, case):
+    op = _record_case(case)[0]
+    scattered = []
+
+    def scatter(*args):
+        scattered.append(_symmetric_scatter(*args))
+        return scattered[-1]
+
+    monkeypatch.setattr(spectral, "_symmetric_scatter", scatter)
+    dec = eigendecompose(op)
+    assert len(scattered) == 2  # the even block and the odd one, empty when unsplit
+    for v, block in zip(dec.blocks, scattered):
+        assert v.dtype == np.float64
+        if block.size:
+            assert np.shares_memory(v, block) and v.ctypes.data == block.ctypes.data
+        else:  # the empty odd block of an unsplit operator is scattered as an int array
+            assert case == "periodic" and block.dtype == np.int64 and v.shape == (0, 0)
+
+
+@pytest.mark.parametrize("lookup", ["openblas", "none"])
+def test_a_nan_block_raises_numerical_error_on_either_path(monkeypatch, lookup):
+    use_lookup(monkeypatch, lookup)
+    block = np.diag([1.0, 2.0, 3.0, 4.0])
+    block[2, 1] = block[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="dsyevd failed on a block of 4 dofs: info -5"):
+        spectral._eigh(block)
 
 
 def _record_case(case):
@@ -120,15 +169,11 @@ def _record_case(case):
     return assemble(g, make_coefficients(g, *_split_field(2, "radial_bump"))), [144]
 
 
-@pytest.mark.parametrize("max_dof,driver,case", [
-    pytest.param(2304, "numpy.linalg.eigh", "split", id="2304-numpy.linalg.eigh"),
-    pytest.param(0, "scipy evd in place", "split", id="0-scipy evd in place"),
-    pytest.param(2304, "numpy.linalg.eigh", "periodic", id="2304-numpy.linalg.eigh-periodic"),
-    pytest.param(0, "scipy evd in place", "periodic", id="0-scipy evd in place-periodic"),
-])
-def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, max_dof, driver, case):
+@pytest.mark.parametrize("case", ["split", "periodic"])
+@pytest.mark.parametrize("lookup", ["openblas", "none"])
+def test_eigensolve_record_holds_the_driver_and_the_residuals(monkeypatch, lookup, case):
     op, blocks = _record_case(case)
-    monkeypatch.setattr(spectral, "NUMPY_EIGH_MAX_DOF", max_dof)
+    driver = use_lookup(monkeypatch, lookup)
     dec = eigendecompose(op)
     assert dec.eigensolve["driver"] == driver
     assert dec.eigensolve == {"driver": driver, "blocks": blocks, **dec.validate()}
@@ -341,7 +386,7 @@ def test_validate_refuses_blocks_paired_on_an_operator_that_is_not_mirrored(dim,
     assert dense_decomposition(lam, v, skewed).validate()["reconstruction"]["measured"] >= 0.0
 
 
-def test_split_eigendecompose_holds_no_dense_array():
+def test_split_eigendecompose_holds_no_dense_array(monkeypatch):
     # 2-D, 1024 dofs: the blocks are folded from the entries and the full checks run per block
     g = build_grid(2, 34, 8.0, "dirichlet")
     op = assemble(g, make_coefficients(g, *_split_field(2, "radial_bump")))
@@ -353,7 +398,7 @@ def test_split_eigendecompose_holds_no_dense_array():
     finally:
         tracemalloc.stop()
     assert dec.eigensolve["blocks"] == [512, 512]
-    assert dec.eigensolve["driver"] == "numpy.linalg.eigh"
+    assert dec.eigensolve["driver"] == use_lookup(monkeypatch, "openblas")
     assert peak < dense  # one dense array alone would reach it
 
 
