@@ -950,18 +950,27 @@ def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path,
 
 
 # runs ``fracspec run`` on argv[1], with spectral's OpenBLAS lookup switched to none when
-# argv[2] is "none", then prints the exit code and the modules loaded
+# argv[2] is "none" and, unless argv[3] is "default", the former size threshold
+# NUMPY_EIGH_MAX_DOF set to argv[3] after checking that spectral no longer has it; then
+# prints the exit code and the modules loaded
 _RUN_AND_LIST_MODULES = """
 import json, sys
 from fracspec import cli, spectral
 if sys.argv[2] == "none":
     spectral._openblas = lambda: None
+if sys.argv[3] != "default":
+    assert not hasattr(spectral, "NUMPY_EIGH_MAX_DOF")
+    spectral.NUMPY_EIGH_MAX_DOF = int(sys.argv[3])
 code = cli.main(["run", sys.argv[1]])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def test_no_run_imports_scipy(tmp_path, monkeypatch):
+@pytest.mark.parametrize("max_dof", ["default", "16"])
+def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, monkeypatch,
+                                                                      max_dof):
+    # No size threshold sends a block to scipy any more, so no run imports scipy: "16" pins
+    # the former knob below the 62 dofs solved here and checks that it routes nothing.
     # numpy itself may load platform (numpy 2.4 does); then no run can avoid it
     _, numpy_loads_platform, _ = _python("import sys, numpy; print('platform' in sys.modules)")
     for lookup in ("openblas", "none"):
@@ -969,7 +978,7 @@ def test_no_run_imports_scipy(tmp_path, monkeypatch):
             out = tmp_path / lookup / task
             path = write_config(tmp_path, name=f"{lookup}_{task}.json", output_dir=str(out),
                                 task=task)
-            returncode, stdout, stderr = _python(_RUN_AND_LIST_MODULES, path, lookup)
+            returncode, stdout, stderr = _python(_RUN_AND_LIST_MODULES, path, lookup, max_dof)
             assert returncode == 0, stderr
             code, modules = json.loads(stdout.splitlines()[-1])
             assert code == 0, task  # eigendecompose validated the decomposition on either path
