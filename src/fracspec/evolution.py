@@ -213,12 +213,17 @@ class Trajectory:
                    [self.times, *self.monitors.values()])
 
 
-def _time_grid(t_final: float, dt: float) -> np.ndarray:
+def check_time_grid(t_final: float, dt: float) -> int:
+    """The step count of _time_grid, whose rule it holds without allocating the grid."""
     # written so that NaN fails, and an infinity or an overflowing step count too
     if not (0 < t_final < math.inf and 0 < dt < math.inf and t_final / dt < math.inf):
         raise ValueError(f"t_final, dt and t_final / dt must be positive and finite, "
                          f"got {t_final} and {dt}")
-    n_steps = max(int(round(t_final / dt)), 1)
+    return max(int(round(t_final / dt)), 1)
+
+
+def _time_grid(t_final: float, dt: float) -> np.ndarray:
+    n_steps = check_time_grid(t_final, dt)
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
@@ -324,23 +329,20 @@ def _duhamel_modes(forward, u0_modes, p_modes, dt):
 
 
 def _equation_residual(grid, symbol, modes, times, forcing):
-    """h^{d/2} |dv/dt - symbol v - forcing|_2 of modal states v by centered differencing.
+    """h^{d/2} |(v_{k+1} - E^2 v_{k-1}) / (2 dt) - E F_k|_2 of modal states v, E = e^{symbol dt}.
 
-    The eigenvectors are orthonormal, so this is the norm of the physical
-    residual du/dt - V diag(symbol) V^T u - V forcing. Evaluated at interior
-    output times; the end values repeat their neighbors. Picard passes symbol
-    i lam^alpha and forcing i V^T P(u), the viscous scheme symbol
-    -eps lam^2 + i lam^alpha and forcing V^T Q(u).
+    The midpoint rule of Duhamel's formula over [t_{k-1}, t_{k+1}]: the exact linear flow
+    leaves roundoff only, and |E| <= 1 (Re symbol <= 0) cannot overflow. With orthonormal
+    eigenvectors it is the physical residual's norm, at interior output times; the ends repeat
+    their neighbors. Picard passes symbol i lam^alpha and forcing i V^T P(u), the viscous
+    scheme symbol -eps lam^2 + i lam^alpha and forcing V^T Q(u).
     """
     if len(times) < 3:
         return np.zeros(len(times))
     dt = times[1] - times[0]
-    resid_interior = ((modes[2:] - modes[:-2]) / (2.0 * dt)
-                      - symbol * modes[1:-1] - forcing[1:-1])
-    out = np.empty(len(times))
-    out[1:-1] = l2_norm(grid, resid_interior.T)
-    out[0], out[-1] = out[1], out[-2]
-    return out
+    step = np.exp(symbol * dt)
+    resid_interior = (modes[2:] - step**2 * modes[:-2]) / (2.0 * dt) - step * forcing[1:-1]
+    return np.pad(l2_norm(grid, resid_interior.T), 1, mode="edge")
 
 
 # viscous_solve's peak memory over the bytes of its states array, measured with

@@ -24,16 +24,17 @@ from .spectral import SpectralDecomposition, apply_function, fractional_power, l
 
 RECOVERY_TOL = 1e-3
 # The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
-# tracemalloc on 1-D and 2-D grids: 31.6 where every z = sqrt(lambda) y is below 2, and
-# 18.0-21.7 on the default ladder. The peak is extend's: Temme's series steps seven
-# arrays and their compacted copies. conormal_recover, energy_report and doubling_ratio
-# stay below it, as do the runners that write the artifacts.
-EXTENSION_WORKING_SET = 32.0
+# tracemalloc through their runners at 0.4-1.4 million entries (2-D): 5.01-5.04 in
+# energy_report (the values, the squared gradient, np.gradient's three arrays), 4.13 in
+# extend. The Bessel term loops add a fixed 2.6 MB (about 20 arrays of K_CHUNK entries).
+EXTENSION_WORKING_SET = 6.0
 TRACE_ENVELOPE_FACTOR = 10.0
-# K_nu: relative size of the last term kept, and the most terms taken (CF2 takes
-# 80 at x = 2, its slowest point; by 170 its factorial coefficient would overflow)
+# K_nu: relative size of the last term kept, the most terms taken (CF2 takes 80 at
+# x = 2, its slowest point; by 170 its factorial coefficient would overflow), and the
+# entries of z whose terms are stepped together
 K_EPS = 1e-16
 K_MAX_TERMS = 150
+K_CHUNK = 16384
 # Taylor coefficients of 1/Gamma(1+x) at x^21, x^19, ..., x^1 (Abramowitz-Stegun 6.1.34);
 # the one at x^23 adds less than 1e-20 for |x| <= 1/2
 _RGAMMA_ODD_TAYLOR = (5.1003702874544760e-13, 7.7822634399050713e-12, -1.1812745704870201e-09,
@@ -68,19 +69,6 @@ def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> n
     return ys
 
 
-def _until_converged(term, state: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Step ``state, done = term(i, *state)`` per entry until done; return the last two arrays."""
-    out = (np.empty_like(state[-2]), np.empty_like(state[-1]))
-    live = np.arange(state[0].size)
-    for i in range(1, K_MAX_TERMS + 1):
-        state, done = term(i, *state)
-        out[0][live[done]], out[1][live[done]] = state[-2][done], state[-1][done]
-        live, state = live[~done], tuple(s[~done] for s in state)
-        if not live.size:
-            return out
-    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms ({live.size} entries left)")
-
-
 def _scaled_k_pair_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^x K_mu(x) and e^x K_{mu+1}(x) for 0 < x < 2 by Temme's series."""
     half = 0.5 * x
@@ -91,19 +79,19 @@ def _scaled_k_pair_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     sinc = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
     sinh_over_mu = np.sinh(e) / mu if mu else -np.log(half)
     f = sinc * (gam1 * np.cosh(e) + 0.5 * (rg_plus + rg_minus) * sinh_over_mu)
-
-    def term(i, quarter_x2, f, p, q, c, k0, k1):
+    p, q = 0.5 * np.exp(e) / rg_plus, 0.5 * np.exp(-e) / rg_minus
+    quarter_x2, c, k0, k1 = half * half, np.ones_like(x), f, p
+    for i in range(1, K_MAX_TERMS + 1):
         f = (i * f + p + q) / (i * i - mu * mu)
         c = c * quarter_x2 / i
         p, q = p / (i - mu), q / (i + mu)
         t0, t1 = c * f, c * (p - i * f)
         k0, k1 = k0 + t0, k1 + t1
-        done = (np.abs(t0) <= K_EPS * np.abs(k0)) & (np.abs(t1) <= K_EPS * np.abs(k1))
-        return (quarter_x2, f, p, q, c, k0, k1), done
-
-    p, q = 0.5 * np.exp(e) / rg_plus, 0.5 * np.exp(-e) / rg_minus
-    k0, k1 = _until_converged(term, (half * half, f, p, q, np.ones_like(x), f, p))
-    return np.exp(x) * k0, np.exp(x) * k1 / half
+        left = ~((np.abs(t0) <= K_EPS * np.abs(k0)) & (np.abs(t1) <= K_EPS * np.abs(k1)))
+        if not left.any():
+            return np.exp(x) * k0, np.exp(x) * k1 / half
+    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms "
+                         f"({np.count_nonzero(left)} entries left)")
 
 
 def _scaled_k_pair_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +99,9 @@ def _scaled_k_pair_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a1 = 0.25 - mu * mu
     j = np.arange(1, K_MAX_TERMS + 1)
     cs = a1 * np.cumprod((a1 + j * (j + 1)) / (j + 1))
-
-    def term(i, b, d, dh, q1, q2, q, h, s):
+    b, d = 2.0 * (1.0 + x), 0.5 / (1.0 + x)
+    dh, h, q1, q2, q, s = d, d, 0.0, 1.0, a1, 1.0 + a1 * d
+    for i in range(1, K_MAX_TERMS + 1):
         a = -a1 - i * (i + 1)
         q1, q2 = q2, (q1 - b * q2) / a
         q = q + cs[i - 1] * q2
@@ -120,20 +109,20 @@ def _scaled_k_pair_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         d = 1.0 / (b + a * d)
         dh = (b * d - 1.0) * dh
         h, s = h + dh, s + q * dh
-        return (b, d, dh, q1, q2, q, h, s), np.abs(q * dh) <= K_EPS * np.abs(s)
-
-    d = 0.5 / (1.0 + x)
-    h, s = _until_converged(term, (2.0 * (1.0 + x), d, d, np.zeros_like(x), np.ones_like(x),
-                                   np.full_like(x, a1), d, 1.0 + a1 * d))
-    k0 = np.sqrt(0.5 * math.pi / x) / s
-    return k0, k0 * (mu + x + 0.5 - a1 * h) / x
+        left = ~(np.abs(q * dh) <= K_EPS * np.abs(s))
+        if not left.any():
+            k0 = np.sqrt(0.5 * math.pi / x) / s
+            return k0, k0 * (mu + x + 0.5 - a1 * h) / x
+    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms "
+                         f"({np.count_nonzero(left)} entries left)")
 
 
 def _scaled_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
-    """e^x K_nu(x) for 0 <= nu <= 1 and x > 0 (Temme, J. Comput. Phys. 19 (1975) 324).
+    """e^x K_nu(x) for 0 <= nu <= 1 and 0 < x <= 1e5 (Temme, J. Comput. Phys. 19 (1975) 324).
 
     With mu = nu - round(nu), so |mu| <= 1/2, Temme's series (x < 2) or Steed's continued
     fraction (x >= 2) gives K_mu and K_{mu+1}; for nu > 1/2, one step up, K_nu = K_{mu+1}.
+    Each steps its entries until all are done: past 1e5, CF2 overflows while x near 2 is.
     """
     mu = nu - round(nu)
     out, small = np.empty_like(x), x < 2.0
@@ -143,12 +132,19 @@ def _scaled_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
-    """z^power K_nu(z) for z > 0 and 0 at z = 0, with 0 <= nu <= 1.
+    """z^power K_nu(z) for z > 0 and 0 at z = 0, with 0 <= nu <= 1, of a 2-D z.
 
-    K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by Temme's method: large z underflows to 0.
+    K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by Temme's method on K_CHUNK entries of z at a
+    time, so its work stays one chunk. z above 800, where e^{-z} is 0, is taken at 800: the
+    loops step a chunk until its slowest entry is done, and the others must stay finite.
     """
-    safe = np.where(z > 0.0, z, 1.0)
-    return np.where(z > 0.0, safe**power * _scaled_bessel_k(nu, safe) * np.exp(-safe), 0.0)
+    out, step = np.empty_like(z), max(1, K_CHUNK // len(z))
+    for j in range(0, z.shape[1], step):
+        chunk = z[:, j:j + step]
+        safe = np.where(chunk > 0.0, np.minimum(chunk, 800.0), 1.0)
+        out[:, j:j + step] = np.where(chunk > 0.0, safe**power * _scaled_bessel_k(nu, safe)
+                                      * np.exp(-safe), 0.0)
+    return out
 
 
 def extension_multipliers(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray:
@@ -166,9 +162,8 @@ def conormal_slopes(lam: np.ndarray, ys: np.ndarray, alpha: float) -> np.ndarray
     """
     root = np.sqrt(lam)[:, None]
     ys = np.asarray(ys, dtype=float)[None, :]
-    z = root * ys
     return (-2.0 ** (1.0 - alpha) / math.gamma(alpha) * root * ys ** (1.0 - 2.0 * alpha)
-            * _z_power_bessel_k(alpha, 1.0 - alpha, z))
+            * _z_power_bessel_k(alpha, 1.0 - alpha, root * ys))
 
 
 @dataclass(frozen=True)
@@ -305,8 +300,9 @@ def energy_report(ext: ExtensionField) -> EnergyReport:
     grid = ext.decomposition.source.grid
     hn = grid.spacing**grid.dim
     wy = _weighted_y_cells(ext.y_nodes, ext.alpha)
-    dy_u = np.gradient(ext.values, ext.y_nodes, axis=1)
+    # the squared gradient first: np.gradient's three arrays then meet only it and the values
     grad_sq = sum(g**2 for g in centered_gradient(grid, ext.values))
+    dy_u = np.gradient(ext.values, ext.y_nodes, axis=1)
     density = ((dy_u**2 + grad_sq) * hn).sum(axis=0)
     energy = float((wy * density).sum())
 

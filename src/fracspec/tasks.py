@@ -8,7 +8,6 @@ pass/fail of the task's built-in invariants. The exit codes are those of ``fracs
 """
 
 import json
-import math
 import os
 import resource
 import sys
@@ -24,8 +23,8 @@ from .evolution import (
     PICARD_WORKING_SET,
     VISCOUS_WORKING_SET,
     Nonlinearity,
-    _time_grid,
     check_picard,
+    check_time_grid,
     check_viscosities,
     check_viscous,
     gradient_nonlinearity,
@@ -35,8 +34,9 @@ from .evolution import (
     viscosity_convergence,
     viscous_solve,
 )
-from .extension import (EXTENSION_WORKING_SET, conormal_constant, conormal_recover,
-                        doubling_radii, doubling_ratio, energy_report, extend, geometric_ladder)
+from .extension import (EXTENSION_WORKING_SET, RECOVERY_TOL, conormal_constant,
+                        conormal_recover, doubling_radii, doubling_ratio, energy_report, extend,
+                        geometric_ladder)
 from .gridop import (
     CoefficientField,
     Grid,
@@ -239,8 +239,8 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
         keys = f"'t_final' / 'dt' of {task}"
         held = (PICARD_WORKING_SET if task == "picard"
                 else VISCOUS_WORKING_SET + len(p.get("epsilons", [0])) - 1)
-        _within_memory(keys, ((p["t_final"] / p["dt"] if p["dt"] else math.inf) + 1) * held, grid)
-        _built(keys, _time_grid, p["t_final"], p["dt"])
+        _built(keys, check_time_grid, p["t_final"], p["dt"])
+        _within_memory(keys, (p["t_final"] / p["dt"] + 1) * held, grid)
         terms = [(complex(term["coeff_re"], term["coeff_im"]), term["powers"])
                  for term in p["nonlinearity"]]
         keys = f"'nonlinearity' of {task}"
@@ -452,7 +452,7 @@ def _run_recover(cfg, dec, rng, outdir):
     rel = float(np.linalg.norm(rec - oracle) / max(np.linalg.norm(oracle), 1e-300))
     _write_csv(outdir / "recover.csv", "node,spectral,recovered,abs_diff",
                [np.arange(len(rec)), oracle, rec, np.abs(rec - oracle)])
-    return {"recovery_within_tolerance": bool(rel <= 1e-3)}, ["recover.csv"]
+    return {"recovery_within_tolerance": bool(rel <= RECOVERY_TOL)}, ["recover.csv"]
 
 
 @_task("energy", _LADDER)

@@ -191,7 +191,8 @@ def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs, grid: Gr
 
 
 def physical_equation_residual(dec: SpectralDecomposition, symbol, states, times, forcing):
-    """h^{d/2} |du/dt - V diag(symbol) V^T u - forcing|_2 of physical states, centered.
+    """h^{d/2} |(u_{k+1} - e^{2 S dt} u_{k-1}) / (2 dt) - e^{S dt} F_k|_2 of physical states,
+    S = V diag(symbol) V^T: the midpoint rule of Duhamel's formula over [t_{k-1}, t_{k+1}].
 
     ``states`` and ``forcing`` have one row per output time. Evaluated at
     interior times; the end values repeat their neighbors.
@@ -200,9 +201,13 @@ def physical_equation_residual(dec: SpectralDecomposition, symbol, states, times
         return np.zeros(len(times))
     dt = times[1] - times[0]
     v = eigenvectors(dec)
-    lsym = (states @ v * symbol[None, :]) @ v.T
-    du = (states[2:] - states[:-2]) / (2.0 * dt)
-    resid_interior = du - lsym[1:-1] - forcing[1:-1]
+    step = np.exp(symbol * dt)
+
+    def propagate(rows, mult):
+        return (rows @ v * mult[None, :]) @ v.T
+
+    resid_interior = ((states[2:] - propagate(states[:-2], step**2)) / (2.0 * dt)
+                      - propagate(forcing[1:-1], step))
     out = np.empty(len(times))
     out[1:-1] = l2_norm(dec.source.grid, resid_interior.T)
     out[0], out[-1] = out[1], out[-2]

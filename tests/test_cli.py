@@ -242,6 +242,23 @@ def test_run_picard_task(tmp_path):
     assert len(monitors) == 12
 
 
+def test_picard_without_nonlinearity_passes_its_equation_residual(tmp_path):
+    # the trajectory is the exact propagator, which the residual's midpoint rule reproduces
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(
+        tmp_path, output_dir=str(out), task="picard", alpha=0.7,
+        coefficients={"kind": "radial_bump", "params": {"s": 0.7, "w": 2.0, "c_amp": 0.4}},
+        overrides={
+            "grid": {"dim": 1, "n": 258, "half_length": 8.0, "boundary": "dirichlet"},
+            "task_params": {"u0": {"kind": "gaussian", "amp": 0.3, "width": 0.5},
+                            "t_final": 0.1, "dt": 0.0025},
+        },
+    ))
+    assert run(cfg) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["invariants"] == {"equation_residual_ok": True}
+
+
 def test_run_viscous_blowup_exit_code(tmp_path):
     out = tmp_path / "out"
     cfg = parse_config(write_config(
@@ -541,7 +558,7 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
         "y_count": 2000000}}, "'y_count'"),
     "extend_just_over_memory_guard": ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {
-        "y_ratio": 1.1, "y_count": 129}}, "'y_count'"),  # 32 x 129 x 4096 > 4096^2
+        "y_ratio": 1.1, "y_count": 683}}, "'y_count'"),  # 6 x 683 x 4096 > 4096^2
     "picard_working_set_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
         "t_final": 70.0}}, "'dt'"),  # 70001 states, 9 times over
     "recover_alpha_over_one": ("recover", {"grid": GRID_64, "alpha": 1.5}, "'alpha'"),
@@ -551,6 +568,9 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "grid": GRID_64, "task_params": {"epsilons": [0.01, 0.1]}}, "'epsilons'"),
     "viscous_dt_negative": ("viscous", {"grid": GRID_64, "task_params": {"dt": -0.001}},
                             "'dt'"),
+    # _time_grid's rule comes before the memory guard, which would count inf states
+    "dt_zero": ("picard", {"grid": GRID_64, "task_params": {"dt": 0.0}},
+                "t_final, dt and t_final / dt must be positive and finite"),
     "viscous_eps_negative": ("viscous", {"grid": GRID_64, "task_params": {"eps": -0.1}},
                              "'eps'"),
     "picard_term_of_degree_one": ("picard", {"grid": GRID_64, "task_params": {
@@ -743,8 +763,8 @@ def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, 
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
-    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # 32 x 128 x 4096, edge
-        "y_ratio": 1.1, "y_count": 128}}),
+    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # 6 x 682 x 4096, edge
+        "y_ratio": 1.1, "y_count": 682}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
     ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126
@@ -754,13 +774,16 @@ def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, 
         "theta": [[-1.0, 0.0]] * 2, "f_support": [[1.0, 2.0]] * 2,
         "alphas": UC_ALPHAS_AT_GUARD * 2 + [1.0]}}),
 ])
-def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, task, overrides):
+def test_parse_accepts_grids_up_to_the_dof_cap(tmp_path, monkeypatch, capsys, task, overrides):
     monkeypatch.chdir(tmp_path)
     # an identity table on the 2-D n = 34 grid: parsing loads and checks it
     ij = np.indices((34, 34)).reshape(2, -1).T
     rows = np.column_stack([ij, np.tile([1.0, 0.0, 0.0, 1.0, 0.0], (len(ij), 1))])
     np.savetxt("table.csv", rows, delimiter=",")
-    assert parse_config(write_config(tmp_path, overrides, task=task)).grid.n_dof <= 4096
+    path = write_config(tmp_path, overrides, task=task)
+    assert parse_config(path).grid.n_dof <= 4096
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"config ok: task={task}")
 
 
 def test_parse_types_and_defaults_of_task_params(tmp_path):

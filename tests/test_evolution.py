@@ -325,6 +325,15 @@ def test_picard_equation_residual_within_dt_squared():
     assert traj.monitors["equation_residual"][1:-1].max() <= 10.0 * dt**2
 
 
+def test_picard_equation_residual_falls_fourfold_when_dt_halves():
+    # the residual measures the trapezoid's O(dt^2) error in Duhamel's integral
+    g, dec = grid_dec(n=258, kind="radial_bump", params={"s": 0.7, "w": 2.0, "c_amp": 0.4})
+    u0 = smooth_state(g, width=0.5, amp=0.5)
+    coarse, fine = (picard_solve(dec, 1.0, u0, CUBIC, t_final=0.1, dt=dt)
+                    .monitors["equation_residual"][1:-1].max() for dt in (0.0025, 0.00125))
+    assert coarse / fine >= 3.5
+
+
 def _traced_peak(solve):
     """``solve()`` and its peak traced memory in bytes."""
     tracemalloc.start()
@@ -429,29 +438,25 @@ def test_picard_rejects_gradient_nonlinearity():
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("eps", [None, 0.05])
 def test_equation_residual_matches_closed_form_for_exact_propagator(boundary, eps):
-    # with P = Q = 0 both schemes return the exact propagator V e^{sigma t} V^T u0,
-    # whose centered-difference residual has the per-mode closed form
-    # ((e^{sigma dt} - e^{-sigma dt}) / (2 dt) - sigma) e^{sigma t_k}
+    # with P = Q = 0 both schemes return the exact propagator V e^{sigma t} V^T u0, which
+    # the midpoint rule of Duhamel's formula, (v_{k+1} - e^{2 sigma dt} v_{k-1}) / (2 dt),
+    # reproduces: the residual's per-mode closed form is 0, so only roundoff is left
     g = build_grid(1, 17, 8.0, boundary)
     dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
     u0 = np.random.default_rng(5).standard_normal(dec.n_dof)
     alpha, dt = 0.5, 0.01
-    lam = np.clip(dec.eigenvalues, 0.0, None)
+    lam = dec.spectrum
     if eps is None:
         traj = picard_solve(dec, alpha, u0, ZERO_P, t_final=0.1, dt=dt)
         sigma = 1j * lam**alpha
     else:
         traj = viscous_solve(dec, alpha, eps, u0, ZERO_P, t_final=0.1, dt=dt)
         sigma = -eps * lam**2 + 1j * lam**alpha
-    step = traj.times[1] - traj.times[0]
-    defect = (np.exp(sigma * step) - np.exp(-sigma * step)) / (2.0 * step) - sigma
-    modes = dec.to_modes(u0)
-    resid = traj.monitors["equation_residual"]
-    for k in range(1, len(traj.times) - 1):
-        exact = dec.from_modes(defect * np.exp(sigma * traj.times[k]) * modes)
-        expected = np.linalg.norm(exact) * g.spacing ** 0.5
-        assert expected > 0
-        assert abs(resid[k] - expected) <= 1e-6 * expected
+    exact = np.exp(np.outer(traj.times, sigma)) * dec.to_modes(u0)
+    np.testing.assert_allclose(traj.states, dec.from_modes(exact.T).T, rtol=0, atol=1e-13)
+    # each of the residual's terms has the size |u0|_h / dt
+    term = np.linalg.norm(u0) * g.spacing ** 0.5 / dt
+    assert np.all(traj.monitors["equation_residual"] <= 1e-14 * term)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])

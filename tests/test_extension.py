@@ -117,6 +117,17 @@ def test_closed_form_finite_and_bounded_at_large_z(alpha):
     assert m[-1, -1] == 0.0
 
 
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.95])
+def test_huge_z_stepped_beside_the_slowest_entry_stays_finite(nu):
+    # one chunk steps every entry until the slowest is done, CF2's near z = 2 after 80
+    # terms; CF2's sums for z = 1e6 would overflow by then, so z above 800 is taken at 800
+    z = np.array([[2.0, 1e5, 1e6, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _z_power_bessel_k(0.5, nu, z)
+    assert out[0, 0] > 0.0 and np.all(out[0, 1:] == 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_multiplier_matches_independent_bessel_closed_form(alpha):
     _, dec = laplacian_dec()
@@ -414,18 +425,50 @@ def _traced_peak(work):
 
 def test_extension_working_set_matches_tracemalloc_peak():
     # the parse-time memory guard charges an extension task EXTENSION_WORKING_SET
-    # (n_dof, y_count) arrays; extend peaks highest where every z = sqrt(lambda) y < 2,
-    # and recovery, energy and doubling stay below that peak, on either ladder
-    _, dec = bump_dec(n=66)
-    u = gaussian_state(dec.source.grid)
-    steep = geometric_ladder(1e-3, 1.001, 1000)
-    assert np.sqrt(dec.spectrum[-1]) * steep[-1] < 2.0
-    peak = _traced_peak(lambda: extend(dec, 0.5, u, steep)) / (8 * dec.n_dof * len(steep))
-    assert EXTENSION_WORKING_SET - 1.0 < peak <= EXTENSION_WORKING_SET
-    for ys, follow in [(steep, conormal_recover), (steep, energy_report),
-                       (geometric_ladder(), lambda ext: doubling_ratio(ext, None))]:
-        peak = _traced_peak(lambda: follow(extend(dec, 0.5, u, ys)))
-        assert peak / (8 * dec.n_dof * len(ys)) <= EXTENSION_WORKING_SET
+    # (n_dof, y_count) arrays. On ladders of many K_CHUNK chunks, one where every
+    # z = sqrt(lambda) y < 2 and one reaching z of hundreds, energy_report peaks highest,
+    # and extend, recovery and doubling stay below it
+    g = build_grid(2, 34, 4.0, "dirichlet")
+    dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump",
+                                                       {"s": 0.7, "w": 2.0, "c_amp": 0.4})))
+    u = gaussian_state(g)
+    top = 1.9 / np.sqrt(dec.spectrum[-1])
+    steep = geometric_ladder(1e-4, (top / 1e-4) ** (1 / 599), 600)
+    doubling = lambda ext: doubling_ratio(ext, None)  # noqa: E731
+    peaks = []
+    for ys, follows in [(steep, (conormal_recover, energy_report)),
+                        (geometric_ladder(1e-3, 1.02, 400),
+                         (conormal_recover, energy_report, doubling))]:
+        assert dec.n_dof * len(ys) >= 25 * extension.K_CHUNK
+        for follow in (lambda ext: None,) + follows:
+            peak = _traced_peak(lambda: follow(extend(dec, 0.5, u, ys)))
+            peaks.append(peak / (8 * dec.n_dof * len(ys)))
+    assert EXTENSION_WORKING_SET - 1.0 < max(peaks) <= EXTENSION_WORKING_SET
+
+
+@pytest.mark.parametrize("cols", [100, 400])
+def test_bessel_term_loops_hold_a_fixed_chunk_of_work(cols):
+    # beyond its output, _z_power_bessel_k holds about 20 arrays of K_CHUNK entries
+    # (2.6 MB) whatever the size of z; Temme's series, with every z < 2, holds the most
+    z = np.geomspace(1e-4, 1.9, 1024)[:, None] * np.ones(cols)
+    work = _traced_peak(lambda: _z_power_bessel_k(0.5, 0.5, z)) - z.nbytes
+    assert 0 < work <= 20 * 8 * extension.K_CHUNK
+
+
+def test_chunked_bessel_k_is_bit_identical_to_column_by_column(monkeypatch):
+    # K_CHUNK / 4 rows make chunks of 4 columns. Columns 7 and 8, on either side of a chunk
+    # boundary, stop at 69 and 29 terms: a chunk steps its entries until the slowest is
+    # done, and the ones done first do not move meanwhile
+    z = (np.sqrt(np.linspace(1.0, 4.0, extension.K_CHUNK // 4))[:, None]
+         * (1e-3 * 3.0 ** np.arange(12))[None, :])
+    for nu in (0.1, 0.4, 0.9):
+        whole = _z_power_bessel_k(0.4, nu, z)
+        columns = np.hstack([_z_power_bessel_k(0.4, nu, z[:, [k]]) for k in range(12)])
+        assert np.array_equal(whole.view(np.uint64), columns.view(np.uint64))
+    monkeypatch.setattr(extension, "K_MAX_TERMS", 40)
+    assert np.isfinite(_z_power_bessel_k(0.4, 0.4, z[:, 8:])).all()
+    with pytest.raises(NumericalError, match="did not converge in 40 terms"):
+        _z_power_bessel_k(0.4, 0.4, z[:, 7:8])
 
 
 # --- weak form ---------------------------------------------------------------
