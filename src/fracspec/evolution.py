@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
-from .spectral import SpectralDecomposition, bessel_apply, l2_norm, sobolev_norm
+from .spectral import SpectralDecomposition, bessel_apply, l2_norm, sobolev_norm, spectrum_power
 
 
 class PicardConvergenceError(NumericalError):
@@ -277,7 +277,7 @@ def picard_solve(
                 f"T* = {t_star:.4g}; the iteration may not contract",
                 stacklevel=2,
             )
-    lam_a = dec.spectrum**alpha
+    lam_a = spectrum_power(dec, alpha)
     u0_modes = dec.to_modes(np.asarray(u0, dtype=complex))
     forward = np.exp(1j * times[:, None] * lam_a[None, :])   # e^{+i t_k lam^a}
     modes = forward * u0_modes
@@ -391,7 +391,7 @@ def viscous_solve(
     grid = dec.source.grid
     times = _time_grid(t_final, dt)
     lam = dec.spectrum
-    symbol = -eps * lam**2 + 1j * lam**alpha
+    symbol = -eps * lam**2 + 1j * spectrum_power(dec, alpha)
     step_mult = np.exp(dt * symbol)
 
     u0 = np.asarray(u0, dtype=complex)

@@ -11,6 +11,7 @@ closed-form multiplier
 with M = 1 at z = 0 (Caffarelli-Silvestre; Stinga-Torrea), which depends on
 (lambda, y) only through lambda * y^2. K_a is evaluated in numpy by Temme's
 method (N. M. Temme, J. Comput. Phys. 19 (1975) 324), so no scipy is loaded.
+Its weighted Dirichlet energy is the closed form kappa_a <L^a u, u>_h (``energy_report``).
 """
 
 import math
@@ -19,15 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridop import Grid, NumericalError, _write_csv, centered_gradient
+from .gridop import Grid, NumericalError, _write_csv
 from .spectral import SpectralDecomposition, apply_function, fractional_power, l2_norm
 
 RECOVERY_TOL = 1e-3
 # The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
-# tracemalloc through their runners at 0.4-1.4 million entries (2-D): 5.01-5.04 in
-# energy_report (the values, the squared gradient, np.gradient's three arrays), 4.13 in
-# extend. The Bessel term loops add a fixed 2.6 MB (about 20 arrays of K_CHUNK entries).
-EXTENSION_WORKING_SET = 6.0
+# tracemalloc through their runners at 0.4-1.4 million entries (2-D): 4.13 in extend, which
+# recover and energy do not exceed, and 4.15-4.16 in doubling. The Bessel term loops add a
+# fixed 2.6 MB (about 20 arrays of K_CHUNK entries): one array more at 0.1 million entries.
+EXTENSION_WORKING_SET = 5.0
 TRACE_ENVELOPE_FACTOR = 10.0
 # K_nu: relative size of the last term kept, the most terms taken (CF2 takes 80 at
 # x = 2, its slowest point; by 170 its factorial coefficient would overflow), and the
@@ -269,7 +270,7 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# measured energy and doubling quantities
+# closed-form energy and measured doubling quantities
 # ---------------------------------------------------------------------------
 
 def _y_cell_boundaries(ys: np.ndarray) -> np.ndarray:
@@ -296,20 +297,16 @@ class EnergyReport:
 
 
 def energy_report(ext: ExtensionField) -> EnergyReport:
-    """Weighted Dirichlet energy of the extension against its trace masses."""
+    """Weighted Dirichlet energy kappa_a <L^a u, u>_h of the extension, kappa_a = 2^{1-2a}
+    Gamma(1-a)/Gamma(a) = -1/conormal_constant(a), against its trace masses: per mode,
+    int_0^inf y^{1-2a} (M'^2 + lambda M^2) dy = kappa_a lambda^a (Caffarelli-Silvestre)."""
     grid = ext.decomposition.source.grid
-    hn = grid.spacing**grid.dim
-    wy = _weighted_y_cells(ext.y_nodes, ext.alpha)
-    # the squared gradient first: np.gradient's three arrays then meet only it and the values
-    grad_sq = sum(g**2 for g in centered_gradient(grid, ext.values))
-    dy_u = np.gradient(ext.values, ext.y_nodes, axis=1)
-    density = ((dy_u**2 + grad_sq) * hn).sum(axis=0)
-    energy = float((wy * density).sum())
-
     base_norm = l2_norm(grid, ext.base)
     if base_norm == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
-    frac = l2_norm(grid, fractional_power(ext.decomposition, ext.alpha, ext.base))
+    frac_u = fractional_power(ext.decomposition, ext.alpha, ext.base)
+    energy = -grid.spacing**grid.dim * float(ext.base @ frac_u) / conormal_constant(ext.alpha)
+    frac = l2_norm(grid, frac_u)
     ratio = energy / (base_norm**2 + frac**2)
     sup = float(np.linalg.norm(ext.values, axis=0).max() / np.linalg.norm(ext.base))
     return EnergyReport(energy, base_norm**2, frac**2, ratio, sup)

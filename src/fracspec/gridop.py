@@ -165,7 +165,9 @@ def min_eigenvalues(a: np.ndarray) -> np.ndarray:
 def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> CoefficientField:
     """Build a coefficient field of the given kind and validate its hypotheses.
 
-    The field must be finite, and the structural hypotheses that
+    The field must be finite, and so must its stencil on the grid: h^2 is
+    neither 0 nor infinite and 2 dim max|a| / h^2 + max|c|, which bounds every
+    entry of ``_flux_entries``, is finite. The structural hypotheses that
     ``check_hypotheses`` measures must hold: a symmetric, a uniformly elliptic
     and c >= 0 at every node. A ValueError names the node of a failure and its x.
 
@@ -203,6 +205,13 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
         raise ValueError(f"unknown coefficient kind {kind!r}, expected one of {FIELD_KINDS}")
     if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise ValueError("coefficients are not finite")
+    # python floats: an overflow gives inf and an underflow 0, with no warning
+    h2, a_max, c_max = grid.spacing * grid.spacing, float(np.abs(a).max()), float(np.abs(c).max())
+    if not (0.0 < h2 < math.inf and 2 * dim * a_max / h2 + c_max < math.inf):
+        raise ValueError(f"the stencil is not finite on this grid: spacing h = {grid.spacing:.3e} "
+                         f"(half_length {grid.half_length:.6g}), max |a| = {a_max:.3e}, "
+                         f"max |c| = {c_max:.3e}; 2 dim max|a| / h^2 + max|c| must be finite "
+                         "and h^2 neither 0 nor infinite")
     made = CoefficientField(a=a, c=c, kind=kind, params=params)
     report = check_hypotheses(made, grid)
     if not report.symmetric:
@@ -393,7 +402,8 @@ def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
 
 
 def check_hypotheses(coefficients: CoefficientField, grid: Grid) -> HypothesisReport:
-    """Report on the structural hypotheses; never raises.
+    """Report on the structural hypotheses; never raises on a field whose stencil on ``grid``
+    is finite (see ``make_coefficients``).
 
     The flatness profile samples sup over ||x|| >= R of sum_jk |a_jk - delta_jk|
     at radii R in {X/4, X/2, 3X/4}. Smoothness of the coefficients cannot be

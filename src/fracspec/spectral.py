@@ -356,15 +356,28 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"fractional_power requires alpha >= 0, got {alpha}")
 
 
+def spectrum_power(dec: SpectralDecomposition, alpha: float) -> np.ndarray:
+    """The multipliers lambda^alpha of L^alpha, alpha >= 0, on ``dec.spectrum``. The largest,
+    lambda_max^alpha, is first taken as a python float, which raises where numpy's power
+    would overflow to inf, so a NumericalError comes before any power overflows."""
+    lam = dec.spectrum
+    try:
+        float(lam[-1]) ** alpha
+    except OverflowError:
+        raise NumericalError(f"L^alpha overflows: lambda_max^alpha exceeds the largest float "
+                             f"at alpha = {alpha:.6g}, lambda_max = {lam[-1]:.6e}") from None
+    return lam**alpha
+
+
 def fractional_power(dec: SpectralDecomposition, alpha: float, f: np.ndarray) -> np.ndarray:
     """L^alpha f for alpha >= 0."""
     check_alpha(alpha)
-    return apply_function(dec, dec.spectrum**alpha, f)
+    return apply_function(dec, spectrum_power(dec, alpha), f)
 
 
 def unitary_propagate(dec: SpectralDecomposition, alpha: float, t: float, f: np.ndarray) -> np.ndarray:
     """e^{i t L^alpha} f; preserves the l2 norm and the group law exactly."""
-    return apply_function(dec, np.exp(1j * t * dec.spectrum**alpha), f)
+    return apply_function(dec, np.exp(1j * t * spectrum_power(dec, alpha)), f)
 
 
 # ---------------------------------------------------------------------------

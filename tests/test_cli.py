@@ -275,6 +275,20 @@ def test_run_viscous_blowup_exit_code(tmp_path):
     assert "BlowUpError" in manifest["error"]
 
 
+@pytest.mark.parametrize("task, alpha", [("funcalc", 400.0), ("norm_equiv", [0.5, 1e300]),
+                                         ("picard", 1e300), ("viscous", 1e300)])
+def test_run_exits_3_before_l_to_the_alpha_overflows(tmp_path, task, alpha):
+    # lambda_max is 64 on this grid: 64^200 (funcalc's half power) is past the largest float
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out), task=task, alpha=alpha,
+                                    overrides={"grid": {**BASE["grid"], "n": 65}}))
+    assert run(cfg) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_error"
+    assert "NumericalError: L^alpha overflows" in manifest["error"]
+    assert "lambda_max = 6.396145e+01" in manifest["error"]
+
+
 @pytest.mark.parametrize("task,params,key,artifact", [
     ("kp_check", {"n_pairs": 0}, "n_pairs", "kp_ratios.csv"),
     ("uc_probe", {"alphas": []}, "alphas", "uc_sweep.csv"),
@@ -558,7 +572,7 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "extend_y_count_over_memory_guard": ("extend", {"grid": GRID_64, "task_params": {
         "y_count": 2000000}}, "'y_count'"),
     "extend_just_over_memory_guard": ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {
-        "y_ratio": 1.1, "y_count": 683}}, "'y_count'"),  # 6 x 683 x 4096 > 4096^2
+        "y_ratio": 1.1, "y_count": 820}}, "'y_count'"),  # 5 x 820 x 4096 > 4096^2
     "picard_working_set_over_memory_guard": ("picard", {"grid": GRID_64, "task_params": {
         "t_final": 70.0}}, "'dt'"),  # 70001 states, 9 times over
     "recover_alpha_over_one": ("recover", {"grid": GRID_64, "alpha": 1.5}, "'alpha'"),
@@ -633,6 +647,18 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "'half_length'"),
     "u0_amp_nan": ("extend", {"grid": GRID_64, "task_params": {"u0": {"amp": math.nan}}},
                    "'amp'"),
+    # the stencil's entries must be finite: h^2 underflows to 0, overflows, or 1/h^2 does
+    "identity_spacing_squared_underflows": ("spectrum", {
+        "grid": {**SMALL_GRID, "half_length": 1e-300}, "coefficients": {"kind": "identity"}},
+        "stencil is not finite"),
+    "identity_spacing_squared_overflows": ("spectrum", {
+        "grid": {**SMALL_GRID, "half_length": 1e200}, "coefficients": {"kind": "identity"}},
+        "stencil is not finite"),
+    "identity_stencil_overflows": ("spectrum", {
+        "grid": {**SMALL_GRID, "half_length": 1e-160}, "coefficients": {"kind": "identity"}},
+        "stencil is not finite"),
+    "bump_stencil_overflows": ("spectrum", {"grid": {**SMALL_GRID, "n": 65}, "coefficients": {
+        "kind": "radial_bump", "params": {"s": 1e308}}}, "stencil is not finite"),
 }
 
 
@@ -763,8 +789,8 @@ def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, 
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34}, "task_params": {"refine": False}}),
     ("norm_equiv", {"grid": {**GRID_2D, "n": 34},  # tabulated fields are not refined
                     "coefficients": {"kind": "tabulated", "table_path": "table.csv"}}),
-    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # 6 x 682 x 4096, edge
-        "y_ratio": 1.1, "y_count": 682}}),
+    ("extend", {"grid": {**GRID_2D, "n": 66}, "task_params": {  # 5 x 819 x 4096, edge
+        "y_ratio": 1.1, "y_count": 819}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
     ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126

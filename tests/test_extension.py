@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv, kve
 
@@ -30,6 +31,7 @@ from oracles import (
     constant_field_doubling_exponent,
     eigenvectors,
     grid_only,
+    ladder_energy,
     make_weak_test_bumps,
     weak_residual,
 )
@@ -346,15 +348,45 @@ def test_energy_zero_for_zero_state():
 
 
 def test_energy_single_mode_closed_form():
-    # alpha = 1/2, mode lam: integral of 2 lam e^{-2 y sqrt(lam)} dy = sqrt(lam)
+    # alpha = 1/2, mode lam: integral of 2 lam e^{-2 y sqrt(lam)} dy = sqrt(lam), which the
+    # closed form kappa_{1/2} <L^{1/2} u, u>_h, kappa_{1/2} = 1, gives up to roundoff
     g, dec = laplacian_dec()
     k = 4
     u = eigenvectors(dec)[:, k]
     ys = geometric_ladder(1e-3, 1.08, 130)
     rep = energy_report(extend(dec, 0.5, u, ys))
     oracle = np.sqrt(dec.eigenvalues[k]) * l2_norm(g, u) ** 2
-    assert rep.energy == pytest.approx(oracle, rel=0.05)
+    assert rep.energy == pytest.approx(oracle, rel=1e-13)
     assert np.isfinite(rep.bound_ratio) and rep.bound_ratio > 0
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_energy_report_matches_the_ladder_quadrature_of_the_operator_form(alpha):
+    # the closed form against the L-form quadrature of the extension on a fine ladder; a
+    # flat-gradient form, which drops a(x) and c(x), reads 0.51-0.82 of it on this bump
+    g, dec = bump_dec(n=130)
+    ext = extend(dec, alpha, gaussian_state(g), geometric_ladder(1e-5, 1.02, 1000))
+    assert energy_report(ext).energy == pytest.approx(ladder_energy(ext, ext.values), rel=1e-2)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_extension_energy_per_mode_is_kappa_lambda_to_the_alpha(alpha):
+    # int_0^inf y^{1-2a} (M'^2 + lam M^2) dy = kappa_a lam^a for M = c z^a K_a(z), z = sqrt(lam) y,
+    # c = 2^{1-a}/Gamma(a), whose slope is M' = -c sqrt(lam) z^a K_{1-a}(z)
+    kappa = 2.0 ** (1.0 - 2.0 * alpha) * gamma_fn(1.0 - alpha) / gamma_fn(alpha)
+    assert kappa * conormal_constant(alpha) == pytest.approx(-1.0, abs=1e-15)
+    c = 2.0 ** (1.0 - alpha) / gamma_fn(alpha)
+    for lam in (0.3, 1.0, 40.0):
+        root = np.sqrt(lam)
+
+        def density(y):
+            z = root * y
+            return (y ** (1.0 - 2.0 * alpha) * lam * (c * z**alpha) ** 2
+                    * (kv(1.0 - alpha, z) ** 2 + kv(alpha, z) ** 2))
+
+        total = sum(quad(density, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in ((0.0, 1.0 / root), (1.0 / root, np.inf)))
+        assert total == pytest.approx(kappa * lam**alpha, rel=1e-13)
 
 
 def test_energy_bound_ratio_bracket_over_random_states():
@@ -426,8 +458,8 @@ def _traced_peak(work):
 def test_extension_working_set_matches_tracemalloc_peak():
     # the parse-time memory guard charges an extension task EXTENSION_WORKING_SET
     # (n_dof, y_count) arrays. On ladders of many K_CHUNK chunks, one where every
-    # z = sqrt(lambda) y < 2 and one reaching z of hundreds, energy_report peaks highest,
-    # and extend, recovery and doubling stay below it
+    # z = sqrt(lambda) y < 2 and one reaching z of hundreds, extend and the recovery,
+    # closed-form energy and doubling that follow it all peak within one array of it
     g = build_grid(2, 34, 4.0, "dirichlet")
     dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump",
                                                        {"s": 0.7, "w": 2.0, "c_amp": 0.4})))
@@ -501,16 +533,7 @@ def test_weak_residual_detects_corruption():
     # corrupt with amplitude 1e-2 relative to the solution's energy norm along
     # a direction the probe can see; rough white noise has unbounded weighted
     # energy and would swamp the normalization instead
-    matrix = ext.decomposition.source.matrix
-    from fracspec.extension import _weighted_y_cells
-
-    wy = _weighted_y_cells(ext.y_nodes, ext.alpha)
-
-    def energy(v):
-        dy = np.gradient(v, ext.y_nodes, axis=1)
-        return float((wy * ((dy**2).sum(axis=0) + (v * (matrix @ v)).sum(axis=0))).sum())
-
-    w = tests[0] * np.sqrt(energy(ext.values) / energy(tests[0]))
+    w = tests[0] * np.sqrt(ladder_energy(ext, ext.values) / ladder_energy(ext, tests[0]))
     corrupted = ExtensionField(
         base=ext.base, alpha=ext.alpha, y_nodes=ext.y_nodes,
         values=ext.values + 1e-2 * w, decomposition=ext.decomposition,

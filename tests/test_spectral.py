@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -26,6 +27,7 @@ from fracspec.spectral import (
     laplacian_symbol,
     norm_equivalence,
     sobolev_norm,
+    spectrum_power,
     unitary_propagate,
 )
 from oracles import (
@@ -473,6 +475,24 @@ def test_singular_map_names_eigenvalue():
         apply_function(dec, inverse, np.ones(dec.n_dof))
     with pytest.raises(ValueError, match="at index 0"):  # an extension-shaped multiplier
         apply_function(dec, np.column_stack([np.ones(dec.n_dof), inverse]), np.ones(dec.n_dof))
+
+
+def test_spectrum_power_raises_before_lambda_max_to_the_alpha_overflows():
+    # at alpha = (1 -+ 1e-12) log(float max) / log(lambda_max), lambda_max^alpha is the float
+    # max times 1 -+ 7e-10: the bits of spectrum ** alpha below, a NumericalError above. The
+    # suite turns a RuntimeWarning into an error, so a guard after the overflow fails here
+    _, dec = dirichlet_laplacian(n=65)
+    edge = math.log(np.finfo(float).max) / math.log(dec.spectrum[-1])
+    below = edge * (1.0 - 1e-12)
+    powers = spectrum_power(dec, below)
+    assert np.isfinite(powers).all()
+    assert np.array_equal(powers.view(np.uint64), (dec.spectrum**below).view(np.uint64))
+    f = np.ones(dec.n_dof)
+    for call in (lambda a: spectrum_power(dec, a), lambda a: fractional_power(dec, a, f),
+                 lambda a: unitary_propagate(dec, a, 1.0, f)):
+        with pytest.raises(NumericalError,
+                           match=r"alpha = 170\.6.*lambda_max = 6\.396145e\+01"):
+            call(edge * (1.0 + 1e-12))
 
 
 def test_apply_function_broadcasts_multiplier_and_state():
