@@ -20,9 +20,8 @@ _EXPORTS = {  # module -> the names of it that the package exports
                  "extend geometric_ladder",
     "gridop": "CoefficientField DiscreteOperator Grid HypothesisReport NumericalError assemble "
               "build_grid check_hypotheses load_coefficients_csv make_coefficients",
-    "spectral": "NormEquivalenceReport SpectralDecomposition apply_function bessel_apply "
-                "eigendecompose fractional_power l2_norm norm_equivalence sobolev_norm "
-                "unitary_propagate",
+    "spectral": "NormEquivalenceReport SpectralDecomposition apply_function eigendecompose "
+                "fractional_power l2_norm norm_equivalence sobolev_norm unitary_propagate",
     "ucprobe": "VanishingSpec bump_state dichotomy_sweep",
 }
 _MODULES = (*_EXPORTS, "cli", "tasks")

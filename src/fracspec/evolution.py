@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridop import Grid, NumericalError, _write_csv, centered_gradient
-from .spectral import SpectralDecomposition, bessel_apply, l2_norm, sobolev_norm, spectrum_power
+from .spectral import SpectralDecomposition, l2_norm, sobolev_norm, spectrum_power
 
 
 class PicardConvergenceError(NumericalError):
@@ -390,8 +390,13 @@ def viscous_solve(
                       "the a-priori envelope is not guaranteed", stacklevel=2)
     grid = dec.source.grid
     times = _time_grid(t_final, dt)
-    lam = dec.spectrum
-    symbol = -eps * lam**2 + 1j * spectrum_power(dec, alpha)
+    lam2 = spectrum_power(dec, 2.0)
+    # python floats: the damping's largest rate, and its step, overflow to inf with no warning
+    if not eps * float(lam2[-1]) * max(dt, 1.0) < math.inf:
+        raise NumericalError(f"the viscous symbol overflows: eps lambda_max^2 max(dt, 1) is past "
+                             f"the largest float at eps = {eps:.6g}, lambda_max^2 = "
+                             f"{lam2[-1]:.6e}, dt = {dt:.6g}")
+    symbol = -eps * lam2 + 1j * spectrum_power(dec, alpha)
     step_mult = np.exp(dt * symbol)
 
     u0 = np.asarray(u0, dtype=complex)
@@ -418,7 +423,7 @@ def viscous_solve(
             raise BlowUpError(times[k], norm_s[k], BLOWUP_FACTOR * envelope)
 
     residual = _equation_residual(grid, symbol, modes, times, forcing)
-    energy = np.linalg.norm(lam ** (s / 2.0) * np.abs(modes), axis=1)
+    energy = np.linalg.norm(spectrum_power(dec, s / 2.0) * np.abs(modes), axis=1)
     bound = c_est * (norm_s[1:]**2 + norm_s[1:]**(nonlinearity.n2 or 2))
     flagged = np.diff(energy) / dt > GROWTH_FACTOR * np.maximum(bound, 1e-300)
     return Trajectory(
@@ -490,5 +495,5 @@ def kato_ponce_check(grid: Grid, l: float, f: np.ndarray, g: np.ndarray) -> floa
     g = np.asarray(g)
     if not f.any() or not g.any():
         return 0.0
-    jfg, jg, jf = np.linalg.norm(bessel_apply(grid, l, np.column_stack([f * g, g, f])), axis=0)
+    jfg, jg, jf = sobolev_norm(grid, l, np.column_stack([f * g, g, f]))  # h^{d/2} cancels
     return float(jfg / (np.abs(f).max() * jg + np.abs(g).max() * jf))

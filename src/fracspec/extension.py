@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridop import Grid, NumericalError, _write_csv
-from .spectral import SpectralDecomposition, apply_function, fractional_power, l2_norm
+from .spectral import SpectralDecomposition, apply_function, l2_norm, spectrum_power
 
 RECOVERY_TOL = 1e-3
 # The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
@@ -300,13 +300,15 @@ def energy_report(ext: ExtensionField) -> EnergyReport:
     """Weighted Dirichlet energy kappa_a <L^a u, u>_h of the extension, kappa_a = 2^{1-2a}
     Gamma(1-a)/Gamma(a) = -1/conormal_constant(a), against its trace masses: per mode,
     int_0^inf y^{1-2a} (M'^2 + lambda M^2) dy = kappa_a lambda^a (Caffarelli-Silvestre)."""
-    grid = ext.decomposition.source.grid
+    dec = ext.decomposition
+    grid = dec.source.grid
     base_norm = l2_norm(grid, ext.base)
     if base_norm == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
-    frac_u = fractional_power(ext.decomposition, ext.alpha, ext.base)
-    energy = -grid.spacing**grid.dim * float(ext.base @ frac_u) / conormal_constant(ext.alpha)
-    frac = l2_norm(grid, frac_u)
+    modes = dec.to_modes(ext.base)  # c = V^T u: <u, L^a u> = c . lambda^a c, |L^a u| = |lambda^a c|
+    frac_modes = spectrum_power(dec, ext.alpha) * modes
+    energy = -grid.spacing**grid.dim * float(modes @ frac_modes) / conormal_constant(ext.alpha)
+    frac = l2_norm(grid, frac_modes)
     ratio = energy / (base_norm**2 + frac**2)
     sup = float(np.linalg.norm(ext.values, axis=0).max() / np.linalg.norm(ext.base))
     return EnergyReport(energy, base_norm**2, frac**2, ratio, sup)

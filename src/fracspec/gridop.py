@@ -141,13 +141,16 @@ class HypothesisReport:
 
 
 def build_grid(dim: int, n: int, half_length: float, boundary: str) -> Grid:
-    """Construct a validated uniform grid on [-X, X]^dim."""
+    """Construct a validated uniform grid on [-X, X]^dim; dim X^2 must be finite."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if n < 3:
         raise ValueError(f"points_per_axis must be >= 3, got {n}")
     if not 0 < half_length < math.inf:
         raise ValueError(f"half_length must be positive and finite, got {half_length}")
+    if not dim * float(half_length) * half_length < math.inf:  # python floats: inf, no warning
+        raise ValueError(f"'half_length' {half_length} is too large: dim X^2, the largest |x|^2 "
+                         "of a node, overflows")
     if boundary not in VALID_BOUNDARIES:
         raise ValueError(f"boundary must be one of {VALID_BOUNDARIES}, got {boundary!r}")
     return Grid(dim, n, float(half_length), boundary)
@@ -174,7 +177,8 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
     Kinds:
       identity     a = I, c = 0.
       radial_bump  a(x) = I + s * exp(-|x|^2 / w^2) * M with symmetric M;
-                   c(x) = c_amp * exp(-|x|^2 / c_w^2), c_amp >= 0.
+                   c(x) = c_amp * exp(-|x|^2 / c_w^2), c_amp >= 0; the
+                   squares of w and c_w are finite and nonzero.
       tabulated    explicit arrays in params["a"], params["c"].
     """
     params = dict(params or {})
@@ -194,10 +198,14 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
         c_w = float(params.get("c_w", w))
         if not (w > 0 and c_w > 0):
             raise ValueError(f"widths w and c_w must be > 0, got {w} and {c_w}")
+        for key, width in (("w", w), ("c_w", c_w)):  # python floats: 0 or inf, no warning
+            if not 0.0 < width * width < math.inf:
+                raise ValueError(f"width {key!r} = {width} has no finite nonzero square")
         r2 = (grid.nodes() ** 2).sum(axis=1)
-        bump = np.exp(-r2 / w**2)
+        with np.errstate(over="ignore"):  # |x|^2 / w^2 = inf gives the bump's limit exp(-inf) = 0
+            bump = np.exp(-r2 / w**2)
+            c = c_amp * np.exp(-r2 / c_w**2)
         a = np.eye(dim) + s * bump[:, None, None] * m
-        c = c_amp * np.exp(-r2 / c_w**2)
     elif kind == "tabulated":
         a = np.asarray(params.pop("a"), dtype=float).reshape(n_nodes, dim, dim)
         c = np.asarray(params.pop("c"), dtype=float).reshape(n_nodes)

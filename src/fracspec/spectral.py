@@ -14,9 +14,9 @@ and Their Applications, 1992) it splits into two decoupled blocks of about
 n/2 dofs. Each block is folded straight from the operator's stencil entries
 (``_fold``), so no (n, n) array of a split operator is built, and solved
 apart; V is kept as the two blocks, and each transform costs two half-size
-GEMMs. Bessel potentials of the flat Laplacian need no eigensolve: the FFT
-(periodic) or DST-I (Dirichlet) diagonalizes it. Each block is solved in place
-by LAPACK's dsyevd from numpy's own OpenBLAS (``_eigh``); no module imports scipy.
+GEMMs. Each block is solved in place by LAPACK's dsyevd from numpy's own
+OpenBLAS (``_eigh``); no module imports scipy. Sobolev norms need no eigensolve:
+the FFT (periodic) or DST-I (Dirichlet) diagonalizes the flat Laplacian.
 """
 
 import ctypes
@@ -381,7 +381,7 @@ def unitary_propagate(dec: SpectralDecomposition, alpha: float, t: float, f: np.
 
 
 # ---------------------------------------------------------------------------
-# Bessel potentials (1 - discrete Laplacian)^{s/2}
+# Sobolev norms |(1 - discrete Laplacian)^{s/2} f|
 # ---------------------------------------------------------------------------
 
 def laplacian_symbol(grid: Grid) -> np.ndarray:
@@ -417,27 +417,6 @@ def _dst1(x: np.ndarray, axes) -> np.ndarray:
     return x
 
 
-def bessel_apply(grid: Grid, s: float, f: np.ndarray) -> np.ndarray:
-    """(1 + (-Laplacian_h))^{s/2} f through the FFT (periodic) or DST-I (Dirichlet).
-
-    ``f`` has the dof axis first; trailing axes form a batch. The DST-I is
-    ``_dst1``, done with numpy's FFT; a real ``f`` gives a real result.
-    """
-    f = np.asarray(f)
-    if f.shape[0] != grid.n_dof:
-        raise ValueError(f"state length {f.shape[0]} != dof count {grid.n_dof}")
-    symbol = laplacian_symbol(grid)
-    mult = ((1.0 + symbol) ** (s / 2.0)).reshape(symbol.shape + (1,) * (f.ndim - 1))
-    x = f.reshape(symbol.shape + f.shape[1:])
-    axes = tuple(range(grid.dim))
-    if grid.boundary == "periodic":
-        out = np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes)
-        out = out if np.iscomplexobj(f) else out.real
-    else:
-        out = _dst1(mult * _dst1(x, axes), axes)
-    return out.reshape(f.shape)
-
-
 def l2_norm(grid: Grid, f: np.ndarray):
     """Physical l2 norm with the h^{dim/2} cell weight; one per column of a batch."""
     f = np.asarray(f)
@@ -446,8 +425,19 @@ def l2_norm(grid: Grid, f: np.ndarray):
 
 
 def sobolev_norm(grid: Grid, s: float, f: np.ndarray):
-    """Discrete H^s norm |(1 - Laplacian_h)^{s/2} f|_2; one per column of a batch."""
-    return l2_norm(grid, bessel_apply(grid, s, f))
+    """Discrete H^s norm |(1 - Laplacian_h)^{s/2} f|_2; one per column of a batch (dof axis
+    first). By Parseval it is read on the coefficients of the one orthonormal FFT (periodic)
+    or DST-I (Dirichlet) that diagonalizes the flat Laplacian, weighted in place."""
+    f = np.asarray(f)
+    if f.shape[0] != grid.n_dof:
+        raise ValueError(f"state length {f.shape[0]} != dof count {grid.n_dof}")
+    symbol = laplacian_symbol(grid)
+    x = f.reshape(symbol.shape + f.shape[1:])
+    axes = tuple(range(grid.dim))
+    coeffs = (np.fft.fftn(x, axes=axes, norm="ortho") if grid.boundary == "periodic"
+              else _dst1(x, axes))
+    coeffs *= ((1.0 + symbol) ** (s / 2.0)).reshape(symbol.shape + (1,) * (f.ndim - 1))
+    return l2_norm(grid, coeffs.reshape(f.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +464,7 @@ def _sample_bump(grid: Grid, center: np.ndarray, width: float) -> np.ndarray:
 
 def _equivalence_ratios(dec: SpectralDecomposition, alpha: float, bump_params,
                         eig_indices) -> np.ndarray:
+    check_alpha(alpha)
     grid = dec.source.grid
     indices = [k for k in eig_indices if k < dec.n_dof]
     unit = np.zeros((dec.n_dof, len(indices)))
@@ -483,7 +474,7 @@ def _equivalence_ratios(dec: SpectralDecomposition, alpha: float, bump_params,
     norms = l2_norm(grid, tests)
     if np.any(norms == 0.0):
         raise ValueError("zero test function in norm-equivalence sample")
-    num = norms + l2_norm(grid, fractional_power(dec, alpha, tests))
+    num = norms + l2_norm(grid, spectrum_power(dec, alpha)[:, None] * dec.to_modes(tests))
     return num / sobolev_norm(grid, 2.0 * alpha, tests)
 
 
@@ -494,10 +485,10 @@ EIGENVECTOR_SAMPLE_INDICES = (0, 1, 2, 4, 8, 16, 32)
 
 # norm_equivalence's peak memory over one float64 array of its test functions,
 # (n_bumps + len(EIGENVECTOR_SAMPLE_INDICES)) x n_dof on the grid it measures last
-# (the doubled one when it refines), measured with tracemalloc: 10.3-10.7 on 2-D
-# Dirichlet grids at 300-2000 bumps, where each DST-I holds a complex odd extension
-# of twice the tests' size; 6.2-6.5 in 1-D, 5.3-7.4 on periodic grids. The
-# eigensolve of the doubled grid adds a fixed amount that the dof cap bounds.
+# (the doubled one when it refines), measured with tracemalloc: 9.6-9.8 on 2-D Dirichlet
+# grids at 300-2000 bumps, where a DST-I holds two complex odd extensions of twice the
+# tests' size; 6.2-6.6 in 1-D, 5.1-6.0 on periodic grids. The eigensolve of the doubled
+# grid adds a fixed amount that the dof cap bounds.
 NORM_EQUIV_WORKING_SET = 11.0
 
 

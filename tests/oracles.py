@@ -10,9 +10,11 @@ from fracspec.extension import ExtensionField, _weighted_y_cells
 from fracspec.gridop import DiscreteOperator, Grid
 from fracspec.spectral import (
     SpectralDecomposition,
+    _dst1,
     _probe,
     fractional_power,
     l2_norm,
+    laplacian_symbol,
     sobolev_norm,
 )
 from fracspec.ucprobe import VanishingSpec, bump_state
@@ -256,3 +258,25 @@ def rolled_centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]
                  - np.take(vp, range(0, vp.shape[axis] - 2), axis=axis)) / (2 * h)
         grads.append(g.reshape(values.shape))
     return grads
+
+
+def bessel_apply(grid: Grid, s: float, f: np.ndarray) -> np.ndarray:
+    """(1 + (-Laplacian_h))^{s/2} f through the FFT (periodic) or DST-I (Dirichlet).
+
+    ``f`` has the dof axis first; trailing axes form a batch. The DST-I is
+    ``_dst1``, done with numpy's FFT; a real ``f`` gives a real result. The oracle of
+    ``sobolev_norm``, which reads its l2 norm on the coefficients of the one forward transform.
+    """
+    f = np.asarray(f)
+    if f.shape[0] != grid.n_dof:
+        raise ValueError(f"state length {f.shape[0]} != dof count {grid.n_dof}")
+    symbol = laplacian_symbol(grid)
+    mult = ((1.0 + symbol) ** (s / 2.0)).reshape(symbol.shape + (1,) * (f.ndim - 1))
+    x = f.reshape(symbol.shape + f.shape[1:])
+    axes = tuple(range(grid.dim))
+    if grid.boundary == "periodic":
+        out = np.fft.ifftn(mult * np.fft.fftn(x, axes=axes), axes=axes)
+        out = out if np.iscomplexobj(f) else out.real
+    else:
+        out = _dst1(mult * _dst1(x, axes), axes)
+    return out.reshape(f.shape)

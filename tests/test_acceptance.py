@@ -28,7 +28,6 @@ from fracspec.extension import (
 )
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import (
-    bessel_apply,
     eigendecompose,
     fractional_power,
     l2_norm,
@@ -37,6 +36,7 @@ from fracspec.spectral import (
 )
 from fracspec.ucprobe import NONLOCALITY_FLOOR, VanishingSpec, dichotomy_sweep
 from oracles import (
+    bessel_apply,
     eigenvectors,
     constant_field_doubling_exponent,
     grid_only,

@@ -289,6 +289,24 @@ def test_run_exits_3_before_l_to_the_alpha_overflows(tmp_path, task, alpha):
     assert "lambda_max = 6.396145e+01" in manifest["error"]
 
 
+@pytest.mark.parametrize("overrides, named", [
+    # stencil entries near 2.6e302: lambda_max^2 is past the largest float
+    ({"grid": {**BASE["grid"], "n": 33, "half_length": 1e-150}}, "at alpha = 2,"),
+    ({"task_params": {"eps": 1e307}}, "at eps = 1e+307,"),  # eps lambda_max^2 overflows
+    # eps lambda_max^2 = 3.8e307 is finite, its product with dt is not
+    ({"task_params": {"eps": 1e304, "t_final": 100.0, "dt": 10.0}}, "at eps = 1e+304,"),
+], ids=["lambda_max_squared", "eps_times_lambda_max_squared", "times_a_step_over_one"])
+def test_viscous_run_exits_3_before_its_symbol_overflows(tmp_path, capsys, overrides, named):
+    # the suite's error::RuntimeWarning filter fails a guard that fires after the overflow
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, overrides, task="viscous",
+                                         output_dir=str(out)))]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_error"
+    assert "overflows" in manifest["error"] and named in manifest["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task,params,key,artifact", [
     ("kp_check", {"n_pairs": 0}, "n_pairs", "kp_ratios.csv"),
     ("uc_probe", {"alphas": []}, "alphas", "uc_sweep.csv"),
@@ -651,14 +669,24 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "identity_spacing_squared_underflows": ("spectrum", {
         "grid": {**SMALL_GRID, "half_length": 1e-300}, "coefficients": {"kind": "identity"}},
         "stencil is not finite"),
+    # h <= X, so where h^2 overflows X^2 does too, and the grid's rule refuses it first
     "identity_spacing_squared_overflows": ("spectrum", {
         "grid": {**SMALL_GRID, "half_length": 1e200}, "coefficients": {"kind": "identity"}},
-        "stencil is not finite"),
+        "'half_length'"),
     "identity_stencil_overflows": ("spectrum", {
         "grid": {**SMALL_GRID, "half_length": 1e-160}, "coefficients": {"kind": "identity"}},
         "stencil is not finite"),
     "bump_stencil_overflows": ("spectrum", {"grid": {**SMALL_GRID, "n": 65}, "coefficients": {
         "kind": "radial_bump", "params": {"s": 1e308}}}, "stencil is not finite"),
+    # refused before a square overflows (raising OverflowError in python) or underflows to 0
+    "half_length_squared_overflows": ("spectrum", {"grid": {**SMALL_GRID, "half_length": 1e160}},
+                                      "'half_length'"),
+    "bump_width_squared_overflows": ("spectrum", {"coefficients": {
+        "kind": "radial_bump", "params": {"w": 1e200}}}, "'w'"),
+    "bump_c_width_squared_overflows": ("spectrum", {"coefficients": {
+        "kind": "radial_bump", "params": {"c_w": 1e200}}}, "'c_w'"),
+    "bump_width_squared_underflows": ("spectrum", {"coefficients": {
+        "kind": "radial_bump", "params": {"w": 1e-200}}}, "'w'"),
 }
 
 
@@ -996,6 +1024,9 @@ def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path,
     record = json.loads(spans.read_text())
     assert record["exit"] == 0
     assert any(span[3] == "spectral.eigendecompose" for span in record["spans"])
+    if task == "picard":  # every Sobolev norm is one forward transform, with no Bessel field
+        names = {span[3] for span in record["spans"]}
+        assert "spectral.sobolev_norm" in names and "spectral.bessel_apply" not in names
 
 
 # runs ``fracspec run`` on argv[1], with spectral's OpenBLAS lookup switched to none when
@@ -1064,8 +1095,8 @@ EXPORTED = {
                "NumericalError", "assemble", "build_grid", "check_hypotheses",
                "load_coefficients_csv", "make_coefficients"],
     "spectral": ["NormEquivalenceReport", "SpectralDecomposition", "apply_function",
-                 "bessel_apply", "eigendecompose", "fractional_power", "l2_norm",
-                 "norm_equivalence", "sobolev_norm", "unitary_propagate"],
+                 "eigendecompose", "fractional_power", "l2_norm", "norm_equivalence",
+                 "sobolev_norm", "unitary_propagate"],
     "ucprobe": ["VanishingSpec", "bump_state", "dichotomy_sweep"],
 }
 
@@ -1085,6 +1116,10 @@ def test_package_resolves_every_exported_name_and_submodule():
     assert fracspec.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         fracspec.frobnicate
+    # Bessel potentials left the library: sobolev_norm reads their norms on the coefficients
+    with pytest.raises(AttributeError, match="no attribute 'bessel_apply'"):
+        fracspec.bessel_apply
+    assert not hasattr(spectral, "bessel_apply")
 
 
 # prints the exit code of ``fracspec run argv[1]`` in a fresh process, the OS threads

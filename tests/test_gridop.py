@@ -73,7 +73,8 @@ def test_dof_nodes_are_the_nodes_inside_the_boundary(dim, boundary):
     "args",
     [(0, 5, 1.0, "dirichlet"), (3, 5, 1.0, "dirichlet"), (1, 2, 1.0, "dirichlet"),
      (1, 5, 0.0, "dirichlet"), (1, 5, -1.0, "periodic"), (1, 5, 1.0, "neumann"),
-     (1, 5, np.nan, "dirichlet"), (1, 5, np.inf, "periodic")],
+     (1, 5, np.nan, "dirichlet"), (1, 5, np.inf, "periodic"),
+     (1, 5, 1e160, "dirichlet"), (2, 5, 1e154, "periodic")],  # dim X^2 overflows
 )
 def test_build_grid_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
@@ -119,6 +120,15 @@ def test_min_eigenvalues_match_eigvalsh_near_a_multiple_of_the_identity(field):
     exact, tol = np.linalg.eigvalsh(f.a)[:, 0], 4 * np.finfo(float).eps * np.abs(f.a).max()
     assert np.abs(min_eigenvalues(f.a) - exact).max() <= tol
     assert abs(f.hypotheses.ellipticity_lambda - exact.min()) <= tol
+
+
+def test_radial_bump_whose_exponent_overflows_vanishes_there():
+    # |x|^2 / w^2 overflows at every node but the origin: exp(-inf) = 0, with no warning
+    g = build_grid(1, 33, 1e5, "dirichlet")
+    f = make_coefficients(g, "radial_bump", {"s": 0.5, "w": 1e-150, "c_amp": 1.0})
+    origin = g.nodes()[:, 0] == 0.0
+    assert np.array_equal(f.a[:, 0, 0], np.where(origin, 1.5, 1.0))
+    assert np.array_equal(f.c, np.where(origin, 1.0, 0.0))
 
 
 def test_radial_bump_ellipticity_violation_names_origin():

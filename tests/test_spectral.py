@@ -20,7 +20,6 @@ from fracspec.spectral import (
     SpectralDecomposition,
     SpectrumCapError,
     apply_function,
-    bessel_apply,
     eigendecompose,
     fractional_power,
     l2_norm,
@@ -31,6 +30,7 @@ from fracspec.spectral import (
     unitary_propagate,
 )
 from oracles import (
+    bessel_apply,
     dense_decomposition,
     eigenvectors,
     full_eigh,
@@ -646,16 +646,22 @@ def test_bessel_inverse_composition(boundary):
 @pytest.mark.parametrize("order", [1.5, -2.0, 4.0])
 def test_bessel_dirichlet_matches_dense_spectral_calculus(dim, n, order):
     # oracle: (1 + lam)^{s/2} through the dense eigendecomposition of the
-    # assembled identity-coefficient operator
+    # assembled identity-coefficient operator; sobolev_norm is its l2 norm
     g = build_grid(dim, n, 4.0, "dirichlet")
     dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
     rng = np.random.default_rng(15)
     real = rng.standard_normal(g.n_dof)
-    for f in (real, real + 1j * rng.standard_normal(g.n_dof)):
+    batch = rng.standard_normal((g.n_dof, 3))
+    for f in (real, real + 1j * rng.standard_normal(g.n_dof), batch,
+              batch + 1j * rng.standard_normal(batch.shape)):
         oracle = apply_function(dec, (dec.spectrum + 1.0) ** (order / 2.0), f)
         out = bessel_apply(g, order, f)
         assert out.dtype == oracle.dtype
         assert np.linalg.norm(out - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        norm = sobolev_norm(g, order, f)
+        assert np.shape(norm) == f.shape[1:]
+        assert np.allclose(norm, l2_norm(g, oracle), rtol=1e-13, atol=0)
+        assert np.allclose(norm, l2_norm(g, out), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
@@ -669,7 +675,7 @@ def test_laplacian_symbol_is_identity_operator_spectrum(boundary, dim, n):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 @pytest.mark.parametrize("dim, n", [(1, 17), (2, 10)])
-def test_bessel_batch_equals_column_loop(boundary, dim, n):
+def test_bessel_batch_equals_column_loop(monkeypatch, boundary, dim, n):
     g = build_grid(dim, n, 4.0, boundary)
     rng = np.random.default_rng(16)
     batch = rng.standard_normal((g.n_dof, 5)) + 1j * rng.standard_normal((g.n_dof, 5))
@@ -680,13 +686,38 @@ def test_bessel_batch_equals_column_loop(boundary, dim, n):
     norms = sobolev_norm(g, 1.5, batch)
     assert norms.shape == (5,)
     assert np.allclose(norms, [sobolev_norm(g, 1.5, col) for col in batch.T], rtol=1e-13, atol=0)
+    # on both boundaries: the l2 norm of the oracle's field and of the dense calculus of the
+    # assembled identity operator, for real and complex columns, each in one forward transform
+    dec = eigendecompose(assemble(g, make_coefficients(g, "identity")))
+    calls = {"dst1": 0, "fftn": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for order in (1.5, -2.0, 4.0):
+        for f in (batch.real, batch, batch[:, 0].real, batch[:, 0]):
+            fields = bessel_apply(g, order, f), apply_function(
+                dec, (dec.spectrum + 1.0) ** (order / 2.0), f)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_dst1", counted("dst1", spectral._dst1))
+                m.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+                m.setattr(np.fft, "ifftn", lambda *args, **kwargs: pytest.fail("ifftn"))
+                norm = sobolev_norm(g, order, f)
+            for field in fields:
+                assert np.allclose(norm, l2_norm(g, field), rtol=1e-13, atol=0)
+    one_per_call = 3 * 4
+    assert calls == ({"dst1": one_per_call, "fftn": 0} if boundary == "dirichlet"
+                     else {"dst1": 0, "fftn": one_per_call})
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
 def test_bessel_rejects_wrong_state_length(boundary):
     g = build_grid(2, 8, 2.0, boundary)
     with pytest.raises(ValueError, match="state length"):
-        bessel_apply(g, 1.0, np.ones(g.n_dof + 1))
+        sobolev_norm(g, 1.0, np.ones(g.n_dof + 1))
 
 
 # --- norm equivalence -------------------------------------------------------

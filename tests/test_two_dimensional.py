@@ -13,13 +13,12 @@ from fracspec.extension import (
 )
 from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import (
-    bessel_apply,
     eigendecompose,
     norm_equivalence,
     unitary_propagate,
 )
 from fracspec.ucprobe import VanishingSpec, dichotomy_sweep
-from oracles import constant_field_doubling_exponent, grid_only
+from oracles import bessel_apply, constant_field_doubling_exponent, grid_only
 
 
 def test_2d_dirichlet_spectrum_is_sum_of_1d_spectra():
