@@ -53,19 +53,18 @@ class BlowUpError(NumericalError):
 class Nonlinearity:
     """Polynomial nonlinearity with complex coefficients.
 
-    Variables per term for kind 'polynomial': (z, conj z); for kind
-    'gradient': (z, conj z, dz_1..dz_n, d conj z_1..d conj z_n).
+    Variables per term: (z, conj z, dz_1..dz_dim, d conj z_1..d conj z_dim), so
+    dim = 0 is the pure power P(z, conj z) and the zero nonlinearity is the empty sum.
     Term degrees span [n1, n2] with n1 >= 2 unless the polynomial is zero.
-    For gradient kind, ``energy_hypothesis`` records whether every
-    d/d(dz_j) derivative is real at every conjugate-consistent state.
+    ``energy_hypothesis`` records whether every d/d(dz_j) derivative is real at
+    every conjugate-consistent state; with no dz_j it holds vacuously.
     """
 
-    kind: str
     terms: tuple
     n1: int
     n2: int
-    dim: int = 1
-    energy_hypothesis: bool | None = None
+    dim: int
+    energy_hypothesis: bool
 
     @property
     def is_zero(self) -> bool:
@@ -73,17 +72,15 @@ class Nonlinearity:
 
     def evaluate(self, states: np.ndarray, grid: Grid) -> np.ndarray:
         """Pointwise collocation evaluation; states have the dof axis first, on ``grid``'s
-        dofs, which the gradient kind differentiates on in its own dimension."""
-        if self.kind == "gradient" and self.dim != grid.dim:
+        dofs, which a gradient nonlinearity differentiates on in its own dimension."""
+        if self.dim and self.dim != grid.dim:
             raise ValueError(f"a {self.dim}-D gradient nonlinearity on a {grid.dim}-D grid")
-        if self.is_zero:
-            return np.zeros_like(np.asarray(states, dtype=complex))
         variables = self._variables(np.asarray(states, dtype=complex), grid)
         return _evaluate_terms(self.terms, variables)
 
     def _variables(self, states, grid):
         variables = [states, np.conj(states)]
-        if self.kind == "gradient":
+        if self.dim:
             grads = centered_gradient(grid, states)
             variables += grads + [np.conj(g) for g in grads]
         return variables
@@ -121,16 +118,13 @@ def _normalize_terms(raw_terms, n_vars):
 
 def polynomial_nonlinearity(raw_terms) -> Nonlinearity:
     """P(z, conj z) from (coeff, (p_z, p_zbar)) pairs."""
-    terms, n1, n2 = _normalize_terms(raw_terms, 2)
-    return Nonlinearity(kind="polynomial", terms=terms, n1=n1, n2=n2)
+    return gradient_nonlinearity(raw_terms, dim=0)
 
 
 def gradient_nonlinearity(raw_terms, dim: int = 1) -> Nonlinearity:
     """Q(z, conj z, grad z, grad conj z) with the energy hypothesis checked."""
     terms, n1, n2 = _normalize_terms(raw_terms, 2 + 2 * dim)
-    ok = check_energy_hypothesis(terms, dim)
-    return Nonlinearity(kind="gradient", terms=terms, n1=n1, n2=n2, dim=dim,
-                        energy_hypothesis=ok)
+    return Nonlinearity(terms, n1, n2, dim, check_energy_hypothesis(terms, dim))
 
 
 def differentiate_terms(terms, var_index):
@@ -145,7 +139,7 @@ def differentiate_terms(terms, var_index):
     return tuple(out)
 
 
-def check_energy_hypothesis(terms, dim: int, tol: float = 1e-10) -> bool:
+def check_energy_hypothesis(terms, dim: int) -> bool:
     """Whether dQ/d(dz_j) is real at every conjugate-consistent state.
 
     With the variables (z, conj z, g, conj g), g = grad z, a polynomial is
@@ -160,7 +154,7 @@ def check_energy_hypothesis(terms, dim: int, tol: float = 1e-10) -> bool:
         scale = max([1.0, *map(abs, merged.values())])
         for (a, b, *g), coeff in merged.items():
             mirror = (b, a, *g[dim:], *g[:dim])
-            if abs(coeff - merged.get(mirror, 0j).conjugate()) > tol * scale:
+            if abs(coeff - merged.get(mirror, 0j).conjugate()) > 1e-10 * scale:
                 return False
     return True
 
@@ -263,7 +257,7 @@ def picard_solve(
     is the only time-discretization error source. Norms are taken on the
     grid of ``dec.source``.
     """
-    if nonlinearity.kind != "polynomial":
+    if nonlinearity.dim:
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
     check_picard(max_iter, c_est)
     grid = dec.source.grid
@@ -384,8 +378,7 @@ def viscous_solve(
     escapes the a-priori envelope 8 c |u0|_s by more than ``BLOWUP_FACTOR``.
     """
     check_viscous(eps, s, c_est)
-    if (nonlinearity.kind == "gradient" and not nonlinearity.is_zero
-            and nonlinearity.energy_hypothesis is False):
+    if not nonlinearity.energy_hypothesis:
         warnings.warn("gradient nonlinearity fails the energy hypothesis; "
                       "the a-priori envelope is not guaranteed", stacklevel=2)
     grid = dec.source.grid
@@ -408,13 +401,10 @@ def viscous_solve(
     forcing = np.zeros_like(states)  # V^T Q(u_k); no step reads the last row, which stays 0
     states[0], modes[0] = u0, dec.to_modes(u0)
     for k in range(1, len(times)):
-        if nonlinearity.is_zero:
-            modes[k] = step_mult * modes[k - 1]
-        else:
-            q0 = forcing[k - 1] = dec.to_modes(nonlinearity.evaluate(states[k - 1], grid))
-            predictor = step_mult * (modes[k - 1] + dt * q0)
-            q1 = dec.to_modes(nonlinearity.evaluate(dec.from_modes(predictor), grid))
-            modes[k] = step_mult * modes[k - 1] + 0.5 * dt * (step_mult * q0 + q1)
+        q0 = forcing[k - 1] = dec.to_modes(nonlinearity.evaluate(states[k - 1], grid))
+        predictor = step_mult * (modes[k - 1] + dt * q0)
+        q1 = dec.to_modes(nonlinearity.evaluate(dec.from_modes(predictor), grid))
+        modes[k] = step_mult * modes[k - 1] + 0.5 * dt * (step_mult * q0 + q1)
         states[k] = dec.from_modes(modes[k])
         # the blow-up guard runs each step, so it fires before the states overflow,
         # and on a NaN norm, which fails every comparison

@@ -485,11 +485,11 @@ EIGENVECTOR_SAMPLE_INDICES = (0, 1, 2, 4, 8, 16, 32)
 
 # norm_equivalence's peak memory over one float64 array of its test functions,
 # (n_bumps + len(EIGENVECTOR_SAMPLE_INDICES)) x n_dof on the grid it measures last
-# (the doubled one when it refines), measured with tracemalloc: 9.6-9.8 on 2-D Dirichlet
+# (the doubled one when it refines), measured with tracemalloc: 9.6-9.9 on 2-D Dirichlet
 # grids at 300-2000 bumps, where a DST-I holds two complex odd extensions of twice the
 # tests' size; 6.2-6.6 in 1-D, 5.1-6.0 on periodic grids. The eigensolve of the doubled
 # grid adds a fixed amount that the dof cap bounds.
-NORM_EQUIV_WORKING_SET = 11.0
+NORM_EQUIV_WORKING_SET = 10.0
 
 
 def norm_test_count(n_bumps: int) -> int:

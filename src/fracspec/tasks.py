@@ -12,7 +12,6 @@ import os
 import resource
 import sys
 import time
-import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -602,8 +601,9 @@ def run(cfg: RunConfig) -> int:
         manifest["error"] = f"{type(err).__name__}: {err}"
         code, manifest["status"] = ((3, "numerical_error") if isinstance(err, NumericalError)
                                     else (4, "internal_error"))
-        if code == 4:
-            traceback.print_exc()  # parsing caught every config error, so this is a fault
+        if code == 4:  # parsing caught every config error, so this is a fault
+            import traceback  # only a fault loads it
+            traceback.print_exc()
     finally:
         restore()
     manifest["wall_time_s"] = time.perf_counter() - started

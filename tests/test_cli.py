@@ -647,10 +647,10 @@ CAUGHT_BEFORE_ASSEMBLY = {
     "viscosity_convergence_c_est_zero": ("viscosity_convergence", {
         "grid": GRID_64, "task_params": {"c_est": 0.0}}, "'c_est'"),
     "norm_equiv_just_over_memory_guard": ("norm_equiv", {"grid": GRID_64, "task_params": {
-        "n_bumps": 12098}}, "'n_bumps'"),  # 11 x 12105 x 126 > 4096^2 on the doubled grid
+        "n_bumps": 13309}}, "'n_bumps'"),  # 10 x 13316 x 126 > 4096^2 on the doubled grid
     "norm_equiv_unrefined_just_over_memory_guard": ("norm_equiv", {
-        "grid": GRID_64, "task_params": {"n_bumps": 24594, "refine": False}},
-        "'n_bumps'"),  # 11 x 24601 x 62 > 4096^2
+        "grid": GRID_64, "task_params": {"n_bumps": 27054, "refine": False}},
+        "'n_bumps'"),  # 10 x 27061 x 62 > 4096^2
     "uc_probe_just_over_memory_guard": ("uc_probe", {"grid": {**GRID_2D, "n": 66}, "task_params": {
         "alphas": UC_ALPHAS_AT_GUARD + [0.9]}}, "'alphas'"),  # 5 x 820 x 4096 > 4096^2
     "extend_alpha_list_of_two": ("extend", {"grid": GRID_64, "alpha": [0.5, 1.5]}, "'alpha'"),
@@ -821,8 +821,8 @@ def test_each_rule_has_one_text_in_the_library_and_in_parsing(tmp_path, dec_64, 
         "y_ratio": 1.1, "y_count": 819}}),
     ("picard", {"grid": GRID_64, "task_params": {"t_final": 30.0}}),  # 9 x 30001 states, edge
     ("viscous", {"grid": GRID_64, "task_params": {"t_final": 45.0}}),  # 6 x 45001 states, edge
-    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 12097}}),  # 11 x 12104 x 126
-    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 24593, "refine": False}}),
+    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 13308}}),  # 10 x 13315 x 126
+    ("norm_equiv", {"grid": GRID_64, "task_params": {"n_bumps": 27053, "refine": False}}),
     # 819 distinct fractional alphas, each twice, and alpha 1: 5 x 819 x 4096, edge
     ("uc_probe", {"grid": {**GRID_2D, "n": 66}, "task_params": {
         "theta": [[-1.0, 0.0]] * 2, "f_support": [[1.0, 2.0]] * 2,
@@ -1008,10 +1008,20 @@ def _python(code, *args, env=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("task, overrides", [
     ("extend", {}),
     ("picard", {"grid": {**SMALL_GRID, "n": 17},
                 "task_params": {"nonlinearity": [{"powers": [2, 1], "coeff_re": 1.0}]}}),
+    # the benchmark's own nonlinearity, which passes the energy hypothesis
+    ("viscous", {"grid": {**SMALL_GRID, "n": 17}, "task_params": {
+        "t_final": 0.1, "dt": 1e-3, "nonlinearity": _benchmark_workloads().GRADIENT_CUBIC}}),
 ])
 def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path, task, overrides):
     # the benchmark's traced pass wraps fracspec's functions and reads its records by name
@@ -1027,6 +1037,10 @@ def test_the_traced_benchmark_task_runs_and_records_the_eigendecompose(tmp_path,
     if task == "picard":  # every Sobolev norm is one forward transform, with no Bessel field
         names = {span[3] for span in record["spans"]}
         assert "spectral.sobolev_norm" in names and "spectral.bessel_apply" not in names
+    if task == "viscous":  # the harness wraps viscous_solve by name and reads its times
+        assert any(span[3] == "evolution.viscous_solve" for span in record["spans"])
+        assert record["counts"]["evolution.steps"] == 100  # t_final / dt
+        assert "energy hypothesis" not in proc.stderr
 
 
 # runs ``fracspec run`` on argv[1], with spectral's OpenBLAS lookup switched to none when
@@ -1066,6 +1080,7 @@ def test_small_run_imports_scipy_only_above_the_numpy_eigh_threshold(tmp_path, m
             # the manifest's versions are read without importlib.metadata or platform
             assert not [m for m in modules if m.split(".")[0] == "email"], task
             assert "importlib.metadata" not in modules, task
+            assert "traceback" not in modules, task  # only a run that exits 4 loads it
             assert "platform" not in modules or numpy_loads_platform.strip() == "True", task
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["status"] == "ok"
@@ -1257,13 +1272,6 @@ def test_every_shipped_config_parses(tmp_path):
         moved.write_text(json.dumps({**config, "output_dir": str(out)}))
         assert main(["run", str(moved)]) == 0
         assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
-
-
-def _benchmark_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("workload", ["extension_2d", "evolution_1d", "short_tasks"])

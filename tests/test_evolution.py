@@ -58,6 +58,10 @@ def smooth_state(g, width=2.0, amp=1.0):
 def test_polynomial_degrees_and_validation():
     p = polynomial_nonlinearity([(1.0, (2, 1)), (0.5j, (0, 5))])
     assert (p.n1, p.n2) == (3, 5)
+    # the pure power is the nonlinearity with no derivative variables, where the energy
+    # hypothesis holds vacuously
+    for q in (p, ZERO_P):
+        assert q.dim == 0 and q.energy_hypothesis is True and not hasattr(q, "kind")
     with pytest.raises(ValueError, match="degree"):
         polynomial_nonlinearity([(1.0, (1, 0))])
     with pytest.raises(ValueError, match="length"):
@@ -85,6 +89,8 @@ def test_gradient_nonlinearity_refuses_a_grid_of_another_dimension():
     q2 = gradient_nonlinearity([(1.0, (0, 0, 0, 0, 2, 0))], dim=2)  # (d conj z/dx_1)^2
     z = np.arange(g2.n_dof) * (1 + 2j)
     assert np.array_equal(q2.evaluate(z, g2), np.conj(centered_gradient(g2, z)[0]) ** 2)
+    # a pure power has no derivative variables, so it takes a grid of any dimension
+    assert np.allclose(CUBIC.evaluate(z, g2), np.abs(z) ** 2 * z, rtol=1e-14)
 
 
 def test_energy_hypothesis_single_terms():
@@ -325,12 +331,22 @@ def test_picard_equation_residual_within_dt_squared():
     assert traj.monitors["equation_residual"][1:-1].max() <= 10.0 * dt**2
 
 
-def test_picard_equation_residual_falls_fourfold_when_dt_halves():
+@pytest.mark.parametrize("dim, n, boundary, width, amp, dts", [
+    (1, 258, "dirichlet", 0.5, 0.5, (0.0025, 0.00125)),
+    (2, 14, "dirichlet", 2.0, 0.3, (0.005, 0.0025)),
+    (2, 14, "periodic", 2.0, 0.3, (0.005, 0.0025)),
+], ids=["1d_dirichlet", "2d_dirichlet", "2d_periodic"])
+def test_picard_equation_residual_falls_fourfold_when_dt_halves(dim, n, boundary, width, amp,
+                                                                dts):
     # the residual measures the trapezoid's O(dt^2) error in Duhamel's integral
-    g, dec = grid_dec(n=258, kind="radial_bump", params={"s": 0.7, "w": 2.0, "c_amp": 0.4})
-    u0 = smooth_state(g, width=0.5, amp=0.5)
+    g = build_grid(dim, n, 8.0, boundary)
+    bump = {"s": 0.7, "w": 2.0, "c_amp": 0.4}
+    if dim == 2:
+        bump["M"] = [[1.0, 0.4], [0.4, 0.8]]
+    dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump", bump)))
+    u0 = smooth_state(g, width=width, amp=amp)
     coarse, fine = (picard_solve(dec, 1.0, u0, CUBIC, t_final=0.1, dt=dt)
-                    .monitors["equation_residual"][1:-1].max() for dt in (0.0025, 0.00125))
+                    .monitors["equation_residual"][1:-1].max() for dt in dts)
     assert coarse / fine >= 3.5
 
 
@@ -497,11 +513,11 @@ def test_solvers_evaluate_the_nonlinearity_once_per_state(monkeypatch):
     monkeypatch.setattr(Nonlinearity, "evaluate", counted)
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g, amp=0.3)
-    q = gradient_nonlinearity([(1.0, (2, 1, 0, 0))], dim=1)
-    traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.1, dt=0.01)
-    assert len(calls) == 2 * (len(traj.times) - 1)
-    assert set(calls) == {(dec.n_dof,)}
-    calls.clear()
+    for q in (gradient_nonlinearity([(1.0, (2, 1, 0, 0))], dim=1), ZERO_P):
+        traj = viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.1, dt=0.01)
+        assert len(calls) == 2 * (len(traj.times) - 1)  # the empty sum takes the same path
+        assert set(calls) == {(dec.n_dof,)}
+        calls.clear()
     traj = picard_solve(dec, 0.5, u0, CUBIC, t_final=0.1, dt=0.01)
     assert len(calls) == len(traj.picard_residual_history) + 1
     assert set(calls) == {(dec.n_dof, len(traj.times))}

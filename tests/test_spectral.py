@@ -17,6 +17,7 @@ from fracspec.gridop import (
     make_coefficients,
 )
 from fracspec.spectral import (
+    NORM_EQUIV_WORKING_SET,
     SpectralDecomposition,
     SpectrumCapError,
     apply_function,
@@ -25,6 +26,7 @@ from fracspec.spectral import (
     l2_norm,
     laplacian_symbol,
     norm_equivalence,
+    norm_test_count,
     sobolev_norm,
     spectrum_power,
     unitary_propagate,
@@ -745,6 +747,24 @@ def test_norm_equivalence_periodic_constant_bracket(alpha):
         )
         assert ratio == pytest.approx((1 + m**alpha) / (1 + m) ** alpha, rel=1e-10)
         assert 1.0 - 1e-9 <= ratio <= 2.0 ** (1 - alpha) + 1e-9
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_norm_equivalence_working_set_matches_tracemalloc_peak(refine):
+    # the parse-time memory guard charges norm_equiv NORM_EQUIV_WORKING_SET arrays of its
+    # test functions on the grid it measures last; a 2-D Dirichlet grid, whose DST-I holds
+    # two complex odd extensions, sets the peak
+    _, op = bump_operator(n=20, dim=2, s=0.5, w=2.0, c_amp=0.0)
+    dec = eigendecompose(op)
+    last = build_grid(2, 40, 8.0, "dirichlet") if refine else op.grid
+    tracemalloc.start()
+    try:
+        norm_equivalence(dec, [0.5], n_bumps=2000, refine=refine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tests_bytes = 8 * norm_test_count(2000) * last.n_dof
+    assert NORM_EQUIV_WORKING_SET - 1.0 < peak / tests_bytes <= NORM_EQUIV_WORKING_SET
 
 
 def test_norm_equivalence_report_fields_and_drift():
