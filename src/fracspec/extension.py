@@ -9,8 +9,9 @@ closed-form multiplier
     M(lambda, y) = 2^{1-a} / Gamma(a) * z^a K_a(z),    z = sqrt(lambda) y,
 
 with M = 1 at z = 0 (Caffarelli-Silvestre; Stinga-Torrea), which depends on
-(lambda, y) only through lambda * y^2. K_a is evaluated in numpy by Temme's
-method (N. M. Temme, J. Comput. Phys. 19 (1975) 324), so no scipy is loaded.
+(lambda, y) only through lambda * y^2. K_a is evaluated in numpy as the trapezoid
+sum of its integral e^z K_a(z) = int_0^inf e^{-2z sinh^2(t/2)} cosh(a t) dt, so no scipy
+is loaded.
 Its weighted Dirichlet energy is the closed form kappa_a <L^a u, u>_h (``energy_report``).
 """
 
@@ -26,22 +27,12 @@ from .spectral import SpectralDecomposition, apply_function, l2_norm, spectrum_p
 RECOVERY_TOL = 1e-3
 # The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
 # tracemalloc through their runners at 0.4-1.4 million entries (2-D): 4.13 in extend, which
-# recover and energy do not exceed, and 4.15-4.16 in doubling. The Bessel term loops add a
-# fixed 2.6 MB (about 20 arrays of K_CHUNK entries): one array more at 0.1 million entries.
+# recover and energy do not exceed, and 4.15-4.16 in doubling. The K_nu trapezoid sums add a
+# fixed 1.3 MB (about 10 arrays of K_CHUNK entries), under the peak at 0.1 million entries.
 EXTENSION_WORKING_SET = 5.0
 TRACE_ENVELOPE_FACTOR = 10.0
-# K_nu: relative size of the last term kept, the most terms taken (CF2 takes 80 at
-# x = 2, its slowest point; by 170 its factorial coefficient would overflow), and the
-# entries of z whose terms are stepped together
-K_EPS = 1e-16
-K_MAX_TERMS = 150
+# the entries of z whose K_nu trapezoid sums are stepped together
 K_CHUNK = 16384
-# Taylor coefficients of 1/Gamma(1+x) at x^21, x^19, ..., x^1 (Abramowitz-Stegun 6.1.34);
-# the one at x^23 adds less than 1e-20 for |x| <= 1/2
-_RGAMMA_ODD_TAYLOR = (5.1003702874544760e-13, 7.7822634399050713e-12, -1.1812745704870201e-09,
-                      6.1160951044814158e-09, 1.1330272319816959e-06, -2.0134854780788239e-05,
-                      -2.1524167411495097e-04, 7.2189432466630995e-03, -4.2197734555544337e-02,
-                      -4.2002635034095236e-02, 5.7721566490153286e-01)
 
 
 class ExtrapolationError(NumericalError):
@@ -70,79 +61,36 @@ def geometric_ladder(y0: float = 1e-3, ratio: float = 1.2, count: int = 55) -> n
     return ys
 
 
-def _scaled_k_pair_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^x K_mu(x) and e^x K_{mu+1}(x) for 0 < x < 2 by Temme's series."""
-    half = 0.5 * x
-    e = -mu * np.log(half)
-    rg_plus, rg_minus = 1.0 / math.gamma(1.0 + mu), 1.0 / math.gamma(1.0 - mu)
-    # (rg_minus - rg_plus) / (2 mu) from its series: the difference loses eps/|mu| at mu -> 0
-    gam1 = -np.polyval(_RGAMMA_ODD_TAYLOR, mu * mu)
-    sinc = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
-    sinh_over_mu = np.sinh(e) / mu if mu else -np.log(half)
-    f = sinc * (gam1 * np.cosh(e) + 0.5 * (rg_plus + rg_minus) * sinh_over_mu)
-    p, q = 0.5 * np.exp(e) / rg_plus, 0.5 * np.exp(-e) / rg_minus
-    quarter_x2, c, k0, k1 = half * half, np.ones_like(x), f, p
-    for i in range(1, K_MAX_TERMS + 1):
-        f = (i * f + p + q) / (i * i - mu * mu)
-        c = c * quarter_x2 / i
-        p, q = p / (i - mu), q / (i + mu)
-        t0, t1 = c * f, c * (p - i * f)
-        k0, k1 = k0 + t0, k1 + t1
-        left = ~((np.abs(t0) <= K_EPS * np.abs(k0)) & (np.abs(t1) <= K_EPS * np.abs(k1)))
-        if not left.any():
-            return np.exp(x) * k0, np.exp(x) * k1 / half
-    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms "
-                         f"({np.count_nonzero(left)} entries left)")
-
-
-def _scaled_k_pair_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^x K_mu(x) and e^x K_{mu+1}(x) for x >= 2 by Steed's continued fraction CF2."""
-    a1 = 0.25 - mu * mu
-    j = np.arange(1, K_MAX_TERMS + 1)
-    cs = a1 * np.cumprod((a1 + j * (j + 1)) / (j + 1))
-    b, d = 2.0 * (1.0 + x), 0.5 / (1.0 + x)
-    dh, h, q1, q2, q, s = d, d, 0.0, 1.0, a1, 1.0 + a1 * d
-    for i in range(1, K_MAX_TERMS + 1):
-        a = -a1 - i * (i + 1)
-        q1, q2 = q2, (q1 - b * q2) / a
-        q = q + cs[i - 1] * q2
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        dh = (b * d - 1.0) * dh
-        h, s = h + dh, s + q * dh
-        left = ~(np.abs(q * dh) <= K_EPS * np.abs(s))
-        if not left.any():
-            k0 = np.sqrt(0.5 * math.pi / x) / s
-            return k0, k0 * (mu + x + 0.5 - a1 * h) / x
-    raise NumericalError(f"K_nu did not converge in {K_MAX_TERMS} terms "
-                         f"({np.count_nonzero(left)} entries left)")
-
-
 def _scaled_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
-    """e^x K_nu(x) for 0 <= nu <= 1 and 0 < x <= 1e5 (Temme, J. Comput. Phys. 19 (1975) 324).
+    """e^x K_nu(x) = int_0^inf e^{-2x sinh^2(t/2)} cosh(nu t) dt for 0 <= nu <= 1, x >= 1e-300.
 
-    With mu = nu - round(nu), so |mu| <= 1/2, Temme's series (x < 2) or Steed's continued
-    fraction (x >= 2) gives K_mu and K_{mu+1}; for nu > 1/2, one step up, K_nu = K_{mu+1}.
-    Each steps its entries until all are done: past 1e5, CF2 overflows while x near 2 is.
+    The trapezoid sum of this integral of positive terms converges geometrically (Trefethen
+    and Weideman, SIAM Review 56 (2014) 385): its error is about e^{-pi^2/h} for the step
+    h = 0.25 of small x, and h = 0.6/sqrt(x) follows the integrand's width at large x. Each
+    entry adds its own nodes up to 2x sinh^2(t/2) = 45, past which the integral's tail is
+    about e^{-45} of it or less, so its sum does not depend on the other entries.
     """
-    mu = nu - round(nu)
-    out, small = np.empty_like(x), x < 2.0
-    out[small] = _scaled_k_pair_series(mu, x[small])[int(mu < nu)]
-    out[~small] = _scaled_k_pair_cf2(mu, x[~small])[int(mu < nu)]
-    return out
+    h = np.minimum(0.25, 0.6 / np.sqrt(x))
+    last = 2.0 * np.arcsinh(np.sqrt(22.5 / x)) / h
+    total = np.full_like(x, 0.5)
+    for k in range(1, int(last.max()) + 1):
+        t = k * h
+        term = np.exp(-2.0 * x * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
+        total += np.where(k <= last, term, 0.0)
+    return h * total
 
 
 def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
     """z^power K_nu(z) for z > 0 and 0 at z = 0, with 0 <= nu <= 1, of a 2-D z.
 
-    K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by Temme's method on K_CHUNK entries of z at a
-    time, so its work stays one chunk. z above 800, where e^{-z} is 0, is taken at 800: the
-    loops step a chunk until its slowest entry is done, and the others must stay finite.
+    K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by its trapezoid sum on K_CHUNK entries of z at
+    a time, so its work stays one chunk. z is taken in [1e-300, 1e300]: below, the sum's last
+    node would overflow; above, e^{-z} is 0, and so an overflowed z = inf gives 0.
     """
     out, step = np.empty_like(z), max(1, K_CHUNK // len(z))
     for j in range(0, z.shape[1], step):
         chunk = z[:, j:j + step]
-        safe = np.where(chunk > 0.0, np.minimum(chunk, 800.0), 1.0)
+        safe = np.clip(chunk, 1e-300, 1e300)
         out[:, j:j + step] = np.where(chunk > 0.0, safe**power * _scaled_bessel_k(nu, safe)
                                       * np.exp(-safe), 0.0)
     return out
@@ -187,9 +135,14 @@ class ExtensionField:
                                          np.repeat(self.y_nodes, n_x), self.values.T.ravel()])
 
 
-def trace_tolerance(alpha: float, y0: float, base_norm: float) -> float:
-    """Generous trace-convergence envelope 10 y0^{min(2a,1)} |u|."""
-    return TRACE_ENVELOPE_FACTOR * y0 ** min(2.0 * alpha, 1.0) * base_norm
+def trace_tolerance(alpha: float, y0: float, base_norm: float, n_dof: int) -> float:
+    """Generous trace-convergence envelope 10 y0^{min(2a,1)} |u|, floored at n_dof eps |u|.
+
+    Where every multiplier at y0 rounds to 1, |U(., y0) - u| is the roundoff of V V^T u:
+    at most 0.055 n_dof eps |u|, measured on 64 to 4096 dofs.
+    """
+    floor = n_dof * np.finfo(float).eps
+    return (TRACE_ENVELOPE_FACTOR * y0 ** min(2.0 * alpha, 1.0) + floor) * base_norm
 
 
 def extend(
@@ -222,7 +175,7 @@ def _validate_extension(field: ExtensionField) -> None:
         raise NumericalError(f"extension exceeds the trace mass: sup_y |U| = {sup:.6e} > |u| = {base_norm:.6e}")
     y0 = float(field.y_nodes[0])
     trace_err = np.linalg.norm(field.values[:, 0] - field.base)
-    if trace_err > trace_tolerance(field.alpha, y0, base_norm) + 1e-300:
+    if trace_err > trace_tolerance(field.alpha, y0, base_norm, len(field.base)):
         raise NumericalError(
             f"trace not recovered: |U(., y0) - u| = {trace_err:.6e} at y0 = {y0:.3e}"
         )

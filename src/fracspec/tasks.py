@@ -589,14 +589,20 @@ def run(cfg: RunConfig) -> int:
     code = 0
     try:
         runner, _ = TASKS[cfg.task]
-        dec = eigendecompose(assemble(cfg.grid, cfg.field))
-        manifest["eigensolve"] = dec.eigensolve
-        rng = np.random.default_rng(cfg.seed)
-        invariants, artifacts = runner(cfg, dec, rng, outdir)
+        # the run's net: an overflow, invalid operation or division by zero that no guard
+        # caught fails it as a numerical error; underflow stays silent (e^{-z} in K_nu)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            dec = eigendecompose(assemble(cfg.grid, cfg.field))
+            manifest["eigensolve"] = dec.eigensolve
+            rng = np.random.default_rng(cfg.seed)
+            invariants, artifacts = runner(cfg, dec, rng, outdir)
         manifest.update(invariants=invariants, artifacts=artifacts)
         if not all(invariants.values()):
             manifest["status"] = "invariant_failure"
             code = 1
+    except FloatingPointError as err:  # numpy names the operation, so the message names the task
+        manifest["error"] = f"FloatingPointError in task {cfg.task}: {err}"
+        code, manifest["status"] = 3, "numerical_error"
     except Exception as err:  # every failure writes the manifest, its status names the kind
         manifest["error"] = f"{type(err).__name__}: {err}"
         code, manifest["status"] = ((3, "numerical_error") if isinstance(err, NumericalError)

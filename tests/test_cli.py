@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -305,6 +306,37 @@ def test_viscous_run_exits_3_before_its_symbol_overflows(tmp_path, capsys, overr
     assert manifest["status"] == "numerical_error"
     assert "overflows" in manifest["error"] and named in manifest["error"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, params", [
+    ("funcalc", {}), ("kp_check", {}), ("picard", {}),
+    ("uc_probe", {"theta": [-1e-150, 0.0], "f_support": [5e-151, 1e-150]}),
+])
+def test_run_net_fails_an_unguarded_overflow_as_a_numerical_error(tmp_path, capsys, task, params):
+    # stencil entries near 2.6e302: each task overflows inside a norm or a product that no
+    # guard of its own covers, and the suite's error::RuntimeWarning filter alone made it exit 4
+    out = tmp_path / "out"
+    overrides = {"grid": {**BASE["grid"], "n": 33, "half_length": 1e-150}, "task_params": params}
+    assert main(["run", str(write_config(tmp_path, overrides, task=task,
+                                         output_dir=str(out)))]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_error"
+    assert manifest["error"].startswith(f"FloatingPointError in task {task}: overflow")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y0", [1e-20, 1e-250])
+def test_extend_at_a_tiny_ladder_base_passes_the_trace_check(tmp_path, y0):
+    # every multiplier at y0 rounds to 1, so |U(., y0) - u| is the roundoff of V V^T u
+    # (4.2e-15 at y0 = 1e-20), which the envelope 10 y0^{min(2a,1)} |u| alone would refuse
+    out = tmp_path / "out"
+    overrides = {"grid": {**BASE["grid"], "n": 66}, "coefficients": BUMP,
+                 "task_params": {"y0": y0}}
+    path = write_config(tmp_path, overrides, task="extend", output_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["error"] is None
 
 
 @pytest.mark.parametrize("task,params,key,artifact", [

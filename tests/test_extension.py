@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -25,7 +26,7 @@ from fracspec.extension import (
     geometric_ladder,
     trace_tolerance,
 )
-from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
+from fracspec.gridop import assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, fractional_power, l2_norm
 from oracles import (
     constant_field_doubling_exponent,
@@ -121,13 +122,16 @@ def test_closed_form_finite_and_bounded_at_large_z(alpha):
 
 @pytest.mark.parametrize("nu", [0.05, 0.3, 0.95])
 def test_huge_z_stepped_beside_the_slowest_entry_stays_finite(nu):
-    # one chunk steps every entry until the slowest is done, CF2's near z = 2 after 80
-    # terms; CF2's sums for z = 1e6 would overflow by then, so z above 800 is taken at 800
-    z = np.array([[2.0, 1e5, 1e6, 1e300]])
+    # one chunk steps every entry to the most nodes any of them needs: 2781 for the
+    # subnormal z, taken at 1e-300, whose last node is t = 695. The others' nodes past their
+    # own last must stay finite, and e^{-z} K_nu(z) underflows to 0 from z = 1e5 on, also
+    # at an overflowed z = inf
+    z = np.array([[5e-324, 1e-310, 2.0, 1e5, 1e6, 1e300, np.inf]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _z_power_bessel_k(0.5, nu, z)
-    assert out[0, 0] > 0.0 and np.all(out[0, 1:] == 0.0)
+    assert np.all(np.isfinite(out[0, :3])) and np.all(out[0, :3] > 0.0)
+    assert np.all(out[0, 3:] == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -146,8 +150,8 @@ def test_multiplier_matches_independent_bessel_closed_form(alpha):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.35, 0.6, 0.95])
 def test_gamma_prefactors_match_scipy_gamma_oracle(alpha):
-    # math.gamma and scipy's gamma differ by a few ulps; K_nu is the library's own,
-    # checked against kve below, so only the Gamma prefactors are compared here
+    # math.gamma and scipy's gamma differ by a few ulps; K_nu is the library's own trapezoid
+    # sum, checked against kve and mpmath below, so only the Gamma prefactors are compared here
     lam = laplacian_dec()[1].spectrum
     ys = geometric_ladder(1e-3, 1.3, 40)
     root = np.sqrt(lam)[:, None]
@@ -161,7 +165,8 @@ def test_gamma_prefactors_match_scipy_gamma_oracle(alpha):
     np.testing.assert_allclose(conormal_slopes(lam, ys, alpha), slopes, rtol=1e-14, atol=0)
 
 
-# both sides of the switch at z = 2, and nu > 1/2 for the upward step
+# orders across (0, 1), and z from 1e-10 to 1e3, on both sides of the change of step at
+# z = 5.76, with a cluster at z = 2
 KNU_ORDERS = [1e-6, 0.01, 0.1, 0.35, 0.5, 0.65, 0.9, 0.999, 1.0 - 1e-6]
 KNU_POINTS = np.concatenate([np.logspace(-10, 3, 131), 2.0 + np.linspace(-0.05, 0.05, 11)])
 
@@ -174,23 +179,22 @@ def test_scaled_bessel_k_matches_scipy_kve_oracle(nu):
 
 
 @pytest.mark.parametrize("nu", [0.105, 0.35, 0.5, 0.9])
-def test_scaled_bessel_k_matches_mpmath_near_the_switch(nu):
+def test_scaled_bessel_k_matches_mpmath_near_z_2(nu):
     # kve itself is off by up to 3e-13 just below z = 2 (nu = 0.105)
-    mp = pytest.importorskip("mpmath")
     z = np.array([0.5, 1.9, 1.99, 1.999, 2.0, 2.001, 2.5, 10.0])
-    with mp.workdps(30):
-        exact = np.array([float(mp.besselk(nu, x) * mp.exp(x)) for x in z])
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.besselk(nu, x) * mpmath.exp(x)) for x in z])
     np.testing.assert_allclose(_scaled_bessel_k(nu, z), exact, rtol=2e-14, atol=0)
 
 
-def test_scaled_bessel_k_raises_instead_of_returning_unconverged(monkeypatch):
-    # CF2 needs 80 terms at z = 2, and NaN never converges
-    with pytest.raises(NumericalError, match=r"did not converge in 150 terms \(1 entries left\)"):
-        _scaled_bessel_k(0.3, np.array([0.5, 2.5, np.nan]))
-    monkeypatch.setattr(extension, "K_MAX_TERMS", 40)
-    with pytest.raises(NumericalError, match="did not converge in 40 terms"):
-        _scaled_bessel_k(0.3, np.array([2.0, 100.0]))
-    assert np.isfinite(_scaled_bessel_k(0.3, np.array([0.5, 100.0]))).all()
+@pytest.mark.parametrize("nu", [0.0, 1e-6, 0.05, 0.3, 0.7, 0.95, 1.0])
+def test_scaled_bessel_k_matches_mpmath_from_1e_300_to_2e4(nu):
+    # every order the multipliers and slopes use, down to x = 1e-300, where K_1 is 1e300,
+    # and up past the ladder tops of the shipped configs; a RuntimeWarning is an error
+    x = np.geomspace(1e-300, 2e4, 160)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.besselk(nu, v) * mpmath.exp(v)) for v in x])
+    np.testing.assert_allclose(_scaled_bessel_k(nu, x), exact, rtol=2e-14, atol=0)
 
 
 def test_multiplier_alpha_half_is_poisson_kernel():
@@ -278,7 +282,7 @@ def test_trace_convergence_monotone_with_envelope():
             np.linalg.norm(ext.values[:, k] - u) for k in range(3)
         ]
         assert errs[0] <= errs[1] <= errs[2]
-        assert errs[0] <= trace_tolerance(alpha, ext.y_nodes[0], np.linalg.norm(u))
+        assert errs[0] <= trace_tolerance(alpha, ext.y_nodes[0], np.linalg.norm(u), dec.n_dof)
 
 
 def test_recover_alpha_half_matches_sqrt_spectrum():
@@ -480,27 +484,23 @@ def test_extension_working_set_matches_tracemalloc_peak():
 
 @pytest.mark.parametrize("cols", [100, 400])
 def test_bessel_term_loops_hold_a_fixed_chunk_of_work(cols):
-    # beyond its output, _z_power_bessel_k holds about 20 arrays of K_CHUNK entries
-    # (2.6 MB) whatever the size of z; Temme's series, with every z < 2, holds the most
+    # beyond its output, _z_power_bessel_k holds about 10 arrays of K_CHUNK entries
+    # (1.3 MB) whatever the size of z or how many nodes its trapezoid sums take
     z = np.geomspace(1e-4, 1.9, 1024)[:, None] * np.ones(cols)
     work = _traced_peak(lambda: _z_power_bessel_k(0.5, 0.5, z)) - z.nbytes
     assert 0 < work <= 20 * 8 * extension.K_CHUNK
 
 
-def test_chunked_bessel_k_is_bit_identical_to_column_by_column(monkeypatch):
-    # K_CHUNK / 4 rows make chunks of 4 columns. Columns 7 and 8, on either side of a chunk
-    # boundary, stop at 69 and 29 terms: a chunk steps its entries until the slowest is
-    # done, and the ones done first do not move meanwhile
+def test_chunked_bessel_k_is_bit_identical_to_column_by_column():
+    # K_CHUNK / 4 rows make chunks of 4 columns. A chunk steps to the most nodes any of its
+    # entries needs: 28 for columns 4-7, where column 7 needs 12-15, and the mask keeps
+    # every entry's sum to its own nodes
     z = (np.sqrt(np.linspace(1.0, 4.0, extension.K_CHUNK // 4))[:, None]
          * (1e-3 * 3.0 ** np.arange(12))[None, :])
     for nu in (0.1, 0.4, 0.9):
         whole = _z_power_bessel_k(0.4, nu, z)
         columns = np.hstack([_z_power_bessel_k(0.4, nu, z[:, [k]]) for k in range(12)])
         assert np.array_equal(whole.view(np.uint64), columns.view(np.uint64))
-    monkeypatch.setattr(extension, "K_MAX_TERMS", 40)
-    assert np.isfinite(_z_power_bessel_k(0.4, 0.4, z[:, 8:])).all()
-    with pytest.raises(NumericalError, match="did not converge in 40 terms"):
-        _z_power_bessel_k(0.4, 0.4, z[:, 7:8])
 
 
 # --- weak form ---------------------------------------------------------------
