@@ -179,9 +179,10 @@ def test_scaled_bessel_k_matches_scipy_kve_oracle(nu):
 
 
 @pytest.mark.parametrize("nu", [0.105, 0.35, 0.5, 0.9])
-def test_scaled_bessel_k_matches_mpmath_near_z_2(nu):
-    # kve itself is off by up to 3e-13 just below z = 2 (nu = 0.105)
-    z = np.array([0.5, 1.9, 1.99, 1.999, 2.0, 2.001, 2.5, 10.0])
+def test_scaled_bessel_k_matches_mpmath_near_the_switch(nu):
+    # on both sides of the switch of step from 0.25 to 0.6/sqrt(z) at z = 5.76, and near
+    # z = 2, where kve itself is off by up to 3e-13 just below (nu = 0.105)
+    z = np.array([0.5, 1.9, 1.99, 1.999, 2.0, 2.001, 2.5, 5.7, 5.76, 5.8, 10.0])
     with mpmath.workdps(30):
         exact = np.array([float(mpmath.besselk(nu, x) * mpmath.exp(x)) for x in z])
     np.testing.assert_allclose(_scaled_bessel_k(nu, z), exact, rtol=2e-14, atol=0)
