@@ -55,7 +55,7 @@ class Nonlinearity:
 
     Variables per term: (z, conj z, dz_1..dz_dim, d conj z_1..d conj z_dim), so
     dim = 0 is the pure power P(z, conj z) and the zero nonlinearity is the empty sum.
-    Term degrees span [n1, n2] with n1 >= 2 unless the polynomial is zero.
+    Term degrees span [n1, n2] with n1 >= 2; the zero polynomial has n1 = n2 = 0.
     ``energy_hypothesis`` records whether every d/d(dz_j) derivative is real at
     every conjugate-consistent state; with no dz_j it holds vacuously.
     """
@@ -65,10 +65,6 @@ class Nonlinearity:
     n2: int
     dim: int
     energy_hypothesis: bool
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, states: np.ndarray, grid: Grid) -> np.ndarray:
         """Pointwise collocation evaluation; states have the dof axis first, on ``grid``'s
@@ -107,13 +103,10 @@ def _normalize_terms(raw_terms, n_vars):
             raise ValueError("term powers must be nonnegative")
         if coeff != 0:
             terms.append((complex(coeff), powers))
-    if not terms:
-        return (), 0, 0
     degrees = [sum(p) for _, p in terms]
-    n1, n2 = min(degrees), max(degrees)
-    if n1 < 2:
-        raise ValueError(f"total degree of every term must be >= 2, got {n1}")
-    return tuple(terms), n1, n2
+    if any(d < 2 for d in degrees):
+        raise ValueError(f"total degree of every term must be >= 2, got {min(degrees)}")
+    return tuple(terms), min(degrees, default=0), max(degrees, default=0)
 
 
 def polynomial_nonlinearity(raw_terms) -> Nonlinearity:
@@ -170,15 +163,17 @@ def check_c_est(c_est: float) -> None:
 
 
 def t_star_from_radius(radius: float, n1: int, n2: int, c_est: float) -> float:
-    """Picard horizon: largest T with 2 c T (R^{N1-1} + R^{N2-1}) = 1/4."""
+    """Picard horizon: largest T with 2 c T (R^{N1-1} + R^{N2-1}) = 1/4; +inf for zero data
+    (R = 0) or the zero polynomial (N2 = 0), whose linear flow is global."""
     check_c_est(c_est)
-    if radius == 0.0:
+    if radius == 0.0 or not n2:
         return math.inf
     return 1.0 / (8.0 * c_est * (radius ** (n1 - 1) + radius ** (n2 - 1)))
 
 
 def estimate_t_star(u0, s: float, n1: int, n2: int, c_est: float, grid: Grid) -> float:
-    """Contraction horizon for the given data on ``grid``; +inf for zero data."""
+    """Contraction horizon for the given data on ``grid``; +inf for zero data or the zero
+    polynomial."""
     norm = sobolev_norm(grid, s, u0)
     return t_star_from_radius(8.0 * c_est * norm, n1, n2, c_est)
 
@@ -229,8 +224,10 @@ def _time_grid(t_final: float, dt: float) -> np.ndarray:
 PICARD_WORKING_SET = 9.0
 
 
-def check_picard(max_iter: int, c_est: float | None) -> None:
+def check_picard(tol: float, max_iter: int, c_est: float | None) -> None:
     """picard_solve's rules, which need no decomposition; a null c_est skips the horizon check."""
+    if not tol > 0:  # NaN too: no sweep difference is below it
+        raise ValueError(f"tol must be > 0, got {tol}")
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if c_est is not None:
@@ -259,12 +256,11 @@ def picard_solve(
     """
     if nonlinearity.dim:
         raise ValueError("picard_solve takes a polynomial (non-gradient) nonlinearity")
-    check_picard(max_iter, c_est)
+    check_picard(tol, max_iter, c_est)
     grid = dec.source.grid
     times = _time_grid(t_final, dt)
     if c_est is not None:
-        t_star = estimate_t_star(u0, s, nonlinearity.n1 or 2, nonlinearity.n2 or 2,
-                                 c_est, grid)
+        t_star = estimate_t_star(u0, s, nonlinearity.n1, nonlinearity.n2, c_est, grid)
         if times[-1] > t_star:
             warnings.warn(
                 f"horizon T = {times[-1]:.4g} exceeds the contraction estimate "
@@ -279,26 +275,21 @@ def picard_solve(
     states = dec.from_modes(modes.T).T
 
     history = []
-    if nonlinearity.is_zero:
-        iterations = 0
-    else:
-        iterations = None
-        for sweep in range(1, max_iter + 1):
-            modes = _duhamel_modes(forward, u0_modes,
-                                   dec.to_modes(nonlinearity.evaluate(states.T, grid)).T, dt)
-            new_states = dec.from_modes(modes.T).T
-            diff = float(sobolev_norm(grid, s, (new_states - states).T).max())
-            history.append(diff)
-            states = new_states
-            # stop before the growing iterates overflow
-            grew_twice = len(history) >= 3 and history[-3] < history[-2] < history[-1]
-            if grew_twice or not np.isfinite(diff):
-                raise PicardConvergenceError(history)
-            if diff < tol:
-                iterations = sweep
-                break
-        if iterations is None:
+    for iterations in range(1, max_iter + 1):
+        modes = _duhamel_modes(forward, u0_modes,
+                               dec.to_modes(nonlinearity.evaluate(states.T, grid)).T, dt)
+        new_states = dec.from_modes(modes.T).T
+        diff = float(sobolev_norm(grid, s, (new_states - states).T).max())
+        history.append(diff)
+        states = new_states
+        # stop before the growing iterates overflow
+        grew_twice = len(history) >= 3 and history[-3] < history[-2] < history[-1]
+        if grew_twice or not np.isfinite(diff):
             raise PicardConvergenceError(history)
+        if diff < tol:
+            break
+    else:
+        raise PicardConvergenceError(history)
 
     residual = _equation_residual(grid, 1j * lam_a, modes, times,
                                   1j * dec.to_modes(nonlinearity.evaluate(states.T, grid)).T)
@@ -414,7 +405,7 @@ def viscous_solve(
 
     residual = _equation_residual(grid, symbol, modes, times, forcing)
     energy = np.linalg.norm(spectrum_power(dec, s / 2.0) * np.abs(modes), axis=1)
-    bound = c_est * (norm_s[1:]**2 + norm_s[1:]**(nonlinearity.n2 or 2))
+    bound = c_est * (norm_s[1:]**2 + norm_s[1:]**nonlinearity.n2)
     flagged = np.diff(energy) / dt > GROWTH_FACTOR * np.maximum(bound, 1e-300)
     return Trajectory(
         times=times,

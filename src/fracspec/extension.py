@@ -260,7 +260,7 @@ def energy_report(ext: ExtensionField) -> EnergyReport:
         return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
     modes = dec.to_modes(ext.base)  # c = V^T u: <u, L^a u> = c . lambda^a c, |L^a u| = |lambda^a c|
     frac_modes = spectrum_power(dec, ext.alpha) * modes
-    energy = -grid.spacing**grid.dim * float(modes @ frac_modes) / conormal_constant(ext.alpha)
+    energy = -grid.spacing**grid.dim * (modes @ frac_modes) / conormal_constant(ext.alpha)
     frac = l2_norm(grid, frac_modes)
     ratio = energy / (base_norm**2 + frac**2)
     sup = float(np.linalg.norm(ext.values, axis=0).max() / np.linalg.norm(ext.base))

@@ -420,7 +420,7 @@ def _dst1(x: np.ndarray, axes) -> np.ndarray:
 def l2_norm(grid: Grid, f: np.ndarray):
     """Physical l2 norm with the h^{dim/2} cell weight; one per column of a batch."""
     f = np.asarray(f)
-    norm = float(np.linalg.norm(f)) if f.ndim == 1 else np.linalg.norm(f, axis=0)
+    norm = np.linalg.norm(f) if f.ndim == 1 else np.linalg.norm(f, axis=0)
     return norm * grid.spacing ** (grid.dim / 2.0)
 
 

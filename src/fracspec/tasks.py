@@ -229,7 +229,8 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
             _built("'radii' of doubling", doubling_radii, p["radii"], grid, float(ladder[-1]))
     if "dt" in p:  # the evolution tasks; each further viscosity run adds its states
         if task == "picard":
-            _built("'max_iter' / 'c_est' of picard", check_picard, p["max_iter"], p["c_est"])
+            _built("'tol' / 'max_iter' / 'c_est' of picard", check_picard, p["tol"],
+                   p["max_iter"], p["c_est"])
         elif task == "viscous":
             _built("'eps' / 's' / 'c_est' of viscous", check_viscous, p["eps"], p["s"], p["c_est"])
         else:

@@ -169,7 +169,7 @@ def weak_residual(ext: ExtensionField, test_functions) -> float:
 
 def measure_scheme_constant(nl: Nonlinearity, s: float, probes, grid: Grid) -> float:
     """max over probes of |P(f)|_s / (|f|_s^{N1} + |f|_s^{N2})."""
-    if nl.is_zero:
+    if not nl.terms:
         return 0.0
     worst = 0.0
     for f in probes:
@@ -183,7 +183,7 @@ def measure_scheme_constant(nl: Nonlinearity, s: float, probes, grid: Grid) -> f
 
 def measure_lipschitz_constant(nl: Nonlinearity, s: float, probe_pairs, grid: Grid) -> float:
     """max of |P(f)-P(g)|_s over the product-estimate denominator."""
-    if nl.is_zero:
+    if not nl.terms:
         return 0.0
     worst = 0.0
     for f, g in probe_pairs:

@@ -308,15 +308,25 @@ def test_viscous_run_exits_3_before_its_symbol_overflows(tmp_path, capsys, overr
     assert "Traceback" not in capsys.readouterr().err
 
 
+TINY_GRID = {**BASE["grid"], "n": 33, "half_length": 1e-150}
+
+
 @pytest.mark.parametrize("task, params", [
     ("funcalc", {}), ("kp_check", {}), ("picard", {}),
-    ("uc_probe", {"theta": [-1e-150, 0.0], "f_support": [5e-151, 1e-150]}),
+    ("uc_probe", {"task_params": {"theta": [-1e-150, 0.0], "f_support": [5e-151, 1e-150]}}),
+    # a python float's power raises OverflowError whatever np.errstate says, so the norms
+    # stay numpy scalars: |u|_2^2 of the energy report, R^{N1-1} of the Picard horizon
+    ("energy", {"grid": {**TINY_GRID, "half_length": 32.0}, "task_params": {
+        "u0": {"kind": "gaussian", "amp": 8e153, "width": 4.0}}}),
+    ("picard", {"grid": {**TINY_GRID, "half_length": 8.0}, "task_params": {
+        "c_est": 1.0, "nonlinearity": [{"coeff_re": 1.0, "powers": [3, 2]}],
+        "u0": {"kind": "gaussian", "amp": 1e80}}}),
 ])
 def test_run_net_fails_an_unguarded_overflow_as_a_numerical_error(tmp_path, capsys, task, params):
-    # stencil entries near 2.6e302: each task overflows inside a norm or a product that no
-    # guard of its own covers, and the suite's error::RuntimeWarning filter alone made it exit 4
+    # stencil entries near 2.6e302 (or data near the largest float): each task overflows inside
+    # a norm or a product that no guard of its own covers, so only the run's net makes it exit 3
     out = tmp_path / "out"
-    overrides = {"grid": {**BASE["grid"], "n": 33, "half_length": 1e-150}, "task_params": params}
+    overrides = {"grid": TINY_GRID, **params}
     assert main(["run", str(write_config(tmp_path, overrides, task=task,
                                          output_dir=str(out)))]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
@@ -664,6 +674,10 @@ CAUGHT_BEFORE_ASSEMBLY = {
         "y_count": 4096}}, "'y_count'"),  # 1e-3 * 1.2^4095 is inf
     "picard_max_iter_zero": ("picard", {"grid": GRID_64, "task_params": {"max_iter": 0}},
                              "'max_iter'"),
+    # no sweep difference is below 0: the iteration would run out its max_iter sweeps
+    "picard_tol_zero": ("picard", {"grid": GRID_64, "task_params": {"tol": 0.0}}, "'tol'"),
+    "picard_tol_negative": ("picard", {"grid": GRID_64, "task_params": {"tol": -1e-10}},
+                            "'tol'"),
     "norm_equiv_n_bumps_negative": ("norm_equiv", {"grid": GRID_64, "task_params": {
         "n_bumps": -3}}, "'n_bumps'"),
     "viscous_working_set_over_memory_guard": ("viscous", {"grid": GRID_64, "task_params": {

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fracspec.evolution import (
+    BLOWUP_FACTOR,
     PICARD_WORKING_SET,
     VISCOUS_WORKING_SET,
     BlowUpError,
@@ -69,7 +71,7 @@ def test_polynomial_degrees_and_validation():
 
 
 def test_zero_nonlinearity_evaluates_to_zero():
-    assert ZERO_P.is_zero
+    assert not ZERO_P.terms
     out = ZERO_P.evaluate(np.ones(5, dtype=complex), build_grid(1, 7, 1.0, "dirichlet"))
     assert np.all(out == 0)
 
@@ -99,6 +101,23 @@ def test_energy_hypothesis_single_terms():
     failing = gradient_nonlinearity([(1.0, (1, 0, 1, 0))], dim=1)
     assert passing.energy_hypothesis is True
     assert failing.energy_hypothesis is False
+
+
+def test_energy_hypothesis_counts_the_gradient_power():
+    # Q = z g^2 + 2 conj(z) g conj(g) has dQ/dg = 2 z g + 2 conj(z conj g) = 4 Re(z g), real
+    # only when the derivative of g^2 carries its factor 2
+    q = gradient_nonlinearity([(1.0, (1, 0, 2, 0)), (2.0, (0, 1, 1, 1))], dim=1)
+    assert q.energy_hypothesis is True
+
+
+def test_energy_hypothesis_tolerance_is_relative_to_the_coefficients():
+    # Q = a z g + b conj(z) g has dQ/dg = a z + b conj z, real when b = conj(a); a mismatch
+    # of 1e-13 relative is roundoff at any scale, here 1e-7 absolute on coefficients of 1e6
+    a = 1e6
+    q = gradient_nonlinearity([(a, (1, 0, 1, 0)), (a * (1 + 1e-13), (0, 1, 1, 0))], dim=1)
+    assert q.energy_hypothesis is True
+    q = gradient_nonlinearity([(a, (1, 0, 1, 0)), (a * (1 + 1e-6), (0, 1, 1, 0))], dim=1)
+    assert q.energy_hypothesis is False
 
 
 def test_energy_hypothesis_matches_symbolic_differentiation():
@@ -203,6 +222,8 @@ def test_energy_hypothesis_closed_form_matches_sampled_oracle(dim):
 
 def test_t_star_formula():
     assert t_star_from_radius(1.0, 3, 3, 1.0) == pytest.approx(1.0 / 16.0)
+    # 2 c T (R^2 + R^2) = 1/4 at R = 1, c = 1/2: T = 1/8
+    assert t_star_from_radius(1.0, 3, 3, 0.5) == pytest.approx(1.0 / 8.0)
 
 
 def test_t_star_shrinks_with_data_size():
@@ -210,6 +231,12 @@ def test_t_star_shrinks_with_data_size():
     t1 = t_star_from_radius(1.0, 3, 3, 1.0)
     t2 = t_star_from_radius(2.0, 3, 3, 1.0)
     assert t2 == pytest.approx(t1 / 4.0)
+
+
+def test_t_star_of_the_zero_polynomial_is_infinite():
+    # P = 0 has degrees N1 = N2 = 0: its linear flow is global, at any data size
+    assert ZERO_P.n1 == ZERO_P.n2 == 0
+    assert t_star_from_radius(1e3, 0, 0, 1.0) == math.inf
 
 
 def test_estimate_t_star_zero_data_is_infinite():
@@ -222,6 +249,9 @@ def test_estimate_t_star_uses_sobolev_norm():
     u = smooth_state(g)
     t = estimate_t_star(u, 2, 3, 3, 1.0, grid=g)
     assert 0 < t < math.inf
+    # the radius is R = 8 c |u0|_s: at c = 1/2, R = 4 |u0|_s and T = 1 / (8 R^2)
+    radius = 4.0 * sobolev_norm(g, 2, u)
+    assert estimate_t_star(u, 2, 3, 3, 0.5, grid=g) == pytest.approx(1.0 / (8.0 * radius**2))
 
 
 def test_measured_scheme_constant_scalar_cubic():
@@ -247,7 +277,12 @@ def test_measured_constants_on_grid():
 def test_picard_linear_flow_matches_unitary_snapshots():
     g, dec = grid_dec()
     u0 = smooth_state(g)
-    traj = picard_solve(dec, 0.5, u0, ZERO_P, t_final=0.5, dt=0.05)
+    # the linear flow is global: no horizon warning, and one sweep that changes nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = picard_solve(dec, 0.5, u0, ZERO_P, t_final=0.5, dt=0.05, max_iter=1, c_est=1.0)
+    assert traj.picard_residual_history == (0.0,)
+    assert np.all(traj.monitors["picard_iterations"] == 1.0)
     for k, t in enumerate(traj.times):
         exact = unitary_propagate(dec, 0.5, t, u0.astype(complex))
         assert np.linalg.norm(traj.states[k] - exact) <= 1e-9 * np.linalg.norm(u0)
@@ -369,6 +404,14 @@ def test_picard_working_set_matches_tracemalloc_peak():
     assert PICARD_WORKING_SET - 1.0 < peak / traj.states.nbytes <= PICARD_WORKING_SET
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_picard_rejects_a_tol_that_is_not_positive(tol):
+    # no sweep difference is below it, so the iteration would run out its max_iter sweeps
+    g, dec = grid_dec(n=17)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        picard_solve(dec, 0.5, smooth_state(g), ZERO_P, 0.1, 0.01, tol=tol)
+
+
 def test_picard_rejects_max_iter_below_one():
     g, dec = grid_dec(n=17)
     with pytest.raises(ValueError, match="max_iter"):
@@ -378,6 +421,7 @@ def test_picard_rejects_max_iter_below_one():
 @pytest.mark.parametrize("t_final, dt", [
     (1e300, 1e-300),  # each finite, the step count not
     (math.inf, 0.01), (0.1, math.inf), (math.nan, 0.01), (0.1, math.nan), (0.1, 0.0), (-0.1, 0.01),
+    (0.0, 0.01),
 ])
 def test_solvers_reject_a_time_grid_without_a_finite_step_count(t_final, dt):
     g, dec = grid_dec(n=17)
@@ -489,6 +533,9 @@ def test_modal_equation_residual_matches_physical_oracle(boundary):
     runs = [
         (picard_solve(dec, alpha, u0, CUBIC, t_final=0.2, dt=0.005, tol=1e-12),
          1j * lam**alpha, lambda states: 1j * CUBIC.evaluate(states.T, g).T),
+        # two steps: the one interior time is the shortest grid with a midpoint
+        (picard_solve(dec, alpha, u0, CUBIC, t_final=0.01, dt=0.005, tol=1e-12),
+         1j * lam**alpha, lambda states: 1j * CUBIC.evaluate(states.T, g).T),
         (viscous_solve(dec, alpha, eps, u0, q, t_final=0.2, dt=0.005),
          -eps * lam**2 + 1j * lam**alpha, lambda states: q.evaluate(states.T, g).T),
     ]
@@ -574,8 +621,32 @@ def test_viscous_blowup_flag():
     # feed an envelope small enough that any state violates it
     g, dec = grid_dec(n=17)
     u0 = smooth_state(g)
-    with pytest.raises(BlowUpError):
-        viscous_solve(dec, 0.5, 0.01, u0, ZERO_P, 0.1, 0.01, c_est=1e-6)
+    c_est = 1e-6
+    with pytest.raises(BlowUpError) as excinfo:
+        viscous_solve(dec, 0.5, 0.01, u0, ZERO_P, 0.1, 0.01, c_est=c_est)
+    # the threshold is BLOWUP_FACTOR times the a-priori envelope 8 c |u0|_s (s = 2)
+    assert excinfo.value.envelope == pytest.approx(BLOWUP_FACTOR * 8 * c_est
+                                                   * sobolev_norm(g, 2, u0))
+
+
+def test_viscous_error_at_t_falls_fourfold_per_halved_step():
+    # the trapezoid Duhamel increment is second order: against a reference at dt / 32 the
+    # error of the final state falls 3.98x and 4.04x when dt halves. A predictor that steps
+    # the wrong way keeps the scheme consistent but falls 2.6x and 2.3x here; at a tenth of
+    # the amplitude the gradient term is too weak for the order to show that
+    g, dec = grid_dec(n=258, kind="radial_bump", params={"s": 0.7, "w": 2.0, "c_amp": 0.4})
+    q = gradient_nonlinearity([(0.25, (2, 0, 1, 0)), (0.5, (1, 1, 1, 0)), (0.25, (0, 2, 1, 0))],
+                              dim=1)
+    u0 = 0.5 * np.exp(-g.dof_nodes().ravel() ** 2 / 0.25)
+    dt = 0.0025
+
+    def final(step):
+        return viscous_solve(dec, 0.5, 0.05, u0, q, t_final=0.1, dt=step).states[-1]
+
+    ref = final(dt / 32)
+    errors = [np.linalg.norm(final(dt / 2**j) - ref) for j in range(3)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_viscous_small_data_keeps_energy_envelope():
@@ -589,6 +660,16 @@ def test_viscous_small_data_keeps_energy_envelope():
     assert traj.energy_flags == ()
     envelope = 8.0 * 1.0 * traj.monitors["sobolev_norm_s"][0]
     assert traj.monitors["sobolev_norm_s"].max() <= 10.0 * envelope
+
+
+def test_viscous_monitors_at_s_zero_are_the_l2_norm():
+    # s = 0 is an even index >= 0: |u|_0 is the weighted l2 norm, and |L^0 u| the plain one
+    g, dec = grid_dec(n=17)
+    traj = viscous_solve(dec, 0.5, 0.05, smooth_state(g), ZERO_P, 0.1, 0.01, s=0)
+    l2 = traj.monitors["l2_norm"]
+    np.testing.assert_allclose(traj.monitors["sobolev_norm_s"], l2, rtol=1e-13)
+    np.testing.assert_allclose(traj.monitors["energy_half_s"] * np.sqrt(g.spacing), l2,
+                               rtol=1e-13)
 
 
 def test_viscous_energy_monitor_and_flags_match_a_per_step_loop():
@@ -626,11 +707,41 @@ def test_viscosity_convergence_zero_q_linear_rate():
         assert sup <= (e1 - e2) * lam_max**2 * 0.2 * np.linalg.norm(u0) * 10
 
 
+def test_viscosity_convergence_rows_are_h2_distances_with_a_fit_through_the_origin():
+    # on the flat grid |f|_{2,2} = h^{1/2} |(1 + L) f|_2 exactly, L the identity-coefficient
+    # stencil; the fit y = k x through the origin is a one-column least-squares problem
+    g, dec = grid_dec(n=17)
+    u0 = smooth_state(g)
+    epsilons = [0.2, 0.1, 0.05]
+    table = viscosity_convergence(dec, 0.5, u0, ZERO_P, 0.2, epsilons, 0.01)
+    states = [viscous_solve(dec, 0.5, e, u0, ZERO_P, 0.2, 0.01).states for e in epsilons]
+    op = dec.source
+    for (e1, e2, sup), (i, j) in zip(table.rows, [(0, 1), (0, 2), (1, 2)]):
+        diff = (states[i] - states[j]).T
+        h2 = np.sqrt(g.spacing) * np.linalg.norm(diff + op.apply(diff), axis=0)
+        assert (e1, e2) == (epsilons[i], epsilons[j])
+        assert sup == pytest.approx(h2.max(), rel=1e-12)
+    x = np.array([[e1 - e2] for e1, e2, _ in table.rows])
+    y = np.array([sup for _, _, sup in table.rows])
+    (k,), (ss_res,), _, _ = np.linalg.lstsq(x, y, rcond=None)
+    assert table.k_est == pytest.approx(k, rel=1e-12)
+    assert 0 < table.r_squared < 1
+    assert table.r_squared == pytest.approx(1 - ss_res / (y @ y), rel=1e-12)
+
+
 def test_viscosity_convergence_identical_epsilons():
     g, dec = grid_dec(n=9)
     u0 = smooth_state(g)
     table = viscosity_convergence(dec, 0.5, u0, ZERO_P, 0.1, [0.1, 0.1], 0.01)
     assert table.rows[0][2] == 0.0
+    assert table.k_est == 0.0 and table.r_squared == 1.0
+
+
+def test_viscosity_convergence_of_zero_data_is_an_exact_fit():
+    # distinct epsilons, every distance 0: the fit through the origin has k = 0 and R^2 = 1
+    g, dec = grid_dec(n=9)
+    table = viscosity_convergence(dec, 0.5, np.zeros(g.n_dof), ZERO_P, 0.1, [0.1, 0.05], 0.01)
+    assert table.rows == ((0.1, 0.05, 0.0),)
     assert table.k_est == 0.0 and table.r_squared == 1.0
 
 
