@@ -670,6 +670,8 @@ def test_viscous_monitors_at_s_zero_are_the_l2_norm():
     np.testing.assert_allclose(traj.monitors["sobolev_norm_s"], l2, rtol=1e-13)
     np.testing.assert_allclose(traj.monitors["energy_half_s"] * np.sqrt(g.spacing), l2,
                                rtol=1e-13)
+    # the linear viscous flow does not raise the energy, so no bound flags a step
+    assert traj.energy_flags == ()
 
 
 def test_viscous_energy_monitor_and_flags_match_a_per_step_loop():

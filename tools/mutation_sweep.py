@@ -1,6 +1,6 @@
 """Single-token mutation sweep of one fracspec module.
 
-    python tools/mutation_sweep.py MODULE [--sites N] [--seed S]
+    python tools/mutation_sweep.py MODULE
 
 MODULE is a module name of ``src/fracspec`` (``evolution``) or its path. Every site is one
 token and one replacement:
@@ -16,9 +16,8 @@ Each mutant is written into a temporary copy of the checkout (its tracked and un
 files), never into the checkout itself, and runs against the module's own test file,
 ``tests/test_cli.py`` and ``tests/test_acceptance.py`` with ``-x -q -p no:cacheprovider``.
 The copy's tests and subprocesses import the copy's ``src``. A mutant is killed when the
-tests fail or run past ``TIMEOUT_S``, and survives when they pass. ``--sites N`` runs a seeded
-random sample of N sites; without it every site runs. The report lists the killed and
-survived counts and each survivor's line and mutation.
+tests fail or run past ``TIMEOUT_S``, and survives when they pass. Every site runs. The report
+lists the killed and survived counts and each survivor's line and mutation.
 """
 
 import argparse
@@ -26,7 +25,6 @@ import ast
 import bisect
 import io
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -178,26 +176,17 @@ def _module_path(module: str) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module name of src/fracspec, or its path")
-    parser.add_argument("--sites", type=int, default=None,
-                        help="run a seeded random sample of this many sites (default: all)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the sample")
     args = parser.parse_args(argv)
 
     path = _module_path(args.module)
     relative = path.relative_to(ROOT)
     source = path.read_text()
     sites = enumerate_sites(source)
-    chosen = sites
-    if args.sites is not None and args.sites < len(sites):
-        chosen = sorted(random.Random(args.seed).sample(sites, args.sites),
-                        key=lambda s: (s.start, s.new))
     test_files = ["tests/test_cli.py", "tests/test_acceptance.py"]
     own = f"tests/test_{path.stem}.py"
     if (ROOT / own).is_file() and own not in test_files:
         test_files.insert(0, own)
-    print(f"{relative}: {len(sites)} sites, running {len(chosen)}"
-          + (f" (seed {args.seed})" if chosen is not sites else "")
-          + f" against {' '.join(test_files)}", flush=True)
+    print(f"{relative}: {len(sites)} sites against {' '.join(test_files)}", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         copy = Path(tmp)
@@ -207,7 +196,7 @@ def main(argv=None) -> int:
             print("the unmutated copy fails its tests; no mutant can be judged")
             return 2
         survivors, killed = [], 0
-        for i, site in enumerate(chosen, 1):
+        for i, site in enumerate(sites, 1):
             mutant = site.apply(source)
             compile(mutant, str(relative), "exec")
             target.write_text(mutant)
@@ -220,10 +209,10 @@ def main(argv=None) -> int:
             else:
                 killed += 1
                 verdict = "killed (timeout)" if outcome == "timeout" else "killed"
-            print(f"[{i}/{len(chosen)}] {site.describe()}: {verdict} "
+            print(f"[{i}/{len(sites)}] {site.describe()}: {verdict} "
                   f"in {time.monotonic() - start:.1f} s", flush=True)
 
-    print(f"{relative}: killed {killed}, survived {len(survivors)} of {len(chosen)}")
+    print(f"{relative}: killed {killed}, survived {len(survivors)} of {len(sites)}")
     for site in survivors:
         print(f"  survived {site.describe()}")
     return 0
