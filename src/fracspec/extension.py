@@ -81,18 +81,18 @@ def _scaled_bessel_k(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _z_power_bessel_k(power: float, nu: float, z: np.ndarray) -> np.ndarray:
-    """z^power K_nu(z) for z > 0 and 0 at z = 0, with 0 <= nu <= 1, of a 2-D z.
+    """z^power K_nu(z), with 0 <= nu <= 1, of a 2-D z >= 0.
 
     K_nu(z) = e^{-z} (e^z K_nu(z)), the latter by its trapezoid sum on K_CHUNK entries of z at
-    a time, so its work stays one chunk. z is taken in [1e-300, 1e300]: below, the sum's last
-    node would overflow; above, e^{-z} is 0, and so an overflowed z = inf gives 0.
+    a time, so its work stays one chunk. z = 0, whose value no caller keeps, is taken at 1,
+    where the sum is short, and the rest in [1e-300, 1e300]: below, the sum's last node would
+    overflow; above, e^{-z} is 0, and so an overflowed z = inf gives 0.
     """
     out, step = np.empty_like(z), max(1, K_CHUNK // len(z))
     for j in range(0, z.shape[1], step):
         chunk = z[:, j:j + step]
-        safe = np.clip(chunk, 1e-300, 1e300)
-        out[:, j:j + step] = np.where(chunk > 0.0, safe**power * _scaled_bessel_k(nu, safe)
-                                      * np.exp(-safe), 0.0)
+        safe = np.clip(np.where(chunk > 0.0, chunk, 1.0), 1e-300, 1e300)
+        out[:, j:j + step] = safe**power * _scaled_bessel_k(nu, safe) * np.exp(-safe)
     return out
 
 
@@ -154,8 +154,8 @@ def extend(
     """Evaluate the extension of u on the y ladder, mode by mode."""
     conormal_constant(alpha)  # raises unless 0 < alpha < 1
     ys = geometric_ladder() if y_nodes is None else np.asarray(y_nodes, dtype=float)
-    if np.any(ys <= 0) or np.any(np.diff(ys) <= 0):
-        raise ValueError("y ladder must be positive and strictly increasing")
+    if ys.ndim != 1 or not ys.size or np.any(ys <= 0) or np.any(np.diff(ys) <= 0):
+        raise ValueError("y ladder must be a nonempty 1-D array, positive and strictly increasing")
     u = np.asarray(u, dtype=float)
     field = ExtensionField(
         base=u,
@@ -170,7 +170,7 @@ def extend(
 
 def _validate_extension(field: ExtensionField) -> None:
     base_norm = np.linalg.norm(field.base)
-    sup = np.linalg.norm(field.values, axis=0).max() if field.values.size else 0.0
+    sup = np.linalg.norm(field.values, axis=0).max()
     if sup > base_norm * (1.0 + 1e-8):
         raise NumericalError(f"extension exceeds the trace mass: sup_y |U| = {sup:.6e} > |u| = {base_norm:.6e}")
     y0 = float(field.y_nodes[0])
@@ -211,14 +211,10 @@ def conormal_recover(ext: ExtensionField) -> np.ndarray:
     limit, e01, e12 = _richardson_limit(
         slopes[:, 0], slopes[:, 1], slopes[:, 2], rho01, 2.0 - 2.0 * alpha, 2.0
     )
-    scale = np.abs(limit).max()
-    if scale > 0:
-        disagree = np.abs(e01 - e12).max()
-        if disagree > 10.0 * RECOVERY_TOL * scale:
-            raise ExtrapolationError(
-                f"limit estimates disagree by {disagree:.3e} against scale {scale:.3e}; "
-                "shrink the ladder base y0"
-            )
+    scale, disagree = np.abs(limit).max(), np.abs(e01 - e12).max()
+    if disagree > 10.0 * RECOVERY_TOL * scale:
+        raise ExtrapolationError(f"limit estimates disagree by {disagree:.3e} against scale "
+                                 f"{scale:.3e}; shrink the ladder base y0")
     return conormal_constant(alpha) * apply_function(dec, limit, ext.base)
 
 

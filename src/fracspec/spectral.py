@@ -258,22 +258,22 @@ def _block_residuals(v: np.ndarray, lam: np.ndarray, p: int, folded) -> tuple[fl
 @functools.cache
 def _openblas():
     """The OpenBLAS in numpy's wheel as (get_num_threads, set_num_threads, get_num_procs,
-    LAPACKE_dsyevd), or None where numpy bundles none that exports all four."""
+    LAPACKE_dsyevd), or None where numpy bundles none that exports all four under the ILP64
+    names ``scipy_<name>64_`` of numpy 2's wheels."""
     for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*.so*"):
         handle = ctypes.CDLL(str(lib))
-        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
-            found = [getattr(handle, f"{prefix}{name}{suffix}", None) for name in (
-                "openblas_get_num_threads", "openblas_set_num_threads",
-                "openblas_get_num_procs", "LAPACKE_dsyevd")]
-            if all(found):
-                get, put, procs, dsyevd = found
-                for query in (get, procs):
-                    query.argtypes, query.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                dsyevd.restype = integer = ctypes.c_int64 if suffix else ctypes.c_int32
-                dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer,
-                                   ctypes.c_void_p, integer, ctypes.c_void_p]
-                return get, put, procs, dsyevd
+        found = [getattr(handle, f"scipy_{name}64_", None) for name in (
+            "openblas_get_num_threads", "openblas_set_num_threads",
+            "openblas_get_num_procs", "LAPACKE_dsyevd")]
+        if all(found):
+            get, put, procs, dsyevd = found
+            for query in (get, procs):
+                query.argtypes, query.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            dsyevd.restype = ctypes.c_int64
+            dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            return get, put, procs, dsyevd
     return None
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from fracspec.extension import (
     geometric_ladder,
     trace_tolerance,
 )
-from fracspec.gridop import assemble, build_grid, make_coefficients
+from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, fractional_power, l2_norm
 from oracles import (
     constant_field_doubling_exponent,
@@ -62,6 +63,13 @@ def test_conormal_constant_formula():
         expected = 4.0**alpha * gamma_fn(alpha) / (2 * alpha * gamma_fn(-alpha))
         assert conormal_constant(alpha) == pytest.approx(expected, rel=1e-14)
         assert conormal_constant(alpha) < 0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, np.nan])
+def test_conormal_constant_refuses_alpha_outside_the_open_unit_interval(alpha):
+    # at 0 and 1 math.gamma would fail too, but with its own message
+    with pytest.raises(ValueError, match=r"alpha must be in \(0,1\)"):
+        conormal_constant(alpha)
 
 
 def heat_kernel_integrals(lam, ys, alpha, extra_power=0.0, spectrum=None, n_nodes=400):
@@ -132,6 +140,25 @@ def test_huge_z_stepped_beside_the_slowest_entry_stays_finite(nu):
         out = _z_power_bessel_k(0.5, nu, z)
     assert np.all(np.isfinite(out[0, :3])) and np.all(out[0, :3] > 0.0)
     assert np.all(out[0, 3:] == 0.0)
+
+
+def test_zero_z_is_never_summed_below_the_smallest_positive_z(monkeypatch):
+    # z = 0 (a zero eigenvalue) has a value that no caller keeps, so it must not step its
+    # chunk to the 2781 nodes of the clip floor 1e-300; the positive entries keep their bits
+    smallest = []
+
+    def spy(nu, x):
+        smallest.append(x.min())
+        return _scaled_bessel_k(nu, x)
+
+    z = np.array([[0.0, 1e-3, 0.5], [0.0, 0.0, 2.0]])
+    plain = _z_power_bessel_k(0.5, 0.3, z)
+    monkeypatch.setattr(extension, "_scaled_bessel_k", spy)
+    spied = _z_power_bessel_k(0.5, 0.3, z)
+    assert smallest and min(smallest) >= 1e-3
+    positive = z > 0.0
+    assert np.array_equal(spied[positive], plain[positive])
+    assert np.array_equal(plain[positive], _z_power_bessel_k(0.5, 0.3, z[positive][None, :])[0])
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -239,8 +266,33 @@ def test_extend_rejects_bad_alpha_and_ladder():
     u = np.ones(dec.n_dof)
     with pytest.raises(ValueError, match="alpha"):
         extend(dec, 1.5, u)
-    with pytest.raises(ValueError, match="ladder"):
-        extend(dec, 0.5, u, np.array([0.1, 0.05, 0.2]))
+    # decreasing, empty, 2-D, a node at 0, a repeated node
+    for ys in ([0.1, 0.05, 0.2], [], [[1e-3, 2e-3, 4e-3]], [0.0, 1e-3, 2e-3], [1e-3, 1e-3, 2e-3]):
+        with pytest.raises(ValueError, match="y ladder must be a nonempty 1-D array"):
+            extend(dec, 0.5, u, np.array(ys))
+
+
+def _scaled_vectors(dec, delta):
+    """``dec`` with every eigenvector scaled by 1 + delta, so V V^T is (1 + delta)^2 I."""
+    even, odd = dec.blocks
+    return replace(dec, blocks=(even * (1.0 + delta), odd * (1.0 + delta)))
+
+
+def test_extend_trace_checks_hold_their_stated_bounds():
+    # at y0 = 1e-300 every multiplier rounds to 1, so U(., y0) = V V^T u and the trace
+    # tolerance is its floor n_dof eps |u|. The roundoff of V V^T u stays below it, also at
+    # |u| = 1e3; vectors scaled by 1 + delta put sup_y |U| and |U(., y0) - u| at about
+    # 2 delta |u|, against the mass bound 1e-8 |u|
+    g, dec = bump_dec()
+    u = 1e3 * gaussian_state(g)
+    ys = np.array([1e-300, 2e-300, 4e-300])
+    ext = extend(dec, 0.5, u, ys)
+    err = np.linalg.norm(ext.values[:, 0] - u)
+    assert 0.0 < err <= dec.n_dof * np.finfo(float).eps * np.linalg.norm(u)
+    with pytest.raises(NumericalError, match="trace not recovered"):
+        extend(_scaled_vectors(dec, 0.375e-8), 0.5, u, ys)  # 2 delta = 0.75e-8
+    with pytest.raises(NumericalError, match="exceeds the trace mass"):
+        extend(_scaled_vectors(dec, 0.75e-8), 0.5, u, ys)  # 2 delta = 1.5e-8
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.2, 10), (np.nan, 1.2, 10), (1e-3, 1.0, 10),
@@ -323,6 +375,42 @@ def test_recover_improves_with_resolution_refinement():
     e0, e2 = run(0), run(2)
     assert e0 <= 1e-3
     assert e2 <= e0 / 4.0
+
+
+def test_recover_takes_a_three_node_ladder():
+    # the three smallest nodes are all the limit reads, so the default ladder's first three
+    # give the same bits
+    g, dec = laplacian_dec()
+    u = gaussian_state(g)
+    ys = geometric_ladder(1e-3, 1.2, 3)
+    assert len(ys) == 3
+    assert np.array_equal(conormal_recover(extend(dec, 0.5, u, ys)),
+                          conormal_recover(extend(dec, 0.5, u)))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_recover_of_one_mode_reaches_its_two_stage_limit(alpha):
+    # at sqrt(lambda) y0 = 1e-3 and ratio 1.2, extrapolating with the boundary expansion's
+    # exponents 2 - 2a and 2 leaves 2e-11 to 5e-9 of lambda^a; a second exponent of 4 would
+    # leave 2.5e-7 to 5.9e-7
+    _, dec = laplacian_dec()
+    k = 4
+    u, lam = eigenvectors(dec)[:, k], dec.spectrum[k]
+    rec = conormal_recover(extend(dec, alpha, u, geometric_ladder(1e-3 / np.sqrt(lam), 1.2, 3)))
+    assert np.linalg.norm(rec - lam**alpha * u) <= 1e-8 * lam**alpha
+
+
+@pytest.mark.parametrize("rel,refused", [(1.5e-9, True), (0.75e-9, False)])
+def test_recover_geometric_test_is_relative_to_the_ratio(rel, refused):
+    # rho01 = 2, so the bottom nodes are refused when rho12 - rho01 exceeds 1e-9 rho01 = 2e-9
+    _, dec = bump_dec(n=32)
+    u = gaussian_state(dec.source.grid)
+    ext = extend(dec, 0.5, u, np.array([1e-3, 2e-3, 4e-3 * (1.0 + rel)]))
+    if refused:
+        with pytest.raises(ValueError, match="geometric"):
+            conormal_recover(ext)
+    else:
+        conormal_recover(ext)
 
 
 def test_recover_flags_divergent_extrapolation():
@@ -408,6 +496,22 @@ def test_energy_bound_ratio_bracket_over_random_states():
     assert ratios.max() / ratios.min() <= 50.0
 
 
+def test_energy_report_ratios_follow_their_definitions():
+    # on a state of norm far from 1, where dividing by a mass and multiplying by it differ
+    g, dec = bump_dec()
+    u = 3.0 * gaussian_state(g)
+    ext = extend(dec, 0.4, u)
+    rep = energy_report(ext)
+    assert rep.base_mass == pytest.approx(l2_norm(g, u) ** 2, rel=1e-14)
+    assert rep.fractional_mass == pytest.approx(l2_norm(g, fractional_power(dec, 0.4, u)) ** 2,
+                                                rel=1e-12)
+    assert rep.base_mass + rep.fractional_mass > 4.0 and np.linalg.norm(u) > 4.0
+    assert rep.bound_ratio == pytest.approx(rep.energy / (rep.base_mass + rep.fractional_mass),
+                                            rel=1e-15)
+    sup = max(np.linalg.norm(ext.values[:, k]) for k in range(len(ext.y_nodes)))
+    assert rep.sup_trace_ratio == pytest.approx(sup / np.linalg.norm(u), rel=1e-15)
+
+
 # --- doubling ---------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -420,6 +524,26 @@ def test_doubling_of_synthetic_constant_field(alpha):
     )
     [(_, ratio)] = doubling_ratio(synth, [0.5])
     assert ratio == pytest.approx(constant_field_doubling_exponent(1, alpha), rel=0.01)
+
+
+def test_doubling_ratio_is_taken_about_its_center():
+    # a field that is 1 on x > 0 and 0 elsewhere: about the node x = 1 the half balls of
+    # radius 0.4 and 0.8 hold only ones, so the ratio is that of the all-ones field about 0;
+    # about x = -1 they hold only zeros
+    g = build_grid(1, 801, 2.0, "dirichlet")
+    ys = geometric_ladder(5e-4, 1.02, 420)
+    x = g.dof_nodes()[:, 0]
+
+    def field(values):
+        return ExtensionField(base=values[:, 0], alpha=0.5, y_nodes=ys, values=values,
+                              decomposition=grid_only(g))
+
+    half = field(np.repeat((x > 0.0).astype(float)[:, None], len(ys), axis=1))
+    [(_, ratio)] = doubling_ratio(half, [0.4], center=1.0)
+    [(_, ones)] = doubling_ratio(field(np.ones((g.n_dof, len(ys)))), [0.4])
+    assert ratio == pytest.approx(ones, rel=1e-12)
+    with pytest.raises(DegenerateInputError):
+        doubling_ratio(half, [0.4], center=-1.0)
 
 
 def test_doubling_of_extended_bump_stays_bounded():

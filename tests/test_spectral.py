@@ -390,6 +390,50 @@ def test_validate_refuses_blocks_paired_on_an_operator_that_is_not_mirrored(dim,
     assert dense_decomposition(lam, v, skewed).validate()["reconstruction"]["measured"] >= 0.0
 
 
+@pytest.mark.parametrize("n,how", [(34, "per block"), (35, "probe")])  # 1024, 1089 dofs
+def test_validate_runs_the_per_block_check_up_to_1024_dofs(n, how):
+    # the per-block bounds are the bare tolerances; the probe bounds carry the probe's size
+    dec = eigendecompose(bump_operator(n=n, dim=2)[1])
+    checks = dec.validate()
+    per_block = {"orthonormality": spectral.ORTHONORMALITY_TOL,
+                 "reconstruction": spectral.RECONSTRUCTION_TOL * dec.eigenvalues[-1]}
+    for name, bound in per_block.items():
+        assert (checks[name]["bound"] == pytest.approx(bound, rel=1e-12)) == (how == "per block")
+
+
+def test_validate_probe_and_negativity_bounds_scale_as_stated():
+    # 1089 dofs take the probe checks. Eigenvectors scaled by 1 + delta move both probe
+    # residuals by about 2 delta: the orthonormality one to 2 delta |z| against its bound
+    # 1e-10 |z| n, the reconstruction one to 2 delta |A z| against 1e-8 lambda_max |z|. A
+    # negative lowest eigenvalue is held to 1e-10 lambda_max; this one's is 0 up to roundoff
+    g = build_grid(2, 33, 8.0, "periodic")
+    op = assemble(g, make_coefficients(g, "identity"))
+    dec = eigendecompose(op)
+    n, z, scale = dec.n_dof, spectral._probe(dec.n_dof), dec.eigenvalues[-1]
+    size = np.linalg.norm(z)
+    assert n > 1024 and scale > 10.0 and 0.4 < np.linalg.norm(op.apply(z)) / (scale * size) < 0.6
+
+    def scaled(delta):
+        even, odd = dec.blocks
+        return replace(dec, blocks=(even * (1.0 + delta), odd * (1.0 + delta)))
+
+    # 2 delta = 5e-9: far above 1e-10, below 1e-10 n and 1e-8 lambda_max |z| / |A z|
+    checks = scaled(2.5e-9).validate()
+    assert checks["orthonormality"]["measured"] == pytest.approx(5e-9 * size, rel=1e-6)
+    assert checks["orthonormality"]["bound"] == pytest.approx(1e-10 * size * n, rel=1e-12)
+    assert checks["reconstruction"]["bound"] == pytest.approx(1e-8 * scale * size, rel=1e-12)
+    with pytest.raises(NumericalError, match=r"not orthonormal \(probe check\)"):
+        scaled(1e-10 * n).validate()  # 2 delta = 2e-10 n
+    for factor, passes in ((0.5, True), (2.0, False)):
+        lam = dec.eigenvalues.copy()
+        lam[0] = -factor * spectral.NEGATIVITY_TOL * scale
+        if passes:
+            replace(dec, eigenvalues=lam).validate()
+        else:
+            with pytest.raises(NumericalError, match="not nonnegative"):
+                replace(dec, eigenvalues=lam).validate()
+
+
 def test_split_eigendecompose_holds_no_dense_array(monkeypatch):
     # 2-D, 1024 dofs: the blocks are folded from the entries and the full checks run per block
     g = build_grid(2, 34, 8.0, "dirichlet")
@@ -775,6 +819,49 @@ def test_norm_equivalence_report_fields_and_drift():
     d = asdict(rep)
     assert list(d) == ["alpha", "lambda_min", "lambda_max", "ratio_min",
                        "ratio_max", "refinement_drift", "n_samples"]
+
+
+@pytest.mark.parametrize("kind,n_bumps,seed,sets", [("identity", 3, 1, "ratio_max"),
+                                                    ("radial_bump", 6, 3, "ratio_min")])
+def test_norm_equivalence_drift_is_relative_to_the_doubled_grids_own_bracket(kind, n_bumps,
+                                                                             seed, sets):
+    # the doubled grid's refine=False run samples the same bumps (same seed and half length)
+    # and eigenvector indices; in each case the relative change of one end sets the drift
+    def dec(n):
+        g = build_grid(1, n, 8.0, "dirichlet")
+        params = None if kind == "identity" else {"s": 0.5, "w": 2.0, "c_amp": 0.4}
+        return eigendecompose(assemble(g, make_coefficients(g, kind, params)))
+
+    [rep] = norm_equivalence(dec(17), [0.5], n_bumps=n_bumps, seed=seed)
+    [fine] = norm_equivalence(dec(34), [0.5], n_bumps=n_bumps, seed=seed, refine=False)
+    change = {end: abs(getattr(fine, end) - getattr(rep, end)) / getattr(rep, end)
+              for end in ("ratio_min", "ratio_max")}
+    assert change[sets] == max(change.values()) and rep.ratio_min > 1.1
+    assert rep.refinement_drift == pytest.approx(change[sets], rel=1e-12)
+
+
+def test_norm_equivalence_samples_only_the_eigenvectors_the_grid_has():
+    # 1-D Dirichlet n = 34 has 32 dofs: indices 0, 1, 2, 4, 8 and 16 of
+    # EIGENVECTOR_SAMPLE_INDICES exist, and 32 does not
+    _, op = bump_operator(n=34)
+    [rep] = norm_equivalence(eigendecompose(op), [0.5], n_bumps=3, refine=False)
+    assert op.n_dof == 32 and rep.n_samples == 3 + 6
+
+
+def test_norm_equivalence_takes_zero_bumps():
+    # the README admits n_bumps: 0, which samples the eigenvectors alone
+    _, op = bump_operator(n=65)
+    assert norm_test_count(0) == 7
+    [rep] = norm_equivalence(eigendecompose(op), [0.5], n_bumps=0, refine=False)
+    assert rep.n_samples == 7 and 0.0 < rep.ratio_min <= rep.ratio_max
+
+
+def test_sample_bump_is_centred_on_its_center():
+    g = build_grid(2, 17, 8.0, "dirichlet")  # nodes at multiples of 1
+    center, x = np.array([3.0, -2.0]), g.dof_nodes()
+    bump = spectral._sample_bump(g, center, 1.5)
+    np.testing.assert_allclose(bump, np.exp(-((x - center) ** 2).sum(axis=1) / 1.5**2))
+    assert np.array_equal(x[np.argmax(bump)], center) and bump.max() == 1.0
 
 
 def test_norm_equivalence_rejects_a_negative_n_bumps():

@@ -13,11 +13,11 @@ token and one replacement:
     tolerance or a constant moves by as much as its documented purpose must notice.
 
 Each mutant is written into a temporary copy of the checkout (its tracked and unignored
-files), never into the checkout itself, and runs against the module's own test file,
-``tests/test_cli.py`` and ``tests/test_acceptance.py`` with ``-x -q -p no:cacheprovider``.
-The copy's tests and subprocesses import the copy's ``src``. A mutant is killed when the
-tests fail or run past ``TIMEOUT_S``, and survives when they pass. Every site runs. The report
-lists the killed and survived counts and each survivor's line and mutation.
+files), never into the checkout itself, and runs against all of ``tests/`` with ``-x -q --ff``:
+the test that killed the previous mutant runs first, since neighbouring sites tend to fall to
+the same test. The copy's tests and subprocesses import the copy's ``src``. A mutant is killed
+when the tests fail or run past ``TIMEOUT_S``, and survives when they pass. Every site runs.
+The report lists the killed and survived counts and each survivor's line and mutation.
 """
 
 import argparse
@@ -36,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracspec"
-TIMEOUT_S = 600.0  # per test run; the three files take about 15 s when they all pass
+TIMEOUT_S = 600.0  # per test run; tests/ takes about 30 s when it all passes
 
 SWAPS = {
     "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
@@ -157,10 +157,10 @@ def _copy_checkout(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def _run_tests(copy: Path, test_files: list[str]) -> str:
+def _run_tests(copy: Path) -> str:
     """'passed', 'failed' or 'timeout' for the copy's tests."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_files]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "--ff", "tests"]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -182,17 +182,13 @@ def main(argv=None) -> int:
     relative = path.relative_to(ROOT)
     source = path.read_text()
     sites = enumerate_sites(source)
-    test_files = ["tests/test_cli.py", "tests/test_acceptance.py"]
-    own = f"tests/test_{path.stem}.py"
-    if (ROOT / own).is_file() and own not in test_files:
-        test_files.insert(0, own)
-    print(f"{relative}: {len(sites)} sites against {' '.join(test_files)}", flush=True)
+    print(f"{relative}: {len(sites)} sites against tests/", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         copy = Path(tmp)
         _copy_checkout(copy)
         target = copy / relative
-        if _run_tests(copy, test_files) != "passed":
+        if _run_tests(copy) != "passed":
             print("the unmutated copy fails its tests; no mutant can be judged")
             return 2
         survivors, killed = [], 0
@@ -201,7 +197,7 @@ def main(argv=None) -> int:
             compile(mutant, str(relative), "exec")
             target.write_text(mutant)
             start = time.monotonic()
-            outcome = _run_tests(copy, test_files)
+            outcome = _run_tests(copy)
             target.write_text(source)
             if outcome == "passed":
                 survivors.append(site)
