@@ -1,5 +1,6 @@
 """Reference quantities the tests compare fracspec against; no run calls them."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -49,6 +50,12 @@ def full_eigh(op: DiscreteOperator):
 def dense_decomposition(lam: np.ndarray, v: np.ndarray, op: DiscreteOperator):
     """The decomposition that holds the dense ``v`` as its one block."""
     return SpectralDecomposition(lam, (v, np.zeros((0, 0))), np.arange(len(lam)), op)
+
+
+def scaled_vectors(dec: SpectralDecomposition, delta: float) -> SpectralDecomposition:
+    """``dec`` with every eigenvector scaled by 1 + delta, so V V^T is (1 + delta)^2 I."""
+    even, odd = dec.blocks
+    return replace(dec, blocks=(even * (1.0 + delta), odd * (1.0 + delta)))
 
 
 def mirror_blocks(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

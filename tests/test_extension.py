@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -35,6 +34,7 @@ from oracles import (
     grid_only,
     ladder_energy,
     make_weak_test_bumps,
+    scaled_vectors,
     weak_residual,
 )
 
@@ -272,12 +272,6 @@ def test_extend_rejects_bad_alpha_and_ladder():
             extend(dec, 0.5, u, np.array(ys))
 
 
-def _scaled_vectors(dec, delta):
-    """``dec`` with every eigenvector scaled by 1 + delta, so V V^T is (1 + delta)^2 I."""
-    even, odd = dec.blocks
-    return replace(dec, blocks=(even * (1.0 + delta), odd * (1.0 + delta)))
-
-
 def test_extend_trace_checks_hold_their_stated_bounds():
     # at y0 = 1e-300 every multiplier rounds to 1, so U(., y0) = V V^T u and the trace
     # tolerance is its floor n_dof eps |u|. The roundoff of V V^T u stays below it, also at
@@ -290,9 +284,9 @@ def test_extend_trace_checks_hold_their_stated_bounds():
     err = np.linalg.norm(ext.values[:, 0] - u)
     assert 0.0 < err <= dec.n_dof * np.finfo(float).eps * np.linalg.norm(u)
     with pytest.raises(NumericalError, match="trace not recovered"):
-        extend(_scaled_vectors(dec, 0.375e-8), 0.5, u, ys)  # 2 delta = 0.75e-8
+        extend(scaled_vectors(dec, 0.375e-8), 0.5, u, ys)  # 2 delta = 0.75e-8
     with pytest.raises(NumericalError, match="exceeds the trace mass"):
-        extend(_scaled_vectors(dec, 0.75e-8), 0.5, u, ys)  # 2 delta = 1.5e-8
+        extend(scaled_vectors(dec, 0.75e-8), 0.5, u, ys)  # 2 delta = 1.5e-8
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.2, 10), (np.nan, 1.2, 10), (1e-3, 1.0, 10),
@@ -383,7 +377,6 @@ def test_recover_takes_a_three_node_ladder():
     g, dec = laplacian_dec()
     u = gaussian_state(g)
     ys = geometric_ladder(1e-3, 1.2, 3)
-    assert len(ys) == 3
     assert np.array_equal(conormal_recover(extend(dec, 0.5, u, ys)),
                           conormal_recover(extend(dec, 0.5, u)))
 

@@ -37,6 +37,7 @@ from oracles import (
     eigenvectors,
     full_eigh,
     mirror_blocks,
+    scaled_vectors,
     smoothing_norm_bound,
     smoothing_norm_measured,
     use_lookup,
@@ -413,17 +414,13 @@ def test_validate_probe_and_negativity_bounds_scale_as_stated():
     size = np.linalg.norm(z)
     assert n > 1024 and scale > 10.0 and 0.4 < np.linalg.norm(op.apply(z)) / (scale * size) < 0.6
 
-    def scaled(delta):
-        even, odd = dec.blocks
-        return replace(dec, blocks=(even * (1.0 + delta), odd * (1.0 + delta)))
-
     # 2 delta = 5e-9: far above 1e-10, below 1e-10 n and 1e-8 lambda_max |z| / |A z|
-    checks = scaled(2.5e-9).validate()
+    checks = scaled_vectors(dec, 2.5e-9).validate()
     assert checks["orthonormality"]["measured"] == pytest.approx(5e-9 * size, rel=1e-6)
     assert checks["orthonormality"]["bound"] == pytest.approx(1e-10 * size * n, rel=1e-12)
     assert checks["reconstruction"]["bound"] == pytest.approx(1e-8 * scale * size, rel=1e-12)
     with pytest.raises(NumericalError, match=r"not orthonormal \(probe check\)"):
-        scaled(1e-10 * n).validate()  # 2 delta = 2e-10 n
+        scaled_vectors(dec, 1e-10 * n).validate()  # 2 delta = 2e-10 n
     for factor, passes in ((0.5, True), (2.0, False)):
         lam = dec.eigenvalues.copy()
         lam[0] = -factor * spectral.NEGATIVITY_TOL * scale
