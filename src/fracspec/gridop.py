@@ -129,13 +129,9 @@ class DiscreteOperator:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Measured structural hypotheses of a coefficient field."""
+    """Measured structural quantities of a coefficient field."""
 
-    symmetric: bool
-    asymmetric_nodes: tuple
-    ellipticity_lambda: float
-    c_nonnegative: bool
-    negative_c_nodes: tuple
+    ellipticity_lambda: float  # smallest eigenvalue of the symmetrized a over the nodes
     flatness_profile: tuple  # pairs (radius, sup over ||x|| >= radius of sum |a - I|)
     regularity_proxy: dict  # max |d a|, |d^2 a| finite-difference estimates
 
@@ -168,11 +164,11 @@ def min_eigenvalues(a: np.ndarray) -> np.ndarray:
 def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> CoefficientField:
     """Build a coefficient field of the given kind and validate its hypotheses.
 
-    The field must be finite, and so must its stencil on the grid: h^2 is
-    neither 0 nor infinite and 2 dim max|a| / h^2 + max|c|, which bounds every
-    entry of ``_flux_entries``, is finite. The structural hypotheses that
-    ``check_hypotheses`` measures must hold: a symmetric, a uniformly elliptic
-    and c >= 0 at every node. A ValueError names the node of a failure and its x.
+    The stencil on the grid must be finite: h^2 is neither 0 nor infinite and
+    2 dim max|a| / h^2 + max|c|, which bounds every entry of ``_flux_entries``, is
+    finite, so a and c are too. The structural hypotheses must hold: a symmetric,
+    uniformly elliptic (``check_hypotheses``' ellipticity_lambda > 0) and c >= 0 at
+    every node. A ValueError names the node of a failure and its x.
 
     Kinds:
       identity     a = I, c = 0.
@@ -196,11 +192,10 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
             raise ValueError("M must be symmetric")
         c_amp = float(params.get("c_amp", 0.0))
         c_w = float(params.get("c_w", w))
-        if not (w > 0 and c_w > 0):
-            raise ValueError(f"widths w and c_w must be > 0, got {w} and {c_w}")
         for key, width in (("w", w), ("c_w", c_w)):  # python floats: 0 or inf, no warning
-            if not 0.0 < width * width < math.inf:
-                raise ValueError(f"width {key!r} = {width} has no finite nonzero square")
+            if not 0.0 < width * abs(width) < math.inf:  # the signed square
+                raise ValueError(f"widths must be > 0 with a finite nonzero square, "
+                                 f"got {key!r} = {width}")
         r2 = (grid.nodes() ** 2).sum(axis=1)
         with np.errstate(over="ignore"):  # |x|^2 / w^2 = inf gives the bump's limit exp(-inf) = 0
             bump = np.exp(-r2 / w**2)
@@ -211,27 +206,27 @@ def make_coefficients(grid: Grid, kind: str, params: dict | None = None) -> Coef
         c = np.asarray(params.pop("c"), dtype=float).reshape(n_nodes)
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}, expected one of {FIELD_KINDS}")
-    if not (np.isfinite(a).all() and np.isfinite(c).all()):
-        raise ValueError("coefficients are not finite")
-    # python floats: an overflow gives inf and an underflow 0, with no warning
+    # python floats: an overflow gives inf and an underflow 0, with no warning; a NaN or
+    # infinite entry of a or c makes its max, and so the bound, NaN or infinite
     h2, a_max, c_max = grid.spacing * grid.spacing, float(np.abs(a).max()), float(np.abs(c).max())
     if not (0.0 < h2 < math.inf and 2 * dim * a_max / h2 + c_max < math.inf):
-        raise ValueError(f"the stencil is not finite on this grid: spacing h = {grid.spacing:.3e} "
-                         f"(half_length {grid.half_length:.6g}), max |a| = {a_max:.3e}, "
-                         f"max |c| = {c_max:.3e}; 2 dim max|a| / h^2 + max|c| must be finite "
-                         "and h^2 neither 0 nor infinite")
+        raise ValueError(f"the stencil is not finite on this grid, or the coefficients are not: "
+                         f"spacing h = {grid.spacing:.3e} (half_length {grid.half_length:.6g}), "
+                         f"max |a| = {a_max:.3e}, max |c| = {c_max:.3e}; 2 dim max|a| / h^2 + "
+                         "max|c| must be finite and h^2 neither 0 nor infinite")
+    asym = np.abs(a - np.transpose(a, (0, 2, 1))).max(axis=(1, 2))
+    if asym.any():
+        k = np.flatnonzero(asym)[0]
+        raise ValueError(f"coefficient matrix not symmetric at node {k} "
+                         f"(x = {grid.nodes()[k]}, |a - a^T| = {asym[k]:.3e})")
     made = CoefficientField(a=a, c=c, kind=kind, params=params)
     report = check_hypotheses(made, grid)
-    if not report.symmetric:
-        k = report.asymmetric_nodes[0]
-        raise ValueError(f"coefficient matrix not symmetric at node {k} "
-                         f"(x = {grid.nodes()[k]}, |a - a^T| = {np.abs(a[k] - a[k].T).max():.3e})")
     if not report.ellipticity_lambda > 0:
         k = int(np.argmin(min_eigenvalues(a)))
         raise ValueError(f"ellipticity violated at node {k} (x = {grid.nodes()[k]}, "
                          f"min eigenvalue of a = {report.ellipticity_lambda:.3e} <= 0)")
-    if not report.c_nonnegative:
-        k = report.negative_c_nodes[0]
+    if (c < 0).any():
+        k = np.flatnonzero(c < 0)[0]
         raise ValueError(f"zeroth-order coefficient negative at node {k} "
                          f"(x = {grid.nodes()[k]}, c = {c[k]:.3e})")
     return replace(made, hypotheses=report)
@@ -410,20 +405,16 @@ def centered_gradient(grid: Grid, values: np.ndarray) -> list[np.ndarray]:
 
 
 def check_hypotheses(coefficients: CoefficientField, grid: Grid) -> HypothesisReport:
-    """Report on the structural hypotheses; never raises on a field whose stencil on ``grid``
-    is finite (see ``make_coefficients``).
+    """Measure a field's ellipticity, flatness and regularity; never raises on a field whose
+    stencil on ``grid`` is finite (see ``make_coefficients``), symmetric or not.
 
     The flatness profile samples sup over ||x|| >= R of sum_jk |a_jk - delta_jk|
     at radii R in {X/4, X/2, 3X/4}. Smoothness of the coefficients cannot be
     enforced on sampled data, so finite-difference magnitudes of first and
     second differences are reported as a proxy only.
     """
-    a, c = coefficients.a, coefficients.c
-    dim = grid.dim
-    asym = np.abs(a - np.transpose(a, (0, 2, 1))).max(axis=(1, 2))
-    bad_sym = tuple(int(i) for i in np.nonzero(asym > 0)[0])
+    a, dim = coefficients.a, grid.dim
     lam = float(min_eigenvalues(0.5 * (a + np.transpose(a, (0, 2, 1)))).min())
-    bad_c = tuple(int(i) for i in np.nonzero(c < 0)[0])
 
     dev = np.abs(a - np.eye(dim)).sum(axis=(1, 2))
     radius = np.sqrt((grid.nodes() ** 2).sum(axis=1))
@@ -444,11 +435,7 @@ def check_hypotheses(coefficients: CoefficientField, grid: Grid) -> HypothesisRe
         float(np.abs(np.diff(a_grid, n=2, axis=ax)).max()) / h**2 for ax in range(dim)
     )
     return HypothesisReport(
-        symmetric=not bad_sym,
-        asymmetric_nodes=bad_sym,
         ellipticity_lambda=lam,
-        c_nonnegative=not bad_c,
-        negative_c_nodes=bad_c,
         flatness_profile=tuple(profile),
         regularity_proxy={"max_first_derivative": d1, "max_second_derivative": d2},
     )

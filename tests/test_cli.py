@@ -4,8 +4,10 @@ import math
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -44,7 +46,7 @@ from fracspec.spectral import (
     norm_equivalence,
 )
 from fracspec.ucprobe import UC_PROBE_WORKING_SET, VanishingSpec, dichotomy_sweep
-from oracles import eigenvectors, use_lookup
+from oracles import eigenvectors, full_eigh, use_lookup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -539,6 +541,8 @@ INVALID = {
                                                                "index": 100}}}, "index"),
     "u0_index_negative": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
                                                            "index": -1}}}, "index"),
+    "u0_index_at_n_dof": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
+                                                           "index": 31}}}, "index"),  # 31 dofs
     "u0_key_of_other_kind": ("extend", {"task_params": {"u0": {"kind": "eigenmode",
                                                               "width": 1.0}}}, "width"),
     "u0_unknown_kind": ("extend", {"task_params": {"u0": {"kind": "sine"}}}, "u0 kind"),
@@ -1021,7 +1025,7 @@ def test_manifest_schema_on_success_and_each_failure_kind(tmp_path, monkeypatch,
     assert manifest["peak_rss_mb"] > 0
     hypotheses = manifest["hypotheses"]
     assert hypotheses == json.loads(json.dumps(asdict(check_hypotheses(cfg.field, cfg.grid))))
-    assert hypotheses["symmetric"] and hypotheses["c_nonnegative"]
+    assert set(hypotheses) == {"ellipticity_lambda", "flatness_profile", "regularity_proxy"}
     assert hypotheses["ellipticity_lambda"] == min_eigenvalues(cfg.field.a).min()
     build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     pinned = (1, "runtime") if spectral._openblas() else (None, None)  # a 31-dof run
@@ -1374,3 +1378,179 @@ def test_readme_memory_guard_factors_mirror_the_working_sets():
     found = re.search(r"`n_dof` times (\d+) for each distinct `uc_probe` alpha below 1", readme)
     assert found
     assert float(found.group(1)) == UC_PROBE_WORKING_SET
+
+
+# --- u0 kinds, parse edges the README promises, task invariants and the manifest ----
+
+def _u0_state(tmp_path, u0, seed=0):
+    """The state a run builds from ``u0`` on a 1-D bump grid, and the dense oracle's
+    eigenvalues and probe-signed eigenvectors of its operator."""
+    cfg = parse_config(write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 34},
+                                               "coefficients": BUMP}, task="recover", seed=seed,
+                                    task_params={"u0": u0}))
+    op = assemble(cfg.grid, cfg.field)
+    dec = eigendecompose(op)
+    state = tasks._build_state(cfg, dec, np.random.default_rng(cfg.seed))
+    return state, *full_eigh(op)
+
+
+@pytest.mark.parametrize("index", [0, 5, 31])  # 32 dofs
+def test_eigenmode_u0_is_the_probe_signed_eigenvector(tmp_path, index):
+    state, lam, v = _u0_state(tmp_path, {"kind": "eigenmode", "index": index})
+    assert np.diff(lam).min() > 1e-3 * lam[-1]  # every eigenvalue is simple
+    assert np.abs(state - v[:, index]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [None, 2.5])  # None: the default scale 1
+def test_random_smooth_u0_is_damped_seeded_noise(tmp_path, scale):
+    u0 = {"kind": "random_smooth"} if scale is None else {"kind": "random_smooth", "scale": scale}
+    state, lam, v = _u0_state(tmp_path, u0, seed=11)
+    z = np.random.default_rng(11).standard_normal(len(lam))
+    damping = np.exp(-lam / max(lam[-1] / 16.0, 1e-12))
+    expected = (1.0 if scale is None else scale) * (v @ (damping * (v.T @ z)))
+    assert np.abs(state - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("index", [0, 30])  # 31 dofs
+def test_eigenmode_index_runs_from_zero_to_the_last_dof(tmp_path, index):
+    cfg = parse_config(write_config(tmp_path, {"grid": SMALL_GRID}, task="extend",
+                                    task_params={"u0": {"kind": "eigenmode", "index": index}}))
+    assert cfg.task_params["u0"]["index"] == index
+
+
+def test_config_without_alpha_runs_at_one_half(tmp_path):
+    path = write_config(tmp_path)
+    raw = json.loads(path.read_text())
+    del raw["alpha"]
+    path.write_text(json.dumps(raw))
+    assert parse_config(path).alpha == [0.5]
+
+
+def test_kp_check_of_one_all_zero_pair_fails_its_invariant(tmp_path):
+    # one dof, at x = 0, and bumps of width <= 3 centred in [-500, 500]: seed 0 draws a
+    # bump that underflows to 0 there, so the one ratio is 0 and not positive
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 3,
+                                                        "half_length": 1000.0}},
+                                    task="kp_check", output_dir=str(out),
+                                    task_params={"n_pairs": 1}))
+    assert cfg.task_params["n_pairs"] == 1
+    assert run(cfg) == 1
+    assert (out / "kp_ratios.csv").read_text().splitlines()[1:] == ["0,0.00000000000000000e+00"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["invariants"] == {"kp_ratio_finite": False}
+
+
+@pytest.mark.parametrize("alphas, refused", [([0.5, 0.75], False), ([0.25, 1.0], True)])
+def test_uc_probe_theta_emptied_by_the_stencil_is_refused_only_with_alpha_one(tmp_path, alphas,
+                                                                              refused):
+    path = write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 9}}, task="uc_probe",
+                        task_params={"alphas": alphas})  # theta (-1, 0) shrunk by h = 2
+    if refused:
+        with pytest.raises(ConfigError, match="'theta' of uc_probe with alpha 1"):
+            parse_config(path)
+    else:
+        assert parse_config(path).task_params["alphas"] == alphas
+
+
+def test_one_step_picard_passes_its_equation_residual(tmp_path):
+    # two monitor rows, so no interior residual: the invariant holds by having nothing to bound
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 17}}, task="picard",
+                                    output_dir=str(out), task_params={
+                                        "u0": {"amp": 0.3}, "t_final": 0.005, "dt": 0.005,
+                                        "nonlinearity": [{"coeff_re": 1.0, "powers": [2, 1]}]}))
+    assert run(cfg) == 0
+    assert len((out / "monitors.csv").read_text().splitlines()) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["invariants"] == {"equation_residual_ok": True}
+
+
+def test_recover_csv_and_tolerance_are_those_of_the_difference(tmp_path):
+    # a state of size 1e6: the relative error stays that of amplitude 1, an absolute one does not
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, {"grid": SMALL_GRID, "coefficients": BUMP},
+                                    task="recover", output_dir=str(out),
+                                    task_params={"u0": {"amp": 1e6}}))
+    assert run(cfg) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["invariants"] == {"recovery_within_tolerance": True}
+    node, spectral_, recovered, abs_diff = np.loadtxt(out / "recover.csv", delimiter=",",
+                                                      skiprows=1, unpack=True)
+    assert np.array_equal(node, np.arange(31))
+    assert np.abs(spectral_).max() > 1e5
+    assert np.array_equal(abs_diff, np.abs(recovered - spectral_))
+
+
+def test_viscosity_rate_fit_below_r_squared_0_9_fails_its_invariant(tmp_path):
+    # the benchmark's limit: a width-2.5 state off centre at eps 0.05 fits at R^2 about 0.85
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 258},
+                                               "coefficients": BUMP},
+                                    task="viscosity_convergence", output_dir=str(out),
+                                    task_params={
+        "u0": {"amp": 0.1, "width": 2.5, "center": 2.0}, "t_final": 0.1, "dt": 0.002,
+        "epsilons": [0.05, 0.025, 0.0125, 0.00625], "nonlinearity": [
+            {"coeff_re": 0.25, "powers": [2, 0, 1, 0]}, {"coeff_re": 0.5, "powers": [1, 1, 1, 0]},
+            {"coeff_re": 0.25, "powers": [0, 2, 1, 0]}]}))
+    assert run(cfg) == 1
+    r_squared = json.loads((out / "viscosity_fit.json").read_text())["r_squared"]
+    assert 0.8 < r_squared < 0.9
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["invariants"] == {"linear_rate_fit": False}
+
+
+def test_manifest_times_the_run_reads_its_peak_rss_and_sorts_its_keys(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, output_dir=str(out)))
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    started = time.perf_counter()
+    assert run(cfg) == 0
+    elapsed = time.perf_counter() - started
+    rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert 0.0 < manifest["wall_time_s"] <= elapsed
+    assert rss_before <= manifest["peak_rss_mb"] <= rss_after  # ru_maxrss is in KiB on Linux
+    assert list(manifest) == sorted(manifest)
+    assert all(list(manifest[key]) == sorted(manifest[key])
+               for key in ("blas", "eigensolve", "hypotheses", "versions"))
+
+
+def test_the_largest_float_is_a_finite_number(tmp_path):
+    cfg = parse_config(write_config(tmp_path, task="kp_check",
+                                    task_params={"l": sys.float_info.max}))
+    assert cfg.task_params["l"] == sys.float_info.max
+
+
+def test_memory_guard_admits_a_run_exactly_at_its_bound(tmp_path):
+    # three viscosities hold 6 + 2 = 8 arrays per state: 8192 states x 8 x 256 dofs = 4096^2
+    params = {"epsilons": [0.1, 0.05, 0.025], "dt": 0.125, "t_final": 8191 * 0.125}
+    overrides = {"grid": {**SMALL_GRID, "n": 256, "boundary": "periodic"}}
+    cfg = parse_config(write_config(tmp_path, overrides, task="viscosity_convergence",
+                                    task_params=params))
+    assert cfg.task_params["t_final"] / cfg.task_params["dt"] == 8191
+    with pytest.raises(ConfigError, match="over the memory guard"):
+        parse_config(write_config(tmp_path, overrides, task="viscosity_convergence",
+                                  task_params={**params, "t_final": 8192 * 0.125}))
+
+
+def test_funcalc_checks_are_relative_on_a_large_spectrum(tmp_path):
+    # h = 3.2e-5: lambda_max is about 4e9, so |L^1.5 f| is about 1e15 |f|, and an absolute
+    # semigroup error would be about 1e15 times the relative one
+    cfg = parse_config(write_config(tmp_path, {"grid": {**GRID_64, "half_length": 1e-3}},
+                                    task="funcalc", alpha=1.5, output_dir=str(tmp_path / "out")))
+    assert run(cfg) == 0
+
+
+def test_norm_equiv_of_one_sample_has_an_equal_bracket_and_passes(tmp_path):
+    # one dof and no bumps: the eigenvector is the only sample, so ratio_min = ratio_max
+    out = tmp_path / "out"
+    cfg = parse_config(write_config(tmp_path, {"grid": {**SMALL_GRID, "n": 3}}, task="norm_equiv",
+                                    output_dir=str(out),
+                                    task_params={"n_bumps": 0, "refine": False}))
+    assert run(cfg) == 0
+    [report] = json.loads((out / "norm_equiv.json").read_text())["reports"]
+    assert report["n_samples"] == 1
+    assert report["ratio_min"] == report["ratio_max"]
+

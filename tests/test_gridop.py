@@ -142,6 +142,11 @@ def test_radial_bump_ellipticity_violation_names_origin():
     ("radial_bump", {"w": 0.0}, "widths"),  # 0/0 at the origin, or a silent identity
     ("radial_bump", {"c_w": -1.0}, "widths"),
     ("tabulated", {"a": np.full((5, 1, 1), np.nan), "c": np.zeros(5)}, "not finite"),
+    # h = 1: 2 dim max|a| / h^2 = 1e308 is finite, and so is c, but not their sum
+    ("tabulated", {"a": np.full((5, 1, 1), 0.5e308), "c": np.full(5, 1e308)},
+     "stencil is not finite"),
+    ("tabulated", {"a": np.array([1.0, 1.0, 0.0, 1.0, 1.0]).reshape(5, 1, 1), "c": np.zeros(5)},
+     r"ellipticity violated at node 2 .* = 0\.000e\+00 <= 0"),  # an eigenvalue of exactly 0
 ])
 def test_degenerate_fields_rejected(kind, params, match):
     g = build_grid(1, 5, 2.0, "dirichlet")
@@ -409,7 +414,6 @@ def test_gershgorin_nonnegative_without_cross_terms():
 def test_check_hypotheses_identity_all_flat():
     g = build_grid(1, 17, 8.0, "dirichlet")
     rep = check_hypotheses(make_coefficients(g, "identity"), g)
-    assert rep.symmetric and rep.c_nonnegative
     assert rep.ellipticity_lambda == 1.0
     assert all(sup == 0.0 for _, sup in rep.flatness_profile)
 
@@ -446,9 +450,9 @@ def test_check_hypotheses_reports_asymmetric_node_without_raising():
     a = np.broadcast_to(np.eye(2), (g.n_nodes, 2, 2)).copy()
     a[5, 0, 1] = 0.25  # one asymmetric node
     bad = CoefficientField(a=a, c=np.zeros(g.n_nodes), kind="tabulated")
-    rep = check_hypotheses(bad, g)
-    assert not rep.symmetric
-    assert rep.asymmetric_nodes == (5,)
+    rep = check_hypotheses(bad, g)  # make_coefficients refuses it; the report measures it
+    # the symmetrized a at node 5 is [[1, 0.125], [0.125, 1]], with eigenvalues 1 -+ 0.125
+    assert rep.ellipticity_lambda == 0.875
 
 
 def test_load_coefficients_csv_roundtrip(tmp_path):
@@ -538,3 +542,23 @@ def test_write_csv_spans_chunks(tmp_path):
     path = tmp_path / "long.csv"
     _write_csv(path, "i,v", [np.arange(n), values])
     assert path.read_text().splitlines()[1:] == [f"{i},{v:.17e}" for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_radial_bump_defaults_are_s_one_half_and_w_one(dim):
+    g = build_grid(dim, 9, 2.0, "dirichlet")
+    f = make_coefficients(g, "radial_bump")
+    r2 = (g.nodes() ** 2).sum(axis=1)
+    expected = (1.0 + 0.5 * np.exp(-r2))[:, None, None] * np.eye(dim)
+    assert np.allclose(f.a, expected, rtol=1e-15, atol=0.0)
+    assert np.array_equal(f.c, np.zeros(g.n_nodes))
+
+
+def test_regularity_proxy_divides_the_differences_by_h_and_h_squared():
+    # h = 1/4: the ramp 2 + x steps by h, the parabola 1 + x^2 has second differences 2 h^2
+    g = build_grid(1, 9, 1.0, "dirichlet")
+    x = g.axis_nodes()
+    for a, first, second in ((2.0 + x, 1.0, 0.0), (1.0 + x**2, 1.75, 2.0)):
+        f = make_coefficients(g, "tabulated", {"a": a, "c": np.zeros(9)})
+        assert f.hypotheses.regularity_proxy == {"max_first_derivative": first,
+                                                 "max_second_derivative": second}

@@ -25,11 +25,13 @@ def make_dec(n=129, x=8.0, kind="identity", params=None, boundary="dirichlet"):
 def test_spec_rejects_touching_sets():
     with pytest.raises(ValueError, match="touches"):
         VanishingSpec.create(theta=(-1.0, 1.0), f_support=(1.0, 2.0), dim=1)
+    with pytest.raises(ValueError, match="touches"):  # the support ends where theta starts
+        VanishingSpec.create(theta=(2.0, 3.0), f_support=(1.0, 2.0), dim=1)
     with pytest.raises(ValueError, match="touches"):
         VanishingSpec.create(theta=(0.5, 1.5), f_support=(1.0, 2.0), dim=1)
 
 
-@pytest.mark.parametrize("theta", [(np.nan, 0.0), (-1.0, np.nan), (0.0, -1.0)])
+@pytest.mark.parametrize("theta", [(np.nan, 0.0), (-1.0, np.nan), (0.0, -1.0), (0.0, 0.0)])
 def test_spec_rejects_an_empty_or_nan_interval(theta):
     with pytest.raises(ValueError, match="lower bounds must be below upper bounds"):
         VanishingSpec.create(theta=theta, f_support=(1.0, 2.0), dim=1)
@@ -249,3 +251,30 @@ def test_boundary_influence_small_under_box_doubling():
         [(_, mass, _, _)] = dichotomy_sweep(make_dec(n=n, x=x), STANDARD, [0.5])
         masses.append(mass)
     assert abs(masses[0] - masses[1]) / masses[1] < 0.05
+
+
+def test_shrunk_theta_refuses_a_margin_that_leaves_a_point():
+    assert np.array_equal(STANDARD.shrunk_theta(0.25), [[-0.75, -0.25]])
+    with pytest.raises(ValueError, match="empty after shrinking by 0.5"):
+        STANDARD.shrunk_theta(0.5)  # (-1, 0) becomes (-0.5, -0.5)
+
+
+def _bump_profile(nodes, lo):
+    """The profile (1 - r^2)^4 of a support (lo, lo + 3) at nodes h = 0.5 apart: the nodes
+    inside sit at r = -2/3, -1/3, 0, 1/3, 2/3, and the bump is 0 at and past |r| = 1."""
+    table = {0.5: (5 / 9) ** 4, 1.0: (8 / 9) ** 4, 1.5: 1.0, 2.0: (8 / 9) ** 4, 2.5: (5 / 9) ** 4}
+    return np.array([table.get(x - lo, 0.0) for x in nodes])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bump_state_is_the_closed_form_profile_on_the_dof_nodes(dim):
+    g = build_grid(dim, 17, 4.0, "dirichlet")  # h = 0.5
+    support = [(1.0, 4.0), (-3.0, 0.0)][:dim]
+    spec = VanishingSpec.create(theta=[(-4.0, -3.0)] * dim, f_support=support, dim=dim)
+    axis = g.axis_nodes()[1:-1]
+    expected = _bump_profile(axis, 1.0)
+    if dim == 2:  # the product of the axes' profiles, the last axis fastest
+        expected = np.outer(expected, _bump_profile(axis, -3.0)).ravel()
+    f = bump_state(g, spec)
+    assert np.array_equal(f == 0.0, expected == 0.0)
+    assert np.allclose(f, expected, rtol=1e-14, atol=0.0)

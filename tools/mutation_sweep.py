@@ -18,6 +18,8 @@ the test that killed the previous mutant runs first, since neighbouring sites te
 the same test. The copy's tests and subprocesses import the copy's ``src``. A mutant is killed
 when the tests fail or run past ``TIMEOUT_S``, and survives when they pass. Every site runs.
 The report lists the killed and survived counts and each survivor's line and mutation.
+SIGTERM stops a sweep as an exception would: the running tests are killed and the copy is
+removed.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import bisect
 import io
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -173,7 +176,13 @@ def _module_path(module: str) -> Path:
     return (path if path.suffix == ".py" else PACKAGE / f"{module}.py").resolve()
 
 
+def _unwind(signum, frame):
+    """Unwind on SIGTERM: ``subprocess.run`` kills its child, and the copy is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _unwind)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="module name of src/fracspec, or its path")
     args = parser.parse_args(argv)
