@@ -87,8 +87,8 @@ def _evaluate_terms(terms, variables):
     for coeff, powers in terms:
         piece = np.full_like(out, coeff)
         for var, p in zip(variables, powers):
-            if p:
-                piece = piece * var**p
+            for _ in range(p):  # numpy's complex ** takes its general path for p other than 2
+                piece = piece * var
         out = out + piece
     return out
 

@@ -25,10 +25,11 @@ from .gridop import Grid, NumericalError, _write_csv
 from .spectral import SpectralDecomposition, apply_function, l2_norm, spectrum_power
 
 RECOVERY_TOL = 1e-3
-# The extension tasks' peak memory over one float64 (n_dof, y_count) array, measured with
-# tracemalloc through their runners at 0.4-1.4 million entries (2-D): 4.13 in extend, which
-# recover and energy do not exceed, and 4.15-4.16 in doubling. The K_nu trapezoid sums add a
-# fixed 1.3 MB (about 10 arrays of K_CHUNK entries), under the peak at 0.1 million entries.
+# The extend and doubling tasks' peak memory over one float64 (n_dof, y_count) array, measured
+# with tracemalloc through their runners at 0.4-1.4 million entries (2-D): 4.13 in extend and
+# 4.15-4.16 in doubling. The K_nu trapezoid sums add a fixed 1.3 MB (about 10 arrays of
+# K_CHUNK entries), under the peak at 0.1 million entries. recover and energy compute three
+# nodes and one, so they hold no ladder.
 EXTENSION_WORKING_SET = 5.0
 TRACE_ENVELOPE_FACTOR = 10.0
 # the entries of z whose K_nu trapezoid sums are stepped together
@@ -190,32 +191,25 @@ def _richardson_limit(g0, g1, g2, rho, p1, p2):
     return (r2 * e01 - e12) / (r2 - 1.0), e01, e12
 
 
-def conormal_recover(ext: ExtensionField) -> np.ndarray:
-    """Recover L^alpha u from the weighted slope y^{1-2a} dU/dy at y -> 0.
+def conormal_recover(dec: SpectralDecomposition, alpha: float, u: np.ndarray,
+                     y0: float = 1e-3, ratio: float = 1.2) -> np.ndarray:
+    """Recover L^alpha u from the weighted slope y^{1-2a} dU/dy of its extension at y -> 0.
 
-    The slope is evaluated in closed form at the three smallest ladder nodes,
-    then extrapolated to y = 0 with the boundary expansion exponents 2-2a
-    and 2, so the recovered value is a measured limit from finite y.
+    The slope is evaluated in closed form at the three ladder nodes y0, y0 ratio, y0 ratio^2,
+    then extrapolated to y = 0 with the boundary expansion exponents 2-2a and 2, so the
+    recovered value is a measured limit from finite y.
     """
-    if len(ext.y_nodes) < 3:
-        raise ValueError("need at least 3 y nodes near 0 for the limit extrapolation")
-    ys = ext.y_nodes[:3]
-    rho01 = ys[1] / ys[0]
-    rho12 = ys[2] / ys[1]
-    if abs(rho01 - rho12) > 1e-9 * rho01:
-        raise ValueError("the three smallest y nodes must be in geometric progression")
-    alpha = ext.alpha
-    dec = ext.decomposition
+    constant = conormal_constant(alpha)  # raises unless 0 < alpha < 1
+    ys = geometric_ladder(y0, ratio, 3)
     slopes = conormal_slopes(dec.spectrum, ys, alpha)
-
     limit, e01, e12 = _richardson_limit(
-        slopes[:, 0], slopes[:, 1], slopes[:, 2], rho01, 2.0 - 2.0 * alpha, 2.0
+        slopes[:, 0], slopes[:, 1], slopes[:, 2], ys[1] / ys[0], 2.0 - 2.0 * alpha, 2.0
     )
     scale, disagree = np.abs(limit).max(), np.abs(e01 - e12).max()
     if disagree > 10.0 * RECOVERY_TOL * scale:
         raise ExtrapolationError(f"limit estimates disagree by {disagree:.3e} against scale "
                                  f"{scale:.3e}; shrink the ladder base y0")
-    return conormal_constant(alpha) * apply_function(dec, limit, ext.base)
+    return constant * apply_function(dec, limit, u)
 
 
 # ---------------------------------------------------------------------------

@@ -222,11 +222,16 @@ def _task_inputs(task: str, p: dict, grid: Grid, field: CoefficientField, alpha:
     inputs = {}
     if "y0" in p:  # the extension tasks
         _built(f"'alpha' of {task}", conormal_constant, alpha)
+    if task == "recover":  # the three nodes conormal_recover builds
+        _built("'y0' / 'y_ratio' of recover", geometric_ladder, p["y0"], p["y_ratio"], 3)
+    if task == "energy":  # it extends at y0 alone, checked as the base of a default ladder
+        inputs["ladder"] = _built("'y0' of energy", geometric_ladder, p["y0"])[:1]
+    if "y_count" in p:  # extend and doubling hold the whole ladder
         _within_memory(f"'y_count' of {task}", p["y_count"] * EXTENSION_WORKING_SET, grid)
         ladder = inputs["ladder"] = _built(f"'y0' / 'y_ratio' / 'y_count' of {task}",
                                            geometric_ladder, p["y0"], p["y_ratio"], p["y_count"])
-        if task == "doubling":  # None picks the default radii, here and in the run
-            _built("'radii' of doubling", doubling_radii, p["radii"], grid, float(ladder[-1]))
+    if task == "doubling":  # None picks the default radii, here and in the run
+        _built("'radii' of doubling", doubling_radii, p["radii"], grid, float(ladder[-1]))
     if "dt" in p:  # the evolution tasks; each further viscosity run adds its states
         if task == "picard":
             _built("'tol' / 'max_iter' / 'c_est' of picard", check_picard, p["tol"],
@@ -444,21 +449,20 @@ def _run_extend(cfg, dec, rng, outdir):
     return inv, ["extension.csv", "extension_meta.json"]
 
 
-@_task("recover", _LADDER)
+@_task("recover", {key: _LADDER[key] for key in ("u0", "y0", "y_ratio")})
 def _run_recover(cfg, dec, rng, outdir):
-    ext = _extension_for(cfg, dec, rng)
-    rec = conormal_recover(ext)
-    oracle = fractional_power(dec, ext.alpha, ext.base)
+    p, alpha, u = cfg.task_params, cfg.alpha[0], _build_state(cfg, dec, rng)
+    rec = conormal_recover(dec, alpha, u, p["y0"], p["y_ratio"])
+    oracle = fractional_power(dec, alpha, u)
     rel = float(np.linalg.norm(rec - oracle) / max(np.linalg.norm(oracle), 1e-300))
     _write_csv(outdir / "recover.csv", "node,spectral,recovered,abs_diff",
                [np.arange(len(rec)), oracle, rec, np.abs(rec - oracle)])
     return {"recovery_within_tolerance": bool(rel <= RECOVERY_TOL)}, ["recover.csv"]
 
 
-@_task("energy", _LADDER)
+@_task("energy", {key: _LADDER[key] for key in ("u0", "y0")})
 def _run_energy(cfg, dec, rng, outdir):
-    ext = _extension_for(cfg, dec, rng)
-    rep = energy_report(ext)
+    rep = energy_report(_extension_for(cfg, dec, rng))
     (outdir / "energy.json").write_text(json.dumps(asdict(rep), indent=2) + "\n")
     return {"energy_ratio_finite": bool(np.isfinite(rep.bound_ratio))}, ["energy.json"]
 

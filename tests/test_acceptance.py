@@ -189,8 +189,7 @@ def test_criterion_06_extension_recovery(ident64, bump64):
 
             def rel_error(level):
                 # one resolution doubling = half the trace-ladder base
-                ys = geometric_ladder(4e-3 / 2**level, 1.2, 60)
-                rec = conormal_recover(extend(dec, alpha, u, ys))
+                rec = conormal_recover(dec, alpha, u, 4e-3 / 2**level, 1.2)
                 return np.linalg.norm(rec - oracle) / np.linalg.norm(oracle)
 
             e0 = rel_error(0)

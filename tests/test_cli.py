@@ -407,8 +407,8 @@ def test_run_extend_energy_doubling_tasks(tmp_path):
             tmp_path, name=f"{task}.json", output_dir=str(out), task=task,
             overrides={
                 "grid": grid,
-                "task_params": {"u0": {"kind": "gaussian", "width": 1.0},
-                                "y0": 1e-3, "y_ratio": 1.2, "y_count": 50,
+                "task_params": {"u0": {"kind": "gaussian", "width": 1.0}, "y0": 1e-3,
+                                **({} if task == "energy" else {"y_ratio": 1.2, "y_count": 50}),
                                 **({"radii": [0.5, 0.25]} if task == "doubling" else {})},
             },
         ))
@@ -419,6 +419,13 @@ def test_run_extend_energy_doubling_tasks(tmp_path):
     meta = (tmp_path / "extend" / "extension_meta.json").read_text()
     assert json.loads(meta) == {"alpha": 0.5, "y_nodes": list(geometric_ladder(1e-3, 1.2, 50))}
     assert meta.startswith('{\n  "alpha": 0.5,\n  "y_nodes": [\n') and meta.endswith("]\n}\n")
+    # energy extends at y0 alone, where the mass of the whole ladder's extension peaks
+    u = np.exp(-(build_grid(**grid).dof_nodes() ** 2).sum(axis=1))
+    rows = np.loadtxt(tmp_path / "extend" / "extension.csv", delimiter=",", skiprows=1)
+    sup = np.linalg.norm(rows[:, 2].reshape(50, len(u)), axis=1).max()
+    energy = json.loads((tmp_path / "energy" / "energy.json").read_text())
+    assert energy["sup_trace_ratio"] == pytest.approx(sup / np.linalg.norm(u),
+                                                      rel=np.sqrt(len(u)) * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("dim, n, multiples", [(2, 18, [4, 2, 1]), (1, 9, [2, 1])])
@@ -482,7 +489,7 @@ def test_run_recover_invariant_failure_exit_code(tmp_path):
         tmp_path, output_dir=str(out), task="recover",
         overrides={
             "grid": {"dim": 1, "n": 48, "half_length": 4.0, "boundary": "dirichlet"},
-            "task_params": {"y0": 2.0, "y_ratio": 2.0, "y_count": 6},
+            "task_params": {"y0": 2.0, "y_ratio": 2.0},
         },
     ))
     assert run(cfg) == 3
@@ -563,6 +570,12 @@ INVALID = {
                                                          "table_path": "missing.csv"}},
                            "table_path"),
     "empty_alpha_list": ("spectrum", {"alpha": []}, "alpha"),
+    # recover reads three nodes and energy one, so neither takes the ladder's length
+    "recover_y_count": ("recover", {"task_params": {"y_count": 55}}, "'y_count'"),
+    "energy_y_count": ("energy", {"task_params": {"y_count": 55}}, "'y_count'"),
+    "energy_y_ratio": ("energy", {"task_params": {"y_ratio": 1.2}}, "'y_ratio'"),
+    "recover_y_ratio_below_one": ("recover", {"task_params": {"y_ratio": 0.9}}, "'y_ratio'"),
+    "energy_y0_zero": ("energy", {"task_params": {"y0": 0.0}}, "'y0'"),
 }
 
 
@@ -1368,7 +1381,7 @@ def test_readme_memory_guard_factors_mirror_the_working_sets():
     assert found
     assert tuple(map(float, found.groups())) == (PICARD_WORKING_SET, VISCOUS_WORKING_SET,
                                                  VISCOUS_WORKING_SET)
-    found = re.search(r"`y_count n_dof` times (\d+) for the extension tasks", readme)
+    found = re.search(r"`y_count n_dof` times (\d+) for `extend` and `doubling`", readme)
     assert found
     assert float(found.group(1)) == EXTENSION_WORKING_SET
     found = re.search(r"`\(n_bumps \+ (\d+)\) n_dof` times (\d+) for `norm_equiv`", readme)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -28,6 +29,7 @@ from fracspec.extension import (
 )
 from fracspec.gridop import NumericalError, assemble, build_grid, make_coefficients
 from fracspec.spectral import eigendecompose, fractional_power, l2_norm
+from fracspec.tasks import TASKS, parse_config
 from oracles import (
     constant_field_doubling_exponent,
     eigenvectors,
@@ -336,7 +338,7 @@ def test_recover_alpha_half_matches_sqrt_spectrum():
     # per-mode slope of e^{-y sqrt(lam)} recovers lam^{1/2}
     g, dec = laplacian_dec()
     u = gaussian_state(g)
-    rec = conormal_recover(extend(dec, 0.5, u))
+    rec = conormal_recover(dec, 0.5, u)
     oracle = fractional_power(dec, 0.5, u)
     assert np.linalg.norm(rec - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
@@ -345,14 +347,14 @@ def test_recover_alpha_half_matches_sqrt_spectrum():
 def test_recover_matches_spectral_power_on_bump_field(alpha):
     g, dec = bump_dec()
     u = gaussian_state(g)
-    rec = conormal_recover(extend(dec, alpha, u))
+    rec = conormal_recover(dec, alpha, u)
     oracle = fractional_power(dec, alpha, u)
     assert np.linalg.norm(rec - oracle) <= 1e-3 * np.linalg.norm(oracle)
 
 
 def test_recover_zero_is_zero():
     _, dec = bump_dec(n=32)
-    rec = conormal_recover(extend(dec, 0.5, np.zeros(dec.n_dof)))
+    rec = conormal_recover(dec, 0.5, np.zeros(dec.n_dof))
     assert np.all(rec == 0.0)
 
 
@@ -362,8 +364,7 @@ def test_recover_improves_with_resolution_refinement():
     oracle = fractional_power(dec, 0.75, u)
 
     def run(level):
-        ys = geometric_ladder(4e-3 / 2**level, 1.2, 60)
-        rec = conormal_recover(extend(dec, 0.75, u, ys))
+        rec = conormal_recover(dec, 0.75, u, 4e-3 / 2**level, 1.2)
         return np.linalg.norm(rec - oracle) / np.linalg.norm(oracle)
 
     e0, e2 = run(0), run(2)
@@ -372,13 +373,20 @@ def test_recover_improves_with_resolution_refinement():
 
 
 def test_recover_takes_a_three_node_ladder():
-    # the three smallest nodes are all the limit reads, so the default ladder's first three
-    # give the same bits
+    # conormal_recover builds the three-node ladder from y0 and ratio, whose nodes are the
+    # first three of every longer ladder from them, so a recover task reads the slopes of the
+    # ladders that the extend and doubling tasks hold, to the bit
+    for y0, ratio in ((1e-3, 1.2), (4e-3, 1.2), (1e-3 / 3, 1.1), (2.5e-4, 1.3)):
+        three = geometric_ladder(y0, ratio, 3)
+        for count in (55, 60, 400):
+            assert np.array_equal(three, geometric_ladder(y0, ratio, count)[:3])
+    # the library's default ladder and nodes are the tasks'
+    y0, ratio, count = (TASKS["extend"][1][key][1] for key in ("y0", "y_ratio", "y_count"))
+    assert np.array_equal(geometric_ladder(), geometric_ladder(y0, ratio, count))
+    assert [TASKS["recover"][1][key][1] for key in ("y0", "y_ratio")] == [y0, ratio]
     g, dec = laplacian_dec()
     u = gaussian_state(g)
-    ys = geometric_ladder(1e-3, 1.2, 3)
-    assert np.array_equal(conormal_recover(extend(dec, 0.5, u, ys)),
-                          conormal_recover(extend(dec, 0.5, u)))
+    assert np.array_equal(conormal_recover(dec, 0.5, u), conormal_recover(dec, 0.5, u, y0, ratio))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -389,40 +397,16 @@ def test_recover_of_one_mode_reaches_its_two_stage_limit(alpha):
     _, dec = laplacian_dec()
     k = 4
     u, lam = eigenvectors(dec)[:, k], dec.spectrum[k]
-    rec = conormal_recover(extend(dec, alpha, u, geometric_ladder(1e-3 / np.sqrt(lam), 1.2, 3)))
+    rec = conormal_recover(dec, alpha, u, 1e-3 / np.sqrt(lam), 1.2)
     assert np.linalg.norm(rec - lam**alpha * u) <= 1e-8 * lam**alpha
-
-
-@pytest.mark.parametrize("rel,refused", [(1.5e-9, True), (0.75e-9, False)])
-def test_recover_geometric_test_is_relative_to_the_ratio(rel, refused):
-    # rho01 = 2, so the bottom nodes are refused when rho12 - rho01 exceeds 1e-9 rho01 = 2e-9
-    _, dec = bump_dec(n=32)
-    u = gaussian_state(dec.source.grid)
-    ext = extend(dec, 0.5, u, np.array([1e-3, 2e-3, 4e-3 * (1.0 + rel)]))
-    if refused:
-        with pytest.raises(ValueError, match="geometric"):
-            conormal_recover(ext)
-    else:
-        conormal_recover(ext)
 
 
 def test_recover_flags_divergent_extrapolation():
     g, dec = bump_dec()
     u = gaussian_state(g)
     # ladder base far outside the boundary-expansion regime
-    ys = geometric_ladder(2.0, 2.0, 6)
-    ext = extend(dec, 0.5, u, ys)
     with pytest.raises(ExtrapolationError):
-        conormal_recover(ext)
-
-
-def test_recover_requires_geometric_bottom_nodes():
-    g, dec = bump_dec(n=32)
-    u = gaussian_state(dec.source.grid)
-    ys = np.array([1e-3, 2e-3, 5e-3, 1e-2])
-    ext = extend(dec, 0.5, u, ys)
-    with pytest.raises(ValueError, match="geometric"):
-        conormal_recover(ext)
+        conormal_recover(dec, 0.5, u, 2.0, 2.0)
 
 
 # --- energy -----------------------------------------------------------------
@@ -505,6 +489,26 @@ def test_energy_report_ratios_follow_their_definitions():
     assert rep.sup_trace_ratio == pytest.approx(sup / np.linalg.norm(u), rel=1e-15)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 24)])
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_energy_sup_trace_ratio_is_the_sup_over_a_whole_ladder(dim, n, boundary):
+    # every multiplier is nonincreasing in y, so |U(., y)| is, and the energy task's one-node
+    # extension at y0 reads the sup over the whole default ladder; the two extensions' dense
+    # products round apart by up to 8.5 eps relative at 1024 dofs, under sqrt(n_dof) eps
+    g = build_grid(dim, n, 8.0, boundary)
+    dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump",
+                                                       {"s": 0.6, "w": 2.0, "c_amp": 0.4})))
+    noise = np.random.default_rng(n).standard_normal(dec.n_dof)
+    ys = geometric_ladder()
+    for u in (gaussian_state(g), dec.from_modes(np.exp(-dec.eigenvalues / 8.0)
+                                                * dec.to_modes(noise))):
+        for alpha in (0.35, 0.45, 0.55, 0.65, 0.75):
+            sup = np.linalg.norm(extend(dec, alpha, u, ys).values, axis=0).max()
+            ratio = energy_report(extend(dec, alpha, u, ys[:1])).sup_trace_ratio
+            assert ratio == pytest.approx(sup / np.linalg.norm(u),
+                                          rel=np.sqrt(dec.n_dof) * np.finfo(float).eps)
+
+
 # --- doubling ---------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -578,10 +582,10 @@ def _traced_peak(work):
 
 
 def test_extension_working_set_matches_tracemalloc_peak():
-    # the parse-time memory guard charges an extension task EXTENSION_WORKING_SET
+    # the parse-time memory guard charges the extend and doubling tasks EXTENSION_WORKING_SET
     # (n_dof, y_count) arrays. On ladders of many K_CHUNK chunks, one where every
-    # z = sqrt(lambda) y < 2 and one reaching z of hundreds, extend and the recovery,
-    # closed-form energy and doubling that follow it all peak within one array of it
+    # z = sqrt(lambda) y < 2 and one reaching z of hundreds, extend and the doubling that
+    # follows it peak within one array of it
     g = build_grid(2, 34, 4.0, "dirichlet")
     dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump",
                                                        {"s": 0.7, "w": 2.0, "c_amp": 0.4})))
@@ -590,9 +594,7 @@ def test_extension_working_set_matches_tracemalloc_peak():
     steep = geometric_ladder(1e-4, (top / 1e-4) ** (1 / 599), 600)
     doubling = lambda ext: doubling_ratio(ext, None)  # noqa: E731
     peaks = []
-    for ys, follows in [(steep, (conormal_recover, energy_report)),
-                        (geometric_ladder(1e-3, 1.02, 400),
-                         (conormal_recover, energy_report, doubling))]:
+    for ys, follows in [(steep, ()), (geometric_ladder(1e-3, 1.02, 400), (doubling,))]:
         assert dec.n_dof * len(ys) >= 25 * extension.K_CHUNK
         for follow in (lambda ext: None,) + follows:
             peak = _traced_peak(lambda: follow(extend(dec, 0.5, u, ys)))
@@ -673,3 +675,25 @@ def test_extension_export_csv(tmp_path):
     assert lines[0] == "x_index,y,U"
     assert lines[1:] == [f"{i},{y:.17e},{ext.values[i, k]:.17e}"
                          for k, y in enumerate(ys) for i in range(dec.n_dof)]
+
+
+@pytest.mark.parametrize("n", [18, 50])
+def test_recover_and_energy_runs_hold_no_ladder(tmp_path, n):
+    # recover reads three ladder nodes and energy one, so the parse-time guard charges them
+    # nothing: their runners, CSV writer included, peak under a quarter of what extending
+    # on the default 55-node ladder alone takes, at 256 and 2304 dofs
+    g = build_grid(2, n, 8.0, "dirichlet")
+    bump = {"s": 0.6, "w": 2.0, "c_amp": 0.4, "M": [[1.0, 0.4], [0.4, 0.8]]}
+    dec = eigendecompose(assemble(g, make_coefficients(g, "radial_bump", bump)))
+    ladder = _traced_peak(lambda: extend(dec, 0.55, gaussian_state(g), geometric_ladder()))
+    for task in ("recover", "energy"):
+        path = tmp_path / f"{task}.json"
+        path.write_text(json.dumps({
+            "grid": {"dim": 2, "n": n, "half_length": 8.0, "boundary": "dirichlet"},
+            "coefficients": {"kind": "radial_bump", "params": bump}, "alpha": 0.55,
+            "task": task, "output_dir": str(tmp_path / task)}))
+        cfg = parse_config(path)
+        cfg.output_dir.mkdir()
+        runner, _ = TASKS[task]
+        peak = _traced_peak(lambda: runner(cfg, dec, np.random.default_rng(0), cfg.output_dir))
+        assert peak <= ladder / 4, task
